@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 input error, 2 solver did not reach optimality,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -33,6 +35,7 @@ from .scenarios import ScenarioError, builtin, builtin_names, load_scenario, sce
 from .transcription import Scenario
 
 _TRACE_ENV = "RDVOPT_TRACE"
+_IMPULSE_KEYS = ("theta_rad", "t", "dv", "magnitude")
 
 
 def _err(msg: str) -> int:
@@ -167,14 +170,15 @@ def _cmd_sweep(args) -> int:
     if not m_list:
         raise ScenarioError("--mesh-list is empty")
     rows = mesh_sweep(scenario, m_list, form=args.form)
-    lines = ["M,total_dv,n_impulses,solve_time_s,status"]
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(["M", "total_dv", "n_impulses", "solve_time_s", "status"])
     for r in rows:
-        lines.append(f"{r.m},{r.total_dv:.17g},{r.n_impulses},{r.solve_time:.6g},{r.status}")
-    text = "\n".join(lines)
+        table.writerow([r.m, f"{r.total_dv:.17g}", r.n_impulses, f"{r.solve_time:.6g}", r.status])
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(buf.getvalue())
     else:
-        print(text)
+        print(buf.getvalue(), end="")
     return 0 if all(r.status == "optimal" for r in rows) else 2
 
 
@@ -207,11 +211,15 @@ def _cmd_validate(args) -> int:
     have_hash = scenario_hash(scenario)
     if want_hash != have_hash:
         return _err(f"scenario hash mismatch: document has {want_hash}, scenario is {have_hash}")
-    impulses = [
-        Impulse(theta=imp["theta_rad"], t=imp["t"], dv=np.array(imp["dv"]),
-                magnitude=imp["magnitude"])
-        for imp in doc.get("impulses", [])
-    ]
+    impulses = []
+    for k, imp in enumerate(doc.get("impulses", [])):
+        missing = [key for key in _IMPULSE_KEYS if not isinstance(imp, dict) or key not in imp]
+        if missing:
+            raise ScenarioError(
+                f"impulse {k} of solution document {args.document} lacks {', '.join(missing)}"
+            )
+        impulses.append(Impulse(theta=imp["theta_rad"], t=imp["t"], dv=np.array(imp["dv"]),
+                                magnitude=imp["magnitude"]))
     plan = ImpulsePlan(
         impulses=impulses,
         total_dv=doc.get("total_dv", 0.0),

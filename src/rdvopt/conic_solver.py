@@ -11,10 +11,13 @@ where K is a product of one free block and second-order cones
 homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra-style predictor-corrector, so no feasible starting point is
 needed and infeasibility is detected through Farkas certificates.
-Linear algebra is dense: a symmetric quasi-definite factorization of the
-statically regularized KKT matrix, with a block-Schur fast path for
-cone-only iterations at benign scalings, and iterative refinement
-against the unregularized system on both paths.
+The KKT path follows the structure of the program.  Cone-only programs
+with independent equality rows solve each Newton system in NT-scaled
+variables through a thin QR of W A', at a cost linear in the number of
+cones and without forming W^2 or W^-2.  Programs with free variables or
+dependent rows use a dense symmetric quasi-definite factorization of the
+statically regularized KKT matrix, with iterative refinement against the
+unregularized system.
 
 Free variables sit natively in the KKT system; they are never split
 into cone differences.
@@ -209,6 +212,21 @@ def _wbar_apply(wbar: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.nd
     return out
 
 
+def _wbar_blocks(wbar: np.ndarray) -> np.ndarray:
+    """Dense Wbar blocks (g, d, d): the matrix form of _wbar_apply."""
+    w0 = wbar[:, 0]
+    w1 = wbar[:, 1:]
+    d = wbar.shape[1]
+    out = np.empty((wbar.shape[0], d, d))
+    out[:, 0, 0] = w0
+    out[:, 0, 1:] = w1
+    out[:, 1:, 0] = w1
+    out[:, 1:, 1:] = w1[:, :, None] * (w1 / (1.0 + w0)[:, None])[:, None, :]
+    di = np.arange(1, d)
+    out[:, di, di] += 1.0
+    return out
+
+
 def _two_wwt_minus_j(w: np.ndarray) -> np.ndarray:
     """2 w w' - J as (g, d, d) blocks; equals Wbar^2 when w = wbar."""
     g, d = w.shape
@@ -217,11 +235,6 @@ def _two_wwt_minus_j(w: np.ndarray) -> np.ndarray:
     out[:, di, di] += 1.0
     out[:, 0, 0] -= 2.0
     return out
-
-
-def _w2_blocks(eta: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """Dense W^2 blocks (exact closed form, no inversion)."""
-    return (eta ** 2)[:, None, None] * _two_wwt_minus_j(wbar)
 
 
 def _w2inv_blocks(eta: np.ndarray, wbar: np.ndarray) -> np.ndarray:
@@ -265,8 +278,9 @@ def _max_step(u: np.ndarray, du: np.ndarray) -> float:
 class _DenseKKT:
     """Regularized symmetric quasi-definite factorization with refinement.
 
-    Used whenever free variables sit in the KKT system (the full
-    formulation); handles the indefinite block structure natively.
+    Used when free variables sit in the KKT system (the full
+    formulation) or equality rows are dependent; handles the indefinite
+    block structure and the rank deficiency natively.
     """
 
     def __init__(self, h: np.ndarray, a: np.ndarray, reg: float):
@@ -314,82 +328,45 @@ class _DenseKKT:
         return sol if rhs.ndim == 2 else sol[:, 0]
 
 
-class _SchurKKT:
-    """Block elimination for cone-only problems (no free variables).
+class _ScaledQRKKT:
+    """KKT solver for cone-only programs with independent equality rows.
 
-    The (1,1) block is then block-diagonal and positive definite, so the
-    system reduces to a dense p x p Schur complement on the multipliers;
-    per-iteration cost is linear in the number of cones.  Algebraically
-    identical to the quasi-definite factorization, including the static
-    regularization and the refinement against the unregularized system.
+    Works in Nesterov-Todd scaled variables: with W the block-diagonal NT
+    scaling (H = W^-2) and dx = W dxs, the system -H dx + A'dy = r1,
+    A dx = r2 becomes -dxs + G'dy = W r1, G dxs = r2 with G' = W A'.  A
+    thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
+    dxs = Q u - W r1.  Neither W^2 nor W^-2 is formed, so the step keeps
+    the accuracy of the scaled problem as the iterates approach the cone
+    boundary, and each factorization costs O(n p^2).
     """
 
-    def __init__(self, w2: dict, w2inv: dict, layout: "_ConeLayout", a: np.ndarray, reg: float):
+    def __init__(self, w: dict, layout: "_ConeLayout", a_blocks: dict, p: int):
+        self.w = w
         self.layout = layout
-        self.a = a
-        n = a.shape[1]
-        p = a.shape[0]
-        self.n = n
-        self.w2inv = w2inv
-        self.hinv = w2  # exact closed-form inverse of H = W^-2
-        hinv_at = np.empty((n, p))
+        self.n = n = sum(idx.size for idx in layout.index.values())
+        gt = np.empty((n, p))
         for d, idx in layout.index.items():
-            hinv_at[idx.reshape(-1)] = np.einsum(
-                "gij,gjk->gik", w2[d], a[:, idx].transpose(1, 2, 0)
-            ).reshape(-1, p)
-        schur = a @ hinv_at + reg * np.eye(p)
-        self._chol, info = lapack.dpotrf(schur, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("Schur factorization failed")
+            gt[idx.reshape(-1)] = np.matmul(w[d], a_blocks[d]).reshape(-1, p)
+        self.q, self.r = np.linalg.qr(gt)
 
-    def _solve_once(self, r1: np.ndarray, r2: np.ndarray):
-        t = self._hinv_apply(r1)
-        rhs = r2 + self.a @ t
-        dy, info = lapack.dpotrs(self._chol, rhs, lower=1)
+    def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        sol, info = lapack.dtrtrs(self.r, rhs, trans=trans)
         if info != 0:
-            raise np.linalg.LinAlgError("Schur backsolve failed")
-        dx = self._hinv_apply(self.a.T @ dy - r1)
-        return dx, dy
+            raise np.linalg.LinAlgError("scaled constraint matrix is rank deficient")
+        return sol
 
-    def _hinv_apply(self, v: np.ndarray) -> np.ndarray:
+    def _w_apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         for d, idx in self.layout.index.items():
-            blk = v[idx] if v.ndim == 1 else v[idx.reshape(-1)].reshape(idx.shape[0], d, -1)
-            if v.ndim == 1:
-                out[idx] = np.einsum("gij,gj->gi", self.hinv[d], blk)
-            else:
-                out[idx.reshape(-1)] = np.einsum("gij,gjk->gik", self.hinv[d], blk).reshape(-1, v.shape[1])
-        return out
-
-    def _h_apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for d, idx in self.layout.index.items():
-            blk = v[idx] if v.ndim == 1 else v[idx.reshape(-1)].reshape(idx.shape[0], d, -1)
-            if v.ndim == 1:
-                out[idx] = np.einsum("gij,gj->gi", self.w2inv[d], blk)
-            else:
-                out[idx.reshape(-1)] = np.einsum("gij,gjk->gik", self.w2inv[d], blk).reshape(-1, v.shape[1])
+            out[idx] = np.matmul(self.w[d], v[idx][:, :, None])[:, :, 0]
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        one_dim = rhs.ndim == 1
-        rhs2 = rhs[:, None] if one_dim else rhs
         n = self.n
-        dx, dy = self._solve_once(rhs2[:n], rhs2[n:])
-        scale = 1.0 + float(np.max(np.abs(rhs2)))
-        best = math.inf
-        for _ in range(_REFINEMENT_ROUNDS):
-            res1 = rhs2[:n] - (-self._h_apply(dx) + self.a.T @ dy)
-            res2 = rhs2[n:] - self.a @ dx
-            rnorm = max(float(np.max(np.abs(res1))), float(np.max(np.abs(res2), initial=0.0)))
-            if rnorm <= 1e-14 * scale or rnorm >= best:
-                break
-            best = rnorm
-            cx, cy = self._solve_once(res1, res2)
-            dx = dx + cx
-            dy = dy + cy
-        sol = np.vstack([dx, dy])
-        return sol[:, 0] if one_dim else sol
+        wr1 = self._w_apply(rhs[:n])
+        u = self._triangular(rhs[n:], trans=1) + self.q.T @ wr1
+        dy = self._triangular(u, trans=0)
+        return np.concatenate([self._w_apply(self.q @ u - wr1), dy])
 
 
 def solve(
@@ -445,6 +422,22 @@ def solve(
             objective=float(c @ x / s),
         )
 
+    def stop(reason, iters, pres, dres, gap):
+        """Best-effort exit reported as max_iters; the trace names the cause."""
+        if trace is not None:
+            trace({"iter": iters, "stop": reason})
+        return finish("max_iters", iters, pres, dres, gap)
+
+    # The KKT path follows the structure of the program: cone-only programs
+    # with independent equality rows use the scaled thin QR.  Free variables,
+    # or dependent rows (W A' is then rank deficient), need the regularized
+    # dense factorization.
+    scaled_qr = nf == 0 and ncones > 0 and np.linalg.matrix_rank(a_mat) == p
+    kkt_path = "scaled_qr" if scaled_qr else "dense"
+    if scaled_qr:
+        a_blocks = {d: np.ascontiguousarray(a_mat[:, idx].transpose(1, 2, 0))
+                    for d, idx in layout.index.items()}
+
     stalls = 0
     for it in range(st.max_iters + 1):
         r_p = a_mat @ x - b * tau
@@ -481,39 +474,28 @@ def solve(
         eta = {}
         wbar = {}
         lam = {}
-        w2 = {}
-        w2inv = {}
         for d in uu:
             if np.any(_jdet(uu[d]) <= 0.0) or np.any(_jdet(vv[d]) <= 0.0):
                 # iterate pinned to the cone boundary at rounding level:
                 # no further centering is possible, return best effort
-                return finish("max_iters", it, pres, dres, gap)
+                return stop("cone_boundary", it, pres, dres, gap)
             eta[d], wbar[d] = _nt_scaling(uu[d], vv[d])
             lam[d] = eta[d][:, None] * _wbar_apply(wbar[d], vv[d])
-            w2[d] = _w2_blocks(eta[d], wbar[d])
-            w2inv[d] = _w2inv_blocks(eta[d], wbar[d])
 
-        # The Schur path costs O(cones) per iteration but loses ~cond(W)^2
-        # digits, so it is used only while the scalings are benign; near the
-        # boundary the quasi-definite factorization takes over.
-        scaling_cond = max(
-            (float(np.max(wbar[d][:, 0])) for d in wbar), default=1.0
-        )
         try:
-            if nf == 0 and ncones > 0 and scaling_cond < 100.0:
-                kkt = _SchurKKT(w2, w2inv, layout, a_mat, st.static_reg)
+            if scaled_qr:
+                w = {d: eta[d][:, None, None] * _wbar_blocks(wbar[d]) for d in wbar}
+                kkt = _ScaledQRKKT(w, layout, a_blocks, p)
             else:
                 h = np.zeros((n, n))
                 for d, idx in layout.index.items():
-                    for k_c in range(idx.shape[0]):
-                        s0 = idx[k_c, 0]
-                        h[s0:s0 + d, s0:s0 + d] = w2inv[d][k_c]
+                    h[idx[:, :, None], idx[:, None, :]] = _w2inv_blocks(eta[d], wbar[d])
                 kkt = _DenseKKT(h, a_mat, st.static_reg)
             sol2 = kkt.solve(np.concatenate([c, b]))
         except np.linalg.LinAlgError:
             # factorization breakdown with finite iterates: let the caller
             # see the best effort rather than a hard failure
-            return finish("max_iters", it, pres, dres, gap)
+            return stop("kkt_breakdown", it, pres, dres, gap)
         dx2, dy2 = sol2[:n], sol2[n:]
 
         def direction(gamma, d_c, d_tk):
@@ -531,11 +513,11 @@ def solve(
             dtau = num / den
             dx = dx1 + dtau * dx2
             dy = dy1 + dtau * dy2
-            du_b = layout.gather(dx)
-            dv_b = {d: wiv[d] - np.einsum("gij,gj->gi", w2inv[d], du_b[d])
-                    for d in du_b}
+            # dz from the linear dual equation, which the step then reduces
+            # exactly; wiv - H dx would carry the KKT solve's rounding into z
+            dz = c * dtau - a_mat.T @ dy + (1.0 - gamma) * r_d
             dkappa = (d_tk - kappa * dtau) / tau
-            return dx, dy, dtau, du_b, dv_b, dkappa
+            return dx, dy, dtau, layout.gather(dx), layout.gather(dz), dkappa
 
         def step_limit(du_b, dv_b, dtau, dkappa):
             amax = math.inf
@@ -573,11 +555,12 @@ def solve(
 
         alpha = min(1.0, _FRACTION_TO_BOUNDARY * step_limit(du_b, dv_b, dtau, dkappa))
         if trace is not None:
-            trace({"iter": it, "sigma": sigma, "alpha_aff": alpha_aff, "alpha": alpha})
+            trace({"iter": it, "sigma": sigma, "alpha_aff": alpha_aff, "alpha": alpha,
+                   "kkt": kkt_path})
         if alpha <= _MIN_STEP:
             stalls += 1
             if stalls >= 2:
-                return finish("max_iters", it, pres, dres, gap)
+                return stop("step_stall", it, pres, dres, gap)
         else:
             stalls = 0
 

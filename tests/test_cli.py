@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -111,6 +113,16 @@ class TestSweepCommand:
         assert "error" in lines[1]
         assert lines[2].endswith("optimal")
 
+    def test_error_message_with_comma_stays_one_field(self):
+        # the mesh-size error reads "mesh size must be at least 2, got 1"
+        proc = run_cli("sweep", "circle2circle", "--mesh-list", "1,9")
+        assert proc.returncode == 2
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert all(len(r) == 5 for r in rows)
+        assert rows[1][0] == "1"
+        assert rows[1][4] == "error: mesh size must be at least 2, got 1"
+        assert rows[2][4] == "optimal"
+
     def test_bad_mesh_list_is_input_error(self):
         proc = run_cli("sweep", "circle2circle", "--mesh-list", "a,b")
         assert proc.returncode == 1
@@ -149,3 +161,16 @@ class TestValidateCommand:
         proc = run_cli("validate", str(c2c_doc_path), "atv")
         assert proc.returncode == 1
         assert "hash mismatch" in proc.stderr
+
+    @pytest.mark.parametrize("key", ["theta_rad", "t", "dv", "magnitude"])
+    def test_impulse_without_field_is_input_error(self, c2c_doc_path, tmp_path, key):
+        doc = json.loads(c2c_doc_path.read_text())
+        del doc["impulses"][1][key]
+        bad = tmp_path / "incomplete.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(bad), "circle2circle")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "impulse 1 " in proc.stderr
+        assert proc.stderr.rstrip().endswith(f"lacks {key}")
+        assert "Traceback" not in proc.stderr

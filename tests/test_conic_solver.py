@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rdvopt import ConeSpec, ConicProblem, SolverSettings, residuals, solve
+from rdvopt import ConeSpec, ConicProblem, SolverSettings, builtin, residuals, solve
+from rdvopt import conic_solver
+from rdvopt.transcription import assemble_socp, build_grid
 
 
 def make_kkt_certified_problem(rng, n_free=None, ncones=None, strict=False):
@@ -49,6 +51,10 @@ def make_kkt_certified_problem(rng, n_free=None, ncones=None, strict=False):
     return problem, x, y, z
 
 
+def _failing_factorization(*args):
+    raise np.linalg.LinAlgError("forced breakdown")
+
+
 class TestTrivialPrograms:
     def test_cone_projection_of_pinned_point(self):
         # min sigma s.t. v = 3, (sigma, v) in a 2-cone
@@ -80,6 +86,18 @@ class TestTrivialPrograms:
         assert sol.status == "dual_infeasible"
         assert prob.c @ sol.x == pytest.approx(-1.0, abs=1e-6)
         assert np.linalg.norm(prob.A @ sol.x) < 1e-7
+
+    @pytest.mark.parametrize("a, b, value", [
+        ([[0.0, 1.0], [0.0, 1.0]], [3.0, 3.0], 3.0),
+        ([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]], [3.0, 6.0, 9.0], 3.0),
+        ([[0.0, 1.0, 0.5], [0.0, 2.0, 1.0]], [3.0, 6.0], 3.0 / np.sqrt(1.25)),
+    ])
+    def test_consistent_dependent_rows(self, a, b, value):
+        n = len(a[0])
+        prob = ConicProblem(c=[1.0] + [0.0] * (n - 1), A=a, b=b, cones=ConeSpec(0, (n,)))
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(value, abs=1e-8)
 
     def test_max_iters_returns_diagnostics(self):
         prob = ConicProblem(c=[1.0, 0.0, 0.0], A=[[0.0, 1.0, 0.5]], b=[3.0],
@@ -183,3 +201,83 @@ class TestSolverProperties:
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             ConicProblem(c=[1.0, 2.0, 3.0], A=[[1.0, 0.0]], b=[1.0], cones=ConeSpec(0, (2,)))
+
+    def test_trace_names_the_kkt_path(self, rng):
+        for n_free, path in ((0, "scaled_qr"), (2, "dense")):
+            prob, *_ = make_kkt_certified_problem(rng, n_free=n_free)
+            records = []
+            solve(prob, trace=records.append)
+            steps = [r for r in records if "alpha" in r]
+            assert steps and all(r["kkt"] == path for r in steps)
+
+    @pytest.mark.parametrize("stop, name, fake", [
+        ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
+        ("cone_boundary", "_jdet", lambda u: np.zeros(u.shape[0])),
+        ("step_stall", "_max_step", lambda u, du: 0.0),
+    ])
+    def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
+        monkeypatch.setattr(conic_solver, name, fake)
+        prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
+        records = []
+        sol = solve(prob, trace=records.append)
+        assert sol.status == "max_iters"
+        assert records[-1] == {"iter": sol.iterations, "stop": stop}
+        assert sum("stop" in r for r in records) == 1
+
+
+def _interior(rng, dims):
+    """Random interior point of a product of second-order cones."""
+    parts = []
+    for d in dims:
+        u1 = rng.normal(size=d - 1)
+        parts.append(np.concatenate([[np.linalg.norm(u1) + rng.uniform(0.1, 2.0)], u1]))
+    return np.concatenate(parts)
+
+
+class TestScaledQRKKT:
+    def test_matches_dense_factorization_on_the_same_scaling(self, rng):
+        for _ in range(20):
+            prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 6)))
+            layout = conic_solver._ConeLayout(prob.cones)
+            n, p = prob.c.size, prob.b.size
+            uu = layout.gather(_interior(rng, prob.cones.soc_dims))
+            vv = layout.gather(_interior(rng, prob.cones.soc_dims))
+            w = {}
+            h = np.zeros((n, n))
+            for d, idx in layout.index.items():
+                eta, wbar = conic_solver._nt_scaling(uu[d], vv[d])
+                w[d] = eta[:, None, None] * conic_solver._wbar_blocks(wbar)
+                h[idx[:, :, None], idx[:, None, :]] = conic_solver._w2inv_blocks(eta, wbar)
+            a_blocks = {d: prob.A[:, idx].transpose(1, 2, 0) for d, idx in layout.index.items()}
+            qr = conic_solver._ScaledQRKKT(w, layout, a_blocks, p)
+            dense = conic_solver._DenseKKT(h, prob.A, SolverSettings().static_reg)
+            rhs = rng.normal(size=n + p)
+            want = dense.solve(rhs)
+            assert np.linalg.norm(qr.solve(rhs) - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_dense_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
+        built = []
+
+        class CountingDenseKKT(conic_solver._DenseKKT):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(conic_solver, "_DenseKKT", CountingDenseKKT)
+        scenario = builtin("circle2circle")
+        programs = [make_kkt_certified_problem(rng, n_free=0)[0] for _ in range(10)]
+        programs.append(assemble_socp(scenario, build_grid(scenario, 33)))
+        for prob in programs:
+            solve(prob)
+        assert not built
+        solve(make_kkt_certified_problem(rng, n_free=2)[0])
+        assert built
+
+    def test_condensed_endgame_at_large_mesh(self):
+        # the near-boundary endgame where a Schur-complement Cholesky or a
+        # closed-form dz recovery stalls short of optimality
+        scenario = builtin("circle2circle")
+        sol = solve(assemble_socp(scenario, build_grid(scenario, 2049)))
+        assert sol.status == "optimal"
+        assert sol.gap <= 1e-9
+        assert sol.residuals.dual <= 1e-12
