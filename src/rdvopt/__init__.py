@@ -19,11 +19,8 @@ from .conic_solver import (
 )
 from .kepler import (
     MU_EARTH_KM3_S2,
-    AnomalyState,
     KeplerConvergenceError,
-    OrbitConstants,
     TargetOrbit,
-    orbit_constants,
     time_from_true,
     true_from_time,
 )
@@ -47,7 +44,6 @@ from .relative_dynamics import (
     RelativeState,
     TransformedState,
     from_transformed,
-    propagate,
     stm_full,
     stm_in_plane,
     stm_out_of_plane,

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,17 @@ from .postprocess import (
     plan_rendezvous,
     verify_plan,
 )
-from .scenarios import ScenarioError, builtin, builtin_names, load_scenario, scenario_to_dict
+from .scenarios import (
+    ScenarioError,
+    _fail,
+    _number,
+    _object,
+    _triple,
+    builtin,
+    builtin_names,
+    load_scenario,
+    scenario_to_dict,
+)
 from .transcription import Scenario
 
 _TRACE_ENV = "RDVOPT_TRACE"
@@ -76,6 +87,10 @@ def _unit_labels(scenario: Scenario) -> dict:
     return {"length": "km", "velocity": "km/s", "time": "s"}
 
 
+def _impulse_record(imp: Impulse) -> dict:
+    return {"theta_rad": imp.theta, "t": imp.t, "dv": list(imp.dv), "magnitude": imp.magnitude}
+
+
 def solution_document(scenario: Scenario, result, tol: float) -> dict:
     plan = result.plan
     sol = result.solution
@@ -100,21 +115,8 @@ def solution_document(scenario: Scenario, result, tol: float) -> dict:
             "total_dv": plan.total_dv,
             "dropped_dv": plan.dropped_dv,
             "n_impulses": plan.n_impulses,
-            "impulses": [
-                {
-                    "theta_rad": imp.theta,
-                    "t": imp.t,
-                    "dv": list(imp.dv),
-                    "magnitude": imp.magnitude,
-                }
-                for imp in plan.impulses
-            ],
-            "terminal_error": {
-                "position": plan.terminal_error.position,
-                "velocity": plan.terminal_error.velocity,
-                "position_scaled": plan.terminal_error.position_scaled,
-                "velocity_scaled": plan.terminal_error.velocity_scaled,
-            },
+            "impulses": [_impulse_record(imp) for imp in plan.impulses],
+            "terminal_error": asdict(plan.terminal_error),
         })
     return doc
 
@@ -192,13 +194,33 @@ def _cmd_inner_node(args) -> int:
         "theta2_rad": res.theta2,
         "total_dv": res.total_dv,
         "units": _unit_labels(scenario),
-        "impulses": [
-            {"theta_rad": i.theta, "t": i.t, "dv": list(i.dv), "magnitude": i.magnitude}
-            for i in res.plan.impulses
-        ],
+        "impulses": [_impulse_record(imp) for imp in res.plan.impulses],
     }
     _write_json(doc, args.out)
     return 0
+
+
+def _document_impulses(doc: dict, source: str, scenario: Scenario) -> list[Impulse]:
+    """The impulses of a solution document, each checked against the horizon."""
+    entries = doc.get("impulses", [])
+    if not isinstance(entries, list):
+        _fail(f"{source}.impulses", f"expected an array, got {entries!r}")
+    impulses = []
+    for k, imp in enumerate(entries):
+        missing = [key for key in _IMPULSE_KEYS if not isinstance(imp, dict) or key not in imp]
+        if missing:
+            raise ScenarioError(
+                f"impulse {k} of solution document {source} lacks {', '.join(missing)}"
+            )
+        path = f"{source}.impulses[{k}]"
+        theta = _number(imp["theta_rad"], f"{path}.theta_rad")
+        if not scenario.theta0 <= theta <= scenario.theta_f:
+            _fail(f"{path}.theta_rad", f"{theta!r} lies outside the horizon "
+                                        f"[{scenario.theta0!r}, {scenario.theta_f!r}]")
+        impulses.append(Impulse(theta=theta, t=_number(imp["t"], f"{path}.t"),
+                                dv=_triple(imp["dv"], f"{path}.dv"),
+                                magnitude=_number(imp["magnitude"], f"{path}.magnitude")))
+    return impulses
 
 
 def _cmd_validate(args) -> int:
@@ -207,19 +229,12 @@ def _cmd_validate(args) -> int:
         doc = json.loads(Path(args.document).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read solution document {args.document}: {exc}")
-    want_hash = doc.get("scenario", {}).get("hash")
+    _object(doc, args.document)
+    want_hash = _object(doc.get("scenario", {}), f"{args.document}.scenario").get("hash")
     have_hash = scenario_hash(scenario)
     if want_hash != have_hash:
         return _err(f"scenario hash mismatch: document has {want_hash}, scenario is {have_hash}")
-    impulses = []
-    for k, imp in enumerate(doc.get("impulses", [])):
-        missing = [key for key in _IMPULSE_KEYS if not isinstance(imp, dict) or key not in imp]
-        if missing:
-            raise ScenarioError(
-                f"impulse {k} of solution document {args.document} lacks {', '.join(missing)}"
-            )
-        impulses.append(Impulse(theta=imp["theta_rad"], t=imp["t"], dv=np.array(imp["dv"]),
-                                magnitude=imp["magnitude"]))
+    impulses = _document_impulses(doc, args.document, scenario)
     plan = ImpulsePlan(
         impulses=impulses,
         total_dv=doc.get("total_dv", 0.0),
@@ -233,12 +248,7 @@ def _cmd_validate(args) -> int:
     err = verify_plan(plan, scenario)
     report = {
         "scenario": scenario.name,
-        "terminal_error": {
-            "position": err.position,
-            "velocity": err.velocity,
-            "position_scaled": err.position_scaled,
-            "velocity_scaled": err.velocity_scaled,
-        },
+        "terminal_error": asdict(err),
         "tolerance_scaled": args.tol,
         "ok": bool(max(err.position_scaled, err.velocity_scaled) < args.tol),
     }

@@ -36,6 +36,7 @@ from scipy.linalg import lapack
 _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
+_STATIC_REG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,9 @@ class SolverSettings:
     gap_tol: float = 1e-9
     feas_tol: float = 1e-9
     max_iters: int = 100
-    static_reg: float = 1e-10
 
     def __post_init__(self):
-        if min(self.gap_tol, self.feas_tol, self.static_reg) <= 0 or self.max_iters <= 0:
+        if min(self.gap_tol, self.feas_tol) <= 0 or self.max_iters <= 0:
             raise ValueError("all solver settings must be positive")
 
 
@@ -184,36 +184,13 @@ def _jsolve(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nt_scaling(u: np.ndarray, v: np.ndarray):
-    """Nesterov-Todd scaling point for interior primal/dual cone blocks.
-
-    Returns (eta, wbar) with W = eta * Wbar and W v = W^-1 u = lambda.
-    """
-    du = _jdet(u)
-    dv = _jdet(v)
-    ubar = u / np.sqrt(du)[:, None]
-    vbar = v / np.sqrt(dv)[:, None]
-    gamma = np.sqrt(0.5 * (1.0 + np.sum(ubar * vbar, axis=1)))
-    wbar = ubar.copy()
-    wbar[:, 0] += vbar[:, 0]
-    wbar[:, 1:] -= vbar[:, 1:]
-    wbar /= (2.0 * gamma)[:, None]
-    eta = (du / dv) ** 0.25
-    return eta, wbar
-
-
-def _wbar_apply(wbar: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
-    w1 = -wbar[:, 1:] if inverse else wbar[:, 1:]
-    w0 = wbar[:, 0]
-    dot = np.sum(w1 * q[:, 1:], axis=1)
-    out = np.empty_like(q)
-    out[:, 0] = w0 * q[:, 0] + dot
-    out[:, 1:] = q[:, 1:] + (q[:, 0] + dot / (1.0 + w0))[:, None] * w1
-    return out
+def _bmv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product of (g, d, d) blocks with (g, d) rows."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
 def _wbar_blocks(wbar: np.ndarray) -> np.ndarray:
-    """Dense Wbar blocks (g, d, d): the matrix form of _wbar_apply."""
+    """Dense (g, d, d) blocks of the unit-determinant NT scaling for wbar."""
     w0 = wbar[:, 0]
     w1 = wbar[:, 1:]
     d = wbar.shape[1]
@@ -227,21 +204,26 @@ def _wbar_blocks(wbar: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_wwt_minus_j(w: np.ndarray) -> np.ndarray:
-    """2 w w' - J as (g, d, d) blocks; equals Wbar^2 when w = wbar."""
-    g, d = w.shape
-    out = 2.0 * w[:, :, None] * w[:, None, :]
-    di = np.arange(d)
-    out[:, di, di] += 1.0
-    out[:, 0, 0] -= 2.0
-    return out
+def _nt_scaling(u: np.ndarray, v: np.ndarray):
+    """Nesterov-Todd scaling of interior primal/dual cone blocks.
 
-
-def _w2inv_blocks(eta: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """Dense W^-2 blocks via the reflected scaling vector J wbar."""
-    wtil = wbar.copy()
-    wtil[:, 1:] *= -1.0
-    return _two_wwt_minus_j(wtil) / (eta ** 2)[:, None, None]
+    Returns (W, W^-1) as (g, d, d) blocks with W v = W^-1 u = lambda.
+    W = eta * Wbar(wbar), and Wbar^-1 is Wbar of the reflected point
+    (wbar_0, -wbar_1).
+    """
+    du = _jdet(u)
+    dv = _jdet(v)
+    ubar = u / np.sqrt(du)[:, None]
+    vbar = v / np.sqrt(dv)[:, None]
+    gamma = np.sqrt(0.5 * (1.0 + np.sum(ubar * vbar, axis=1)))
+    wbar = ubar.copy()
+    wbar[:, 0] += vbar[:, 0]
+    wbar[:, 1:] -= vbar[:, 1:]
+    wbar /= (2.0 * gamma)[:, None]
+    eta = ((du / dv) ** 0.25)[:, None, None]
+    w = eta * _wbar_blocks(wbar)
+    wbar[:, 1:] *= -1.0
+    return w, _wbar_blocks(wbar) / eta
 
 
 def _max_step(u: np.ndarray, du: np.ndarray) -> float:
@@ -283,7 +265,7 @@ class _DenseKKT:
     block structure and the rank deficiency natively.
     """
 
-    def __init__(self, h: np.ndarray, a: np.ndarray, reg: float):
+    def __init__(self, h: np.ndarray, a: np.ndarray):
         n = h.shape[0]
         p = a.shape[0]
         k = np.zeros((n + p, n + p))
@@ -293,15 +275,15 @@ class _DenseKKT:
         self.k = k
         kreg = k.copy()
         di = np.arange(n + p)
-        kreg[di[:n], di[:n]] -= reg
-        kreg[di[n:], di[n:]] += reg
+        kreg[di[:n], di[:n]] -= _STATIC_REG
+        kreg[di[n:], di[n:]] += _STATIC_REG
         for attempt in range(3):
             ldu, ipiv, info = lapack.dsytrf(kreg, lower=1)
             if info == 0:
                 break
             # singular pivot: strengthen the regularization and retry
-            kreg[di[:n], di[:n]] -= reg * 10.0 ** (2 * attempt + 2)
-            kreg[di[n:], di[n:]] += reg * 10.0 ** (2 * attempt + 2)
+            kreg[di[:n], di[:n]] -= _STATIC_REG * 10.0 ** (2 * attempt + 2)
+            kreg[di[n:], di[n:]] += _STATIC_REG * 10.0 ** (2 * attempt + 2)
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
         self._ldu = ldu
@@ -358,7 +340,7 @@ class _ScaledQRKKT:
     def _w_apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         for d, idx in self.layout.index.items():
-            out[idx] = np.matmul(self.w[d], v[idx][:, :, None])[:, :, 0]
+            out[idx] = _bmv(self.w[d], v[idx])
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -401,17 +383,6 @@ def solve(
     norm_b = np.linalg.norm(b)
     norm_c = np.linalg.norm(c)
 
-    def metrics():
-        xh = x / tau
-        yh = y / tau
-        zh = z / tau
-        pcost = float(c @ xh)
-        dcost = float(b @ yh)
-        pres = np.linalg.norm(a_mat @ xh - b) / (1.0 + norm_b)
-        dres = np.linalg.norm(a_mat.T @ yh + zh - c) / (1.0 + norm_c)
-        gap = abs(pcost - dcost) / (1.0 + abs(pcost))
-        return pres, dres, gap, pcost, dcost
-
     def finish(status, iters, pres, dres, gap, scale=None):
         s = scale if scale is not None else tau
         res = Residuals(primal=float(pres), dual=float(dres), gap=float(gap))
@@ -440,16 +411,23 @@ def solve(
 
     stalls = 0
     for it in range(st.max_iters + 1):
-        r_p = a_mat @ x - b * tau
-        r_d = -a_mat.T @ y - z + c * tau
-        r_g = -float(c @ x) + float(b @ y) - kappa
+        ax = a_mat @ x
+        aty = a_mat.T @ y
+        cx = float(c @ x)
+        by = float(b @ y)
+        r_p = ax - b * tau
+        r_d = -aty - z + c * tau
+        r_g = by - cx - kappa
 
         uu = layout.gather(x)
         vv = layout.gather(z)
         comp = sum(float(np.sum(uu[d] * vv[d])) for d in uu) + tau * kappa
         mu = comp / nu
 
-        pres, dres, gap, pcost, dcost = metrics()
+        # residuals of the scaled point (x, y, z) / tau
+        pres = np.linalg.norm(r_p) / (tau * (1.0 + norm_b))
+        dres = np.linalg.norm(r_d) / (tau * (1.0 + norm_c))
+        gap = abs(cx - by) / (tau + abs(cx))
         if trace is not None:
             trace({"iter": it, "mu": mu, "pres": pres, "dres": dres,
                    "gap": gap, "tau": tau, "kappa": kappa})
@@ -459,62 +437,58 @@ def solve(
         if pres <= st.feas_tol and dres <= st.feas_tol and gap <= st.gap_tol:
             return finish("optimal", it, pres, dres, gap)
 
-        by = float(b @ y)
-        cx = float(c @ x)
         if by > 0.0:
-            if np.linalg.norm(a_mat.T @ y + z) / by <= st.feas_tol * (1.0 + norm_c):
+            if np.linalg.norm(aty + z) / by <= st.feas_tol * (1.0 + norm_c):
                 return finish("primal_infeasible", it, pres, dres, gap, scale=by)
         if cx < 0.0:
-            if np.linalg.norm(a_mat @ x) / (-cx) <= st.feas_tol * (1.0 + norm_b):
+            if np.linalg.norm(ax) / (-cx) <= st.feas_tol * (1.0 + norm_b):
                 return finish("dual_infeasible", it, pres, dres, gap, scale=-cx)
 
         if it == st.max_iters:
             return finish("max_iters", it, pres, dres, gap)
 
-        eta = {}
-        wbar = {}
+        w = {}
+        winv = {}
         lam = {}
         for d in uu:
             if np.any(_jdet(uu[d]) <= 0.0) or np.any(_jdet(vv[d]) <= 0.0):
                 # iterate pinned to the cone boundary at rounding level:
                 # no further centering is possible, return best effort
                 return stop("cone_boundary", it, pres, dres, gap)
-            eta[d], wbar[d] = _nt_scaling(uu[d], vv[d])
-            lam[d] = eta[d][:, None] * _wbar_apply(wbar[d], vv[d])
+            w[d], winv[d] = _nt_scaling(uu[d], vv[d])
+            lam[d] = _bmv(w[d], vv[d])
 
         try:
             if scaled_qr:
-                w = {d: eta[d][:, None, None] * _wbar_blocks(wbar[d]) for d in wbar}
                 kkt = _ScaledQRKKT(w, layout, a_blocks, p)
             else:
                 h = np.zeros((n, n))
                 for d, idx in layout.index.items():
-                    h[idx[:, :, None], idx[:, None, :]] = _w2inv_blocks(eta[d], wbar[d])
-                kkt = _DenseKKT(h, a_mat, st.static_reg)
+                    h[idx[:, :, None], idx[:, None, :]] = np.matmul(winv[d], winv[d])
+                kkt = _DenseKKT(h, a_mat)
             sol2 = kkt.solve(np.concatenate([c, b]))
         except np.linalg.LinAlgError:
             # factorization breakdown with finite iterates: let the caller
             # see the best effort rather than a hard failure
             return stop("kkt_breakdown", it, pres, dres, gap)
         dx2, dy2 = sol2[:n], sol2[n:]
+        den = kappa / tau - float(c @ dx2) + float(b @ dy2)
 
         def direction(gamma, d_c, d_tk):
             """Newton direction targeting residual reduction factor (gamma - 1)."""
             gvec = np.zeros(n)
-            wiv = {d: _wbar_apply(wbar[d], _jsolve(lam[d], d_c[d]), inverse=True) / eta[d][:, None]
-                   for d in d_c}
-            layout.scatter_into(gvec, wiv)
+            layout.scatter_into(gvec, {d: _bmv(winv[d], _jsolve(lam[d], d_c[d])) for d in d_c})
             rd_hat = (1.0 - gamma) * r_d - gvec
             rp_hat = (gamma - 1.0) * r_p
             sol1 = kkt.solve(np.concatenate([rd_hat, rp_hat]))
             dx1, dy1 = sol1[:n], sol1[n:]
-            den = kappa / tau - float(c @ dx2) + float(b @ dy2)
             num = (gamma - 1.0) * r_g + d_tk / tau + float(c @ dx1) - float(b @ dy1)
             dtau = num / den
             dx = dx1 + dtau * dx2
             dy = dy1 + dtau * dy2
             # dz from the linear dual equation, which the step then reduces
-            # exactly; wiv - H dx would carry the KKT solve's rounding into z
+            # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
+            # rounding into z
             dz = c * dtau - a_mat.T @ dy + (1.0 - gamma) * r_d
             dkappa = (d_tk - kappa * dtau) / tau
             return dx, dy, dtau, layout.gather(dx), layout.gather(dz), dkappa
@@ -543,10 +517,7 @@ def solve(
         # corrector (combined direction with Mehrotra second-order term)
         d_c = {}
         for d in uu:
-            corr = _jprod(
-                _wbar_apply(wbar[d], dua[d], inverse=True) / eta[d][:, None],
-                eta[d][:, None] * _wbar_apply(wbar[d], dva[d]),
-            )
+            corr = _jprod(_bmv(winv[d], dua[d]), _bmv(w[d], dva[d]))
             target = -_jprod(lam[d], lam[d]) - corr
             target[:, 0] += sigma * mu
             d_c[d] = target

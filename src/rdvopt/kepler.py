@@ -72,36 +72,6 @@ class TargetOrbit:
         return _TWO_PI / self.n
 
 
-@dataclass(frozen=True)
-class OrbitConstants:
-    p: float
-    h: float
-    k2: float
-    n: float
-    period: float
-
-
-@dataclass(frozen=True)
-class AnomalyState:
-    """An unwrapped true anomaly paired with its epoch-relative time."""
-
-    theta: float
-    t: float
-
-    @classmethod
-    def from_theta(cls, theta: float, orbit: TargetOrbit) -> "AnomalyState":
-        return cls(theta=theta, t=time_from_true(theta, orbit))
-
-    @classmethod
-    def from_time(cls, t: float, orbit: TargetOrbit) -> "AnomalyState":
-        return cls(theta=true_from_time(t, orbit), t=t)
-
-
-def orbit_constants(orbit: TargetOrbit) -> OrbitConstants:
-    """Derived constants of the reference orbit, mutually consistent."""
-    return OrbitConstants(p=orbit.p, h=orbit.h, k2=orbit.k2, n=orbit.n, period=orbit.period)
-
-
 def eccentric_from_true(theta: float, e: float) -> float:
     """Eccentric anomaly for an unwrapped true anomaly, same revolution count."""
     ew = 2.0 * math.atan2(

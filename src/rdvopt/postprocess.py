@@ -364,24 +364,19 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     """
     rows = []
     for m in sorted(int(m) for m in m_list):
+        point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan,
+                     assembly_time=math.nan, iterations=0)
         try:
             res = plan_rendezvous(scenario, mesh_m=m, form=form, tol=tol)
-            sol = res.solution
-            if res.plan is not None:
-                rows.append(MeshPoint(
-                    m=m, total_dv=res.plan.total_dv, n_impulses=res.plan.n_impulses,
-                    solve_time=sol.solve_time, assembly_time=res.assembly_time,
-                    iterations=sol.iterations, status=sol.status,
-                ))
-            else:
-                rows.append(MeshPoint(m=m, total_dv=math.nan, n_impulses=0,
-                                      solve_time=sol.solve_time,
-                                      assembly_time=res.assembly_time,
-                                      iterations=sol.iterations, status=sol.status))
         except (ValueError, np.linalg.LinAlgError) as exc:
-            rows.append(MeshPoint(m=m, total_dv=math.nan, n_impulses=0,
-                                  solve_time=math.nan, assembly_time=math.nan,
-                                  iterations=0, status=f"error: {exc}"))
+            point["status"] = f"error: {exc}"
+        else:
+            sol = res.solution
+            point.update(solve_time=sol.solve_time, assembly_time=res.assembly_time,
+                         iterations=sol.iterations, status=sol.status)
+            if res.plan is not None:
+                point.update(total_dv=res.plan.total_dv, n_impulses=res.plan.n_impulses)
+        rows.append(MeshPoint(m=m, **point))
     return rows
 
 

@@ -144,8 +144,3 @@ def stm_full(theta1: float, theta0: float, orbit: TargetOrbit) -> np.ndarray:
     full[np.ix_(IN_PLANE_IDX, IN_PLANE_IDX)] = stm_in_plane(theta1, theta0, orbit)
     full[np.ix_(OUT_OF_PLANE_IDX, OUT_OF_PLANE_IDX)] = stm_out_of_plane(theta1, theta0, orbit)
     return full
-
-
-def propagate(state: TransformedState, theta0: float, theta1: float, orbit: TargetOrbit) -> TransformedState:
-    """Propagate a transformed state from theta0 to theta1."""
-    return TransformedState.from_vector(stm_full(theta1, theta0, orbit) @ state.vector)

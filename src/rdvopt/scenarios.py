@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,14 @@ def _fail(path: str, msg: str):
     raise ScenarioError(f"{path}: {msg}")
 
 
-def _require_keys(obj: dict, allowed: set, required: set, path: str):
+def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
+    return obj
+
+
+def _require_keys(obj: dict, allowed: set, required: set, path: str):
+    _object(obj, path)
     unknown = set(obj) - allowed
     if unknown:
         _fail(path, f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
@@ -51,9 +57,16 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str):
 
 
 def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        _fail(path, f"expected a number, got {obj!r}")
+    finite = isinstance(obj, (int, float)) and abs(obj) <= sys.float_info.max
+    if isinstance(obj, bool) or not finite:
+        _fail(path, f"expected a finite number, got {obj!r}")
     return float(obj)
+
+
+def _triple(value, path: str) -> np.ndarray:
+    if not (isinstance(value, list) and len(value) == 3):
+        _fail(path, "expected a 3-element array")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _vector(obj: dict, kind: str, path: str) -> tuple[np.ndarray, str]:
@@ -62,11 +75,7 @@ def _vector(obj: dict, kind: str, path: str) -> tuple[np.ndarray, str]:
     unit = obj["unit"]
     if unit not in units:
         _fail(f"{path}.unit", f"unknown unit {unit!r}; accepted: {sorted(units)}")
-    value = obj["value"]
-    if not (isinstance(value, list) and len(value) == 3):
-        _fail(f"{path}.value", "expected a 3-element array")
-    vec = np.array([_number(v, f"{path}.value[{i}]") for i, v in enumerate(value)])
-    return vec * units[unit], unit
+    return _triple(obj["value"], f"{path}.value") * units[unit], unit
 
 
 def _scenario_from_dict(doc: dict, source: str) -> Scenario:

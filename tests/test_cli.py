@@ -1,15 +1,48 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rdvopt
 from rdvopt import builtin, save_scenario
+
+# the CLI subprocess imports the same rdvopt as the tests
+SRC = str(Path(rdvopt.__file__).resolve().parents[1])
+
+
+def _set_impulse_field(key, value):
+    def mutate(doc):
+        doc["impulses"][1][key] = value
+        return doc
+
+    return mutate
+
+
+MALFORMED_DOCUMENTS = {
+    "top-level-list": lambda doc: [doc],
+    "scenario-not-object": lambda doc: dict(doc, scenario="circle2circle"),
+    "impulses-null": lambda doc: dict(doc, impulses=None),
+    "theta-string": _set_impulse_field("theta_rad", "1.0"),
+    "theta-null": _set_impulse_field("theta_rad", None),
+    "t-nan": _set_impulse_field("t", float("nan")),
+    "magnitude-infinite": _set_impulse_field("magnitude", float("inf")),
+    "dv-string": _set_impulse_field("dv", "0.1"),
+    "dv-two-numbers": _set_impulse_field("dv", [0.1, 0.2]),
+    "theta-after-horizon": _set_impulse_field("theta_rad", 10.5),
+    "theta-before-horizon": _set_impulse_field("theta_rad", -0.5),
+    "zero-impulse-far-outside": lambda doc: dict(doc, impulses=doc["impulses"] + [
+        {"theta_rad": 99.0, "t": 99.0, "dv": [0.0, 0.0, 0.0], "magnitude": 0.0}]),
+}
 
 
 def run_cli(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "rdvopt.cli", *args],
         capture_output=True, text=True, env=env,
@@ -74,8 +107,6 @@ class TestSolveCommand:
         assert abs(first[2] + 3.14159265358979) < 1e-10
 
     def test_trace_env_var(self, tmp_path, monkeypatch):
-        import os
-
         env = dict(os.environ, RDVOPT_TRACE="1")
         proc = run_cli("solve", "circle2circle", "--mesh", "9", env=env)
         assert proc.returncode == 0
@@ -174,3 +205,14 @@ class TestValidateCommand:
         assert "impulse 1 " in proc.stderr
         assert proc.stderr.rstrip().endswith(f"lacks {key}")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document_is_input_error(self, c2c_doc_path, tmp_path, case):
+        doc = MALFORMED_DOCUMENTS[case](json.loads(c2c_doc_path.read_text()))
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(bad), "circle2circle")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

@@ -234,6 +234,22 @@ def _interior(rng, dims):
     return np.concatenate(parts)
 
 
+class TestNTScaling:
+    def test_blocks_are_inverse_and_map_both_points_to_lambda(self, rng):
+        for _ in range(20):
+            dims = tuple(int(d) for d in rng.integers(2, 6, size=int(rng.integers(2, 8))))
+            layout = conic_solver._ConeLayout(ConeSpec(0, dims))
+            uu = layout.gather(_interior(rng, dims))
+            vv = layout.gather(_interior(rng, dims))
+            for d in layout.index:
+                w, winv = conic_solver._nt_scaling(uu[d], vv[d])
+                eye = np.broadcast_to(np.eye(d), w.shape)
+                assert np.max(np.abs(np.matmul(w, winv) - eye)) <= 1e-12
+                lam = conic_solver._bmv(w, vv[d])
+                scale = np.max(np.abs(lam))
+                assert np.max(np.abs(conic_solver._bmv(winv, uu[d]) - lam)) <= 1e-12 * scale
+
+
 class TestScaledQRKKT:
     def test_matches_dense_factorization_on_the_same_scaling(self, rng):
         for _ in range(20):
@@ -245,12 +261,11 @@ class TestScaledQRKKT:
             w = {}
             h = np.zeros((n, n))
             for d, idx in layout.index.items():
-                eta, wbar = conic_solver._nt_scaling(uu[d], vv[d])
-                w[d] = eta[:, None, None] * conic_solver._wbar_blocks(wbar)
-                h[idx[:, :, None], idx[:, None, :]] = conic_solver._w2inv_blocks(eta, wbar)
+                w[d], winv = conic_solver._nt_scaling(uu[d], vv[d])
+                h[idx[:, :, None], idx[:, None, :]] = np.matmul(winv, winv)
             a_blocks = {d: prob.A[:, idx].transpose(1, 2, 0) for d, idx in layout.index.items()}
             qr = conic_solver._ScaledQRKKT(w, layout, a_blocks, p)
-            dense = conic_solver._DenseKKT(h, prob.A, SolverSettings().static_reg)
+            dense = conic_solver._DenseKKT(h, prob.A)
             rhs = rng.normal(size=n + p)
             want = dense.solve(rhs)
             assert np.linalg.norm(qr.solve(rhs) - want) <= 1e-9 * np.linalg.norm(want)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from rdvopt import (
-    AnomalyState,
     KeplerConvergenceError,
     TargetOrbit,
-    orbit_constants,
     time_from_true,
     true_from_time,
 )
@@ -18,24 +16,22 @@ from conftest import random_orbit
 TWO_PI = 2.0 * math.pi
 
 
-class TestOrbitConstants:
+class TestTargetOrbit:
     def test_circular_normalized(self):
-        k = orbit_constants(TargetOrbit(a=1.0, e=0.0, mu=1.0))
-        assert k.p == 1.0
-        assert k.h == 1.0
-        assert k.k2 == 1.0
-        assert k.n == 1.0
-        assert k.period == pytest.approx(TWO_PI, rel=1e-15)
+        o = TargetOrbit(a=1.0, e=0.0, mu=1.0)
+        assert o.p == 1.0
+        assert o.h == 1.0
+        assert o.k2 == 1.0
+        assert o.n == 1.0
+        assert o.period == pytest.approx(TWO_PI, rel=1e-15)
 
     def test_station_orbit_semilatus(self):
         # direct arithmetic: 6763 * (1 - 0.0052^2)
-        k = orbit_constants(TargetOrbit(a=6763.0, e=0.0052))
-        assert k.p == pytest.approx(6762.81712848, rel=1e-12)
+        assert TargetOrbit(a=6763.0, e=0.0052).p == pytest.approx(6762.81712848, rel=1e-12)
 
     def test_highly_elliptic_semilatus(self):
         # direct arithmetic: 106246.98 * (1 - 0.7988^2)
-        k = orbit_constants(TargetOrbit(a=106246.98, e=0.7988))
-        assert k.p == pytest.approx(38452.75400594881, rel=1e-12)
+        assert TargetOrbit(a=106246.98, e=0.7988).p == pytest.approx(38452.75400594881, rel=1e-12)
 
     def test_mutual_consistency(self, rng):
         for _ in range(50):
@@ -121,8 +117,3 @@ class TestSolveKepler:
         with pytest.raises(KeplerConvergenceError, match="residual"):
             solve_kepler(3.0, 0.95, max_iter=1)
 
-
-def test_anomaly_state_constructors():
-    o = TargetOrbit(a=1.0, e=0.2, mu=1.0)
-    s = AnomalyState.from_theta(1.5, o)
-    assert AnomalyState.from_time(s.t, o).theta == pytest.approx(1.5, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 from rdvopt import (
     TargetOrbit,
+    TransformedState,
     builtin,
     extract_impulses,
     from_transformed,
@@ -13,8 +14,8 @@ from rdvopt import (
     merge_adjacent_impulses,
     mesh_sweep,
     plan_rendezvous,
-    propagate,
     reconstruct_trajectory,
+    stm_full,
     to_inertial,
     to_transformed,
     verify_plan,
@@ -34,8 +35,9 @@ def c2c_result():
 def coasting():
     # terminal state = free drift of the initial state: optimal cost is zero
     c2c = builtin("circle2circle")
-    drift = propagate(to_transformed(c2c.x0, 0.0, c2c.orbit), 0.0, 10.0, c2c.orbit)
-    return replace(c2c, name="coasting", xf=from_transformed(drift, 10.0, c2c.orbit))
+    drift = stm_full(10.0, 0.0, c2c.orbit) @ to_transformed(c2c.x0, 0.0, c2c.orbit).vector
+    xf = from_transformed(TransformedState.from_vector(drift), 10.0, c2c.orbit)
+    return replace(c2c, name="coasting", xf=xf)
 
 
 class TestExtractImpulses:

@@ -130,3 +130,13 @@ class TestStrictValidation:
         del valid_doc["orbit"]["mu"]
         s = load_scenario(_write(tmp_path, valid_doc))
         assert s.orbit.mu == 398600.4418
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("boundary", "r0", {"value": [math.nan, 0.0, 0.0], "unit": "km"}),
+        ("horizon", "dt_seconds", math.inf),
+        ("orbit", "raan", -math.inf),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, valid_doc, section, key, value):
+        valid_doc[section][key] = value
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(_write(tmp_path, valid_doc))

@@ -10,8 +10,8 @@ from rdvopt import (
     builtin,
     expand_solution,
     grid_from_nodes,
-    propagate,
     solve,
+    stm_full,
     to_transformed,
     transform_boundaries,
 )
@@ -169,10 +169,10 @@ class TestSolvedProblemProperties:
 class TestExpandSolution:
     def test_coasting_scenario_has_zero_impulses(self, c2c):
         # terminal state chosen as the free drift of the initial state
-        drift = propagate(to_transformed(c2c.x0, 0.0, c2c.orbit), 0.0, 10.0, c2c.orbit)
-        from rdvopt import from_transformed
+        drift = stm_full(10.0, 0.0, c2c.orbit) @ to_transformed(c2c.x0, 0.0, c2c.orbit).vector
+        from rdvopt import TransformedState, from_transformed
 
-        xf = from_transformed(drift, 10.0, c2c.orbit)
+        xf = from_transformed(TransformedState.from_vector(drift), 10.0, c2c.orbit)
         scen = replace(c2c, xf=xf)
         grid = build_grid(scen, 9)
         prob = assemble_socp(scen, grid)
