@@ -30,6 +30,7 @@ from .postprocess import (
     InnerNodeResult,
     MeshPoint,
     PlanResult,
+    StageTimes,
     TerminalError,
     extract_impulses,
     inner_node_search,

@@ -187,6 +187,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_inner_node(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     res = inner_node_search(scenario, resolution=args.resolution)
+    if res.plan is None:
+        print(f"solver status: {res.status}", file=sys.stderr)
+        return 2
     doc = {
         "tool": {"name": "rdvopt", "version": __version__},
         "scenario": {"name": scenario.name, "hash": scenario_hash(scenario)},

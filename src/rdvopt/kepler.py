@@ -3,12 +3,19 @@
 All anomalies are kept unwrapped (no modulo-2pi reduction): a transfer
 spanning ten revolutions has a final true anomaly near 20*pi.  Wrapping
 would corrupt every quantity downstream that depends on elapsed time.
+
+The true-anomaly to time direction takes a scalar or an array of
+anomalies, so that a whole grid is converted in one call; a scalar input
+returns a float.  The inverse direction solves Kepler's equation and is
+scalar only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 MU_EARTH_KM3_S2 = 398600.4418
 
@@ -72,14 +79,41 @@ class TargetOrbit:
         return _TWO_PI / self.n
 
 
-def eccentric_from_true(theta: float, e: float) -> float:
-    """Eccentric anomaly for an unwrapped true anomaly, same revolution count."""
-    ew = 2.0 * math.atan2(
-        math.sqrt(1.0 - e) * math.sin(0.5 * theta),
-        math.sqrt(1.0 + e) * math.cos(0.5 * theta),
-    )
-    # |E - theta| < pi on elliptic orbits, so the revolution is recovered exactly.
-    return ew + _TWO_PI * round((theta - ew) / _TWO_PI)
+def _anomalies(theta):
+    """theta as a float array, or as a numpy scalar when it is a scalar.
+
+    Arithmetic on numpy scalars is several times cheaper than on 0-d
+    arrays, and the scalar case is the common one outside grid building.
+    """
+    return np.asarray(theta, dtype=float)[()]
+
+
+def _like_input(value):
+    """A float for a 0-d result, the array otherwise."""
+    return float(value) if value.ndim == 0 else value
+
+
+def _eccentric(theta, e: float):
+    """eccentric_from_true on a numpy array or scalar, without conversions."""
+    half = 0.5 * theta
+    ew = 2.0 * np.arctan2(math.sqrt(1.0 - e) * np.sin(half), math.sqrt(1.0 + e) * np.cos(half))
+    # |E - theta| < pi on elliptic orbits, so the revolution is recovered
+    # exactly; np.rint rounds half to even, as the builtin round does.
+    return ew + _TWO_PI * np.rint((theta - ew) / _TWO_PI)
+
+
+def _mean(theta, e: float):
+    """mean_from_true on a numpy array or scalar, without conversions."""
+    ecc = _eccentric(theta, e)
+    return ecc - e * np.sin(ecc)
+
+
+def eccentric_from_true(theta, e: float):
+    """Eccentric anomaly for unwrapped true anomalies, same revolution count.
+
+    theta is a scalar or an array; the result has its shape.
+    """
+    return _like_input(_eccentric(_anomalies(theta), e))
 
 
 def true_from_eccentric(ecc_anom: float, e: float) -> float:
@@ -91,9 +125,9 @@ def true_from_eccentric(ecc_anom: float, e: float) -> float:
     return tw + _TWO_PI * round((ecc_anom - tw) / _TWO_PI)
 
 
-def mean_from_true(theta: float, e: float) -> float:
-    ecc = eccentric_from_true(theta, e)
-    return ecc - e * math.sin(ecc)
+def mean_from_true(theta, e: float):
+    """Mean anomaly for unwrapped true anomalies (scalar or array)."""
+    return _like_input(_mean(_anomalies(theta), e))
 
 
 def solve_kepler(mean_anom: float, e: float, max_iter: int = _KEPLER_MAX_ITER) -> float:
@@ -126,11 +160,13 @@ def solve_kepler(mean_anom: float, e: float, max_iter: int = _KEPLER_MAX_ITER) -
     )
 
 
-def time_from_true(theta: float, orbit: TargetOrbit) -> float:
-    """Epoch-relative time at an unwrapped true anomaly; t(theta0) = 0."""
-    m = mean_from_true(theta, orbit.e)
-    m0 = mean_from_true(orbit.theta0, orbit.e)
-    return (m - m0) / orbit.n
+def time_from_true(theta, orbit: TargetOrbit):
+    """Epoch-relative times at unwrapped true anomalies; t(theta0) = 0.
+
+    theta is a scalar or an array; the result has its shape.
+    """
+    m = _mean(_anomalies(theta), orbit.e)
+    return _like_input((m - _mean(orbit.theta0, orbit.e)) / orbit.n)
 
 
 def true_from_time(t: float, orbit: TargetOrbit) -> float:

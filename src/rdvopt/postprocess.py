@@ -243,30 +243,38 @@ def reconstruct_trajectory(
 
     x0t, _ = transform_boundaries(scenario)
     state = x0t.vector.copy()
-    samples: list[TrajectorySample] = []
+    # sampled anomalies and transformed states, mapped back in one call
+    thetas: list[np.ndarray] = []
+    states: list[np.ndarray] = []
 
-    def emit(th, vec):
-        rel = rd.from_transformed(rd.TransformedState.from_vector(vec), th, orbit)
-        samples.append(TrajectorySample(theta=float(th), t=float(time_from_true(th, orbit)), state=rel))
+    def emit_one(th, vec):
+        thetas.append(np.array([th]))
+        states.append(vec[None, :].copy())  # vec is updated in place afterwards
 
     for th_a, th_b in zip(breaks[:-1], breaks[1:]):
         if abs(th_a - scenario.theta0) <= eps and th_a in jumps:
             # burn at departure
-            emit(th_a, state)
+            emit_one(th_a, state)
             state[3:] += jumps.pop(th_a)
         pts = np.linspace(th_a, th_b, samples_per_segment + 1)
-        for th in pts[:-1]:
-            emit(th, rd.stm_full(th, th_a, orbit) @ state)
-        state = rd.stm_full(th_b, th_a, orbit) @ state
-        emit(th_b, state)
+        seg = rd.stm_full(pts, th_a, orbit) @ state
+        thetas.append(pts)
+        states.append(seg)
+        state = seg[-1].copy()
         jump = None
         for th_j in list(jumps):
             if abs(th_j - th_b) <= eps:
                 jump = jumps.pop(th_j)
         if jump is not None:
             state[3:] += jump
-            emit(th_b, state)
-    return samples
+            emit_one(th_b, state)
+
+    theta = np.concatenate(thetas)
+    times = time_from_true(theta, orbit)
+    rel = rd.from_transformed(rd.TransformedState.from_vector(np.concatenate(states)),
+                              theta, orbit)
+    return [TrajectorySample(theta=float(th), t=float(t), state=RelativeState(r=r, v=v))
+            for th, t, r, v in zip(theta, times, rel.r, rel.v)]
 
 
 @dataclass(frozen=True)
@@ -309,6 +317,22 @@ def to_inertial(samples: list[TrajectorySample], orbit: TargetOrbit) -> list[Ine
 
 
 @dataclass(frozen=True)
+class StageTimes:
+    """Wall time in seconds of each stage of one plan_rendezvous call.
+
+    A stage that did not run (the grid was passed in, or the solve found
+    no optimal plan to expand, extract and verify) reads 0.
+    """
+
+    grid: float
+    assembly: float
+    solve: float
+    expansion: float
+    extraction: float
+    verification: float
+
+
+@dataclass(frozen=True)
 class PlanResult:
     """One scenario solve end to end: problem, solution, extracted plan."""
 
@@ -316,7 +340,11 @@ class PlanResult:
     solution: ConicSolution
     grid: Grid
     problem: ConicProblem
-    assembly_time: float
+    times: StageTimes
+
+    @property
+    def assembly_time(self) -> float:
+        return self.times.assembly
 
 
 def plan_rendezvous(
@@ -329,19 +357,27 @@ def plan_rendezvous(
     grid: Optional[Grid] = None,
 ) -> PlanResult:
     """Transcribe, solve, extract and verify one scenario."""
+    grid_time = 0.0
     if grid is None:
+        t0 = time.perf_counter()
         grid = build_grid(scenario, mesh_m if mesh_m is not None else scenario.mesh_m)
-    t0 = time.perf_counter()
+        grid_time = time.perf_counter() - t0
+    t1 = time.perf_counter()
     problem = assemble_socp(scenario, grid, form=form)
-    assembly_time = time.perf_counter() - t0
+    t2 = time.perf_counter()
     sol = solve(problem, settings, trace=trace)
+    t3 = t4 = t5 = t6 = time.perf_counter()
     plan = None
     if sol.status == "optimal":
         expanded = expand_solution(problem, sol, scenario, grid)
+        t4 = time.perf_counter()
         plan = extract_impulses(expanded, grid, scenario, tol=tol)
+        t5 = time.perf_counter()
         plan.terminal_error = verify_plan(plan, scenario)
-    return PlanResult(plan=plan, solution=sol, grid=grid, problem=problem,
-                      assembly_time=assembly_time)
+        t6 = time.perf_counter()
+    times = StageTimes(grid=grid_time, assembly=t2 - t1, solve=t3 - t2, expansion=t4 - t3,
+                       extraction=t5 - t4, verification=t6 - t5)
+    return PlanResult(plan=plan, solution=sol, grid=grid, problem=problem, times=times)
 
 
 @dataclass(frozen=True)
@@ -382,9 +418,12 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
 
 @dataclass(frozen=True)
 class InnerNodeResult:
+    """Best interior node; plan is None (total_dv inf) when its solve was not optimal."""
+
     theta2: float
     total_dv: float
-    plan: ImpulsePlan
+    plan: Optional[ImpulsePlan]
+    status: str
     scan_nodes: np.ndarray
     scan_costs: np.ndarray
 
@@ -434,5 +473,5 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
             f2 = _three_node_cost(scenario, x2, settings)[0]
     theta2 = 0.5 * (a + b)
     total, res = _three_node_cost(scenario, theta2, settings)
-    return InnerNodeResult(theta2=float(theta2), total_dv=float(total),
-                           plan=res.plan, scan_nodes=cands, scan_costs=costs)
+    return InnerNodeResult(theta2=float(theta2), total_dv=float(total), plan=res.plan,
+                           status=res.solution.status, scan_nodes=cands, scan_costs=costs)

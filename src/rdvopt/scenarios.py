@@ -73,7 +73,7 @@ def _vector(obj: dict, kind: str, path: str) -> tuple[np.ndarray, str]:
     _require_keys(obj, {"value", "unit"}, {"value", "unit"}, path)
     units = _LENGTH_UNITS if kind == "length" else _VELOCITY_UNITS
     unit = obj["unit"]
-    if unit not in units:
+    if not isinstance(unit, str) or unit not in units:
         _fail(f"{path}.unit", f"unknown unit {unit!r}; accepted: {sorted(units)}")
     return _triple(obj["value"], f"{path}.value") * units[unit], unit
 

@@ -18,6 +18,7 @@ are unity and the scaling is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,8 +75,9 @@ class Scenario:
     def theta0(self) -> float:
         return self.orbit.theta0
 
-    @property
+    @cached_property
     def theta_f(self) -> float:
+        """Final unwrapped anomaly; solved from the duration once per scenario."""
         if self.thetaf is not None:
             return self.thetaf
         return true_from_time(self.duration, self.orbit)
@@ -127,8 +129,7 @@ def grid_from_nodes(scenario: Scenario, nodes) -> Grid:
     """Grid over an explicit node list; endpoints must be the horizon."""
     nodes = np.asarray(nodes, dtype=float)
     orbit = scenario.orbit
-    times = np.array([time_from_true(th, orbit) for th in nodes])
-    return Grid(nodes=nodes, times=times, rho=1.0 + orbit.e * np.cos(nodes))
+    return Grid(nodes=nodes, times=time_from_true(nodes, orbit), rho=rd.rho(nodes, orbit.e))
 
 
 def build_grid(scenario: Scenario, m: int) -> Grid:
@@ -151,7 +152,8 @@ def _reduce(vec6: np.ndarray, planar: bool) -> np.ndarray:
     return vec6[list(rd.IN_PLANE_IDX)] if planar else vec6
 
 
-def _stm(scenario: Scenario, theta1: float, theta0: float) -> np.ndarray:
+def _stm(scenario: Scenario, theta1, theta0) -> np.ndarray:
+    """Transition matrices of the scenario's state, broadcast over anomalies."""
     if scenario.planar:
         return rd.stm_in_plane(theta1, theta0, scenario.orbit)
     return rd.stm_full(theta1, theta0, scenario.orbit)
@@ -190,11 +192,12 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         cvec = np.zeros(n)
         sigma_idx = np.arange(m) * cone
         dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
-        for j in range(m):
-            phi_b = _stm(scenario, grid.nodes[-1], grid.nodes[j]) @ bmat
-            amat[:, dv_idx[j]] = phi_b
+        # Phi(thetaf, theta_j) for every node; phis[0] also maps x0.
+        # amat[:, dv_idx] is (d, m, q), phis @ bmat is (m, d, q).
+        phis = _stm(scenario, grid.nodes[-1], grid.nodes)
+        amat[:, dv_idx] = (phis @ bmat).transpose(1, 0, 2)
         cvec[sigma_idx] = w
-        bvec = xvf - _stm(scenario, grid.nodes[-1], grid.nodes[0]) @ xv0
+        bvec = xvf - phis[0] @ xv0
         cones = ConeSpec(n_free=0, soc_dims=(cone,) * m)
     else:
         n_state = m * d
@@ -205,14 +208,15 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         bvec = np.zeros(d * (m + 1))
         cvec = np.zeros(n)
         cvec[sigma_idx] = w
-        amat[:d, :d] = np.eye(d)
+        # row block 0: x_0 = x0; row block j+1: x_{j+1} - Phi_j x_j - Phi_j B dv_j = 0
+        diag = np.arange(d * m)
+        amat[diag, diag] = 1.0
         bvec[:d] = xv0
-        for j in range(m - 1):
-            rows = slice(d * (j + 1), d * (j + 2))
-            phi = _stm(scenario, grid.nodes[j + 1], grid.nodes[j])
-            amat[rows, d * (j + 1):d * (j + 2)] = np.eye(d)
-            amat[rows, d * j:d * (j + 1)] = -phi
-            amat[rows, dv_idx[j]] = -phi @ bmat
+        phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
+        seg = np.arange(m - 1)[:, None, None]
+        rows = d * (seg + 1) + np.arange(d)[:, None]
+        amat[rows, d * seg + np.arange(d)] = -phis
+        amat[rows, dv_idx[:-1, None, :]] = -(phis @ bmat)
         rows = slice(d * m, d * (m + 1))
         amat[rows, d * (m - 1):d * m] = np.eye(d)
         amat[rows, dv_idx[m - 1]] = bmat
@@ -262,17 +266,15 @@ def expand_solution(
     dv = sol.x[vm["dv"]]
     sigma = sol.x[vm["sigma"]]
 
-    x_minus = np.empty((m, d))
-    x_plus = np.empty((m, d))
+    jumps = dv @ bmat.T
     if vm["form"] == "full":
-        for j in range(m):
-            x_minus[j] = sol.x[d * j:d * (j + 1)]
+        x_minus = sol.x[:d * m].reshape(m, d).copy()
     else:
         x0t, _ = transform_boundaries(scenario, grid)
+        phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
+        x_minus = np.empty((m, d))
         x_minus[0] = _reduce(x0t.vector, scenario.planar) / scenario.units.length
         for j in range(m - 1):
-            phi = _stm(scenario, grid.nodes[j + 1], grid.nodes[j])
-            x_minus[j + 1] = phi @ (x_minus[j] + bmat @ dv[j])
-    for j in range(m):
-        x_plus[j] = x_minus[j] + bmat @ dv[j]
+            x_minus[j + 1] = phis[j] @ (x_minus[j] + jumps[j])
+    x_plus = x_minus + jumps
     return ExpandedSolution(x_minus=x_minus, x_plus=x_plus, dv=dv, sigma=sigma)

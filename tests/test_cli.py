@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rdvopt
-from rdvopt import builtin, save_scenario
+from rdvopt import SolverSettings, builtin, cli, postprocess, save_scenario
 
 # the CLI subprocess imports the same rdvopt as the tests
 SRC = str(Path(rdvopt.__file__).resolve().parents[1])
@@ -168,6 +168,18 @@ class TestInnerNodeCommand:
             docs.append(json.loads(proc.stdout))
         assert abs(docs[0]["theta2_rad"] - docs[1]["theta2_rad"]) < 1e-5
         assert abs(docs[0]["total_dv"] - docs[1]["total_dv"]) < 1e-9
+
+    def test_no_plan_at_chosen_node_exits_2(self, monkeypatch, capsys):
+        real_solve = postprocess.solve
+
+        def one_iteration(problem, settings=None, trace=None):
+            return real_solve(problem, SolverSettings(max_iters=1), trace=trace)
+
+        monkeypatch.setattr(postprocess, "solve", one_iteration)
+        assert cli.main(["inner-node", "circle2circle", "--resolution", "10"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "solver status: max_iters\n"
+        assert out.out == ""
 
 
 class TestValidateCommand:

@@ -117,3 +117,41 @@ class TestSolveKepler:
         with pytest.raises(KeplerConvergenceError, match="residual"):
             solve_kepler(3.0, 0.95, max_iter=1)
 
+
+
+def _time_from_true_scalar(theta, orbit):
+    """Reference: the scalar closed form with the math module, one anomaly."""
+
+    def mean(th):
+        ew = 2.0 * math.atan2(math.sqrt(1.0 - orbit.e) * math.sin(0.5 * th),
+                              math.sqrt(1.0 + orbit.e) * math.cos(0.5 * th))
+        ecc = ew + TWO_PI * round((th - ew) / TWO_PI)
+        return ecc - orbit.e * math.sin(ecc)
+
+    return (mean(theta) - mean(orbit.theta0)) / orbit.n
+
+
+class TestArrayAnomalies:
+    def test_scalar_input_returns_float(self):
+        o = TargetOrbit(a=1.2, e=0.3, theta0=0.8, mu=1.0)
+        assert type(time_from_true(2.0, o)) is float
+        assert type(time_from_true(np.float64(2.0), o)) is float
+        assert time_from_true(np.array([2.0]), o).shape == (1,)
+
+    def test_array_equals_stacked_scalar_calls(self, rng):
+        # e <= 0.8, any departure anomaly, up to ten revolutions
+        for _ in range(50):
+            o = random_orbit(rng, e_max=0.8)
+            theta = o.theta0 + rng.uniform(0.0, 10.0 * TWO_PI, size=64)
+            got = time_from_true(theta, o)
+            stacked = np.array([time_from_true(float(th), o) for th in theta])
+            reference = np.array([_time_from_true_scalar(float(th), o) for th in theta])
+            scale = np.maximum(np.abs(stacked), o.period)
+            assert np.all(np.abs(got - stacked) <= 1e-14 * scale)
+            assert np.all(np.abs(got - reference) <= 1e-14 * scale)
+
+    def test_revolution_count_kept_on_arrays(self):
+        o = TargetOrbit(a=1.0, e=0.7, theta0=0.0, mu=1.0)
+        revs = np.arange(11)
+        t = time_from_true(0.5 + TWO_PI * revs, o)
+        assert np.allclose(np.diff(t), o.period, rtol=1e-12)

@@ -1,15 +1,19 @@
 import math
-from dataclasses import replace
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rdvopt import (
+    SolverSettings,
+    StageTimes,
     TargetOrbit,
     TransformedState,
     builtin,
     extract_impulses,
     from_transformed,
+    grid_from_nodes,
     inner_node_search,
     merge_adjacent_impulses,
     mesh_sweep,
@@ -222,6 +226,28 @@ class TestToInertial:
         out = to_inertial(traj[:1], scen.orbit)[0]
         r_hat = out.target / np.linalg.norm(out.target)
         assert out.chaser @ r_hat == pytest.approx(1.0 - 1.0 / 6.0, rel=1e-12)
+
+
+class TestStageTimes:
+    def test_every_stage_timed_within_the_call(self):
+        scen = builtin("circle2circle")
+        start = time.perf_counter()
+        res = plan_rendezvous(scen, mesh_m=33)
+        wall = time.perf_counter() - start
+        times = [getattr(res.times, f.name) for f in fields(StageTimes)]
+        assert all(t > 0.0 for t in times)
+        assert sum(times) <= wall
+        assert res.assembly_time == res.times.assembly
+        assert res.times.solve >= res.solution.solve_time
+
+    def test_stages_that_did_not_run_read_zero(self):
+        scen = builtin("circle2circle")
+        grid = grid_from_nodes(scen, [0.0, 5.0, 10.0])
+        res = plan_rendezvous(scen, grid=grid, settings=SolverSettings(max_iters=1))
+        assert res.plan is None
+        assert res.times.grid == 0.0
+        assert res.times.assembly > 0.0 and res.times.solve > 0.0
+        assert res.times.expansion == res.times.extraction == res.times.verification == 0.0
 
 
 class TestMeshSweep:

@@ -165,3 +165,49 @@ class TestFullStm:
         got = stm_full(th1, o.theta0, o) @ x0
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) < 1e-8 * scale
+
+
+STMS = {"in_plane": stm_in_plane, "out_of_plane": stm_out_of_plane, "full": stm_full}
+
+
+class TestArrayStm:
+    @pytest.mark.parametrize("name", sorted(STMS))
+    @pytest.mark.parametrize("shape", ["scalar-array", "array-array"])
+    def test_stack_equals_stacked_scalar_calls(self, name, shape, rng):
+        stm = STMS[name]
+        for _ in range(20):
+            o = random_orbit(rng, e_max=0.8)
+            theta0 = o.theta0 + rng.uniform(0.0, 10.0 * TWO_PI, size=33)
+            if shape == "scalar-array":
+                theta1 = o.theta0 + float(rng.uniform(0.0, 10.0 * TWO_PI))
+                pairs = [(theta1, float(th0)) for th0 in theta0]
+            else:
+                theta1 = o.theta0 + rng.uniform(0.0, 10.0 * TWO_PI, size=33)
+                pairs = [(float(a), float(b)) for a, b in zip(theta1, theta0)]
+            got = stm(theta1, theta0, o)
+            stacked = np.array([stm(a, b, o) for a, b in pairs])
+            assert got.shape == stacked.shape
+            for g, s in zip(got, stacked):
+                assert np.max(np.abs(g - s)) <= 1e-14 * max(1.0, np.max(np.abs(s)))
+
+    def test_scalar_anomalies_give_plain_matrices(self):
+        o = TargetOrbit(a=1.0, e=0.3, mu=1.0)
+        for stm, n in ((stm_in_plane, 4), (stm_out_of_plane, 2), (stm_full, 6)):
+            m = stm(1.7, 0.2, o)
+            assert type(m) is np.ndarray and m.shape == (n, n)
+
+    def test_inverse_map_acts_per_state_on_stacks(self, rng):
+        o = random_orbit(rng, e_max=0.8)
+        theta = rng.uniform(-TWO_PI, 2 * TWO_PI, size=7)
+        states = [random_state(rng) for _ in theta]
+        transformed = [to_transformed(s, float(th), o).vector for s, th in zip(states, theta)]
+        back = from_transformed(TransformedState.from_vector(np.stack(transformed)), theta, o)
+        assert back.r.shape == back.v.shape == (7, 3)
+        for k, (s, th) in enumerate(zip(states, theta)):
+            one = from_transformed(TransformedState.from_vector(transformed[k]), float(th), o)
+            assert np.max(np.abs(back.vector[k] - one.vector)) <= 1e-14 * np.max(np.abs(one.vector))
+            assert np.max(np.abs(back.vector[k] - s.vector)) < 1e-12 * max(1.0, np.max(np.abs(s.vector)))
+
+    def test_state_needs_three_components(self):
+        with pytest.raises(ValueError, match="3 components"):
+            RelativeState(r=[1.0, 2.0], v=[0.0, 0.0, 0.0])

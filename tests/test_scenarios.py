@@ -89,6 +89,12 @@ class TestStrictValidation:
         with pytest.raises(ScenarioError, match="unit"):
             load_scenario(_write(tmp_path, valid_doc))
 
+    @pytest.mark.parametrize("unit", [["km"], {"km": 1}, None, 1.0])
+    def test_non_string_unit_rejected(self, tmp_path, valid_doc, unit):
+        valid_doc["boundary"]["v0"]["unit"] = unit
+        with pytest.raises(ScenarioError, match="unknown unit"):
+            load_scenario(_write(tmp_path, valid_doc))
+
     def test_missing_unit_rejected(self, tmp_path, valid_doc):
         valid_doc["boundary"]["r0"] = {"value": [1.0, 0.0, 0.0]}
         with pytest.raises(ScenarioError, match="unit"):

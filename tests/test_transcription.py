@@ -12,6 +12,7 @@ from rdvopt import (
     grid_from_nodes,
     solve,
     stm_full,
+    stm_in_plane,
     to_transformed,
     transform_boundaries,
 )
@@ -213,3 +214,41 @@ class TestExpandSolution:
         bad = replace(solve(prob), status="numerical_failure")
         with pytest.raises(ValueError, match="status"):
             expand_solution(prob, bad, c2c, grid)
+
+
+class TestGridWideMatrices:
+    @pytest.mark.parametrize("name", ["simbolx", "atv-3d"])
+    def test_condensed_columns_equal_chained_segments(self, name):
+        scen = builtin(name.removesuffix("-3d"))
+        if name.endswith("-3d"):
+            scen = replace(scen, planar=False)
+        grid = build_grid(scen, 129)
+        prob = assemble_socp(scen, grid)
+        stm = stm_in_plane if scen.planar else stm_full
+        d, q = scen.state_dim, scen.input_dim
+        # Phi(thetaf, theta_j) as the product of the segment matrices after node j
+        chain = np.eye(d)
+        cols = [chain[:, d - q:]]
+        for j in range(grid.m - 2, -1, -1):
+            chain = chain @ stm(float(grid.nodes[j + 1]), float(grid.nodes[j]), scen.orbit)
+            cols.append(chain[:, d - q:])
+        want = np.stack(cols[::-1])
+        got = np.stack([prob.A[:, idx] for idx in prob.var_map["dv"]])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        x0t, xft = transform_boundaries(scen, grid)
+        sel = [0, 2, 3, 5] if scen.planar else list(range(6))
+        b = (xft.vector[sel] - chain @ x0t.vector[sel]) / scen.units.length
+        assert np.max(np.abs(prob.b - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_full_form_defects_use_segment_matrices(self, atv):
+        scen = replace(atv, planar=False)
+        grid = build_grid(scen, 9)
+        prob = assemble_socp(scen, grid, form="full")
+        d = scen.state_dim
+        for j in range(grid.m - 1):
+            rows = slice(d * (j + 1), d * (j + 2))
+            phi = stm_full(float(grid.nodes[j + 1]), float(grid.nodes[j]), scen.orbit)
+            assert np.max(np.abs(prob.A[rows, d * j:d * (j + 1)] + phi)) <= 1e-14 * np.max(np.abs(phi))
+            assert np.array_equal(prob.A[rows, d * (j + 1):d * (j + 2)], np.eye(d))
+            dv = prob.var_map["dv"][j]
+            assert np.max(np.abs(prob.A[rows, dv] + phi[:, 3:])) <= 1e-14 * np.max(np.abs(phi))
