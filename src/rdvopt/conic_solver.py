@@ -15,9 +15,10 @@ The KKT path follows the structure of the program.  Cone-only programs
 with independent equality rows solve each Newton system in NT-scaled
 variables through a thin QR of W A', at a cost linear in the number of
 cones and without forming W^2 or W^-2.  Programs with free variables or
-dependent rows use a dense symmetric quasi-definite factorization of the
-statically regularized KKT matrix, with iterative refinement against the
-unregularized system.
+dependent rows use one sparse LU of the statically regularized
+quasi-definite KKT matrix, whose fill-reducing ordering comes from the
+program itself (a block-banded full form stays banded), with iterative
+refinement against the unregularized system.
 
 Free variables sit natively in the KKT system; they are never split
 into cone differences.
@@ -31,7 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 
 _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
@@ -257,57 +260,89 @@ def _max_step(u: np.ndarray, du: np.ndarray) -> float:
 # -- main solver ------------------------------------------------------------
 
 
-class _DenseKKT:
-    """Regularized symmetric quasi-definite factorization with refinement.
+class _KKTPattern:
+    """CSC sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve.
 
-    Used when free variables sit in the KKT system (the full
-    formulation) or equality rows are dependent; handles the indefinite
-    block structure and the rank deficiency natively.
+    Its entries are A, A', the cone blocks of H and the whole diagonal (the
+    regularization's slots; H is zero on the free variables).  slot maps
+    each entry, in that order, to its place in the CSC data, so that an
+    iteration only computes the values.
     """
 
-    def __init__(self, h: np.ndarray, a: np.ndarray):
-        n = h.shape[0]
-        p = a.shape[0]
-        k = np.zeros((n + p, n + p))
-        k[:n, :n] = -h
-        k[n:, :n] = a
-        k[:n, n:] = a.T
-        self.k = k
-        kreg = k.copy()
-        di = np.arange(n + p)
-        kreg[di[:n], di[:n]] -= _STATIC_REG
-        kreg[di[n:], di[n:]] += _STATIC_REG
+    def __init__(self, layout: "_ConeLayout", a: np.ndarray):
+        a_coo = sparse.coo_matrix(a)
+        p, n = a.shape
+        size = n + p
+        rows = [a_coo.row + n, a_coo.col]
+        cols = [a_coo.col, a_coo.row + n]
+        for d, idx in layout.index.items():
+            shape = (idx.shape[0], d, d)
+            rows.append(np.broadcast_to(idx[:, :, None], shape).reshape(-1))
+            cols.append(np.broadcast_to(idx[:, None, :], shape).reshape(-1))
+        rows.append(np.arange(size))
+        cols.append(np.arange(size))
+        keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
+                                    return_inverse=True)
+        self.indices = keys % size
+        self.indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        self.diag_slot = self.slot[-size:]
+        self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
+        self.a_vals = np.concatenate([a_coo.data, a_coo.data])
+        self.dims = tuple(layout.index)
+        self.size = size
+
+    def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
+        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+
+
+class _SparseKKT:
+    """Sparse LU of the regularized quasi-definite KKT matrix, with refinement.
+
+    Serves every program the scaled QR does not: free variables in the
+    KKT system (the full formulation) or dependent equality rows.
+    K = [[-H, A'], [A, 0]] is assembled from the cone blocks of
+    H = W^-1 W^-1 and the sparse A, and factored by SuperLU with its
+    column ordering and partial pivoting, so a banded program stays
+    banded and a dense one simply fills in.  The static regularization is
+    strengthened on an exactly singular pivot; iterative refinement runs
+    against the unregularized K.
+    """
+
+    def __init__(self, winv: dict, pattern: _KKTPattern):
+        vals = [pattern.a_vals]
+        vals += [-np.matmul(winv[d], winv[d]).reshape(-1) for d in pattern.dims]
+        vals.append(np.zeros(pattern.size))
+        data = np.bincount(pattern.slot, weights=np.concatenate(vals))
+        self.k = pattern.matrix(data)
+        kreg = data.copy()
+        kreg[pattern.diag_slot] += _STATIC_REG * pattern.reg_sign
         for attempt in range(3):
-            ldu, ipiv, info = lapack.dsytrf(kreg, lower=1)
-            if info == 0:
+            try:
+                self._lu = splu(pattern.matrix(kreg))
                 break
-            # singular pivot: strengthen the regularization and retry
-            kreg[di[:n], di[:n]] -= _STATIC_REG * 10.0 ** (2 * attempt + 2)
-            kreg[di[n:], di[n:]] += _STATIC_REG * 10.0 ** (2 * attempt + 2)
+            except RuntimeError:
+                # exactly singular pivot: strengthen the regularization and retry
+                kreg[pattern.diag_slot] += _STATIC_REG * 10.0 ** (2 * attempt + 2) * pattern.reg_sign
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
-        self._ldu = ldu
-        self._ipiv = ipiv
-
-    def _backsolve(self, rhs2: np.ndarray) -> np.ndarray:
-        sol, info = lapack.dsytrs(self._ldu, self._ipiv, rhs2, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("KKT backsolve failed")
-        return sol
+        self.reg_retries = attempt
+        self.refine_rounds = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
-        sol = self._backsolve(rhs2)
-        scale = 1.0 + float(np.max(np.abs(rhs2)))
+        sol = self._lu.solve(rhs)
+        scale = 1.0 + float(np.max(np.abs(rhs)))
         best = math.inf
+        rounds = 0
         for _ in range(_REFINEMENT_ROUNDS):
-            resid = rhs2 - self.k @ sol
+            resid = rhs - self.k @ sol
             rnorm = float(np.max(np.abs(resid)))
             if rnorm <= 1e-14 * scale or rnorm >= best:
                 break
             best = rnorm
-            sol = sol + self._backsolve(resid)
-        return sol if rhs.ndim == 2 else sol[:, 0]
+            sol = sol + self._lu.solve(resid)
+            rounds += 1
+        self.refine_rounds = max(self.refine_rounds, rounds)
+        return sol
 
 
 class _ScaledQRKKT:
@@ -321,6 +356,9 @@ class _ScaledQRKKT:
     the accuracy of the scaled problem as the iterates approach the cone
     boundary, and each factorization costs O(n p^2).
     """
+
+    reg_retries = 0
+    refine_rounds = 0
 
     def __init__(self, w: dict, layout: "_ConeLayout", a_blocks: dict, p: int):
         self.w = w
@@ -402,12 +440,14 @@ def solve(
     # The KKT path follows the structure of the program: cone-only programs
     # with independent equality rows use the scaled thin QR.  Free variables,
     # or dependent rows (W A' is then rank deficient), need the regularized
-    # dense factorization.
+    # sparse LU.
     scaled_qr = nf == 0 and ncones > 0 and np.linalg.matrix_rank(a_mat) == p
-    kkt_path = "scaled_qr" if scaled_qr else "dense"
+    kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
     if scaled_qr:
         a_blocks = {d: np.ascontiguousarray(a_mat[:, idx].transpose(1, 2, 0))
                     for d, idx in layout.index.items()}
+    else:
+        pattern = _KKTPattern(layout, a_mat)
 
     stalls = 0
     for it in range(st.max_iters + 1):
@@ -459,13 +499,12 @@ def solve(
             lam[d] = _bmv(w[d], vv[d])
 
         try:
+            t_factor = time.perf_counter()
             if scaled_qr:
                 kkt = _ScaledQRKKT(w, layout, a_blocks, p)
             else:
-                h = np.zeros((n, n))
-                for d, idx in layout.index.items():
-                    h[idx[:, :, None], idx[:, None, :]] = np.matmul(winv[d], winv[d])
-                kkt = _DenseKKT(h, a_mat)
+                kkt = _SparseKKT(winv, pattern)
+            factor_s = time.perf_counter() - t_factor
             sol2 = kkt.solve(np.concatenate([c, b]))
         except np.linalg.LinAlgError:
             # factorization breakdown with finite iterates: let the caller
@@ -527,7 +566,8 @@ def solve(
         alpha = min(1.0, _FRACTION_TO_BOUNDARY * step_limit(du_b, dv_b, dtau, dkappa))
         if trace is not None:
             trace({"iter": it, "sigma": sigma, "alpha_aff": alpha_aff, "alpha": alpha,
-                   "kkt": kkt_path})
+                   "kkt": kkt_path, "factor_s": factor_s,
+                   "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
         if alpha <= _MIN_STEP:
             stalls += 1
             if stalls >= 2:

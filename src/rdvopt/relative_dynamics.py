@@ -43,6 +43,13 @@ def _triples(value) -> np.ndarray:
     return arr
 
 
+def _states_equal(a, b):
+    """Field-wise equality for the array-holding state classes."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return bool(np.array_equal(a.r, b.r) and np.array_equal(a.v, b.v))
+
+
 @dataclass(frozen=True)
 class RelativeState:
     """Chaser position/velocity relative to the target, rotating frame.
@@ -52,6 +59,8 @@ class RelativeState:
 
     r: np.ndarray
     v: np.ndarray
+
+    __eq__ = _states_equal
 
     def __post_init__(self):
         object.__setattr__(self, "r", _triples(self.r))
@@ -71,6 +80,8 @@ class TransformedState:
 
     r: np.ndarray
     v: np.ndarray
+
+    __eq__ = _states_equal
 
     def __post_init__(self):
         object.__setattr__(self, "r", _triples(self.r))

@@ -8,7 +8,9 @@ closed-form transition matrices.  Two equivalent formulations are built:
   transition-matrix chain, leaving only impulse and epigraph variables
   and one terminal equality block.
 * full: one free state vector per node plus the node-to-node defect
-  equalities, matching the discretized problem statement verbatim.
+  equalities of the discretized problem statement, each mapped to the
+  final anomaly by Phi(thetaf, theta_{j+1}), so that the equality
+  residuals sum to the plan's terminal miss.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales
@@ -185,6 +187,8 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     xv0 = _reduce(x0t.vector, scenario.planar) / lscale
     xvf = _reduce(xft.vector, scenario.planar) / lscale
     w = _node_weights(scenario, grid)
+    # Phi(thetaf, theta_j) for every node
+    phif = _stm(scenario, grid.nodes[-1], grid.nodes)
 
     if form == "condensed":
         n = m * cone
@@ -192,12 +196,10 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         cvec = np.zeros(n)
         sigma_idx = np.arange(m) * cone
         dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
-        # Phi(thetaf, theta_j) for every node; phis[0] also maps x0.
-        # amat[:, dv_idx] is (d, m, q), phis @ bmat is (m, d, q).
-        phis = _stm(scenario, grid.nodes[-1], grid.nodes)
-        amat[:, dv_idx] = (phis @ bmat).transpose(1, 0, 2)
+        # amat[:, dv_idx] is (d, m, q), phif @ bmat is (m, d, q)
+        amat[:, dv_idx] = (phif @ bmat).transpose(1, 0, 2)
         cvec[sigma_idx] = w
-        bvec = xvf - phis[0] @ xv0
+        bvec = xvf - phif[0] @ xv0
         cones = ConeSpec(n_free=0, soc_dims=(cone,) * m)
     else:
         n_state = m * d
@@ -208,13 +210,19 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         bvec = np.zeros(d * (m + 1))
         cvec = np.zeros(n)
         cvec[sigma_idx] = w
-        # row block 0: x_0 = x0; row block j+1: x_{j+1} - Phi_j x_j - Phi_j B dv_j = 0
-        diag = np.arange(d * m)
-        amat[diag, diag] = 1.0
-        bvec[:d] = xv0
-        phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
-        seg = np.arange(m - 1)[:, None, None]
-        rows = d * (seg + 1) + np.arange(d)[:, None]
+        # Every block but the terminal one is stated at thetaf:
+        #   row block 0:   Phi_f0 x_0 = Phi_f0 x0
+        #   row block j+1: Phi_f,j+1 (x_{j+1} - Phi_j x_j - Phi_j B dv_j) = 0
+        # so the terminal block minus all others is the condensed row, and
+        # the residual the solver bounds is the terminal miss of the plan
+        # rather than one that grows through Phi(thetaf, theta_j).
+        seg = np.arange(m)[:, None, None]
+        rows = d * seg + np.arange(d)[:, None]
+        amat[rows, d * seg + np.arange(d)] = phif
+        bvec[:d] = phif[0] @ xv0
+        phis = phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
+        seg = seg[:-1]
+        rows = rows[1:]
         amat[rows, d * seg + np.arange(d)] = -phis
         amat[rows, dv_idx[:-1, None, :]] = -(phis @ bmat)
         rows = slice(d * m, d * (m + 1))

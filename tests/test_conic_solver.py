@@ -55,6 +55,10 @@ def _failing_factorization(*args):
     raise np.linalg.LinAlgError("forced breakdown")
 
 
+def _singular_factorization(*args):
+    raise RuntimeError("Factor is exactly singular")
+
+
 class TestTrivialPrograms:
     def test_cone_projection_of_pinned_point(self):
         # min sigma s.t. v = 3, (sigma, v) in a 2-cone
@@ -203,21 +207,49 @@ class TestSolverProperties:
             ConicProblem(c=[1.0, 2.0, 3.0], A=[[1.0, 0.0]], b=[1.0], cones=ConeSpec(0, (2,)))
 
     def test_trace_names_the_kkt_path(self, rng):
-        for n_free, path in ((0, "scaled_qr"), (2, "dense")):
+        for n_free, path in ((0, "scaled_qr"), (2, "sparse_lu")):
             prob, *_ = make_kkt_certified_problem(rng, n_free=n_free)
             records = []
             solve(prob, trace=records.append)
             steps = [r for r in records if "alpha" in r]
             assert steps and all(r["kkt"] == path for r in steps)
+            assert all(r["factor_s"] >= 0.0 and r["reg_retries"] == 0 for r in steps)
+            rounds = [r["refine_rounds"] for r in steps]
+            assert all(0 <= k <= conic_solver._REFINEMENT_ROUNDS for k in rounds)
+            if path == "scaled_qr":
+                assert not any(rounds)
+
+    def test_trace_counts_regularization_retries(self, rng, monkeypatch):
+        real_splu = conic_solver.splu
+        calls = []
+
+        def splu_singular_once(k):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(k)
+
+        monkeypatch.setattr(conic_solver, "splu", splu_singular_once)
+        prob, *_ = make_kkt_certified_problem(rng, n_free=2)
+        records = []
+        solve(prob, trace=records.append)
+        retries = [r["reg_retries"] for r in records if "alpha" in r]
+        assert retries[0] == 1 and not any(retries[1:])
 
     @pytest.mark.parametrize("stop, name, fake", [
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
         ("cone_boundary", "_jdet", lambda u: np.zeros(u.shape[0])),
         ("step_stall", "_max_step", lambda u, du: 0.0),
+        pytest.param("kkt_breakdown", "splu", _singular_factorization, id="kkt_breakdown-splu"),
     ])
     def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
         monkeypatch.setattr(conic_solver, name, fake)
-        prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
+        if name == "splu":
+            # the sparse path: min sigma s.t. f = 0, v - f = 3 with f free
+            prob = ConicProblem(c=[0.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
+                                b=[0.0, 3.0], cones=ConeSpec(1, (2,)))
+        else:
+            prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
         records = []
         sol = solve(prob, trace=records.append)
         assert sol.status == "max_iters"
@@ -250,35 +282,49 @@ class TestNTScaling:
                 assert np.max(np.abs(conic_solver._bmv(winv, uu[d]) - lam)) <= 1e-12 * scale
 
 
+def _scaled_blocks(rng, prob):
+    """NT scaling blocks (W, W^-1) at a random interior primal-dual pair."""
+    layout = conic_solver._ConeLayout(prob.cones)
+    free = np.zeros(prob.cones.n_free)
+    uu = layout.gather(np.concatenate([free, _interior(rng, prob.cones.soc_dims)]))
+    vv = layout.gather(np.concatenate([free, _interior(rng, prob.cones.soc_dims)]))
+    w, winv = {}, {}
+    for d in layout.index:
+        w[d], winv[d] = conic_solver._nt_scaling(uu[d], vv[d])
+    return layout, w, winv
+
+
+def _dense_kkt(prob, layout, winv):
+    """Reference K = [[-H, A'], [A, 0]] with H = W^-1 W^-1, built densely."""
+    n, p = prob.c.size, prob.b.size
+    k = np.zeros((n + p, n + p))
+    for d, idx in layout.index.items():
+        k[idx[:, :, None], idx[:, None, :]] = -np.matmul(winv[d], winv[d])
+    k[n:, :n] = prob.A
+    k[:n, n:] = prob.A.T
+    return k
+
+
 class TestScaledQRKKT:
     def test_matches_dense_factorization_on_the_same_scaling(self, rng):
         for _ in range(20):
             prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 6)))
-            layout = conic_solver._ConeLayout(prob.cones)
-            n, p = prob.c.size, prob.b.size
-            uu = layout.gather(_interior(rng, prob.cones.soc_dims))
-            vv = layout.gather(_interior(rng, prob.cones.soc_dims))
-            w = {}
-            h = np.zeros((n, n))
-            for d, idx in layout.index.items():
-                w[d], winv = conic_solver._nt_scaling(uu[d], vv[d])
-                h[idx[:, :, None], idx[:, None, :]] = np.matmul(winv, winv)
+            layout, w, winv = _scaled_blocks(rng, prob)
             a_blocks = {d: prob.A[:, idx].transpose(1, 2, 0) for d, idx in layout.index.items()}
-            qr = conic_solver._ScaledQRKKT(w, layout, a_blocks, p)
-            dense = conic_solver._DenseKKT(h, prob.A)
-            rhs = rng.normal(size=n + p)
-            want = dense.solve(rhs)
+            qr = conic_solver._ScaledQRKKT(w, layout, a_blocks, prob.b.size)
+            rhs = rng.normal(size=prob.c.size + prob.b.size)
+            want = np.linalg.solve(_dense_kkt(prob, layout, winv), rhs)
             assert np.linalg.norm(qr.solve(rhs) - want) <= 1e-9 * np.linalg.norm(want)
 
-    def test_dense_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
+    def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
 
-        class CountingDenseKKT(conic_solver._DenseKKT):
+        class CountingSparseKKT(conic_solver._SparseKKT):
             def __init__(self, *args):
                 built.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(conic_solver, "_DenseKKT", CountingDenseKKT)
+        monkeypatch.setattr(conic_solver, "_SparseKKT", CountingSparseKKT)
         scenario = builtin("circle2circle")
         programs = [make_kkt_certified_problem(rng, n_free=0)[0] for _ in range(10)]
         programs.append(assemble_socp(scenario, build_grid(scenario, 33)))
@@ -296,3 +342,41 @@ class TestScaledQRKKT:
         assert sol.status == "optimal"
         assert sol.gap <= 1e-9
         assert sol.residuals.dual <= 1e-12
+
+
+class TestSparseKKT:
+    @staticmethod
+    def _check(rng, prob):
+        layout, _, winv = _scaled_blocks(rng, prob)
+        kkt = conic_solver._SparseKKT(winv, conic_solver._KKTPattern(layout, prob.A))
+        k = _dense_kkt(prob, layout, winv)
+        # K is singular with dependent rows, or with a free direction in the
+        # null space of A.  For a consistent right-hand side the solution is
+        # then determined up to null(K); compare its part in range(K), which
+        # for the minimum-norm least-squares solution is all of it.  The
+        # null-space part of a regularized solve is rounding amplified by the
+        # inverse regularization and does not enter the Newton step: A'dy and
+        # the objective see no null(A') direction of dy, and a free direction
+        # with A dx = 0 and zero cost is a free direction of the program.
+        rhs = k @ rng.normal(size=k.shape[0])
+        want = np.linalg.lstsq(k, rhs, rcond=None)[0]
+        got = kkt.solve(rhs)
+        determined = np.linalg.pinv(k) @ (k @ got)
+        assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
+        assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        return np.linalg.matrix_rank(k) == k.shape[0]
+
+    def test_matches_dense_least_squares_with_free_variables(self, rng):
+        nonsingular = [self._check(rng, make_kkt_certified_problem(rng, n_free=int(n))[0])
+                       for n in rng.integers(1, 4, size=20)]
+        # most draws have a nonsingular K, where the whole solution is compared
+        assert sum(nonsingular) >= 10
+
+    def test_matches_dense_least_squares_with_dependent_rows(self, rng):
+        for _ in range(20):
+            prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 5)))
+            # append consistent combinations of the rows
+            mix = rng.normal(size=(int(rng.integers(1, 4)), prob.b.size))
+            dependent = ConicProblem(c=prob.c, A=np.vstack([prob.A, mix @ prob.A]),
+                                     b=np.concatenate([prob.b, mix @ prob.b]), cones=prob.cones)
+            assert not self._check(rng, dependent)

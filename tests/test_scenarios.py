@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rdvopt import builtin, builtin_names, load_scenario, save_scenario
+from rdvopt import builtin, builtin_names, load_scenario, save_scenario, to_transformed
 from rdvopt.scenarios import ScenarioError, scenario_to_dict
 
 
@@ -42,6 +42,17 @@ class TestBuiltins:
         assert s.duration == 49995.0
         assert np.allclose(s.xf.r, [0.33512, 0.0, -0.3711])    # given in m
         assert np.allclose(s.xf.v, [0.00155e-3, 0.0, 0.0014e-3])
+
+    def test_equality_compares_the_state_arrays(self):
+        assert builtin("atv") == builtin("atv")
+        assert builtin("atv") != builtin("simbolx")
+        a = builtin("atv")
+        assert a.x0 == a.x0.__class__(r=a.x0.r.copy(), v=a.x0.v.copy())
+        assert a.x0 != a.xf
+        t0 = to_transformed(a.x0, a.theta0, a.orbit)
+        assert t0 == to_transformed(a.x0, a.theta0, a.orbit)
+        assert t0 != to_transformed(a.xf, a.theta0, a.orbit)
+        assert t0 != a.x0.__class__(r=t0.r, v=t0.v)
 
     def test_builtin_horizon_anomalies(self):
         assert builtin("atv").theta_f == pytest.approx(62.83149, abs=1e-4)

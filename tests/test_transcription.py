@@ -241,14 +241,52 @@ class TestGridWideMatrices:
         assert np.max(np.abs(prob.b - b)) <= 1e-10 * np.max(np.abs(b))
 
     def test_full_form_defects_use_segment_matrices(self, atv):
+        # every defect block is stated at thetaf: Phi(thetaf, theta_{j+1}) times
+        # the block x_{j+1} - Phi_j x_j - Phi_j B dv_j, block 0 pins x_0 there
         scen = replace(atv, planar=False)
         grid = build_grid(scen, 9)
         prob = assemble_socp(scen, grid, form="full")
-        d = scen.state_dim
-        for j in range(grid.m - 1):
+        d, m = scen.state_dim, grid.m
+        thf = float(grid.nodes[-1])
+        dv = prob.var_map["dv"]
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+        phif = stm_full(thf, float(grid.nodes[0]), scen.orbit)
+        x0t, _ = transform_boundaries(scen, grid)
+        assert close(prob.A[:d, :d], phif)
+        assert close(prob.b[:d], phif @ x0t.vector / scen.units.length)
+        for j in range(m - 1):
             rows = slice(d * (j + 1), d * (j + 2))
             phi = stm_full(float(grid.nodes[j + 1]), float(grid.nodes[j]), scen.orbit)
-            assert np.max(np.abs(prob.A[rows, d * j:d * (j + 1)] + phi)) <= 1e-14 * np.max(np.abs(phi))
-            assert np.array_equal(prob.A[rows, d * (j + 1):d * (j + 2)], np.eye(d))
-            dv = prob.var_map["dv"][j]
-            assert np.max(np.abs(prob.A[rows, dv] + phi[:, 3:])) <= 1e-14 * np.max(np.abs(phi))
+            phif = stm_full(thf, float(grid.nodes[j + 1]), scen.orbit)
+            seg = phif @ phi
+            assert close(prob.A[rows, d * j:d * (j + 1)], -seg)
+            assert close(prob.A[rows, d * (j + 1):d * (j + 2)], phif)
+            assert close(prob.A[rows, dv[j]], -seg[:, 3:])
+            rest = prob.A[rows].copy()
+            rest[:, d * j:d * (j + 2)] = 0.0
+            rest[:, dv[j]] = 0.0
+            assert not np.any(rest)
+            assert not np.any(prob.b[rows])
+
+    def test_full_form_blocks_telescope_to_the_condensed_row(self, atv):
+        # terminal block minus every other block: the node states cancel and
+        # what is left is the condensed terminal row, so the blocks' residuals
+        # sum to the plan's terminal miss
+        for scen in (atv, replace(atv, planar=False)):
+            grid = build_grid(scen, 33)
+            full = assemble_socp(scen, grid, form="full")
+            cond = assemble_socp(scen, grid)
+            d, m = scen.state_dim, grid.m
+            a_blocks = full.A.reshape(m + 1, d, -1)
+            b_blocks = full.b.reshape(m + 1, d)
+            a_tel = a_blocks[m] - a_blocks[:m].sum(axis=0)
+            b_tel = b_blocks[m] - b_blocks[:m].sum(axis=0)
+            scale = np.max(np.abs(cond.A))
+            assert np.max(np.abs(a_tel[:, :d * m])) <= 1e-12 * scale
+            assert np.max(np.abs(a_tel[:, full.var_map["dv"]] - cond.A[:, cond.var_map["dv"]])) \
+                <= 1e-12 * scale
+            assert not np.any(a_tel[:, full.var_map["sigma"]])
+            assert np.max(np.abs(b_tel - cond.b)) <= 1e-12 * np.max(np.abs(cond.b))
