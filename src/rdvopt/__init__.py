@@ -16,6 +16,7 @@ from .conic_solver import (
     SolverSettings,
     residuals,
     solve,
+    solve_batch,
 )
 from .kepler import (
     MU_EARTH_KM3_S2,

@@ -22,6 +22,16 @@ refinement against the unregularized system.
 
 Free variables sit natively in the KKT system; they are never split
 into cone differences.
+
+One iteration loop serves a whole family of programs that share A's
+shape and the cone structure.  Every iterate carries a leading program
+axis: the cone algebra works on (programs, cones, dim) blocks, the
+scaled QR factors the stacked W A' in one call, and each program keeps
+its own tau, kappa, mu, sigma, step lengths and stopping test.  A program
+that stops leaves the batch with the iterate it would have reached alone,
+so solve_batch returns what solving each program by itself returns.
+Programs that need the sparse LU run as batches of one; solve is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -29,11 +39,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 _FRACTION_TO_BOUNDARY = 0.99
@@ -146,13 +155,14 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 # -- batched second-order cone algebra -------------------------------------
 #
-# Cone blocks of equal dimension are processed together as (g, d) arrays.
+# Cone blocks of equal dimension are processed together as (..., g, d)
+# arrays; the leading axes, if any, are programs.
 
 
 class _ConeLayout:
+    """Where the cones of each dimension sit in the variable vector."""
+
     def __init__(self, spec: ConeSpec):
-        self.n_free = spec.n_free
-        self.dims = spec.soc_dims
         starts = np.cumsum([spec.n_free] + list(spec.soc_dims[:-1])) if spec.soc_dims else []
         self.index = {}
         for d in sorted(set(spec.soc_dims)):
@@ -160,21 +170,27 @@ class _ConeLayout:
             self.index[d] = s[:, None] + np.arange(d)[None, :]
 
     def gather(self, x: np.ndarray) -> dict:
-        return {d: x[idx] for d, idx in self.index.items()}
+        """(..., g, d) copies of the cone blocks of x.
+
+        np.take keeps each program's row contiguous, so that a reduction
+        over a program's cones adds in the same order in any batch.
+        """
+        return {d: np.take(x, idx.reshape(-1), axis=-1).reshape(x.shape[:-1] + idx.shape)
+                for d, idx in self.index.items()}
 
     def scatter_into(self, x: np.ndarray, blocks: dict):
         for d, idx in self.index.items():
-            x[idx] = blocks[d]
+            x[..., idx.reshape(-1)] = blocks[d].reshape(x.shape[:-1] + (-1,))
 
 
 def _jdet(u: np.ndarray) -> np.ndarray:
-    return u[:, 0] ** 2 - np.sum(u[:, 1:] ** 2, axis=1)
+    return u[..., 0] ** 2 - np.sum(u[..., 1:] ** 2, axis=-1)
 
 
 def _jprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[:, 0] = np.sum(a * b, axis=1)
-    out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    out[..., 0] = np.sum(a * b, axis=-1)
+    out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
     return out
 
 
@@ -182,64 +198,73 @@ def _jsolve(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve lam o w = d for w (inverse of the arrow operator of lam)."""
     det = _jdet(lam)
     out = np.empty_like(d)
-    out[:, 0] = (lam[:, 0] * d[:, 0] - np.sum(lam[:, 1:] * d[:, 1:], axis=1)) / det
-    out[:, 1:] = (d[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
+    out[..., 0] = (lam[..., 0] * d[..., 0] - np.sum(lam[..., 1:] * d[..., 1:], axis=-1)) / det
+    out[..., 1:] = (d[..., 1:] - out[..., :1] * lam[..., 1:]) / lam[..., :1]
     return out
 
 
 def _bmv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product of (g, d, d) blocks with (g, d) rows."""
-    return np.matmul(m, v[:, :, None])[:, :, 0]
+    """Batched matrix-vector product of (..., r, k) matrices with (..., k) rows."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner product of each program's row (the BLAS dot of a 1-D u @ v)."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each program's row, as np.linalg.norm of one row."""
+    return np.sqrt(_dot(v, v))
 
 
 def _wbar_blocks(wbar: np.ndarray) -> np.ndarray:
-    """Dense (g, d, d) blocks of the unit-determinant NT scaling for wbar."""
-    w0 = wbar[:, 0]
-    w1 = wbar[:, 1:]
-    d = wbar.shape[1]
-    out = np.empty((wbar.shape[0], d, d))
-    out[:, 0, 0] = w0
-    out[:, 0, 1:] = w1
-    out[:, 1:, 0] = w1
-    out[:, 1:, 1:] = w1[:, :, None] * (w1 / (1.0 + w0)[:, None])[:, None, :]
+    """Dense (..., d, d) blocks of the unit-determinant NT scaling for wbar."""
+    w0 = wbar[..., 0]
+    w1 = wbar[..., 1:]
+    d = wbar.shape[-1]
+    out = np.empty(wbar.shape + (d,))
+    out[..., 0, 0] = w0
+    out[..., 0, 1:] = w1
+    out[..., 1:, 0] = w1
+    out[..., 1:, 1:] = w1[..., :, None] * (w1 / (1.0 + w0)[..., None])[..., None, :]
     di = np.arange(1, d)
-    out[:, di, di] += 1.0
+    out[..., di, di] += 1.0
     return out
 
 
 def _nt_scaling(u: np.ndarray, v: np.ndarray):
     """Nesterov-Todd scaling of interior primal/dual cone blocks.
 
-    Returns (W, W^-1) as (g, d, d) blocks with W v = W^-1 u = lambda.
+    Returns (W, W^-1) as (..., d, d) blocks with W v = W^-1 u = lambda.
     W = eta * Wbar(wbar), and Wbar^-1 is Wbar of the reflected point
     (wbar_0, -wbar_1).
     """
     du = _jdet(u)
     dv = _jdet(v)
-    ubar = u / np.sqrt(du)[:, None]
-    vbar = v / np.sqrt(dv)[:, None]
-    gamma = np.sqrt(0.5 * (1.0 + np.sum(ubar * vbar, axis=1)))
+    ubar = u / np.sqrt(du)[..., None]
+    vbar = v / np.sqrt(dv)[..., None]
+    gamma = np.sqrt(0.5 * (1.0 + np.sum(ubar * vbar, axis=-1)))
     wbar = ubar.copy()
-    wbar[:, 0] += vbar[:, 0]
-    wbar[:, 1:] -= vbar[:, 1:]
-    wbar /= (2.0 * gamma)[:, None]
-    eta = ((du / dv) ** 0.25)[:, None, None]
+    wbar[..., 0] += vbar[..., 0]
+    wbar[..., 1:] -= vbar[..., 1:]
+    wbar /= (2.0 * gamma)[..., None]
+    eta = ((du / dv) ** 0.25)[..., None, None]
     w = eta * _wbar_blocks(wbar)
-    wbar[:, 1:] *= -1.0
+    wbar[..., 1:] *= -1.0
     return w, _wbar_blocks(wbar) / eta
 
 
-def _max_step(u: np.ndarray, du: np.ndarray) -> float:
-    """Largest alpha with u + alpha*du in the cone, for interior u (may be inf).
+def _max_step(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Largest alpha with u + alpha*du in every cone, for interior u (may be inf).
 
-    The boundary crossing is the smallest positive root of the quadratic
+    Takes (..., g, d) blocks and returns one step per leading index.  The
+    boundary crossing is the smallest positive root of the quadratic
     det(u + alpha*du) = 0; det(u) > 0 guarantees no root at zero.
     """
     a = _jdet(du)
-    bq = 2.0 * (u[:, 0] * du[:, 0] - np.sum(u[:, 1:] * du[:, 1:], axis=1))
+    bq = 2.0 * (u[..., 0] * du[..., 0] - np.sum(u[..., 1:] * du[..., 1:], axis=-1))
     cq = _jdet(u)
-    if a.size == 0:
-        return math.inf
     out = np.full(a.shape, np.inf)
     lin = np.abs(a) < 1e-300
     m = lin & (bq < 0.0)
@@ -254,10 +279,10 @@ def _max_step(u: np.ndarray, du: np.ndarray) -> float:
     r1 = np.where(r1 > 0.0, r1, np.inf)
     r2 = np.where(r2 > 0.0, r2, np.inf)
     out = np.minimum(out, np.minimum(r1, r2))
-    return float(np.min(out))
+    return out.min(axis=-1, initial=np.inf)
 
 
-# -- main solver ------------------------------------------------------------
+# -- KKT systems -------------------------------------------------------------
 
 
 class _KKTPattern:
@@ -305,8 +330,12 @@ class _SparseKKT:
     column ordering and partial pivoting, so a banded program stays
     banded and a dense one simply fills in.  The static regularization is
     strengthened on an exactly singular pivot; iterative refinement runs
-    against the unregularized K.
+    against the unregularized K.  It factors one program; its blocks and
+    right-hand sides may carry a program axis of length one.
     """
+
+    # a factorization that fails raises instead
+    singular = np.zeros(1, dtype=bool)
 
     def __init__(self, winv: dict, pattern: _KKTPattern):
         vals = [pattern.a_vals]
@@ -329,6 +358,8 @@ class _SparseKKT:
         self.refine_rounds = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        shape = rhs.shape
+        rhs = rhs.reshape(-1)
         sol = self._lu.solve(rhs)
         scale = 1.0 + float(np.max(np.abs(rhs)))
         best = math.inf
@@ -342,7 +373,7 @@ class _SparseKKT:
             sol = sol + self._lu.solve(resid)
             rounds += 1
         self.refine_rounds = max(self.refine_rounds, rounds)
-        return sol
+        return sol.reshape(shape)
 
 
 class _ScaledQRKKT:
@@ -354,7 +385,9 @@ class _ScaledQRKKT:
     thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
     dxs = Q u - W r1.  Neither W^2 nor W^-2 is formed, so the step keeps
     the accuracy of the scaled problem as the iterates approach the cone
-    boundary, and each factorization costs O(n p^2).
+    boundary, and each factorization costs O(n p^2).  Leading axes of the
+    blocks are programs: one stacked QR factors them all, and singular
+    flags each program whose R has an exactly zero pivot.
     """
 
     reg_retries = 0
@@ -364,29 +397,310 @@ class _ScaledQRKKT:
         self.w = w
         self.layout = layout
         self.n = n = sum(idx.size for idx in layout.index.values())
-        gt = np.empty((n, p))
+        batch = next(iter(w.values())).shape[:-3]
+        gt = np.empty(batch + (n, p))
         for d, idx in layout.index.items():
-            gt[idx.reshape(-1)] = np.matmul(w[d], a_blocks[d]).reshape(-1, p)
+            gt[..., idx.reshape(-1), :] = np.matmul(w[d], a_blocks[d]).reshape(batch + (-1, p))
         self.q, self.r = np.linalg.qr(gt)
+        self.qt = np.swapaxes(self.q, -1, -2)
+        self.singular = np.any(np.diagonal(self.r, axis1=-2, axis2=-1) == 0.0, axis=-1)
+        # R' with rows and columns reversed is upper triangular again, so
+        # both triangular solves are back substitutions without pivoting
+        self._rt = np.ascontiguousarray(np.swapaxes(self.r, -1, -2)[..., ::-1, ::-1])
 
-    def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        sol, info = lapack.dtrtrs(self.r, rhs, trans=trans)
-        if info != 0:
-            raise np.linalg.LinAlgError("scaled constraint matrix is rank deficient")
-        return sol
+    def _triangular(self, rhs: np.ndarray, trans: bool) -> np.ndarray:
+        if trans:
+            return np.linalg.solve(self._rt, rhs[..., ::-1, None])[..., ::-1, 0]
+        return np.linalg.solve(self.r, rhs[..., None])[..., 0]
 
     def _w_apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for d, idx in self.layout.index.items():
-            out[idx] = _bmv(self.w[d], v[idx])
+        blocks = self.layout.gather(v)
+        self.layout.scatter_into(out, {d: _bmv(self.w[d], blocks[d]) for d in blocks})
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n
-        wr1 = self._w_apply(rhs[:n])
-        u = self._triangular(rhs[n:], trans=1) + self.q.T @ wr1
-        dy = self._triangular(u, trans=0)
-        return np.concatenate([self._w_apply(self.q @ u - wr1), dy])
+        wr1 = self._w_apply(rhs[..., :n])
+        u = self._triangular(rhs[..., n:], trans=True) + _bmv(self.qt, wr1)
+        dy = self._triangular(u, trans=False)
+        return np.concatenate([self._w_apply(_bmv(self.q, u) - wr1), dy], axis=-1)
+
+
+# -- main solver ------------------------------------------------------------
+
+
+def _scaled_qr_path(problems: Sequence[ConicProblem]) -> np.ndarray:
+    """Which programs take the scaled QR; checks that they form one batch.
+
+    The KKT path follows the structure of the program: cone-only programs
+    with independent equality rows use the scaled thin QR.  Free
+    variables, or dependent rows (W A' is then rank deficient), need the
+    regularized sparse LU.
+    """
+    first = problems[0]
+    for problem in problems[1:]:
+        if problem.A.shape != first.A.shape or problem.cones != first.cones:
+            raise ValueError(
+                f"a batch shares A's shape and the cone structure: A {problem.A.shape} "
+                f"with {problem.cones} against A {first.A.shape} with {first.cones}"
+            )
+    p = first.b.size
+    if first.cones.n_free or not first.cones.n_cones:
+        return np.zeros(len(problems), dtype=bool)
+    a_mat = first.A[None] if len(problems) == 1 else np.stack([pr.A for pr in problems])
+    return np.linalg.matrix_rank(a_mat) == p
+
+
+class _Active:
+    """Per-program arrays of the programs still iterating, program axis first."""
+
+    def take(self, keep: np.ndarray):
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                value = {d: block[keep] for d, block in value.items()}
+            else:
+                value = value[keep]
+            setattr(self, name, value)
+
+
+def _solve_batch(
+    problems: Sequence[ConicProblem],
+    settings: SolverSettings | None,
+    trace: Optional[Callable[[dict], None]],
+    scaled_qr: bool,
+) -> list[ConicSolution]:
+    """The interior-point loop over a batch that shares one KKT path.
+
+    trace, if given, receives the records of a batch of one.  The sparse
+    LU path takes one program.
+    """
+    st = settings or SolverSettings()
+    first = problems[0]
+    nb = len(problems)
+    p, n = first.A.shape
+    layout = _ConeLayout(first.cones)
+    nu = first.cones.n_cones + 1
+    kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
+    if not scaled_qr and nb != 1:
+        raise ValueError("the sparse LU path solves one program at a time")
+    if trace is not None and nb != 1:
+        raise ValueError("only a batch of one is traced")
+
+    t_start = time.perf_counter()
+
+    s = _Active()
+    s.ids = np.arange(nb)
+    # a batch of one keeps its A as a view: the full form's A is large
+    s.a = first.A[None] if nb == 1 else np.stack([pr.A for pr in problems])
+    s.at = np.swapaxes(s.a, 1, 2)
+    s.b = np.stack([pr.b for pr in problems])
+    s.c = np.stack([pr.c for pr in problems])
+    s.norm_b = _norm(s.b)
+    s.norm_c = _norm(s.c)
+    if scaled_qr:
+        s.a_blocks = {d: np.ascontiguousarray(s.a[:, :, idx].transpose(0, 2, 3, 1))
+                      for d, idx in layout.index.items()}
+    else:
+        pattern = _KKTPattern(layout, first.A)
+    s.x = np.zeros((nb, n))
+    s.z = np.zeros((nb, n))
+    for idx in layout.index.values():
+        s.x[:, idx[:, 0]] = 1.0
+        s.z[:, idx[:, 0]] = 1.0
+    s.y = np.zeros((nb, p))
+    s.tau = np.ones(nb)
+    s.kappa = np.ones(nb)
+    s.stalls = np.zeros(nb, dtype=int)
+
+    out: list[Optional[ConicSolution]] = [None] * nb
+
+    def finish(stopped, status, scale=None):
+        """Record the solutions of the stopped programs (a mask over the active ones)."""
+        for k in np.flatnonzero(stopped):
+            sk = s.tau[k] if scale is None else scale[k]
+            x = s.x[k] / sk
+            res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
+            out[s.ids[k]] = ConicSolution(
+                x=x, y=s.y[k] / sk, z=s.z[k] / sk, status=status, gap=float(s.gap[k]),
+                residuals=res, iterations=it,
+                solve_time=time.perf_counter() - t_start,
+                objective=float(s.c[k] @ s.x[k] / sk),
+            )
+
+    def stop(stopped, reason):
+        """Best-effort exit reported as max_iters; the trace names the cause."""
+        if trace is not None:
+            trace({"iter": it, "stop": reason})
+        finish(stopped, "max_iters")
+
+    def factor():
+        """The KKT factorization of the active programs, and which broke down."""
+        try:
+            if scaled_qr:
+                kkt = _ScaledQRKKT(s.w, layout, s.a_blocks, p)
+            else:
+                kkt = _SparseKKT(s.winv, pattern)
+        except np.linalg.LinAlgError:
+            # factorization breakdown with finite iterates: let the caller
+            # see the best effort rather than a hard failure
+            return None, np.ones(s.ids.size, dtype=bool)
+        return kkt, kkt.singular
+
+    for it in range(st.max_iters + 1):
+        ax = _bmv(s.a, s.x)
+        aty = _bmv(s.at, s.y)
+        cx = _dot(s.c, s.x)
+        by = _dot(s.b, s.y)
+        s.r_p = ax - s.b * s.tau[:, None]
+        s.r_d = -aty - s.z + s.c * s.tau[:, None]
+        s.r_g = by - cx - s.kappa
+
+        s.uu = layout.gather(s.x)
+        s.vv = layout.gather(s.z)
+        # primal and dual blocks side by side, for the cone tests of both
+        s.uv = {d: np.concatenate([s.uu[d], s.vv[d]], axis=-2) for d in s.uu}
+        s.comp = sum(np.sum(s.uu[d] * s.vv[d], axis=(1, 2)) for d in s.uu) + s.tau * s.kappa
+        s.mu = s.comp / nu
+
+        # residuals of the scaled point (x, y, z) / tau
+        s.pres = _norm(s.r_p) / (s.tau * (1.0 + s.norm_b))
+        s.dres = _norm(s.r_d) / (s.tau * (1.0 + s.norm_c))
+        s.gap = np.abs(cx - by) / (s.tau + np.abs(cx))
+        if trace is not None:
+            trace({"iter": it, "mu": float(s.mu[0]), "pres": float(s.pres[0]),
+                   "dres": float(s.dres[0]), "gap": float(s.gap[0]),
+                   "tau": float(s.tau[0]), "kappa": float(s.kappa[0])})
+
+        failed = ~(np.isfinite(s.pres) & np.isfinite(s.dres) & np.isfinite(s.gap)
+                   & np.isfinite(s.mu) & np.isfinite(s.tau) & np.isfinite(s.kappa))
+        done = failed.copy()
+        optimal = ~done & (s.pres <= st.feas_tol) & (s.dres <= st.feas_tol) & (s.gap <= st.gap_tol)
+        done |= optimal
+        infeasible = ~done & (by > 0.0) & (
+            _norm(aty + s.z) <= st.feas_tol * (1.0 + s.norm_c) * by)
+        done |= infeasible
+        unbounded = ~done & (cx < 0.0) & (_norm(ax) <= st.feas_tol * (1.0 + s.norm_b) * -cx)
+        done |= unbounded
+        if done.any():
+            finish(failed, "numerical_failure")
+            finish(optimal, "optimal")
+            finish(infeasible, "primal_infeasible", scale=by)
+            finish(unbounded, "dual_infeasible", scale=-cx)
+            if done.all():
+                break
+        if it == st.max_iters:
+            finish(~done, "max_iters")
+            break
+
+        # iterate pinned to the cone boundary at rounding level: no
+        # further centering is possible, return best effort
+        pinned = np.zeros(s.ids.size, dtype=bool)
+        for d in s.uv:
+            pinned |= np.any(_jdet(s.uv[d]) <= 0.0, axis=-1)
+        pinned &= ~done
+        if pinned.any():
+            stop(pinned, "cone_boundary")
+            done |= pinned
+        if done.any():
+            s.take(~done)
+            if not s.ids.size:
+                break
+
+        s.w, s.winv, s.lam = {}, {}, {}
+        for d in s.uu:
+            s.w[d], s.winv[d] = _nt_scaling(s.uu[d], s.vv[d])
+            s.lam[d] = _bmv(s.w[d], s.vv[d])
+
+        t_factor = time.perf_counter()
+        kkt, broken = factor()
+        while broken.any() and not broken.all():
+            # each program factors alone, so the others factor as before
+            stop(broken, "kkt_breakdown")
+            s.take(~broken)
+            kkt, broken = factor()
+        if broken.any():
+            stop(broken, "kkt_breakdown")
+            break
+        factor_s = time.perf_counter() - t_factor
+        nb = s.ids.size
+        sol2 = kkt.solve(np.concatenate([s.c, s.b], axis=1))
+        dx2, dy2 = sol2[:, :n], sol2[:, n:]
+        den = s.kappa / s.tau - _dot(s.c, dx2) + _dot(s.b, dy2)
+
+        def direction(gamma, d_c, d_tk):
+            """Newton direction targeting residual reduction factor (gamma - 1)."""
+            gvec = np.zeros((nb, n))
+            layout.scatter_into(gvec, {d: _bmv(s.winv[d], _jsolve(s.lam[d], d_c[d])) for d in d_c})
+            rd_hat = (1.0 - gamma)[:, None] * s.r_d - gvec
+            rp_hat = (gamma - 1.0)[:, None] * s.r_p
+            sol1 = kkt.solve(np.concatenate([rd_hat, rp_hat], axis=1))
+            dx1, dy1 = sol1[:, :n], sol1[:, n:]
+            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(s.c, dx1) - _dot(s.b, dy1)
+            dtau = num / den
+            dx = dx1 + dtau[:, None] * dx2
+            dy = dy1 + dtau[:, None] * dy2
+            # dz from the linear dual equation, which the step then reduces
+            # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
+            # rounding into z
+            dz = (s.c * dtau[:, None] - _bmv(s.at, dy)
+                  + (1.0 - gamma)[:, None] * s.r_d)
+            dkappa = (d_tk - s.kappa * dtau) / s.tau
+            return dx, dy, dtau, layout.gather(dx), layout.gather(dz), dkappa
+
+        def step_limit(du_b, dv_b, dtau, dkappa):
+            # tau and kappa limit the step only where they decrease
+            amax = np.minimum(
+                np.divide(-s.tau, dtau, out=np.full(nb, np.inf), where=dtau < 0.0),
+                np.divide(-s.kappa, dkappa, out=np.full(nb, np.inf), where=dkappa < 0.0))
+            for d in du_b:
+                amax = np.minimum(amax, _max_step(s.uv[d], np.concatenate([du_b[d], dv_b[d]],
+                                                                          axis=-2)))
+            return amax
+
+        # predictor (affine direction, sigma = 0)
+        d_c_aff = {d: -_jprod(s.lam[d], s.lam[d]) for d in s.uu}
+        _, _, dtaua, dua, dva, dkappaa = direction(np.zeros(nb), d_c_aff, -s.tau * s.kappa)
+        alpha_aff = np.minimum(1.0, step_limit(dua, dva, dtaua, dkappaa))
+
+        comp_aff = sum(
+            np.sum((s.uu[d] + alpha_aff[:, None, None] * dua[d])
+                   * (s.vv[d] + alpha_aff[:, None, None] * dva[d]), axis=(1, 2))
+            for d in s.uu
+        ) + (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa)
+        sigma = np.minimum(1.0, (np.maximum(comp_aff, 0.0) / s.comp) ** 3)
+
+        # corrector (combined direction with Mehrotra second-order term)
+        d_c = {}
+        for d in s.uu:
+            corr = _jprod(_bmv(s.winv[d], dua[d]), _bmv(s.w[d], dva[d]))
+            target = -_jprod(s.lam[d], s.lam[d]) - corr
+            target[..., 0] += (sigma * s.mu)[:, None]
+            d_c[d] = target
+        d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
+        dx, dy, dtau, du_b, dv_b, dkappa = direction(sigma, d_c, d_tk)
+
+        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(du_b, dv_b, dtau, dkappa))
+        if trace is not None:
+            trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
+                   "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
+                   "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
+        s.stalls = np.where(alpha <= _MIN_STEP, s.stalls + 1, 0)
+        stalled = s.stalls >= 2
+        if stalled.any():
+            stop(stalled, "step_stall")
+
+        s.x += alpha[:, None] * dx
+        s.y += alpha[:, None] * dy
+        layout.scatter_into(s.z, {d: s.vv[d] + alpha[:, None, None] * dv_b[d] for d in dv_b})
+        s.tau = s.tau + alpha * dtau
+        s.kappa = s.kappa + alpha * dkappa
+        if stalled.any():
+            s.take(~stalled)
+            if not s.ids.size:
+                break
+
+    return out
 
 
 def solve(
@@ -400,187 +714,29 @@ def solve(
     On "primal_infeasible", (y, z) is a Farkas certificate normalized to
     b'y = 1; on "dual_infeasible", x is a ray normalized to c'x = -1.
     """
-    st = settings or SolverSettings()
-    a_mat, b, c = problem.A, problem.b, problem.c
-    n, p = c.size, b.size
-    layout = _ConeLayout(problem.cones)
-    nf = layout.n_free
-    ncones = problem.cones.n_cones
-    nu = ncones + 1
+    return _solve_batch([problem], settings, trace, bool(_scaled_qr_path([problem])[0]))[0]
 
-    t_start = time.perf_counter()
 
-    x = np.zeros(n)
-    z = np.zeros(n)
-    for idx in layout.index.values():
-        x[idx[:, 0]] = 1.0
-        z[idx[:, 0]] = 1.0
-    y = np.zeros(p)
-    tau, kappa = 1.0, 1.0
+def solve_batch(
+    problems: Sequence[ConicProblem],
+    settings: SolverSettings | None = None,
+) -> list[ConicSolution]:
+    """Solve a family of programs that share A's shape and the cone structure.
 
-    norm_b = np.linalg.norm(b)
-    norm_c = np.linalg.norm(c)
-
-    def finish(status, iters, pres, dres, gap, scale=None):
-        s = scale if scale is not None else tau
-        res = Residuals(primal=float(pres), dual=float(dres), gap=float(gap))
-        return ConicSolution(
-            x=x / s, y=y / s, z=z / s, status=status, gap=float(gap),
-            residuals=res, iterations=iters,
-            solve_time=time.perf_counter() - t_start,
-            objective=float(c @ x / s),
-        )
-
-    def stop(reason, iters, pres, dres, gap):
-        """Best-effort exit reported as max_iters; the trace names the cause."""
-        if trace is not None:
-            trace({"iter": iters, "stop": reason})
-        return finish("max_iters", iters, pres, dres, gap)
-
-    # The KKT path follows the structure of the program: cone-only programs
-    # with independent equality rows use the scaled thin QR.  Free variables,
-    # or dependent rows (W A' is then rank deficient), need the regularized
-    # sparse LU.
-    scaled_qr = nf == 0 and ncones > 0 and np.linalg.matrix_rank(a_mat) == p
-    kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
-    if scaled_qr:
-        a_blocks = {d: np.ascontiguousarray(a_mat[:, idx].transpose(1, 2, 0))
-                    for d, idx in layout.index.items()}
-    else:
-        pattern = _KKTPattern(layout, a_mat)
-
-    stalls = 0
-    for it in range(st.max_iters + 1):
-        ax = a_mat @ x
-        aty = a_mat.T @ y
-        cx = float(c @ x)
-        by = float(b @ y)
-        r_p = ax - b * tau
-        r_d = -aty - z + c * tau
-        r_g = by - cx - kappa
-
-        uu = layout.gather(x)
-        vv = layout.gather(z)
-        comp = sum(float(np.sum(uu[d] * vv[d])) for d in uu) + tau * kappa
-        mu = comp / nu
-
-        # residuals of the scaled point (x, y, z) / tau
-        pres = np.linalg.norm(r_p) / (tau * (1.0 + norm_b))
-        dres = np.linalg.norm(r_d) / (tau * (1.0 + norm_c))
-        gap = abs(cx - by) / (tau + abs(cx))
-        if trace is not None:
-            trace({"iter": it, "mu": mu, "pres": pres, "dres": dres,
-                   "gap": gap, "tau": tau, "kappa": kappa})
-
-        if not all(map(math.isfinite, (pres, dres, gap, mu, tau, kappa))):
-            return finish("numerical_failure", it, pres, dres, gap)
-        if pres <= st.feas_tol and dres <= st.feas_tol and gap <= st.gap_tol:
-            return finish("optimal", it, pres, dres, gap)
-
-        if by > 0.0:
-            if np.linalg.norm(aty + z) / by <= st.feas_tol * (1.0 + norm_c):
-                return finish("primal_infeasible", it, pres, dres, gap, scale=by)
-        if cx < 0.0:
-            if np.linalg.norm(ax) / (-cx) <= st.feas_tol * (1.0 + norm_b):
-                return finish("dual_infeasible", it, pres, dres, gap, scale=-cx)
-
-        if it == st.max_iters:
-            return finish("max_iters", it, pres, dres, gap)
-
-        w = {}
-        winv = {}
-        lam = {}
-        for d in uu:
-            if np.any(_jdet(uu[d]) <= 0.0) or np.any(_jdet(vv[d]) <= 0.0):
-                # iterate pinned to the cone boundary at rounding level:
-                # no further centering is possible, return best effort
-                return stop("cone_boundary", it, pres, dres, gap)
-            w[d], winv[d] = _nt_scaling(uu[d], vv[d])
-            lam[d] = _bmv(w[d], vv[d])
-
-        try:
-            t_factor = time.perf_counter()
-            if scaled_qr:
-                kkt = _ScaledQRKKT(w, layout, a_blocks, p)
-            else:
-                kkt = _SparseKKT(winv, pattern)
-            factor_s = time.perf_counter() - t_factor
-            sol2 = kkt.solve(np.concatenate([c, b]))
-        except np.linalg.LinAlgError:
-            # factorization breakdown with finite iterates: let the caller
-            # see the best effort rather than a hard failure
-            return stop("kkt_breakdown", it, pres, dres, gap)
-        dx2, dy2 = sol2[:n], sol2[n:]
-        den = kappa / tau - float(c @ dx2) + float(b @ dy2)
-
-        def direction(gamma, d_c, d_tk):
-            """Newton direction targeting residual reduction factor (gamma - 1)."""
-            gvec = np.zeros(n)
-            layout.scatter_into(gvec, {d: _bmv(winv[d], _jsolve(lam[d], d_c[d])) for d in d_c})
-            rd_hat = (1.0 - gamma) * r_d - gvec
-            rp_hat = (gamma - 1.0) * r_p
-            sol1 = kkt.solve(np.concatenate([rd_hat, rp_hat]))
-            dx1, dy1 = sol1[:n], sol1[n:]
-            num = (gamma - 1.0) * r_g + d_tk / tau + float(c @ dx1) - float(b @ dy1)
-            dtau = num / den
-            dx = dx1 + dtau * dx2
-            dy = dy1 + dtau * dy2
-            # dz from the linear dual equation, which the step then reduces
-            # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
-            # rounding into z
-            dz = c * dtau - a_mat.T @ dy + (1.0 - gamma) * r_d
-            dkappa = (d_tk - kappa * dtau) / tau
-            return dx, dy, dtau, layout.gather(dx), layout.gather(dz), dkappa
-
-        def step_limit(du_b, dv_b, dtau, dkappa):
-            amax = math.inf
-            for d in du_b:
-                amax = min(amax, _max_step(uu[d], du_b[d]), _max_step(vv[d], dv_b[d]))
-            if dtau < 0.0:
-                amax = min(amax, -tau / dtau)
-            if dkappa < 0.0:
-                amax = min(amax, -kappa / dkappa)
-            return amax
-
-        # predictor (affine direction, sigma = 0)
-        d_c_aff = {d: -_jprod(lam[d], lam[d]) for d in uu}
-        _, _, dtaua, dua, dva, dkappaa = direction(0.0, d_c_aff, -tau * kappa)
-        alpha_aff = min(1.0, step_limit(dua, dva, dtaua, dkappaa))
-
-        comp_aff = sum(
-            float(np.sum((uu[d] + alpha_aff * dua[d]) * (vv[d] + alpha_aff * dva[d])))
-            for d in uu
-        ) + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)
-        sigma = min(1.0, max(0.0, (max(comp_aff, 0.0) / comp) ** 3))
-
-        # corrector (combined direction with Mehrotra second-order term)
-        d_c = {}
-        for d in uu:
-            corr = _jprod(_bmv(winv[d], dua[d]), _bmv(w[d], dva[d]))
-            target = -_jprod(lam[d], lam[d]) - corr
-            target[:, 0] += sigma * mu
-            d_c[d] = target
-        d_tk = sigma * mu - tau * kappa - dtaua * dkappaa
-        dx, dy, dtau, du_b, dv_b, dkappa = direction(sigma, d_c, d_tk)
-
-        alpha = min(1.0, _FRACTION_TO_BOUNDARY * step_limit(du_b, dv_b, dtau, dkappa))
-        if trace is not None:
-            trace({"iter": it, "sigma": sigma, "alpha_aff": alpha_aff, "alpha": alpha,
-                   "kkt": kkt_path, "factor_s": factor_s,
-                   "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
-        if alpha <= _MIN_STEP:
-            stalls += 1
-            if stalls >= 2:
-                return stop("step_stall", it, pres, dres, gap)
-        else:
-            stalls = 0
-
-        x += alpha * dx
-        y += alpha * dy
-        for d, idx in layout.index.items():
-            z[idx] += alpha * dv_b[d]
-        tau += alpha * dtau
-        kappa += alpha * dkappa
-
-    # not reached: loop returns at it == max_iters
-    raise AssertionError("unreachable")
+    Returns, in order, what solve returns for each program alone, except
+    that solve_time is the batch's wall time until the program stopped.
+    The programs that take the scaled QR advance together in one loop;
+    each one that needs the sparse LU runs by itself.  A mismatch of A's
+    shape or of the ConeSpec raises ValueError.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    qr = _scaled_qr_path(problems)
+    out: list[Optional[ConicSolution]] = [None] * len(problems)
+    for group in [np.flatnonzero(qr)] + [[k] for k in np.flatnonzero(~qr)]:
+        if len(group):
+            sols = _solve_batch([problems[k] for k in group], settings, None, bool(qr[group[0]]))
+            for k, sol in zip(group, sols):
+                out[k] = sol
+    return out

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import relative_dynamics as rd
-from .conic_solver import ConicProblem, ConicSolution, SolverSettings, solve
+from .conic_solver import ConicProblem, ConicSolution, SolverSettings, solve, solve_batch
 from .kepler import TargetOrbit, time_from_true
 from .relative_dynamics import RelativeState
 from .transcription import (
@@ -31,7 +31,13 @@ from .transcription import (
     transform_boundaries,
 )
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Interior points of the bracket solved together in each refinement round;
+# each round shrinks the bracket to 2 / (_BRACKET_POINTS + 1) of its width.
+# A batch costs little more per added program, so fewer, wider rounds pay:
+# timed over the built-ins and nine drawn scenarios, searches with 12 or 16
+# points are fastest, 8 points take 10-15% longer (9.3 rounds against 6.5)
+# and 24 or 32 points 2-9% longer.
+_BRACKET_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,16 @@ class ImpulsePlan:
     terminal_error: Optional[TerminalError] = None
 
 
-def _physical_dv(expanded: ExpandedSolution, grid: Grid, scenario: Scenario) -> np.ndarray:
+def _physical_dv(dv_scaled: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
     """Per-node physical impulse vectors, (m, 3) in scenario velocity units."""
     orbit = scenario.orbit
     factors = orbit.k2 * grid.rho * scenario.units.length
     dv = np.zeros((grid.m, 3))
     if scenario.planar:
-        dv[:, 0] = expanded.dv[:, 0]
-        dv[:, 2] = expanded.dv[:, 1]
+        dv[:, 0] = dv_scaled[:, 0]
+        dv[:, 2] = dv_scaled[:, 1]
     else:
-        dv[:] = expanded.dv
+        dv[:] = dv_scaled
     return dv * factors[:, None]
 
 
@@ -100,7 +106,7 @@ def extract_impulses(
     """
     if tol is None:
         tol = scenario.extraction_tol
-    dv = _physical_dv(expanded, grid, scenario)
+    dv = _physical_dv(expanded.dv, grid, scenario)
     mags = np.linalg.norm(dv, axis=1)
     threshold = tol * scenario.units.velocity
     keep = mags > threshold
@@ -428,50 +434,57 @@ class InnerNodeResult:
     scan_costs: np.ndarray
 
 
-def _three_node_cost(scenario: Scenario, theta2: float,
-                     settings: Optional[SolverSettings]) -> tuple[float, PlanResult]:
-    grid = grid_from_nodes(scenario, [scenario.theta0, theta2, scenario.theta_f])
-    res = plan_rendezvous(scenario, grid=grid, settings=settings)
-    if res.plan is None:
-        return math.inf, res
-    return res.plan.total_dv, res
+def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> float:
+    """Physical total of one solution's impulses, the total_dv of its plan."""
+    return float(np.linalg.norm(_physical_dv(dv, grid, scenario), axis=1).sum())
+
+
+def _three_node_grid(scenario: Scenario, theta2: float) -> Grid:
+    return grid_from_nodes(scenario, [scenario.theta0, theta2, scenario.theta_f])
+
+
+def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
+                      settings: Optional[SolverSettings]) -> np.ndarray:
+    """Plan cost of each interior anomaly, inf where the solve was not optimal.
+
+    The three-node programs share one shape and are solved as one batch;
+    the cost is read off each solution without building its plan.
+    """
+    grids = [_three_node_grid(scenario, th) for th in thetas]
+    problems = [assemble_socp(scenario, grid) for grid in grids]
+    costs = np.full(len(grids), math.inf)
+    for k, sol in enumerate(solve_batch(problems, settings)):
+        if sol.status == "optimal":
+            costs[k] = _total_dv(sol.x[problems[k].var_map["dv"]], grids[k], scenario)
+    return costs
 
 
 def inner_node_search(scenario: Scenario, resolution: int = 100,
                       settings: Optional[SolverSettings] = None) -> InnerNodeResult:
     """Best interior burn anomaly for a three-node grid.
 
-    Scans the open horizon at the given resolution, then refines the
-    best candidate by golden-section to 1e-6 rad.
+    Scans the open horizon at the given resolution, then narrows the
+    bracket around the best candidate to 1e-6 rad: each round solves
+    evenly spaced interior points of the bracket as one batch and keeps
+    the two neighbours of the best.  Only the chosen anomaly is planned.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be at least 10, got {resolution}")
     th0, thf = scenario.theta0, scenario.theta_f
     span = thf - th0
     cands = th0 + span * (np.arange(1, resolution + 1) / (resolution + 1))
-    costs = np.array([_three_node_cost(scenario, th, settings)[0] for th in cands])
+    costs = _three_node_costs(scenario, cands, settings)
     best = int(np.argmin(costs))
 
     pad = 1e-9 * span
-    lo = cands[best - 1] if best > 0 else th0 + pad
-    hi = cands[best + 1] if best < resolution - 1 else thf - pad
-
-    # golden-section on the bracket; the per-candidate cost is a solve
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = _three_node_cost(scenario, x1, settings)[0]
-    f2 = _three_node_cost(scenario, x2, settings)[0]
+    a = cands[best - 1] if best > 0 else th0 + pad
+    b = cands[best + 1] if best < resolution - 1 else thf - pad
     while (b - a) > 1e-6:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = _three_node_cost(scenario, x1, settings)[0]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = _three_node_cost(scenario, x2, settings)[0]
+        points = a + (b - a) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
+        j = int(np.argmin(_three_node_costs(scenario, points, settings)))
+        a, b = (points[j - 1] if j > 0 else a), (points[j + 1] if j < _BRACKET_POINTS - 1 else b)
     theta2 = 0.5 * (a + b)
-    total, res = _three_node_cost(scenario, theta2, settings)
+    res = plan_rendezvous(scenario, grid=_three_node_grid(scenario, theta2), settings=settings)
+    total = res.plan.total_dv if res.plan is not None else math.inf
     return InnerNodeResult(theta2=float(theta2), total_dv=float(total), plan=res.plan,
                            status=res.solution.status, scan_nodes=cands, scan_costs=costs)

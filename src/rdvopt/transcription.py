@@ -19,9 +19,9 @@ are unity and the scaling is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -249,13 +249,23 @@ class ExpandedSolution:
 
     States and impulses are in scaled transformed coordinates (length
     unit = semilatus rectum); x_minus/x_plus are the states just before
-    and after each node's burn.
+    and after each node's burn.  The condensed form has no state
+    variables, so its states come from the transition chain on first
+    read; a caller that needs only the impulses never pays for it.
     """
 
-    x_minus: np.ndarray
-    x_plus: np.ndarray
     dv: np.ndarray
     sigma: np.ndarray
+    jumps: np.ndarray
+    _states: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def x_minus(self) -> np.ndarray:
+        return self._states()
+
+    @cached_property
+    def x_plus(self) -> np.ndarray:
+        return self.x_minus + self.jumps
 
 
 def expand_solution(
@@ -273,16 +283,21 @@ def expand_solution(
     bmat = _actuation(d, vm["input_dim"])
     dv = sol.x[vm["dv"]]
     sigma = sol.x[vm["sigma"]]
-
     jumps = dv @ bmat.T
+
     if vm["form"] == "full":
-        x_minus = sol.x[:d * m].reshape(m, d).copy()
+        x_full = sol.x[:d * m].reshape(m, d).copy()
+
+        def states():
+            return x_full
     else:
-        x0t, _ = transform_boundaries(scenario, grid)
-        phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
-        x_minus = np.empty((m, d))
-        x_minus[0] = _reduce(x0t.vector, scenario.planar) / scenario.units.length
-        for j in range(m - 1):
-            x_minus[j + 1] = phis[j] @ (x_minus[j] + jumps[j])
-    x_plus = x_minus + jumps
-    return ExpandedSolution(x_minus=x_minus, x_plus=x_plus, dv=dv, sigma=sigma)
+        def states():
+            x0t, _ = transform_boundaries(scenario, grid)
+            phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
+            x_minus = np.empty((m, d))
+            x_minus[0] = _reduce(x0t.vector, scenario.planar) / scenario.units.length
+            for j in range(m - 1):
+                x_minus[j + 1] = phis[j] @ (x_minus[j] + jumps[j])
+            return x_minus
+
+    return ExpandedSolution(dv=dv, sigma=sigma, jumps=jumps, _states=states)

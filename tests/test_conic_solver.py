@@ -1,27 +1,30 @@
 import numpy as np
 import pytest
 
-from rdvopt import ConeSpec, ConicProblem, SolverSettings, builtin, residuals, solve
+from rdvopt import ConeSpec, ConicProblem, SolverSettings, builtin, residuals, solve, solve_batch
 from rdvopt import conic_solver
 from rdvopt.transcription import assemble_socp, build_grid
 
 
-def make_kkt_certified_problem(rng, n_free=None, ncones=None, strict=False):
+def make_kkt_certified_problem(rng, n_free=None, ncones=None, strict=False, dims=None, p=None):
     """Oracle: build a random SOCP from a primal-dual pair satisfying KKT.
 
     The pair (x*, y*, z*) is optimal by construction: b := A x* makes x*
     feasible, c := A'y* + z* makes (y*, z*) dual feasible, and each cone
     block is complementary (x interior with z = 0, x = 0 with z interior,
-    or a complementary boundary pair).
+    or a complementary boundary pair).  dims and p, when given, fix the
+    cone dimensions and the number of rows.
     """
     if n_free is None:
         n_free = int(rng.integers(0, 3))
-    if ncones is None:
-        ncones = int(rng.integers(1, 4))
-    dims = [int(rng.integers(2, 6)) for _ in range(ncones)]
+    if dims is None:
+        if ncones is None:
+            ncones = int(rng.integers(1, 4))
+        dims = [int(rng.integers(2, 6)) for _ in range(ncones)]
     n = n_free + sum(dims)
     # strict: pin x through the equalities so the argmin is unique
-    p = n if strict else int(rng.integers(1, n + 1))
+    if p is None:
+        p = n if strict else int(rng.integers(1, n + 1))
     x = np.zeros(n)
     z = np.zeros(n)
     x[:n_free] = rng.normal(size=n_free)
@@ -264,6 +267,102 @@ def _interior(rng, dims):
         u1 = rng.normal(size=d - 1)
         parts.append(np.concatenate([[np.linalg.norm(u1) + rng.uniform(0.1, 2.0)], u1]))
     return np.concatenate(parts)
+
+
+def _infeasible_like(rng, prob):
+    """A program of prob's shape whose equalities meet no cone point.
+
+    y with A'y = z, z in the interior of the cones and zero on the free
+    block, and b'y = -1 is a Farkas certificate: y'A x = z'x >= 0 for
+    every x in the cones, while y'b < 0.
+    """
+    p, n = prob.A.shape
+    y = rng.normal(size=p)
+    z = np.concatenate([np.zeros(prob.cones.n_free), _interior(rng, prob.cones.soc_dims)])
+    a = rng.normal(size=(p, n))
+    a += np.outer(y, z - a.T @ y) / (y @ y)
+    b = rng.normal(size=p)
+    b -= y * (b @ y + 1.0) / (y @ y)
+    return ConicProblem(c=rng.normal(size=n), A=a, b=b, cones=prob.cones)
+
+
+class TestSolveBatch:
+    @staticmethod
+    def _family(rng, count, n_free=0, dims=None):
+        """Random programs of one shape: cone dimensions and rows drawn once."""
+        if dims is None:
+            dims = [int(d) for d in rng.integers(2, 6, size=4)]
+        p = int(rng.integers(2, n_free + sum(dims)))
+        return [make_kkt_certified_problem(rng, n_free=n_free, dims=dims, p=p)[0]
+                for _ in range(count)]
+
+    @staticmethod
+    def _matches_solo(problems, settings=None):
+        batch = solve_batch(problems, settings)
+        assert len(batch) == len(problems)
+        for prob, got in zip(problems, batch):
+            want = solve(prob, settings)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
+            # each program's arithmetic does not depend on its batch
+            for field in ("x", "y", "z"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+        return batch
+
+    def test_members_report_what_they_report_alone(self, rng):
+        capped_statuses = set()
+        # the last family spreads three 3-cones apart, so that their blocks
+        # are gathered rather than sliced
+        for dims in (None, None, None, None, [3, 2, 3, 4, 3]):
+            family = self._family(rng, 8, dims=dims)
+            family.append(_infeasible_like(rng, family[0]))
+            # dependent rows: this member needs the sparse LU and runs alone
+            dep = family[1]
+            a = dep.A.copy()
+            a[-1] = a[0] + a[1]
+            family.append(ConicProblem(c=dep.c, A=a, b=a @ solve(dep).x, cones=dep.cones))
+            assert conic_solver._scaled_qr_path(family).tolist() == [True] * 9 + [False]
+            sols = self._matches_solo(family)
+            assert sols[-2].status == "primal_infeasible"
+            assert sols[-1].status == "optimal"
+
+            # a cap at the fewest iterations stops the others at max_iters
+            cap = min(s.iterations for s in sols[:-2])
+            capped = self._matches_solo(family, SolverSettings(max_iters=cap))
+            capped_statuses |= {s.status for s in capped[:-2]}
+        assert {"optimal", "max_iters"} <= capped_statuses
+
+    def test_a_breakdown_stops_only_its_program(self, rng, monkeypatch):
+        family = self._family(rng, 4)
+        want = [solve(prob) for prob in family]
+        built = []
+
+        class FirstPivotZeroOnce(conic_solver._ScaledQRKKT):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if not built:
+                    self.singular = self.singular.copy()
+                    self.singular[0] = True
+                built.append(1)
+
+        monkeypatch.setattr(conic_solver, "_ScaledQRKKT", FirstPivotZeroOnce)
+        got = solve_batch(family)
+        assert (got[0].status, got[0].iterations) == ("max_iters", 0)
+        for g, w in zip(got[1:], want[1:]):
+            assert (g.status, g.iterations) == (w.status, w.iterations)
+            assert np.array_equal(g.x, w.x)
+
+    def test_free_variables_run_one_at_a_time(self, rng):
+        self._matches_solo(self._family(rng, 3, n_free=2))
+
+    def test_mismatched_programs_raise(self, rng):
+        prob, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[3, 2], p=2)
+        more_rows, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[3, 2], p=3)
+        other_cones, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[2, 3], p=2)
+        for other in (more_rows, other_cones):
+            with pytest.raises(ValueError, match="batch"):
+                solve_batch([prob, other])
+        assert solve_batch([]) == []
 
 
 class TestNTScaling:

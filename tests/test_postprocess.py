@@ -294,6 +294,26 @@ class TestInnerNodeSearch:
         assert abs(r10.theta2 - r100.theta2) < 1e-5
         assert abs(r10.total_dv - r100.total_dv) < 1e-9
 
+    def test_scan_costs_are_the_plan_totals(self):
+        scen = builtin("atv")
+        res = inner_node_search(scen, resolution=100)
+        for k in (0, 49, 99):
+            grid = grid_from_nodes(scen, [scen.theta0, res.scan_nodes[k], scen.theta_f])
+            total = plan_rendezvous(scen, grid=grid).plan.total_dv
+            assert res.scan_costs[k] == pytest.approx(total, rel=1e-10, abs=0.0)
+
+    # theta2 and total of the golden-section refinement this search replaced
+    # (simbolx is left out: its cost curve is flat in theta2)
+    @pytest.mark.parametrize("name, theta2, total", [
+        ("atv", 59.90767063874531, 0.007743558134796338),
+        ("circle2circle", 6.605393960657892, 0.18543803681792353),
+    ])
+    def test_bracket_rounds_find_the_golden_section_optimum(self, name, theta2, total):
+        res = inner_node_search(builtin(name), resolution=100)
+        assert res.status == "optimal"
+        assert abs(res.theta2 - theta2) <= 1e-5
+        assert res.total_dv == pytest.approx(total, rel=1e-9, abs=0.0)
+
     def test_endpoint_only_optimum_leaves_inner_node_idle(self):
         # two-impulse case: the swept interior burn stays below 1e-5 m/s
         res = inner_node_search(builtin("simbolx"), resolution=30)

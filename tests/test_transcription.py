@@ -208,6 +208,14 @@ class TestExpandSolution:
         assert np.max(np.abs(out["full"].x_minus - out["condensed"].x_minus)) < 1e-6
         assert np.max(np.abs(out["full"].dv - out["condensed"].dv)) < 1e-6
 
+    def test_condensed_states_are_built_on_first_read(self, c2c):
+        grid = build_grid(c2c, 9)
+        prob = assemble_socp(c2c, grid)
+        exp = expand_solution(prob, solve(prob), c2c, grid)
+        assert "x_minus" not in vars(exp)
+        assert np.array_equal(exp.x_plus, exp.x_minus + exp.jumps)
+        assert exp.x_minus is exp.x_minus
+
     def test_rejects_failed_solutions(self, c2c):
         grid = build_grid(c2c, 5)
         prob = assemble_socp(c2c, grid)
