@@ -144,6 +144,8 @@ def _write_trajectory(path: str, plan: ImpulsePlan, scenario: Scenario, samples:
 
 
 def _cmd_solve(args) -> int:
+    if args.samples < 1:
+        return _err(f"--samples must be at least 1, got {args.samples}")
     scenario = _load_scenario_arg(args.scenario)
     result = plan_rendezvous(
         scenario,

@@ -81,16 +81,16 @@ class ImpulsePlan:
 
 
 def _physical_dv(dv_scaled: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
-    """Per-node physical impulse vectors, (m, 3) in scenario velocity units."""
+    """Per-node physical impulse vectors, (..., m, 3) in scenario velocity units."""
     orbit = scenario.orbit
     factors = orbit.k2 * grid.rho * scenario.units.length
-    dv = np.zeros((grid.m, 3))
+    dv = np.zeros(dv_scaled.shape[:-1] + (3,))
     if scenario.planar:
-        dv[:, 0] = dv_scaled[:, 0]
-        dv[:, 2] = dv_scaled[:, 1]
+        dv[..., 0] = dv_scaled[..., 0]
+        dv[..., 2] = dv_scaled[..., 1]
     else:
         dv[:] = dv_scaled
-    return dv * factors[:, None]
+    return dv * factors[..., None]
 
 
 def extract_impulses(
@@ -434,28 +434,31 @@ class InnerNodeResult:
     scan_costs: np.ndarray
 
 
-def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> float:
-    """Physical total of one solution's impulses, the total_dv of its plan."""
-    return float(np.linalg.norm(_physical_dv(dv, grid, scenario), axis=1).sum())
+def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
+    """Physical total of each solution's impulses, the total_dv of its plan."""
+    return np.linalg.norm(_physical_dv(dv, grid, scenario), axis=-1).sum(axis=-1)
 
 
-def _three_node_grid(scenario: Scenario, theta2: float) -> Grid:
-    return grid_from_nodes(scenario, [scenario.theta0, theta2, scenario.theta_f])
+def _three_node_grid(scenario: Scenario, theta2) -> Grid:
+    """The grid through one interior anomaly, or the family through an array of them."""
+    ends = np.broadcast_arrays(scenario.theta0, np.asarray(theta2, dtype=float), scenario.theta_f)
+    return grid_from_nodes(scenario, np.stack(ends, axis=-1))
 
 
 def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
                       settings: Optional[SolverSettings]) -> np.ndarray:
     """Plan cost of each interior anomaly, inf where the solve was not optimal.
 
-    The three-node programs share one shape and are solved as one batch;
-    the cost is read off each solution without building its plan.
+    The family of three-node grids is gridded, assembled, solved and costed
+    by one call each; the cost is read off each solution without building
+    its plan.
     """
-    grids = [_three_node_grid(scenario, th) for th in thetas]
-    problems = [assemble_socp(scenario, grid) for grid in grids]
-    costs = np.full(len(grids), math.inf)
-    for k, sol in enumerate(solve_batch(problems, settings)):
-        if sol.status == "optimal":
-            costs[k] = _total_dv(sol.x[problems[k].var_map["dv"]], grids[k], scenario)
+    grid = _three_node_grid(scenario, thetas)
+    problems = assemble_socp(scenario, grid)
+    sols = solve_batch(problems, settings)
+    costs = _total_dv(np.stack([sol.x for sol in sols])[:, problems[0].var_map["dv"]],
+                      grid, scenario)
+    costs[[sol.status != "optimal" for sol in sols]] = math.inf
     return costs
 
 

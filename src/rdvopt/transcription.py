@@ -105,7 +105,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Grid:
-    """Anomaly mesh with matching epoch-relative times and rho values."""
+    """Anomaly mesh with matching epoch-relative times and rho values.
+
+    nodes is (m,), or (..., m) for a family of same-size grids, one per row.
+    """
 
     nodes: np.ndarray
     times: np.ndarray
@@ -115,20 +118,20 @@ class Grid:
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        if self.nodes.size < 2:
+        if self.nodes.ndim == 0 or self.m < 2:
             raise ValueError("a grid needs at least two nodes")
-        if not np.all(np.diff(self.nodes) > 0.0):
+        if not np.all(np.diff(self.nodes, axis=-1) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         if np.any(self.rho <= 0.0):
             raise ValueError("rho must stay positive on the grid")
 
     @property
     def m(self) -> int:
-        return self.nodes.size
+        return self.nodes.shape[-1]
 
 
 def grid_from_nodes(scenario: Scenario, nodes) -> Grid:
-    """Grid over an explicit node list; endpoints must be the horizon."""
+    """Grid over an explicit (m,) or (..., m) node array; endpoints must be the horizon."""
     nodes = np.asarray(nodes, dtype=float)
     orbit = scenario.orbit
     return Grid(nodes=nodes, times=time_from_true(nodes, orbit), rho=rd.rho(nodes, orbit.e))
@@ -142,9 +145,15 @@ def build_grid(scenario: Scenario, m: int) -> Grid:
 
 
 def transform_boundaries(scenario: Scenario, grid: Optional[Grid] = None):
-    """Boundary states in transformed coordinates at the horizon anomalies."""
-    th0 = scenario.theta0 if grid is None else float(grid.nodes[0])
-    thf = scenario.theta_f if grid is None else float(grid.nodes[-1])
+    """Boundary states in transformed coordinates at the horizon anomalies.
+
+    The grids of a family must share them.
+    """
+    th0, thf = scenario.theta0, scenario.theta_f
+    if grid is not None:
+        th0, thf = float(grid.nodes.flat[0]), float(grid.nodes.flat[-1])
+        if grid.nodes.ndim > 1 and np.any(grid.nodes[..., [0, -1]] != (th0, thf)):
+            raise ValueError("the grids of a family must share their end anomalies")
     x0t = rd.to_transformed(scenario.x0, th0, scenario.orbit)
     xft = rd.to_transformed(scenario.xf, thf, scenario.orbit)
     return x0t, xft
@@ -173,10 +182,19 @@ def _node_weights(scenario: Scenario, grid: Grid) -> np.ndarray:
     return (orbit.k2 / orbit.n) * grid.rho
 
 
-def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> ConicProblem:
-    """Build the cone program for the scenario on the given grid."""
+def assemble_socp(scenario: Scenario, grid: Grid,
+                  form: str = "condensed") -> ConicProblem | list[ConicProblem]:
+    """Build the cone program for the scenario on the given grid.
+
+    A family of grids, nodes (..., m), gives the list of its condensed
+    programs, views of one stacked c (..., n), A (..., d, n) and b (..., d)
+    built by the same array calls as a single grid's.
+    """
     if form not in ("condensed", "full"):
         raise ValueError(f"form must be 'condensed' or 'full', got {form!r}")
+    family = grid.nodes.shape[:-1]
+    if family and form == "full":
+        raise ValueError("the full form takes a single grid, not a family of them")
     m = grid.m
     d = scenario.state_dim
     q = scenario.input_dim
@@ -187,19 +205,19 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     xv0 = _reduce(x0t.vector, scenario.planar) / lscale
     xvf = _reduce(xft.vector, scenario.planar) / lscale
     w = _node_weights(scenario, grid)
-    # Phi(thetaf, theta_j) for every node
-    phif = _stm(scenario, grid.nodes[-1], grid.nodes)
+    # Phi(thetaf, theta_j) for every node; a family shares thetaf
+    phif = _stm(scenario, grid.nodes.flat[-1], grid.nodes)
 
     if form == "condensed":
         n = m * cone
-        amat = np.zeros((d, n))
-        cvec = np.zeros(n)
+        amat = np.zeros(family + (d, n))
+        cvec = np.zeros(family + (n,))
         sigma_idx = np.arange(m) * cone
         dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
-        # amat[:, dv_idx] is (d, m, q), phif @ bmat is (m, d, q)
-        amat[:, dv_idx] = (phif @ bmat).transpose(1, 0, 2)
-        cvec[sigma_idx] = w
-        bvec = xvf - phif[0] @ xv0
+        # amat[..., dv_idx] is (..., d, m, q), phif @ bmat is (..., m, d, q)
+        amat[..., dv_idx] = (phif @ bmat).swapaxes(-3, -2)
+        cvec[..., sigma_idx] = w
+        bvec = xvf - phif[..., 0, :, :] @ xv0
         cones = ConeSpec(n_free=0, soc_dims=(cone,) * m)
     else:
         n_state = m * d
@@ -240,6 +258,10 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         "dv": dv_idx,
         "weights": w,
     }
+    if family:
+        stacks = cvec.reshape(-1, n), amat.reshape(-1, d, n), bvec.reshape(-1, d), w.reshape(-1, m)
+        return [ConicProblem(ck, ak, bk, cones, dict(var_map, weights=wk))
+                for ck, ak, bk, wk in zip(*stacks)]
     return ConicProblem(c=cvec, A=amat, b=bvec, cones=cones, var_map=var_map)
 
 

@@ -106,6 +106,16 @@ class TestSolveCommand:
         assert first[0] == 0.0
         assert abs(first[2] + 3.14159265358979) < 1e-10
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_sample_count_rejected_before_solving(self, tmp_path, samples):
+        traj = tmp_path / "traj.csv"
+        proc = run_cli("solve", "circle2circle", "--mesh", "17",
+                       "--trajectory", str(traj), "--samples", samples)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: --samples must be at least 1, got {samples}"]
+        assert not traj.exists()
+
     def test_trace_env_var(self, tmp_path, monkeypatch):
         env = dict(os.environ, RDVOPT_TRACE="1")
         proc = run_cli("solve", "circle2circle", "--mesh", "9", env=env)

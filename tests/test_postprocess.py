@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -26,8 +28,11 @@ from rdvopt import (
     to_transformed,
     verify_plan,
 )
-from rdvopt.postprocess import ImpulsePlan, TrajectorySample
+from rdvopt import postprocess, transcription
+from rdvopt.postprocess import ImpulsePlan, TrajectorySample, _three_node_costs
 from rdvopt.transcription import expand_solution
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -314,14 +319,52 @@ class TestInnerNodeSearch:
         assert abs(res.theta2 - theta2) <= 1e-5
         assert res.total_dv == pytest.approx(total, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_a_round_takes_the_same_kernel_calls_for_any_size(self, monkeypatch, planar):
+        # one grid, one assembly and one costing per round: the Kepler times
+        # and transition matrices of a whole family come from a fixed number
+        # of array calls, however many candidates it has
+        scen = replace(builtin("atv"), planar=planar)
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(transcription, "time_from_true")
+        for name in ("stm_in_plane", "stm_out_of_plane", "stm_full"):
+            counted(transcription.rd, name)
+        counts = []
+        for k in (4, 64):
+            calls.clear()
+            thetas = scen.theta0 + (scen.theta_f - scen.theta0) * np.arange(1, k + 1) / (k + 1)
+            assert np.all(np.isfinite(_three_node_costs(scen, thetas, None)))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["time_from_true"] == 1
+
+    def test_search_repeats_its_recorded_results(self, monkeypatch):
+        # theta2, total and scan costs recorded bit for bit with 16 bracket
+        # points before the candidates were built as one family; like the
+        # assembly pins they hold for one numpy and BLAS build
+        monkeypatch.setattr(postprocess, "_BRACKET_POINTS", 16)
+        pins = json.loads((DATA / "inner-node-search-pins.json").read_text())
+        for name, pin in pins.items():
+            res = inner_node_search(builtin(name), resolution=100)
+            assert res.theta2 == pin["theta2"], name
+            assert res.total_dv == pin["total_dv"], name
+            assert res.scan_costs.tolist() == pin["scan_costs"], name
+
     def test_endpoint_only_optimum_leaves_inner_node_idle(self):
         # two-impulse case: the swept interior burn stays below 1e-5 m/s
         res = inner_node_search(builtin("simbolx"), resolution=30)
         interior = res.plan.raw_magnitudes[1:-1]
         assert np.all(interior * 1e3 < 1e-5)
 
-
-DATA = Path(__file__).parent / "data"
 
 
 class TestFullFormPlans:

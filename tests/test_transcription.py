@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -298,3 +299,115 @@ class TestGridWideMatrices:
                 <= 1e-12 * scale
             assert not np.any(a_tel[:, full.var_map["sigma"]])
             assert np.max(np.abs(b_tel - cond.b)) <= 1e-12 * np.max(np.abs(cond.b))
+
+
+def _scenario(name):
+    scen = builtin(name.removesuffix("-3d"))
+    return replace(scen, planar=False) if name.endswith("-3d") else scen
+
+
+def _family_nodes(scen, inner):
+    """(K, m) nodes: the horizon ends around each row of interior anomalies."""
+    inner = np.atleast_2d(inner)
+    ends = np.ones((inner.shape[0], 1))
+    return np.hstack([scen.theta0 * ends, inner, scen.theta_f * ends])
+
+
+def _scan_and_random_families(scen):
+    """The inner-node scan's three-node family and a random five-node one."""
+    span = scen.theta_f - scen.theta0
+    scan = scen.theta0 + span * np.arange(1, 101) / 101
+    rng = np.random.default_rng(7)
+    inner = np.sort(rng.uniform(scen.theta0, scen.theta_f, (24, 3)), axis=-1)
+    return _family_nodes(scen, scan[:, None]), _family_nodes(scen, inner)
+
+
+class TestGridFamilies:
+    def test_stacked_grid_rows_equal_single_grids(self, atv):
+        for nodes in _scan_and_random_families(atv):
+            grid = grid_from_nodes(atv, nodes)
+            assert grid.m == nodes.shape[1]
+            for k, row in enumerate(nodes):
+                one = grid_from_nodes(atv, row)
+                assert np.array_equal(grid.nodes[k], one.nodes)
+                assert np.array_equal(grid.times[k], one.times)
+                assert np.array_equal(grid.rho[k], one.rho)
+
+    def test_non_increasing_row_rejected(self, atv):
+        nodes = _family_nodes(atv, [[10.0, 20.0], [30.0, 40.0], [40.0, 40.0]])
+        with pytest.raises(ValueError, match="increasing"):
+            grid_from_nodes(atv, nodes)
+
+    @pytest.mark.parametrize("name", ["atv", "simbolx", "circle2circle", "atv-3d", "simbolx-3d"])
+    def test_stacked_programs_equal_single_assemblies(self, name):
+        scen = _scenario(name)
+        for nodes in _scan_and_random_families(scen):
+            problems = assemble_socp(scen, grid_from_nodes(scen, nodes))
+            assert len(problems) == nodes.shape[0]
+            for prob, row in zip(problems, nodes):
+                one = assemble_socp(scen, grid_from_nodes(scen, row))
+                assert np.array_equal(prob.c, one.c)
+                assert np.array_equal(prob.A, one.A)
+                assert np.array_equal(prob.b, one.b)
+                assert prob.cones == one.cones
+                assert prob.var_map.keys() == one.var_map.keys()
+                for key, value in one.var_map.items():
+                    assert np.array_equal(prob.var_map[key], value), key
+
+    def test_full_form_rejects_a_family(self, atv):
+        grid = grid_from_nodes(atv, _family_nodes(atv, [[10.0], [20.0]]))
+        with pytest.raises(ValueError, match="single grid"):
+            assemble_socp(atv, grid, form="full")
+
+    def test_family_must_share_its_ends(self, atv):
+        nodes = _family_nodes(atv, [[10.0], [20.0]])
+        nodes[1, -1] -= 1.0
+        with pytest.raises(ValueError, match="end anomalies"):
+            assemble_socp(atv, grid_from_nodes(atv, nodes))
+
+
+# SHA-256 (first 32 hex digits) of c, A and b of single-grid programs as
+# assembled before grids had a family axis; numpy 2.4 on x86-64.  The pins
+# are bit-level, so another numpy or libm build may need them re-recorded.
+RECORDED_ASSEMBLIES = [
+    ("atv", "condensed", 9, "6842dc491296a92b95ce67688c09690c"),
+    ("atv", "condensed", 257, "b05ac305eb0d29c224a76f69bd5e1b16"),
+    ("atv", "condensed", 513, "47bdcfe0c9940e750bacbe104e592200"),
+    ("atv", "full", 33, "98e56e98bf40ebf77b8690a11b930b4d"),
+    ("atv", "full", 65, "a7bad3e7ee6bf30e3e7d43137f06bee0"),
+    ("atv-3d", "condensed", 9, "76d5ed6bf7526a93de1d8a50562ce8fd"),
+    ("atv-3d", "condensed", 257, "d4c30b03eac69cdef67be7478de876dd"),
+    ("atv-3d", "condensed", 513, "f851243e67b49c83af252ab40edc919b"),
+    ("atv-3d", "full", 33, "09a151216ad485b511225fa0038513ae"),
+    ("atv-3d", "full", 65, "a1f1fcc04ac625815542c2d12ceaaae9"),
+    ("circle2circle", "condensed", 9, "ea39e445abaa0c5c8700d6dab12ded50"),
+    ("circle2circle", "condensed", 257, "eab7eee9b57256fa0b18796ccc95f92e"),
+    ("circle2circle", "condensed", 513, "df39a1707cca0d037eda825d3121be44"),
+    ("circle2circle", "full", 33, "ccc10aeecec13175bcfdde4a157429d5"),
+    ("circle2circle", "full", 65, "317fe73eb7be8315ce2c1eecbf3c1be5"),
+    ("circle2circle-3d", "condensed", 9, "79c83810aa1a5afcb1c7931a45ab9433"),
+    ("circle2circle-3d", "condensed", 257, "ac77c3d2fd80e0d057545ad344ec31ac"),
+    ("circle2circle-3d", "condensed", 513, "a5dfe0cd4ca04ffcb69a898e7dca5ee8"),
+    ("circle2circle-3d", "full", 33, "9bf23070bfee642941c65eedf0d7ee7a"),
+    ("circle2circle-3d", "full", 65, "717c6f279bccd8f5f655f7692068ec38"),
+    ("simbolx", "condensed", 9, "ed5680225409bba8fea347092671ac5a"),
+    ("simbolx", "condensed", 257, "38cc86e6996d3cba7c27c70a76e48846"),
+    ("simbolx", "condensed", 513, "bf1985a2cc09604fc7e33c1b8ef73d7a"),
+    ("simbolx", "full", 33, "19e2fb62afaf124437caf2fdbf7a6c47"),
+    ("simbolx", "full", 65, "79ee4551deed7d3d996b23d7ec811a9f"),
+    ("simbolx-3d", "condensed", 9, "0c147dc4e2ae757696bb8f363c9f7e96"),
+    ("simbolx-3d", "condensed", 257, "547633a9099eff2dff3c9716f0d3a8fa"),
+    ("simbolx-3d", "condensed", 513, "60c1020a6f46c4b8cca4d9426f4fd27a"),
+    ("simbolx-3d", "full", 33, "6c417c4839b45bed82edb13b272a85fd"),
+    ("simbolx-3d", "full", 65, "bc5dd34ee97e1c418feb1d88e7216d52"),
+]
+
+
+@pytest.mark.parametrize("name, form, m, digest", RECORDED_ASSEMBLIES)
+def test_single_grid_assembly_is_unchanged(name, form, m, digest):
+    scen = _scenario(name)
+    prob = assemble_socp(scen, build_grid(scen, m), form=form)
+    h = hashlib.sha256()
+    for arr in (prob.c, prob.A, prob.b):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest()[:32] == digest
