@@ -33,11 +33,12 @@ from .transcription import (
 
 # Interior points of the bracket solved together in each refinement round;
 # each round shrinks the bracket to 2 / (_BRACKET_POINTS + 1) of its width.
-# A batch costs little more per added program, so fewer, wider rounds pay:
-# timed over the built-ins and nine drawn scenarios, searches with 12 or 16
-# points are fastest, 8 points take 10-15% longer (9.3 rounds against 6.5)
-# and 24 or 32 points 2-9% longer.
-_BRACKET_POINTS = 16
+# A round's family costs little more per added candidate, so fewer, wider
+# rounds pay: over the built-ins and nine drawn scenarios, paired timings
+# of whole searches give 32 points (5.0 rounds) 6-7% less time than 16
+# (6.5 rounds), 24 points the same as 16, and 12 or 8 points 4-6% and 16%
+# more (7.4 and 9.3 rounds).
+_BRACKET_POINTS = 32
 
 
 @dataclass(frozen=True)
