@@ -442,7 +442,7 @@ def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
 
 def _three_node_grid(scenario: Scenario, theta2) -> Grid:
     """The grid through one interior anomaly, or the family through an array of them."""
-    ends = np.broadcast_arrays(scenario.theta0, np.asarray(theta2, dtype=float), scenario.theta_f)
+    ends = np.broadcast_arrays(scenario.theta0, theta2, scenario.theta_f)
     return grid_from_nodes(scenario, np.stack(ends, axis=-1))
 
 
@@ -450,9 +450,8 @@ def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
                       settings: Optional[SolverSettings]) -> np.ndarray:
     """Plan cost of each interior anomaly, inf where the solve was not optimal.
 
-    The family of three-node grids is gridded, assembled, solved and costed
-    by one call each; the cost is read off each solution without building
-    its plan.
+    The three-node family is gridded, assembled, solved and costed by one
+    call each; the cost is read off each solution without building its plan.
     """
     grid = _three_node_grid(scenario, thetas)
     problems = assemble_socp(scenario, grid)

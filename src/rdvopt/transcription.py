@@ -105,10 +105,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Grid:
-    """Anomaly mesh with matching epoch-relative times and rho values.
-
-    nodes is (m,), or (..., m) for a family of same-size grids, one per row.
-    """
+    """Anomaly mesh with matching epoch-relative times and rho; nodes (..., m) is a family."""
 
     nodes: np.ndarray
     times: np.ndarray
@@ -145,10 +142,7 @@ def build_grid(scenario: Scenario, m: int) -> Grid:
 
 
 def transform_boundaries(scenario: Scenario, grid: Optional[Grid] = None):
-    """Boundary states in transformed coordinates at the horizon anomalies.
-
-    The grids of a family must share them.
-    """
+    """Boundary states in transformed coordinates at the horizon anomalies, shared by a family."""
     th0, thf = scenario.theta0, scenario.theta_f
     if grid is not None:
         th0, thf = float(grid.nodes.flat[0]), float(grid.nodes.flat[-1])
@@ -186,9 +180,8 @@ def assemble_socp(scenario: Scenario, grid: Grid,
                   form: str = "condensed") -> ConicProblem | list[ConicProblem]:
     """Build the cone program for the scenario on the given grid.
 
-    A family of grids, nodes (..., m), gives the list of its condensed
-    programs, views of one stacked c (..., n), A (..., d, n) and b (..., d)
-    built by the same array calls as a single grid's.
+    A family of grids gives the list of its condensed programs: views of one
+    stacked c (..., n), A (..., d, n) and b (..., d) built by the same calls.
     """
     if form not in ("condensed", "full"):
         raise ValueError(f"form must be 'condensed' or 'full', got {form!r}")

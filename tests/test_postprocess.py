@@ -347,6 +347,12 @@ class TestInnerNodeSearch:
         assert counts[0] == counts[1]
         assert counts[0]["time_from_true"] == 1
 
+    def test_candidates_without_an_optimal_solve_cost_inf(self):
+        scen = builtin("atv")
+        thetas = np.linspace(10.0, 50.0, 4)
+        capped = _three_node_costs(scen, thetas, SolverSettings(max_iters=2))
+        assert np.all(capped == math.inf)
+
     def test_search_repeats_its_recorded_results(self, monkeypatch):
         # theta2, total and scan costs recorded bit for bit with 16 bracket
         # points before the candidates were built as one family; like the
