@@ -372,7 +372,6 @@ class TestInnerNodeSearch:
         assert np.all(interior * 1e3 < 1e-5)
 
 
-
 class TestFullFormPlans:
     def test_raw_plan_closes_on_a_long_eccentric_draw(self):
         # e=0.63 over 5.2 revolutions, where |Phi(thetaf, theta_j)| reaches
