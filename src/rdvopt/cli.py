@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -146,6 +147,8 @@ def _write_trajectory(path: str, plan: ImpulsePlan, scenario: Scenario, samples:
 def _cmd_solve(args) -> int:
     if args.samples < 1:
         return _err(f"--samples must be at least 1, got {args.samples}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        return _err(f"--tol must be finite and nonnegative, got {args.tol}")
     scenario = _load_scenario_arg(args.scenario)
     result = plan_rendezvous(
         scenario,
@@ -173,6 +176,8 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError(f"bad --mesh-list {args.mesh_list!r}; expected e.g. 9,17,33")
     if not m_list:
         raise ScenarioError("--mesh-list is empty")
+    if min(m_list) < 2:
+        raise ScenarioError(f"--mesh-list sizes must be at least 2, got {min(m_list)}")
     rows = mesh_sweep(scenario, m_list, form=args.form)
     buf = io.StringIO()
     table = csv.writer(buf, lineterminator="\n")
@@ -229,6 +234,8 @@ def _document_impulses(doc: dict, source: str, scenario: Scenario) -> list[Impul
 
 
 def _cmd_validate(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        return _err(f"--tol must be finite and positive, got {args.tol}")
     scenario = _load_scenario_arg(args.scenario)
     try:
         doc = json.loads(Path(args.document).read_text())

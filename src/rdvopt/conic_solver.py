@@ -23,15 +23,15 @@ refinement against the unregularized system.
 Free variables sit natively in the KKT system; they are never split
 into cone differences.
 
-One iteration loop serves a whole family of programs that share A's
-shape and the cone structure.  Every iterate carries a leading program
-axis: the cone algebra works on (programs, cones, dim) blocks, the
+One iteration loop serves a whole family of programs: a ConicProblem
+whose c, A and b carry a leading program axis.  Every iterate carries
+that axis: the cone algebra works on (programs, cones, dim) blocks, the
 scaled QR factors the stacked W A' in one call, and each program keeps
 its own tau, kappa, mu, sigma, step lengths and stopping test.  A program
-that stops leaves the batch with the iterate it would have reached alone,
-so solve_batch returns what solving each program by itself returns.
-Programs that need the sparse LU run as batches of one; solve is the
-batch of one.
+that stops leaves the family with the iterate it would have reached
+alone, so solve_batch returns what solving each program by itself
+returns.  Programs that need the sparse LU run as families of one; solve
+runs its program as a family of one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -76,10 +76,12 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """Standard-form conic program data.
+    """Standard-form conic program data, for one program or a family.
 
-    var_map is free-form metadata for the builder (e.g. where each
-    impulse lives in x); the solver ignores it.
+    A family carries one leading program axis: c (K, n), A (K, p, n) and
+    b (K, p), all sharing the cone structure and var_map.  var_map is
+    free-form metadata for the builder (e.g. where each impulse lives in
+    x); the solver ignores it.
     """
 
     c: np.ndarray
@@ -89,19 +91,15 @@ class ConicProblem:
     var_map: Optional[dict] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(-1))
-        a = np.asarray(self.A, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("A must be a 2-D matrix")
-        object.__setattr__(self, "A", a)
-        if self.cones.dim != self.c.size or a.shape[1] != self.c.size:
-            raise ValueError(
-                f"dimension mismatch: cones dim {self.cones.dim}, "
-                f"len(c) {self.c.size}, A columns {a.shape[1]}"
-            )
-        if a.shape[0] != self.b.size:
-            raise ValueError(f"A has {a.shape[0]} rows but b has {self.b.size}")
+        c, a, b = (np.asarray(v, dtype=float) for v in (self.c, self.A, self.b))
+        if (a.ndim not in (2, 3) or c.shape != a.shape[:-2] + a.shape[-1:]
+                or b.shape != a.shape[:-1]):
+            raise ValueError(f"dimension mismatch: c {c.shape}, A {a.shape} and b {b.shape} are "
+                             "neither one program nor a family of K programs on one axis")
+        if self.cones.dim != a.shape[-1]:
+            raise ValueError(f"dimension mismatch: cones dim {self.cones.dim}, n {a.shape[-1]}")
+        for name, value in (("c", c), ("A", a), ("b", b)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -135,8 +133,14 @@ class ConicSolution:
     objective: float = math.nan
 
 
+def _single(problem: ConicProblem, caller: str):
+    if problem.A.ndim != 2:
+        raise ValueError(f"{caller} takes one program, not a family of {problem.A.shape[0]}")
+
+
 def residuals(problem: ConicProblem, x, y, z) -> Residuals:
     """Relative primal/dual residuals and duality gap of a candidate triple."""
+    _single(problem, "residuals")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -430,26 +434,17 @@ class _ScaledQRKKT:
 # -- main solver ------------------------------------------------------------
 
 
-def _scaled_qr_path(problems: Sequence[ConicProblem]) -> np.ndarray:
-    """Which programs take the scaled QR; checks that they form one batch.
+def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
+    """Whether the program, or each program of a family, takes the scaled QR.
 
     The KKT path follows the structure of the program: cone-only programs
     with independent equality rows use the scaled thin QR.  Free
     variables, or dependent rows (W A' is then rank deficient), need the
     regularized sparse LU.
     """
-    first = problems[0]
-    for problem in problems[1:]:
-        if problem.A.shape != first.A.shape or problem.cones != first.cones:
-            raise ValueError(
-                f"a batch shares A's shape and the cone structure: A {problem.A.shape} "
-                f"with {problem.cones} against A {first.A.shape} with {first.cones}"
-            )
-    p = first.b.size
-    if first.cones.n_free or not first.cones.n_cones:
-        return np.zeros(len(problems), dtype=bool)
-    a_mat = first.A[None] if len(problems) == 1 else np.stack([pr.A for pr in problems])
-    return np.linalg.matrix_rank(a_mat) == p
+    if problem.cones.n_free or not problem.cones.n_cones:
+        return np.zeros(problem.A.shape[:-2], dtype=bool)
+    return np.linalg.matrix_rank(problem.A) == problem.A.shape[-2]
 
 
 class _Active:
@@ -465,22 +460,20 @@ class _Active:
 
 
 def _solve_batch(
-    problems: Sequence[ConicProblem],
+    family: ConicProblem,
     settings: SolverSettings | None,
     trace: Optional[Callable[[dict], None]],
     scaled_qr: bool,
 ) -> list[ConicSolution]:
-    """The interior-point loop over a batch that shares one KKT path.
+    """The interior-point loop over a family that shares one KKT path.
 
-    trace, if given, receives the records of a batch of one.  The sparse
+    trace, if given, receives the records of a family of one.  The sparse
     LU path takes one program.
     """
     st = settings or SolverSettings()
-    first = problems[0]
-    nb = len(problems)
-    p, n = first.A.shape
-    layout = _ConeLayout(first.cones)
-    nu = first.cones.n_cones + 1
+    nb, p, n = family.A.shape
+    layout = _ConeLayout(family.cones)
+    nu = family.cones.n_cones + 1
     kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
     if not scaled_qr and nb != 1:
         raise ValueError("the sparse LU path solves one program at a time")
@@ -491,18 +484,15 @@ def _solve_batch(
 
     s = _Active()
     s.ids = np.arange(nb)
-    # a batch of one keeps its A as a view: the full form's A is large
-    s.a = first.A[None] if nb == 1 else np.stack([pr.A for pr in problems])
+    s.a, s.b, s.c = family.A, family.b, family.c
     s.at = np.swapaxes(s.a, 1, 2)
-    s.b = np.stack([pr.b for pr in problems])
-    s.c = np.stack([pr.c for pr in problems])
     s.norm_b = _norm(s.b)
     s.norm_c = _norm(s.c)
     if scaled_qr:
         s.a_blocks = {d: np.ascontiguousarray(s.a[:, :, idx].transpose(0, 2, 3, 1))
                       for d, idx in layout.index.items()}
     else:
-        pattern = _KKTPattern(layout, first.A)
+        pattern = _KKTPattern(layout, family.A[0])
     s.x = np.zeros((nb, n))
     s.z = np.zeros((nb, n))
     for idx in layout.index.values():
@@ -713,30 +703,31 @@ def solve(
     On status "optimal", (x, y, z) is the scaled primal-dual solution.
     On "primal_infeasible", (y, z) is a Farkas certificate normalized to
     b'y = 1; on "dual_infeasible", x is a ray normalized to c'x = -1.
+    A family raises ValueError; solve it with solve_batch.
     """
-    return _solve_batch([problem], settings, trace, bool(_scaled_qr_path([problem])[0]))[0]
+    _single(problem, "solve")
+    family = ConicProblem(problem.c[None], problem.A[None], problem.b[None], problem.cones)
+    return _solve_batch(family, settings, trace, bool(_scaled_qr_path(problem)))[0]
 
 
 def solve_batch(
-    problems: Sequence[ConicProblem],
+    problem: ConicProblem,
     settings: SolverSettings | None = None,
 ) -> list[ConicSolution]:
-    """Solve a family of programs that share A's shape and the cone structure.
+    """Solve each program of a family (c, A and b with a program axis).
 
     Returns, in order, what solve returns for each program alone, except
-    that solve_time is the batch's wall time until the program stopped.
+    that solve_time is the family's wall time until the program stopped.
     The programs that take the scaled QR advance together in one loop;
-    each one that needs the sparse LU runs by itself.  A mismatch of A's
-    shape or of the ConeSpec raises ValueError.
+    each one that needs the sparse LU runs by itself.
     """
-    problems = list(problems)
-    if not problems:
-        return []
-    qr = _scaled_qr_path(problems)
-    out: list[Optional[ConicSolution]] = [None] * len(problems)
-    for group in [np.flatnonzero(qr)] + [[k] for k in np.flatnonzero(~qr)]:
-        if len(group):
-            sols = _solve_batch([problems[k] for k in group], settings, None, bool(qr[group[0]]))
-            for k, sol in zip(group, sols):
-                out[k] = sol
+    if problem.A.ndim != 3:
+        raise ValueError("solve_batch takes a family: c, A and b with a program axis")
+    qr = _scaled_qr_path(problem)
+    out: list[Optional[ConicSolution]] = [None] * qr.size
+    ids = np.arange(qr.size)
+    for rows in ([ids[qr]] if qr.any() else []) + [slice(k, k + 1) for k in ids[~qr]]:
+        part = ConicProblem(problem.c[rows], problem.A[rows], problem.b[rows], problem.cones)
+        for k, sol in zip(ids[rows], _solve_batch(part, settings, None, bool(qr[rows][0]))):
+            out[k] = sol
     return out

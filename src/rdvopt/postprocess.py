@@ -349,10 +349,6 @@ class PlanResult:
     problem: ConicProblem
     times: StageTimes
 
-    @property
-    def assembly_time(self) -> float:
-        return self.times.assembly
-
 
 def plan_rendezvous(
     scenario: Scenario,
@@ -415,7 +411,7 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
             point["status"] = f"error: {exc}"
         else:
             sol = res.solution
-            point.update(solve_time=sol.solve_time, assembly_time=res.assembly_time,
+            point.update(solve_time=sol.solve_time, assembly_time=res.times.assembly,
                          iterations=sol.iterations, status=sol.status)
             if res.plan is not None:
                 point.update(total_dv=res.plan.total_dv, n_impulses=res.plan.n_impulses)
@@ -454,10 +450,9 @@ def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
     call each; the cost is read off each solution without building its plan.
     """
     grid = _three_node_grid(scenario, thetas)
-    problems = assemble_socp(scenario, grid)
-    sols = solve_batch(problems, settings)
-    costs = _total_dv(np.stack([sol.x for sol in sols])[:, problems[0].var_map["dv"]],
-                      grid, scenario)
+    problem = assemble_socp(scenario, grid)
+    sols = solve_batch(problem, settings)
+    costs = _total_dv(np.stack([sol.x for sol in sols])[:, problem.var_map["dv"]], grid, scenario)
     costs[[sol.status != "optimal" for sol in sols]] = math.inf
     return costs
 

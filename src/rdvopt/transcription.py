@@ -72,6 +72,9 @@ class Scenario:
             raise ValueError("thetaf must exceed the orbit's initial anomaly")
         if not (np.all(np.isfinite(self.x0.vector)) and np.all(np.isfinite(self.xf.vector))):
             raise ValueError("boundary states must be finite")
+        if not (np.isfinite(self.extraction_tol) and self.extraction_tol >= 0.0):
+            raise ValueError("extraction tolerance must be finite and nonnegative, "
+                             f"got {self.extraction_tol}")
 
     @property
     def theta0(self) -> float:
@@ -176,12 +179,11 @@ def _node_weights(scenario: Scenario, grid: Grid) -> np.ndarray:
     return (orbit.k2 / orbit.n) * grid.rho
 
 
-def assemble_socp(scenario: Scenario, grid: Grid,
-                  form: str = "condensed") -> ConicProblem | list[ConicProblem]:
+def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> ConicProblem:
     """Build the cone program for the scenario on the given grid.
 
-    A family of grids gives the list of its condensed programs: views of one
-    stacked c (..., n), A (..., d, n) and b (..., d) built by the same calls.
+    A (K, m) family of grids gives one condensed family of programs,
+    c (K, n), A (K, d, n) and b (K, d), built by the same calls.
     """
     if form not in ("condensed", "full"):
         raise ValueError(f"form must be 'condensed' or 'full', got {form!r}")
@@ -251,10 +253,6 @@ def assemble_socp(scenario: Scenario, grid: Grid,
         "dv": dv_idx,
         "weights": w,
     }
-    if family:
-        stacks = cvec.reshape(-1, n), amat.reshape(-1, d, n), bvec.reshape(-1, d), w.reshape(-1, m)
-        return [ConicProblem(ck, ak, bk, cones, dict(var_map, weights=wk))
-                for ck, ak, bk, wk in zip(*stacks)]
     return ConicProblem(c=cvec, A=amat, b=bvec, cones=cones, var_map=var_map)
 
 

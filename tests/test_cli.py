@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rdvopt
@@ -116,6 +117,23 @@ class TestSolveCommand:
         assert proc.stderr.splitlines() == [f"error: --samples must be at least 1, got {samples}"]
         assert not traj.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_extraction_tol_rejected_before_solving(self, tmp_path, tol):
+        out = tmp_path / "plan.json"
+        proc = run_cli("solve", "circle2circle", "--mesh", "17", "--tol", tol, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: --tol must be finite and nonnegative, got {float(tol)}"]
+        assert not out.exists()
+
+    def test_zero_extraction_tol_keeps_every_burning_node(self):
+        proc = run_cli("solve", "circle2circle", "--mesh", "17", "--tol", "0")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["extraction_tol"] == 0.0
+        assert doc["dropped_dv"] == 0.0
+
     def test_trace_env_var(self, tmp_path, monkeypatch):
         env = dict(os.environ, RDVOPT_TRACE="1")
         proc = run_cli("solve", "circle2circle", "--mesh", "9", env=env)
@@ -146,27 +164,48 @@ class TestSweepCommand:
         total_solve = json.loads(solve.stdout)["total_dv"]
         assert abs(total_sweep - total_solve) < 1e-12
 
-    def test_failed_mesh_marked_and_continues(self):
-        proc = run_cli("sweep", "circle2circle", "--mesh-list", "1,9")
-        assert proc.returncode == 2
-        lines = proc.stdout.strip().splitlines()
+    @staticmethod
+    def _sweep_with_failed_mesh(monkeypatch, capsys):
+        """A sweep over 9 and 17 nodes whose 9-node solve breaks down, run in process."""
+        real_plan = postprocess.plan_rendezvous
+
+        def plan(scenario, mesh_m=None, **kwargs):
+            if mesh_m == 9:
+                raise np.linalg.LinAlgError("KKT factorization failed, 3 retries")
+            return real_plan(scenario, mesh_m=mesh_m, **kwargs)
+
+        monkeypatch.setattr(postprocess, "plan_rendezvous", plan)
+        code = cli.main(["sweep", "circle2circle", "--mesh-list", "9,17"])
+        return code, capsys.readouterr().out
+
+    def test_failed_mesh_marked_and_continues(self, monkeypatch, capsys):
+        code, out = self._sweep_with_failed_mesh(monkeypatch, capsys)
+        assert code == 2
+        lines = out.strip().splitlines()
         assert len(lines) == 3
         assert "error" in lines[1]
         assert lines[2].endswith("optimal")
 
-    def test_error_message_with_comma_stays_one_field(self):
-        # the mesh-size error reads "mesh size must be at least 2, got 1"
-        proc = run_cli("sweep", "circle2circle", "--mesh-list", "1,9")
-        assert proc.returncode == 2
-        rows = list(csv.reader(io.StringIO(proc.stdout)))
+    def test_error_message_with_comma_stays_one_field(self, monkeypatch, capsys):
+        code, out = self._sweep_with_failed_mesh(monkeypatch, capsys)
+        assert code == 2
+        rows = list(csv.reader(io.StringIO(out)))
         assert all(len(r) == 5 for r in rows)
-        assert rows[1][0] == "1"
-        assert rows[1][4] == "error: mesh size must be at least 2, got 1"
+        assert rows[1][0] == "9"
+        assert rows[1][4] == "error: KKT factorization failed, 3 retries"
         assert rows[2][4] == "optimal"
 
     def test_bad_mesh_list_is_input_error(self):
         proc = run_cli("sweep", "circle2circle", "--mesh-list", "a,b")
         assert proc.returncode == 1
+
+    def test_mesh_size_below_two_is_input_error(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "circle2circle", "--mesh-list", "1,9", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: --mesh-list sizes must be at least 2, got 1"]
+        assert not out.exists()
 
 
 class TestInnerNodeCommand:
@@ -209,6 +248,14 @@ class TestValidateCommand:
         assert proc.returncode == 3
         report = json.loads(proc.stdout)
         assert report["ok"] is False
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_input_error(self, c2c_doc_path, tol):
+        proc = run_cli("validate", str(c2c_doc_path), "circle2circle", "--tol", tol)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: --tol must be finite and positive, got {float(tol)}"]
 
     def test_scenario_hash_mismatch_is_input_error(self, c2c_doc_path):
         proc = run_cli("validate", str(c2c_doc_path), "atv")

@@ -286,6 +286,16 @@ def _infeasible_like(rng, prob):
     return ConicProblem(c=rng.normal(size=n), A=a, b=b, cones=prob.cones)
 
 
+def _stack(programs):
+    """The family of same-shaped programs: their c, A and b along a program axis."""
+    c, a, b = (np.stack([getattr(pr, name) for pr in programs]) for name in "cAb")
+    return ConicProblem(c=c, A=a, b=b, cones=programs[0].cones)
+
+
+def _member(family, k):
+    return ConicProblem(c=family.c[k], A=family.A[k], b=family.b[k], cones=family.cones)
+
+
 class TestSolveBatch:
     @staticmethod
     def _family(rng, count, n_free=0, dims=None):
@@ -297,11 +307,11 @@ class TestSolveBatch:
                 for _ in range(count)]
 
     @staticmethod
-    def _matches_solo(problems, settings=None):
-        batch = solve_batch(problems, settings)
-        assert len(batch) == len(problems)
-        for prob, got in zip(problems, batch):
-            want = solve(prob, settings)
+    def _matches_solo(family, settings=None):
+        batch = solve_batch(family, settings)
+        assert len(batch) == family.A.shape[0]
+        for k, got in enumerate(batch):
+            want = solve(_member(family, k), settings)
             assert (got.status, got.iterations) == (want.status, want.iterations)
             assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=0.0)
             # each program's arithmetic does not depend on its batch
@@ -321,6 +331,7 @@ class TestSolveBatch:
             a = dep.A.copy()
             a[-1] = a[0] + a[1]
             family.append(ConicProblem(c=dep.c, A=a, b=a @ solve(dep).x, cones=dep.cones))
+            family = _stack(family)
             assert conic_solver._scaled_qr_path(family).tolist() == [True] * 9 + [False]
             sols = self._matches_solo(family)
             assert sols[-2].status == "primal_infeasible"
@@ -346,23 +357,41 @@ class TestSolveBatch:
                 built.append(1)
 
         monkeypatch.setattr(conic_solver, "_ScaledQRKKT", FirstPivotZeroOnce)
-        got = solve_batch(family)
+        got = solve_batch(_stack(family))
         assert (got[0].status, got[0].iterations) == ("max_iters", 0)
         for g, w in zip(got[1:], want[1:]):
             assert (g.status, g.iterations) == (w.status, w.iterations)
             assert np.array_equal(g.x, w.x)
 
     def test_free_variables_run_one_at_a_time(self, rng):
-        self._matches_solo(self._family(rng, 3, n_free=2))
+        self._matches_solo(_stack(self._family(rng, 3, n_free=2)))
 
     def test_mismatched_programs_raise(self, rng):
-        prob, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[3, 2], p=2)
-        more_rows, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[3, 2], p=3)
-        other_cones, *_ = make_kkt_certified_problem(rng, n_free=0, dims=[2, 3], p=2)
-        for other in (more_rows, other_cones):
-            with pytest.raises(ValueError, match="batch"):
-                solve_batch([prob, other])
-        assert solve_batch([]) == []
+        family = _stack(self._family(rng, 3))
+        c, a, b = family.c, family.A, family.b
+        for args in ((c[:2], a, b), (c, a[:2], b), (c, a, b[:2]), (c[0], a, b), (c, a, b[0]),
+                     (c, a[0], b)):
+            with pytest.raises(ValueError, match="neither one program nor a family"):
+                ConicProblem(*args, cones=family.cones)
+        with pytest.raises(ValueError, match="neither one program nor a family"):
+            ConicProblem(c[None], a[None], b[None], cones=family.cones)
+
+    def test_single_program_entry_points_reject_a_family(self, rng):
+        family = _stack(self._family(rng, 2))
+        member = _member(family, 0)
+        sol = solve(member)
+        with pytest.raises(ValueError, match="family"):
+            solve(family)
+        with pytest.raises(ValueError, match="family"):
+            residuals(family, sol.x, sol.y, sol.z)
+        with pytest.raises(ValueError, match="family"):
+            solve_batch(member)
+
+    def test_empty_family_solves_to_nothing(self, rng):
+        family = _stack(self._family(rng, 1))
+        empty = ConicProblem(family.c[:0], family.A[:0], family.b[:0], cones=family.cones)
+        assert empty.A.shape == (0,) + family.A.shape[1:]
+        assert solve_batch(empty) == []
 
 
 class TestNTScaling:

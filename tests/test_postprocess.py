@@ -244,7 +244,6 @@ class TestStageTimes:
         times = [getattr(res.times, f.name) for f in fields(StageTimes)]
         assert all(t > 0.0 for t in times)
         assert sum(times) <= wall
-        assert res.assembly_time == res.times.assembly
         assert res.times.solve >= res.solution.solve_time
 
     def test_stages_that_did_not_run_read_zero(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -147,6 +148,21 @@ class TestStrictValidation:
         del valid_doc["orbit"]["mu"]
         s = load_scenario(_write(tmp_path, valid_doc))
         assert s.orbit.mu == 398600.4418
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300])
+    def test_negative_extraction_tol_rejected(self, tmp_path, valid_doc, tol):
+        valid_doc["options"]["extraction_tol"] = tol
+        with pytest.raises(ScenarioError, match="extraction tolerance"):
+            load_scenario(_write(tmp_path, valid_doc))
+
+    def test_zero_extraction_tol_accepted(self, tmp_path, valid_doc):
+        valid_doc["options"]["extraction_tol"] = 0.0
+        assert load_scenario(_write(tmp_path, valid_doc)).extraction_tol == 0.0
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_scenario_rejects_bad_extraction_tol(self, tol):
+        with pytest.raises(ValueError, match="extraction tolerance"):
+            dataclasses.replace(builtin("atv"), extraction_tol=tol)
 
     @pytest.mark.parametrize("section, key, value", [
         ("boundary", "r0", {"value": [math.nan, 0.0, 0.0], "unit": "km"}),

@@ -342,17 +342,19 @@ class TestGridFamilies:
     def test_stacked_programs_equal_single_assemblies(self, name):
         scen = _scenario(name)
         for nodes in _scan_and_random_families(scen):
-            problems = assemble_socp(scen, grid_from_nodes(scen, nodes))
-            assert len(problems) == nodes.shape[0]
-            for prob, row in zip(problems, nodes):
+            family = assemble_socp(scen, grid_from_nodes(scen, nodes))
+            assert family.A.shape[0] == nodes.shape[0]
+            for k, row in enumerate(nodes):
                 one = assemble_socp(scen, grid_from_nodes(scen, row))
-                assert np.array_equal(prob.c, one.c)
-                assert np.array_equal(prob.A, one.A)
-                assert np.array_equal(prob.b, one.b)
-                assert prob.cones == one.cones
-                assert prob.var_map.keys() == one.var_map.keys()
+                assert np.array_equal(family.c[k], one.c)
+                assert np.array_equal(family.A[k], one.A)
+                assert np.array_equal(family.b[k], one.b)
+                assert family.cones == one.cones
+                assert family.var_map.keys() == one.var_map.keys()
                 for key, value in one.var_map.items():
-                    assert np.array_equal(prob.var_map[key], value), key
+                    got = family.var_map[key]
+                    # the node weights are per program, the rest is shared
+                    assert np.array_equal(got[k] if key == "weights" else got, value), key
 
     def test_full_form_rejects_a_family(self, atv):
         grid = grid_from_nodes(atv, _family_nodes(atv, [[10.0], [20.0]]))
