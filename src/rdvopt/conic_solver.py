@@ -11,21 +11,24 @@ where K is a product of one free block and second-order cones
 homogeneous self-dual embedding with Nesterov-Todd scaling and a
 Mehrotra-style predictor-corrector, so no feasible starting point is
 needed and infeasibility is detected through Farkas certificates.
-The KKT path follows the structure of the program.  Cone-only programs
-with independent equality rows solve each Newton system in NT-scaled
-variables through a thin QR of W A', at a cost linear in the number of
-cones and without forming W^2 or W^-2.  Programs with free variables or
-dependent rows use one sparse LU of the statically regularized
-quasi-definite KKT matrix, whose fill-reducing ordering comes from the
-program itself (a block-banded full form stays banded), with iterative
-refinement against the unregularized system.
-
-Free variables sit natively in the KKT system; they are never split
-into cone differences.
+The Newton step is computed in NT-scaled variables around
+lambda = W z = W^-1 x, with W applied in closed form from (wbar, eta)
+per cone: the KKT solve takes W r1 and returns W^-1 dx, the Mehrotra
+term and both step-length tests use the scaled steps, and dz comes from
+the linear dual equation.  Variables are ordered once per solve as the
+free block, then the cones grouped by dimension, component by component,
+so every cone block is a reshape view.  Cone-only programs with
+independent equality rows solve each Newton system through a thin QR of
+W A', at a cost linear in the number of cones.  Programs with free
+variables (never split into cone differences) or dependent rows use one
+sparse LU of the statically regularized quasi-definite KKT matrix, with
+its own fill-reducing ordering (a block-banded full form stays banded)
+and iterative refinement against the unregularized system; only it
+builds dense blocks, those of H = W^-2, converting at its boundary.
 
 One iteration loop serves a whole family of programs: a ConicProblem
 whose c, A and b carry a leading program axis.  Every iterate carries
-that axis: the cone algebra works on (programs, cones, dim) blocks, the
+that axis: the cone algebra works on (programs, dim, cones) blocks, the
 scaled QR factors the stacked W A' in one call, and each program keeps
 its own tau, kappa, mu, sigma, step lengths and stopping test.  A program
 that stops leaves the family with the iterate it would have reached
@@ -37,6 +40,7 @@ runs its program as a family of one.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -109,8 +113,13 @@ class SolverSettings:
     max_iters: int = 100
 
     def __post_init__(self):
-        if min(self.gap_tol, self.feas_tol) <= 0 or self.max_iters <= 0:
-            raise ValueError("all solver settings must be positive")
+        for name in ("gap_tol", "feas_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+        it = self.max_iters
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {it!r}")
 
 
 @dataclass(frozen=True)
@@ -159,51 +168,64 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 # -- batched second-order cone algebra -------------------------------------
 #
-# Cone blocks of equal dimension are processed together as (..., g, d)
-# arrays; the leading axes, if any, are programs.
+# The g cones of one dimension d are processed together as (..., d, g)
+# arrays, component by component; the leading axes, if any, are programs.
 
 
 class _ConeLayout:
-    """Where the cones of each dimension sit in the variable vector."""
+    """The solver's variable order, perm: the free block, then per dimension
+    the heads of its g cones, their first tail components, and so on.  A
+    group's blocks are one (d, g) view and the cone algebra runs over g
+    contiguous values.  slots maps each dimension to (start, g)."""
 
     def __init__(self, spec: ConeSpec):
-        starts = np.cumsum([spec.n_free] + list(spec.soc_dims[:-1])) if spec.soc_dims else []
-        self.index = {}
+        dims = np.array(spec.soc_dims, dtype=int)
+        starts = spec.n_free + np.cumsum([0, *spec.soc_dims])[:-1]
+        order = [np.arange(spec.n_free)]
+        self.slots = {}
+        lo = self.n_free = spec.n_free
         for d in sorted(set(spec.soc_dims)):
-            s = np.array([st for st, dd in zip(starts, spec.soc_dims) if dd == d])
-            self.index[d] = s[:, None] + np.arange(d)[None, :]
+            first = starts[dims == d]
+            order.append((np.arange(d)[:, None] + first).reshape(-1))
+            self.slots[d] = (lo, first.size)
+            lo += first.size * d
+        self.perm = np.concatenate(order)
+        self._spans = [(d, lo, lo + g * d, (d, g)) for d, (lo, g) in self.slots.items()]
 
-    def gather(self, x: np.ndarray) -> dict:
-        """(..., g, d) copies of the cone blocks of x.
+    def blocks(self, v: np.ndarray) -> dict:
+        """(..., d, g) views of the cone blocks of v, whose last axis is the variables."""
+        return {d: v[..., lo:hi].reshape(v.shape[:-1] + dg) for d, lo, hi, dg in self._spans}
 
-        np.take keeps each program's row contiguous, so that a reduction
-        over a program's cones adds in the same order in any batch.
-        """
-        return {d: np.take(x, idx.reshape(-1), axis=-1).reshape(x.shape[:-1] + idx.shape)
-                for d, idx in self.index.items()}
-
-    def scatter_into(self, x: np.ndarray, blocks: dict):
-        for d, idx in self.index.items():
-            x[..., idx.reshape(-1)] = blocks[d].reshape(x.shape[:-1] + (-1,))
+    def scale(self, wbar: dict, eta: dict, v: np.ndarray) -> np.ndarray:
+        """W v for the NT scaling W = eta Wbar(wbar) of each cone, the free block as is."""
+        lead = v.shape[:-1]
+        parts = [_nt_apply(wbar[d], eta[d], v[..., lo:hi].reshape(lead + dg)).reshape(lead + (-1,))
+                 for d, lo, hi, dg in self._spans]
+        return np.concatenate([v[..., :self.n_free]] + parts, axis=-1)
 
 
-def _jdet(u: np.ndarray) -> np.ndarray:
-    return u[..., 0] ** 2 - np.sum(u[..., 1:] ** 2, axis=-1)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner product of each program's row (the BLAS dot of a 1-D u @ v)."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _jdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_0 v_0 - u_1'v_1 of each cone (det(u) for v = u)."""
+    return u[..., 0, :] * v[..., 0, :] - np.add.reduce(u[..., 1:, :] * v[..., 1:, :], axis=-2)
 
 
 def _jprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[..., 0] = np.sum(a * b, axis=-1)
-    out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
+    out[..., 0, :] = np.add.reduce(a * b, axis=-2)
+    out[..., 1:, :] = a[..., :1, :] * b[..., 1:, :] + b[..., :1, :] * a[..., 1:, :]
     return out
 
 
-def _jsolve(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve lam o w = d for w (inverse of the arrow operator of lam)."""
-    det = _jdet(lam)
+def _jsolve(lam: np.ndarray, det: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve lam o w = d for w (inverse of the arrow operator of lam), det = det(lam)."""
     out = np.empty_like(d)
-    out[..., 0] = (lam[..., 0] * d[..., 0] - np.sum(lam[..., 1:] * d[..., 1:], axis=-1)) / det
-    out[..., 1:] = (d[..., 1:] - out[..., :1] * lam[..., 1:]) / lam[..., :1]
+    out[..., 0, :] = _jdot(lam, d) / det
+    out[..., 1:, :] = (d[..., 1:, :] - out[..., :1, :] * lam[..., 1:, :]) / lam[..., :1, :]
     return out
 
 
@@ -212,102 +234,87 @@ def _bmv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(m, v[..., None])[..., 0]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inner product of each program's row (the BLAS dot of a 1-D u @ v)."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each program's row, as np.linalg.norm of one row."""
     return np.sqrt(_dot(v, v))
 
 
-def _wbar_blocks(wbar: np.ndarray) -> np.ndarray:
-    """Dense (..., d, d) blocks of the unit-determinant NT scaling for wbar."""
-    w0 = wbar[..., 0]
-    w1 = wbar[..., 1:]
-    d = wbar.shape[-1]
-    out = np.empty(wbar.shape + (d,))
-    out[..., 0, 0] = w0
-    out[..., 0, 1:] = w1
-    out[..., 1:, 0] = w1
-    out[..., 1:, 1:] = w1[..., :, None] * (w1 / (1.0 + w0)[..., None])[..., None, :]
-    di = np.arange(1, d)
-    out[..., di, di] += 1.0
+def _nt_scaling(u: np.ndarray, v: np.ndarray, det_u: np.ndarray, det_v: np.ndarray):
+    """Nesterov-Todd scaling (wbar, eta) of interior primal/dual cones:
+    W = eta Wbar(wbar) maps v, and W^-1 = Wbar(wbar_0, -wbar_1) / eta maps
+    u, to the same point lambda."""
+    ubar = u / np.sqrt(det_u)[..., None, :]
+    vbar = v / np.sqrt(det_v)[..., None, :]
+    gamma = np.sqrt(0.5 * (1.0 + np.add.reduce(ubar * vbar, axis=-2)))
+    wbar = ubar
+    wbar[..., 0, :] += vbar[..., 0, :]
+    wbar[..., 1:, :] -= vbar[..., 1:, :]
+    wbar /= (2.0 * gamma)[..., None, :]
+    return wbar, (det_u / det_v) ** 0.25
+
+
+def _nt_apply(wbar: np.ndarray, eta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """eta Wbar(wbar) v for (..., d, g) cones v, wbar and eta broadcasting
+    against v: Wbar(w) v = (w'v, v_1 + (v_0 + w_1'v_1 / (1 + w_0)) w_1)."""
+    w0, w1 = wbar[..., 0, :], wbar[..., 1:, :]
+    s = np.add.reduce(w1 * v[..., 1:, :], axis=-2)
+    out = np.empty_like(v)
+    out[..., 0, :] = w0 * v[..., 0, :] + s
+    out[..., 1:, :] = v[..., 1:, :] + (v[..., 0, :] + s / (1.0 + w0))[..., None, :] * w1
+    out *= eta[..., None, :]
     return out
 
 
-def _nt_scaling(u: np.ndarray, v: np.ndarray):
-    """Nesterov-Todd scaling of interior primal/dual cone blocks.
-
-    Returns (W, W^-1) as (..., d, d) blocks with W v = W^-1 u = lambda.
-    W = eta * Wbar(wbar), and Wbar^-1 is Wbar of the reflected point
-    (wbar_0, -wbar_1).
-    """
-    du = _jdet(u)
-    dv = _jdet(v)
-    ubar = u / np.sqrt(du)[..., None]
-    vbar = v / np.sqrt(dv)[..., None]
-    gamma = np.sqrt(0.5 * (1.0 + np.sum(ubar * vbar, axis=-1)))
-    wbar = ubar.copy()
-    wbar[..., 0] += vbar[..., 0]
-    wbar[..., 1:] -= vbar[..., 1:]
-    wbar /= (2.0 * gamma)[..., None]
-    eta = ((du / dv) ** 0.25)[..., None, None]
-    w = eta * _wbar_blocks(wbar)
-    wbar[..., 1:] *= -1.0
-    return w, _wbar_blocks(wbar) / eta
-
-
-def _max_step(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Largest alpha with u + alpha*du in every cone, for interior u (may be inf).
 
-    Takes (..., g, d) blocks and returns one step per leading index.  The
-    boundary crossing is the smallest positive root of the quadratic
-    det(u + alpha*du) = 0; det(u) > 0 guarantees no root at zero.
+    Takes (programs, ..., d, g) blocks, with u and det_u = det(u)
+    broadcasting against du; returns one step per program, the smallest
+    positive root of det(u + alpha*du) = 0 (det(u) > 0: no root at zero).
     """
-    a = _jdet(du)
-    bq = 2.0 * (u[..., 0] * du[..., 0] - np.sum(u[..., 1:] * du[..., 1:], axis=-1))
-    cq = _jdet(u)
-    out = np.full(a.shape, np.inf)
+    a = _jdot(du, du)
+    bq = 2.0 * _jdot(u, du)
     lin = np.abs(a) < 1e-300
-    m = lin & (bq < 0.0)
-    out[m] = -cq[m] / bq[m]
-    disc = bq * bq - 4.0 * a * cq
+    disc = bq * bq - 4.0 * a * det_u
     real = ~lin & (disc >= 0.0)
-    sq = np.sqrt(np.where(disc >= 0.0, disc, 0.0))
-    t = np.where(bq != 0.0, -0.5 * (bq + np.copysign(sq, bq)), 0.5 * sq)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t = -0.5 * (bq + np.copysign(sq, bq))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(real & (a != 0.0), t / a, np.inf)
-        r2 = np.where(real & (t != 0.0), cq / t, np.inf)
-    r1 = np.where(r1 > 0.0, r1, np.inf)
-    r2 = np.where(r2 > 0.0, r2, np.inf)
-    out = np.minimum(out, np.minimum(r1, r2))
-    return out.min(axis=-1, initial=np.inf)
+        # the root of the linear case, then the two roots of the quadratic
+        r0, r1, r2 = -det_u / bq, t / a, det_u / t
+    out = np.minimum(np.where(lin & (bq < 0.0), r0, np.inf),
+                     np.minimum(np.where(real & (r1 > 0.0), r1, np.inf),
+                                np.where(real & (r2 > 0.0), r2, np.inf)))
+    return np.minimum.reduce(out.reshape(out.shape[0], -1), axis=1)
 
 
 # -- KKT systems -------------------------------------------------------------
+#
+# With W the NT scaling (the identity on the free block), H = W^-2 and
+# dxs = W^-1 dx, the system -H dx + A'dy = r1, A dx = r2 reads -dxs + G'dy
+# = W r1, G dxs = r2 with G' = W A'.  solve takes stacked W r1 (programs,
+# k, n) and r2 (programs, k, p), returns (dxs, dy) stacked alike, and dx of
+# the first column, the step that moves x: the sparse LU solves for dx
+# itself, which W dxs would round to W's condition number.
 
 
 class _KKTPattern:
-    """CSC sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve.
+    """CSC sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve:
+    A, A', the cone blocks of H and the whole diagonal (the regularization's
+    slots).  slot maps each entry, in that order, to its place in the CSC
+    data, so that an iteration only computes the values."""
 
-    Its entries are A, A', the cone blocks of H and the whole diagonal (the
-    regularization's slots; H is zero on the free variables).  slot maps
-    each entry, in that order, to its place in the CSC data, so that an
-    iteration only computes the values.
-    """
-
-    def __init__(self, layout: "_ConeLayout", a: np.ndarray):
+    def __init__(self, layout: _ConeLayout, a: np.ndarray):
         a_coo = sparse.coo_matrix(a)
         p, n = a.shape
         size = n + p
         rows = [a_coo.row + n, a_coo.col]
         cols = [a_coo.col, a_coo.row + n]
-        for d, idx in layout.index.items():
-            shape = (idx.shape[0], d, d)
-            rows.append(np.broadcast_to(idx[:, :, None], shape).reshape(-1))
-            cols.append(np.broadcast_to(idx[:, None, :], shape).reshape(-1))
+        for d, (lo, g) in layout.slots.items():
+            # variable of component i of cone k, blocks in (g, d, d) order
+            idx = lo + np.arange(d) * g + np.arange(g)[:, None]
+            rows.append(np.broadcast_to(idx[:, :, None], (g, d, d)).reshape(-1))
+            cols.append(np.broadcast_to(idx[:, None, :], (g, d, d)).reshape(-1))
         rows.append(np.arange(size))
         cols.append(np.arange(size))
         keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
@@ -317,8 +324,7 @@ class _KKTPattern:
         self.diag_slot = self.slot[-size:]
         self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
         self.a_vals = np.concatenate([a_coo.data, a_coo.data])
-        self.dims = tuple(layout.index)
-        self.size = size
+        self.layout, self.size = layout, size
 
     def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
         return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
@@ -327,23 +333,31 @@ class _KKTPattern:
 class _SparseKKT:
     """Sparse LU of the regularized quasi-definite KKT matrix, with refinement.
 
-    Serves every program the scaled QR does not: free variables in the
-    KKT system (the full formulation) or dependent equality rows.
-    K = [[-H, A'], [A, 0]] is assembled from the cone blocks of
-    H = W^-1 W^-1 and the sparse A, and factored by SuperLU with its
-    column ordering and partial pivoting, so a banded program stays
-    banded and a dense one simply fills in.  The static regularization is
-    strengthened on an exactly singular pivot; iterative refinement runs
-    against the unregularized K.  It factors one program; its blocks and
-    right-hand sides may carry a program axis of length one.
+    Serves the programs the scaled QR does not: free variables (the full
+    formulation) or dependent equality rows.  K = [[-H, A'], [A, 0]] holds
+    the sparse A and dense cone blocks H = W^-2 = (2 w w' - J) / eta^2,
+    w = J wbar, J = diag(1, -1, ..., -1); SuperLU's column ordering keeps a
+    banded program banded.  The static regularization is strengthened on an
+    exactly singular pivot; refinement runs against the unregularized K.
+    solve maps W r1 and dx through W^-1.  It factors one program.
     """
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
-    def __init__(self, winv: dict, pattern: _KKTPattern):
-        vals = [pattern.a_vals]
-        vals += [-np.matmul(winv[d], winv[d]).reshape(-1) for d in pattern.dims]
+    def __init__(self, wbar: dict, eta: dict, pattern: _KKTPattern):
+        self.layout = pattern.layout
+        # W^-1, with an axis for the columns of a stacked right-hand side
+        self.wbar_inv, self.eta_inv, vals = {}, {}, [pattern.a_vals]
+        for d, w in wbar.items():
+            w = -w[:, None]
+            w[..., 0, :] *= -1.0
+            self.wbar_inv[d], self.eta_inv[d] = w, 1.0 / eta[d][:, None]
+            w = w[0, 0].T
+            h = 2.0 * w[:, :, None] * w[:, None, :]
+            h[:, 0, 0] -= 1.0
+            h.reshape(-1, d * d)[:, d + 1::d + 1] += 1.0
+            vals.append(-(h * self.eta_inv[d][0, 0, :, None, None] ** 2).reshape(-1))
         vals.append(np.zeros(pattern.size))
         data = np.bincount(pattern.slot, weights=np.concatenate(vals))
         self.k = pattern.matrix(data)
@@ -361,87 +375,69 @@ class _SparseKKT:
         self.reg_retries = attempt
         self.refine_rounds = 0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        shape = rhs.shape
-        rhs = rhs.reshape(-1)
+    def solve(self, wr1: np.ndarray, r2: np.ndarray):
+        n = wr1.shape[-1]
+        rhs = np.concatenate([self.layout.scale(self.wbar_inv, self.eta_inv, wr1), r2], -1)[0].T
         sol = self._lu.solve(rhs)
-        scale = 1.0 + float(np.max(np.abs(rhs)))
-        best = math.inf
+        # each column refines until it converges or stops improving
+        scale = 1.0 + np.max(np.abs(rhs), axis=0)
+        best = np.full(rhs.shape[1], math.inf)
+        live = np.ones(rhs.shape[1], dtype=bool)
         rounds = 0
         for _ in range(_REFINEMENT_ROUNDS):
             resid = rhs - self.k @ sol
-            rnorm = float(np.max(np.abs(resid)))
-            if rnorm <= 1e-14 * scale or rnorm >= best:
+            rnorm = np.max(np.abs(resid), axis=0)
+            live &= (rnorm > 1e-14 * scale) & (rnorm < best)
+            if not live.any():
                 break
-            best = rnorm
-            sol = sol + self._lu.solve(resid)
+            best = np.where(live, rnorm, best)
+            sol[:, live] += self._lu.solve(resid[:, live])
             rounds += 1
         self.refine_rounds = max(self.refine_rounds, rounds)
-        return sol.reshape(shape)
+        dx, dy = sol[:n].T[None], sol[n:].T[None]
+        return self.layout.scale(self.wbar_inv, self.eta_inv, dx), dy, dx[:, 0]
 
 
 class _ScaledQRKKT:
     """KKT solver for cone-only programs with independent equality rows.
 
-    Works in Nesterov-Todd scaled variables: with W the block-diagonal NT
-    scaling (H = W^-2) and dx = W dxs, the system -H dx + A'dy = r1,
-    A dx = r2 becomes -dxs + G'dy = W r1, G dxs = r2 with G' = W A'.  A
-    thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
-    dxs = Q u - W r1.  Neither W^2 nor W^-2 is formed, so the step keeps
-    the accuracy of the scaled problem as the iterates approach the cone
-    boundary, and each factorization costs O(n p^2).  Leading axes of the
-    blocks are programs: one stacked QR factors them all, and singular
-    flags each program whose R has an exactly zero pivot.
+    A thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
+    dxs = Q u - W r1, computed on rows.  Neither W^2 nor W^-2 is formed,
+    so the step keeps the accuracy of the scaled problem near the cone
+    boundary, and a factorization costs O(n p^2).  One stacked QR factors
+    all programs; singular flags each whose R has an exactly zero pivot.
     """
 
     reg_retries = 0
     refine_rounds = 0
 
-    def __init__(self, w: dict, layout: "_ConeLayout", a_blocks: dict, p: int):
-        self.w = w
-        self.layout = layout
-        self.n = n = sum(idx.size for idx in layout.index.values())
-        batch = next(iter(w.values())).shape[:-3]
-        gt = np.empty(batch + (n, p))
-        for d, idx in layout.index.items():
-            gt[..., idx.reshape(-1), :] = np.matmul(w[d], a_blocks[d]).reshape(batch + (-1, p))
-        self.q, self.r = np.linalg.qr(gt)
-        self.qt = np.swapaxes(self.q, -1, -2)
-        self.singular = np.any(np.diagonal(self.r, axis1=-2, axis2=-1) == 0.0, axis=-1)
-        # R' with rows and columns reversed is upper triangular again, so
-        # both triangular solves are back substitutions without pivoting
-        self._rt = np.ascontiguousarray(np.swapaxes(self.r, -1, -2)[..., ::-1, ::-1])
+    def __init__(self, wbar: dict, eta: dict, a: np.ndarray, layout: _ConeLayout):
+        self.wbar, self.eta, self.layout = wbar, eta, layout
+        # the rows of G = A W are W times the rows of A
+        g = layout.scale({d: w[:, None] for d, w in wbar.items()},
+                         {d: e[:, None] for d, e in eta.items()}, a)
+        self.q, r = np.linalg.qr(g.transpose(0, 2, 1))
+        self.qt = self.q.transpose(0, 2, 1)
+        self.singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)
+        if not self.singular.any():
+            # R^-1 (back substitution, R being triangular) once per
+            # factorization: each triangular solve is one batched product
+            self.rinv = np.linalg.inv(r)
+            self.rinvt = self.rinv.transpose(0, 2, 1)
 
-    def _triangular(self, rhs: np.ndarray, trans: bool) -> np.ndarray:
-        if trans:
-            return np.linalg.solve(self._rt, rhs[..., ::-1, None])[..., ::-1, 0]
-        return np.linalg.solve(self.r, rhs[..., None])[..., 0]
-
-    def _w_apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        blocks = self.layout.gather(v)
-        self.layout.scatter_into(out, {d: _bmv(self.w[d], blocks[d]) for d in blocks})
-        return out
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self.n
-        wr1 = self._w_apply(rhs[..., :n])
-        u = self._triangular(rhs[..., n:], trans=True) + _bmv(self.qt, wr1)
-        dy = self._triangular(u, trans=False)
-        return np.concatenate([self._w_apply(_bmv(self.q, u) - wr1), dy], axis=-1)
+    def solve(self, wr1: np.ndarray, r2: np.ndarray):
+        u = r2 @ self.rinv + wr1 @ self.q
+        dxs = u @ self.qt - wr1
+        return dxs, u @ self.rinvt, self.layout.scale(self.wbar, self.eta, dxs[:, 0])
 
 
 # -- main solver ------------------------------------------------------------
 
 
 def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
-    """Whether the program, or each program of a family, takes the scaled QR.
-
-    The KKT path follows the structure of the program: cone-only programs
-    with independent equality rows use the scaled thin QR.  Free
-    variables, or dependent rows (W A' is then rank deficient), need the
-    regularized sparse LU.
-    """
+    """Whether the program, or each program of a family, takes the scaled QR:
+    cone-only programs with independent equality rows do; free variables,
+    or dependent rows (W A' is then rank deficient), need the sparse LU."""
     if problem.cones.n_free or not problem.cones.n_cones:
         return np.zeros(problem.A.shape[:-2], dtype=bool)
     return np.linalg.matrix_rank(problem.A) == problem.A.shape[-2]
@@ -452,11 +448,8 @@ class _Active:
 
     def take(self, keep: np.ndarray):
         for name, value in vars(self).items():
-            if isinstance(value, dict):
-                value = {d: block[keep] for d, block in value.items()}
-            else:
-                value = value[keep]
-            setattr(self, name, value)
+            setattr(self, name, {d: block[keep] for d, block in value.items()}
+                    if isinstance(value, dict) else value[keep])
 
 
 def _solve_batch(
@@ -473,6 +466,7 @@ def _solve_batch(
     st = settings or SolverSettings()
     nb, p, n = family.A.shape
     layout = _ConeLayout(family.cones)
+    nf, unperm = layout.n_free, np.argsort(layout.perm)
     nu = family.cones.n_cones + 1
     kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
     if not scaled_qr and nb != 1:
@@ -484,20 +478,19 @@ def _solve_batch(
 
     s = _Active()
     s.ids = np.arange(nb)
-    s.a, s.b, s.c = family.A, family.b, family.c
+    # the solver's variable order, undone in finish; np.take keeps each
+    # program's row contiguous, so its products add alike in any batch
+    s.a, s.b, s.c = (np.take(family.A, layout.perm, axis=-1), family.b,
+                     np.take(family.c, layout.perm, axis=-1))
     s.at = np.swapaxes(s.a, 1, 2)
     s.norm_b = _norm(s.b)
     s.norm_c = _norm(s.c)
-    if scaled_qr:
-        s.a_blocks = {d: np.ascontiguousarray(s.a[:, :, idx].transpose(0, 2, 3, 1))
-                      for d, idx in layout.index.items()}
-    else:
-        pattern = _KKTPattern(layout, family.A[0])
+    if not scaled_qr:
+        pattern = _KKTPattern(layout, s.a[0])
     s.x = np.zeros((nb, n))
     s.z = np.zeros((nb, n))
-    for idx in layout.index.values():
-        s.x[:, idx[:, 0]] = 1.0
-        s.z[:, idx[:, 0]] = 1.0
+    for xb, zb in zip(layout.blocks(s.x).values(), layout.blocks(s.z).values()):
+        xb[..., 0, :] = zb[..., 0, :] = 1.0
     s.y = np.zeros((nb, p))
     s.tau = np.ones(nb)
     s.kappa = np.ones(nb)
@@ -509,10 +502,10 @@ def _solve_batch(
         """Record the solutions of the stopped programs (a mask over the active ones)."""
         for k in np.flatnonzero(stopped):
             sk = s.tau[k] if scale is None else scale[k]
-            x = s.x[k] / sk
             res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
             out[s.ids[k]] = ConicSolution(
-                x=x, y=s.y[k] / sk, z=s.z[k] / sk, status=status, gap=float(s.gap[k]),
+                x=s.x[k, unperm] / sk, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
+                gap=float(s.gap[k]),
                 residuals=res, iterations=it,
                 solve_time=time.perf_counter() - t_start,
                 objective=float(s.c[k] @ s.x[k] / sk),
@@ -528,9 +521,9 @@ def _solve_batch(
         """The KKT factorization of the active programs, and which broke down."""
         try:
             if scaled_qr:
-                kkt = _ScaledQRKKT(s.w, layout, s.a_blocks, p)
+                kkt = _ScaledQRKKT(s.wbar, s.eta, s.a, layout)
             else:
-                kkt = _SparseKKT(s.winv, pattern)
+                kkt = _SparseKKT(s.wbar, s.eta, pattern)
         except np.linalg.LinAlgError:
             # factorization breakdown with finite iterates: let the caller
             # see the best effort rather than a hard failure
@@ -545,12 +538,7 @@ def _solve_batch(
         s.r_p = ax - s.b * s.tau[:, None]
         s.r_d = -aty - s.z + s.c * s.tau[:, None]
         s.r_g = by - cx - s.kappa
-
-        s.uu = layout.gather(s.x)
-        s.vv = layout.gather(s.z)
-        # primal and dual blocks side by side, for the cone tests of both
-        s.uv = {d: np.concatenate([s.uu[d], s.vv[d]], axis=-2) for d in s.uu}
-        s.comp = sum(np.sum(s.uu[d] * s.vv[d], axis=(1, 2)) for d in s.uu) + s.tau * s.kappa
+        s.comp = _dot(s.x[:, nf:], s.z[:, nf:]) + s.tau * s.kappa
         s.mu = s.comp / nu
 
         # residuals of the scaled point (x, y, z) / tau
@@ -585,9 +573,11 @@ def _solve_batch(
 
         # iterate pinned to the cone boundary at rounding level: no
         # further centering is possible, return best effort
+        xb, zb = layout.blocks(s.x), layout.blocks(s.z)
+        s.det_x, s.det_z = ({d: _jdot(b[d], b[d]) for d in b} for b in (xb, zb))
         pinned = np.zeros(s.ids.size, dtype=bool)
-        for d in s.uv:
-            pinned |= np.any(_jdet(s.uv[d]) <= 0.0, axis=-1)
+        for d in xb:
+            pinned |= np.minimum.reduce(np.minimum(s.det_x[d], s.det_z[d]), axis=-1) <= 0.0
         pinned &= ~done
         if pinned.any():
             stop(pinned, "cone_boundary")
@@ -596,81 +586,90 @@ def _solve_batch(
             s.take(~done)
             if not s.ids.size:
                 break
+            xb, zb = layout.blocks(s.x), layout.blocks(s.z)
 
-        s.w, s.winv, s.lam = {}, {}, {}
-        for d in s.uu:
-            s.w[d], s.winv[d] = _nt_scaling(s.uu[d], s.vv[d])
-            s.lam[d] = _bmv(s.w[d], s.vv[d])
+        # NT scaling W, and lambda = W z = W^-1 x with its determinant
+        s.wbar, s.eta = {}, {}
+        for d in xb:
+            s.wbar[d], s.eta[d] = _nt_scaling(xb[d], zb[d], s.det_x[d], s.det_z[d])
+        s.lam = layout.scale(s.wbar, s.eta, s.z)
+        s.det_lam = {d: _jdot(blk, blk) for d, blk in layout.blocks(s.lam).items()}
 
         t_factor = time.perf_counter()
         kkt, broken = factor()
-        while broken.any() and not broken.all():
+        while broken.any():
             # each program factors alone, so the others factor as before
             stop(broken, "kkt_breakdown")
             s.take(~broken)
+            if not s.ids.size:
+                break
             kkt, broken = factor()
-        if broken.any():
-            stop(broken, "kkt_breakdown")
+        if not s.ids.size:
             break
         factor_s = time.perf_counter() - t_factor
         nb = s.ids.size
-        sol2 = kkt.solve(np.concatenate([s.c, s.b], axis=1))
-        dx2, dy2 = sol2[:, :n], sol2[:, n:]
-        den = s.kappa / s.tau - _dot(s.c, dx2) + _dot(s.b, dy2)
+        lam_b = layout.blocks(s.lam)
+        wc = layout.scale(s.wbar, s.eta, s.c)
+        wr_d = layout.scale(s.wbar, s.eta, s.r_d)
 
-        def direction(gamma, d_c, d_tk):
-            """Newton direction targeting residual reduction factor (gamma - 1)."""
-            gvec = np.zeros((nb, n))
-            layout.scatter_into(gvec, {d: _bmv(s.winv[d], _jsolve(s.lam[d], d_c[d])) for d in d_c})
-            rd_hat = (1.0 - gamma)[:, None] * s.r_d - gvec
-            rp_hat = (gamma - 1.0)[:, None] * s.r_p
-            sol1 = kkt.solve(np.concatenate([rd_hat, rp_hat], axis=1))
-            dx1, dy1 = sol1[:, :n], sol1[:, n:]
-            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(s.c, dx1) - _dot(s.b, dy1)
+        # the tau direction (right-hand side [c; b]) and the predictor's
+        # (affine, sigma = 0: W r1 = W r_d + lambda) in one two-column solve
+        dxs, dy, dx2 = kkt.solve(np.concatenate([wc[:, None], (wr_d + s.lam)[:, None]], axis=1),
+                                 np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+        dxs2, dy2 = dxs[:, 0], dy[:, 0]
+        # c'dx2 = (W c)'dxs2, W being symmetric
+        den = s.kappa / s.tau - _dot(wc, dxs2) + _dot(s.b, dy2)
+
+        def direction(gamma, d_tk, dxs1, dy1):
+            """Newton direction targeting residual reduction factor (gamma - 1),
+            with the scaled steps dxs = W^-1 dx and dzs = W dz."""
+            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(wc, dxs1) - _dot(s.b, dy1)
             dtau = num / den
-            dx = dx1 + dtau[:, None] * dx2
+            dxs = dxs1 + dtau[:, None] * dxs2
             dy = dy1 + dtau[:, None] * dy2
             # dz from the linear dual equation, which the step then reduces
             # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
             # rounding into z
-            dz = (s.c * dtau[:, None] - _bmv(s.at, dy)
-                  + (1.0 - gamma)[:, None] * s.r_d)
+            dz = s.c * dtau[:, None] - _bmv(s.at, dy) + (1.0 - gamma)[:, None] * s.r_d
             dkappa = (d_tk - s.kappa * dtau) / s.tau
-            return dx, dy, dtau, layout.gather(dx), layout.gather(dz), dkappa
+            return dxs, dy, dz, layout.scale(s.wbar, s.eta, dz), dtau, dkappa
 
-        def step_limit(du_b, dv_b, dtau, dkappa):
+        def step_limit(dxs, dzs, dtau, dkappa):
             # tau and kappa limit the step only where they decrease
             amax = np.minimum(
                 np.divide(-s.tau, dtau, out=np.full(nb, np.inf), where=dtau < 0.0),
                 np.divide(-s.kappa, dkappa, out=np.full(nb, np.inf), where=dkappa < 0.0))
-            for d in du_b:
-                amax = np.minimum(amax, _max_step(s.uv[d], np.concatenate([du_b[d], dv_b[d]],
-                                                                          axis=-2)))
+            # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
+            # W^-1(lambda + alpha dzs), and W maps the cone onto itself
+            steps = layout.blocks(np.concatenate([dxs[:, None], dzs[:, None]], axis=1))
+            for d, lam in lam_b.items():
+                amax = np.minimum(amax, _max_step(lam[:, None], s.det_lam[d][:, None], steps[d]))
             return amax
 
-        # predictor (affine direction, sigma = 0)
-        d_c_aff = {d: -_jprod(s.lam[d], s.lam[d]) for d in s.uu}
-        _, _, dtaua, dua, dva, dkappaa = direction(np.zeros(nb), d_c_aff, -s.tau * s.kappa)
-        alpha_aff = np.minimum(1.0, step_limit(dua, dva, dtaua, dkappaa))
+        # predictor
+        dxsa, _, _, dzsa, dtaua, dkappaa = direction(np.zeros(nb), -s.tau * s.kappa,
+                                                      dxs[:, 1], dy[:, 1])
+        alpha_aff = np.minimum(1.0, step_limit(dxsa, dzsa, dtaua, dkappaa))
 
-        comp_aff = sum(
-            np.sum((s.uu[d] + alpha_aff[:, None, None] * dua[d])
-                   * (s.vv[d] + alpha_aff[:, None, None] * dva[d]), axis=(1, 2))
-            for d in s.uu
-        ) + (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa)
+        comp_aff = _dot((s.lam + alpha_aff[:, None] * dxsa)[:, nf:],
+                        (s.lam + alpha_aff[:, None] * dzsa)[:, nf:]) + (
+            (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa))
         sigma = np.minimum(1.0, (np.maximum(comp_aff, 0.0) / s.comp) ** 3)
 
-        # corrector (combined direction with Mehrotra second-order term)
-        d_c = {}
-        for d in s.uu:
-            corr = _jprod(_bmv(s.winv[d], dua[d]), _bmv(s.w[d], dva[d]))
-            target = -_jprod(s.lam[d], s.lam[d]) - corr
-            target[..., 0] += (sigma * s.mu)[:, None]
-            d_c[d] = target
+        # corrector: d_c = sigma mu e - lambda o lambda - dxsa o dzsa (the
+        # Mehrotra term), so that W r1 = (1 - sigma) W r_d - lambda \ d_c
+        shift = np.zeros((nb, n))
+        dxsa_b, dzsa_b = layout.blocks(dxsa), layout.blocks(dzsa)
+        for d, blk in layout.blocks(shift).items():
+            corr = _jprod(dxsa_b[d], dzsa_b[d])
+            corr[..., 0, :] -= (sigma * s.mu)[:, None]
+            blk[...] = _jsolve(lam_b[d], s.det_lam[d], corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
-        dx, dy, dtau, du_b, dv_b, dkappa = direction(sigma, d_c, d_tk)
+        dxs1, dy1, dx1 = kkt.solve(((1.0 - sigma)[:, None] * wr_d + s.lam + shift)[:, None],
+                                   ((sigma - 1.0)[:, None] * s.r_p)[:, None])
+        dxs, dy, dz, dzs, dtau, dkappa = direction(sigma, d_tk, dxs1[:, 0], dy1[:, 0])
 
-        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(du_b, dv_b, dtau, dkappa))
+        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(dxs, dzs, dtau, dkappa))
         if trace is not None:
             trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
                    "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
@@ -680,9 +679,9 @@ def _solve_batch(
         if stalled.any():
             stop(stalled, "step_stall")
 
-        s.x += alpha[:, None] * dx
+        s.x += alpha[:, None] * (dx1 + dtau[:, None] * dx2)
         s.y += alpha[:, None] * dy
-        layout.scatter_into(s.z, {d: s.vv[d] + alpha[:, None, None] * dv_b[d] for d in dv_b})
+        s.z[:, nf:] += alpha[:, None] * dz[:, nf:]
         s.tau = s.tau + alpha * dtau
         s.kappa = s.kappa + alpha * dkappa
         if stalled.any():

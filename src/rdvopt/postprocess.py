@@ -94,6 +94,15 @@ def _physical_dv(dv_scaled: np.ndarray, grid: Grid, scenario: Scenario) -> np.nd
     return dv * factors[..., None]
 
 
+def _extraction_tol(tol: Optional[float], scenario: Scenario) -> float:
+    """The extraction tolerance to use; a negative or non-finite one raises ValueError."""
+    if tol is None:
+        return scenario.extraction_tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"extraction tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def extract_impulses(
     expanded: ExpandedSolution,
     grid: Grid,
@@ -104,9 +113,9 @@ def extract_impulses(
 
     tol is expressed in the problem's normalized velocity unit; nodes at
     or below it are dropped from the plan but still counted in total_dv.
+    A negative or non-finite tol raises ValueError.
     """
-    if tol is None:
-        tol = scenario.extraction_tol
+    tol = _extraction_tol(tol, scenario)
     dv = _physical_dv(expanded.dv, grid, scenario)
     mags = np.linalg.norm(dv, axis=1)
     threshold = tol * scenario.units.velocity
@@ -359,7 +368,11 @@ def plan_rendezvous(
     trace=None,
     grid: Optional[Grid] = None,
 ) -> PlanResult:
-    """Transcribe, solve, extract and verify one scenario."""
+    """Transcribe, solve, extract and verify one scenario.
+
+    A bad extraction tolerance raises ValueError before any work is done.
+    """
+    _extraction_tol(tol, scenario)
     grid_time = 0.0
     if grid is None:
         t0 = time.perf_counter()
@@ -399,8 +412,9 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     """Independent solves over a list of mesh sizes, sorted by size.
 
     Failed meshes are reported with their status and NaN cost; the sweep
-    continues.
+    continues.  A bad extraction tolerance raises ValueError at once.
     """
+    _extraction_tol(tol, scenario)
     rows = []
     for m in sorted(int(m) for m in m_list):
         point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan,

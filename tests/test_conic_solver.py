@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,12 @@ class TestConstructedOptimumOracle:
             assert sol.status in ("optimal", "max_iters")
             assert prob.c @ sol.x >= prob.b @ sol.y - 1e-7 * (1 + abs(sol.objective))
             rec = residuals(prob, sol.x, sol.y, sol.z)
-            assert rec.gap == pytest.approx(sol.gap, rel=1e-9, abs=1e-15)
+            # both gaps sum the products of c'x and b'y, the solver's before
+            # dividing by tau; they differ by the rounding of those sums,
+            # which cancel down to the gap
+            terms = (np.abs(prob.c * sol.x).sum() + np.abs(prob.b * sol.y).sum()) / (
+                1.0 + abs(sol.objective))
+            assert rec.gap == pytest.approx(sol.gap, rel=1e-9, abs=1e-15 * max(1.0, terms))
 
 
 class TestResiduals:
@@ -205,6 +212,25 @@ class TestSolverProperties:
         with pytest.raises(ValueError):
             SolverSettings(gap_tol=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gap_tol", float("nan")), ("gap_tol", float("inf")), ("gap_tol", -1e-9),
+        ("feas_tol", float("nan")), ("feas_tol", float("inf")), ("feas_tol", 0.0),
+        ("gap_tol", True), ("feas_tol", "1e-9"),
+        ("max_iters", 2.5), ("max_iters", 0), ("max_iters", -3), ("max_iters", True),
+        ("max_iters", float("nan")), ("max_iters", "10"),
+    ])
+    def test_settings_reject_invalid_values(self, field, value):
+        # a NaN tolerance would turn every solve into max_iters, and a
+        # fractional max_iters would fail inside the loop
+        with pytest.raises(ValueError, match=field):
+            SolverSettings(**{field: value})
+
+    def test_settings_accept_integral_and_real_values(self):
+        st = SolverSettings(gap_tol=1e-6, feas_tol=np.float64(1e-7), max_iters=np.int64(1))
+        assert st.max_iters == 1
+        prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
+        assert solve(prob, st).iterations == 1
+
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="dimension"):
             ConicProblem(c=[1.0, 2.0, 3.0], A=[[1.0, 0.0]], b=[1.0], cones=ConeSpec(0, (2,)))
@@ -241,8 +267,8 @@ class TestSolverProperties:
 
     @pytest.mark.parametrize("stop, name, fake", [
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
-        ("cone_boundary", "_jdet", lambda u: np.zeros(u.shape[0])),
-        ("step_stall", "_max_step", lambda u, du: 0.0),
+        ("cone_boundary", "_jdot", lambda u, v: np.zeros(u.shape[:-2] + u.shape[-1:])),
+        ("step_stall", "_max_step", lambda u, det_u, du: 0.0),
         pytest.param("kkt_breakdown", "splu", _singular_factorization, id="kkt_breakdown-splu"),
     ])
     def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
@@ -395,54 +421,96 @@ class TestSolveBatch:
 
 
 class TestNTScaling:
-    def test_blocks_are_inverse_and_map_both_points_to_lambda(self, rng):
+    def test_scalings_are_inverse_and_map_both_points_to_lambda(self, rng):
         for _ in range(20):
             dims = tuple(int(d) for d in rng.integers(2, 6, size=int(rng.integers(2, 8))))
-            layout = conic_solver._ConeLayout(ConeSpec(0, dims))
-            uu = layout.gather(_interior(rng, dims))
-            vv = layout.gather(_interior(rng, dims))
-            for d in layout.index:
-                w, winv = conic_solver._nt_scaling(uu[d], vv[d])
-                eye = np.broadcast_to(np.eye(d), w.shape)
-                assert np.max(np.abs(np.matmul(w, winv) - eye)) <= 1e-12
-                lam = conic_solver._bmv(w, vv[d])
-                scale = np.max(np.abs(lam))
-                assert np.max(np.abs(conic_solver._bmv(winv, uu[d]) - lam)) <= 1e-12 * scale
+            layout, u, v, nt, nt_inv = _scaled_point(rng, ConeSpec(0, dims))
+            w, winv = _dense(*nt), _dense(*nt_inv)
+            for d in layout.slots:
+                eye = np.broadcast_to(np.eye(d), w[d].shape)
+                assert np.max(np.abs(np.matmul(w[d], winv[d]) - eye)) <= 1e-12
+            lam = layout.scale(*nt, v)
+            scale = np.max(np.abs(lam))
+            assert np.max(np.abs(layout.scale(*nt_inv, u) - lam)) <= 1e-12 * scale
 
 
-def _scaled_blocks(rng, prob):
-    """NT scaling blocks (W, W^-1) at a random interior primal-dual pair."""
-    layout = conic_solver._ConeLayout(prob.cones)
-    free = np.zeros(prob.cones.n_free)
-    uu = layout.gather(np.concatenate([free, _interior(rng, prob.cones.soc_dims)]))
-    vv = layout.gather(np.concatenate([free, _interior(rng, prob.cones.soc_dims)]))
-    w, winv = {}, {}
-    for d in layout.index:
-        w[d], winv[d] = conic_solver._nt_scaling(uu[d], vv[d])
-    return layout, w, winv
+def _scaled_point(rng, cones):
+    """A random interior primal-dual pair (u, v) in the solver's variable
+    order, with its NT scaling and the inverse scaling, each as the
+    (wbar, eta) dicts that _ConeLayout.scale takes."""
+    layout = conic_solver._ConeLayout(cones)
+    free = np.zeros(cones.n_free)
+    u, v = (np.concatenate([free, _interior(rng, cones.soc_dims)])[None, layout.perm]
+            for _ in range(2))
+    ub, vb = layout.blocks(u), layout.blocks(v)
+    wbar, eta, wbar_inv, eta_inv = {}, {}, {}, {}
+    for d in layout.slots:
+        wbar[d], eta[d] = conic_solver._nt_scaling(ub[d], vb[d], conic_solver._jdot(ub[d], ub[d]),
+                                                   conic_solver._jdot(vb[d], vb[d]))
+        # W^-1 = Wbar(wbar_0, -wbar_1) / eta
+        wbar_inv[d], eta_inv[d] = wbar[d] * np.r_[1.0, -np.ones(d - 1)][:, None], 1.0 / eta[d]
+    return layout, u, v, (wbar, eta), (wbar_inv, eta_inv)
 
 
-def _dense_kkt(prob, layout, winv):
-    """Reference K = [[-H, A'], [A, 0]] with H = W^-1 W^-1, built densely."""
-    n, p = prob.c.size, prob.b.size
+def _dense(wbar, eta):
+    """(g, d, d) matrices of the scaling of each cone (one program), column by column."""
+    out = {}
+    for d, w in wbar.items():
+        g = w.shape[-1]
+        unit = np.broadcast_to(np.eye(d)[:, :, None], (d, d, g))
+        cols = conic_solver._nt_apply(w[0], eta[d][0], unit)
+        out[d] = cols.transpose(2, 1, 0)
+    return out
+
+
+def _dense_kkt(a, layout, winv):
+    """Reference K = [[-H, A'], [A, 0]] with H = W^-1 W^-1, built densely in the
+    solver's variable order (a is A with its columns in that order)."""
+    p, n = a.shape
     k = np.zeros((n + p, n + p))
-    for d, idx in layout.index.items():
+    for d, (lo, g) in layout.slots.items():
+        idx = lo + np.arange(d) * g + np.arange(g)[:, None]
         k[idx[:, :, None], idx[:, None, :]] = -np.matmul(winv[d], winv[d])
-    k[n:, :n] = prob.A
-    k[:n, n:] = prob.A.T
+    k[n:, :n] = a
+    k[:n, n:] = a.T
     return k
+
+
+def _columns(nt):
+    """A scaling that broadcasts over the columns of a stacked right-hand side."""
+    return tuple({d: v[:, None] for d, v in part.items()} for part in nt)
+
+
+class TestConeLayout:
+    def test_permutation_groups_cones_by_dimension_component_by_component(self):
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
+        # free block; the heads, then the tails, of the 2-cones at 5 and 14;
+        # of the 3-cones at 2 and 7; of the 4-cone at 10
+        assert layout.perm.tolist() == [0, 1, 5, 14, 6, 15, 2, 7, 3, 8, 4, 9, 10, 11, 12, 13]
+        assert layout.slots == {2: (2, 2), 3: (6, 2), 4: (12, 1)}
+        v = np.arange(16.0)[None]
+        blocks = layout.blocks(v)
+        assert blocks[3].shape == (1, 3, 2) and np.shares_memory(blocks[3], v)
+        assert blocks[3][0, :, 1].tolist() == [7.0, 9.0, 11.0]
 
 
 class TestScaledQRKKT:
     def test_matches_dense_factorization_on_the_same_scaling(self, rng):
         for _ in range(20):
             prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 6)))
-            layout, w, winv = _scaled_blocks(rng, prob)
-            a_blocks = {d: prob.A[:, idx].transpose(1, 2, 0) for d, idx in layout.index.items()}
-            qr = conic_solver._ScaledQRKKT(w, layout, a_blocks, prob.b.size)
-            rhs = rng.normal(size=prob.c.size + prob.b.size)
-            want = np.linalg.solve(_dense_kkt(prob, layout, winv), rhs)
-            assert np.linalg.norm(qr.solve(rhs) - want) <= 1e-9 * np.linalg.norm(want)
+            layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
+            a = prob.A[:, layout.perm]
+            qr = conic_solver._ScaledQRKKT(*nt, a[None], layout)
+            # two right-hand sides, solved as one stacked pair
+            r1 = rng.normal(size=(1, 2, prob.c.size))
+            r2 = rng.normal(size=(1, 2, prob.b.size))
+            dxs, dy, dx = qr.solve(layout.scale(*_columns(nt), r1), r2)
+            k = _dense_kkt(a, layout, _dense(*nt_inv))
+            for col in range(2):
+                want = np.linalg.solve(k, np.concatenate([r1[0, col], r2[0, col]]))
+                got = np.concatenate([layout.scale(*nt, dxs[:, col])[0], dy[0, col]])
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+            assert np.array_equal(dx, layout.scale(*nt, dxs[:, 0]))
 
     def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
@@ -475,9 +543,11 @@ class TestScaledQRKKT:
 class TestSparseKKT:
     @staticmethod
     def _check(rng, prob):
-        layout, _, winv = _scaled_blocks(rng, prob)
-        kkt = conic_solver._SparseKKT(winv, conic_solver._KKTPattern(layout, prob.A))
-        k = _dense_kkt(prob, layout, winv)
+        layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
+        a = prob.A[:, layout.perm]
+        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, a))
+        k = _dense_kkt(a, layout, _dense(*nt_inv))
+        n = prob.c.size
         # K is singular with dependent rows, or with a free direction in the
         # null space of A.  For a consistent right-hand side the solution is
         # then determined up to null(K); compare its part in range(K), which
@@ -488,10 +558,16 @@ class TestSparseKKT:
         # with A dx = 0 and zero cost is a free direction of the program.
         rhs = k @ rng.normal(size=k.shape[0])
         want = np.linalg.lstsq(k, rhs, rcond=None)[0]
-        got = kkt.solve(rhs)
+        # the solver's interface is scaled: W r1 in, dxs = W^-1 dx out, and
+        # the unscaled dx of the first column
+        wr1 = layout.scale(*_columns(nt), rhs[None, None, :n])
+        dxs, dy, dx = kkt.solve(wr1, rhs[None, None, n:])
+        got = np.concatenate([dx[0], dy[0, 0]])
         determined = np.linalg.pinv(k) @ (k @ got)
         assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        # dxs is the same step in scaled variables
+        assert np.linalg.norm(layout.scale(*nt, dxs[:, 0]) - dx) <= 1e-9 * np.linalg.norm(dx)
         return np.linalg.matrix_rank(k) == k.shape[0]
 
     def test_matches_dense_least_squares_with_free_variables(self, rng):
@@ -508,3 +584,47 @@ class TestSparseKKT:
             dependent = ConicProblem(c=prob.c, A=np.vstack([prob.A, mix @ prob.A]),
                                      b=np.concatenate([prob.b, mix @ prob.b]), cones=prob.cones)
             assert not self._check(rng, dependent)
+
+
+# IPM iterations of the built-in scenarios, as measured on the solver
+# before its Newton step moved to NT-scaled variables: a change to the
+# arithmetic of the iteration must leave them exactly as they are
+_BUILTIN_ITERATIONS = {
+    ("condensed", 9): {"atv": 11, "circle2circle": 9, "simbolx": 8},
+    ("condensed", 65): {"atv": 11, "circle2circle": 11, "simbolx": 10},
+    ("condensed", 257): {"atv": 14, "circle2circle": 14, "simbolx": 12},
+    ("condensed", 513): {"atv": 18, "circle2circle": 16, "simbolx": 13},
+    ("condensed", 1025): {"atv": 16, "circle2circle": 15, "simbolx": 13},
+    ("full", 33): {"atv": 11, "circle2circle": 10, "simbolx": 9},
+    ("full", 65): {"atv": 11, "circle2circle": 11, "simbolx": 10},
+}
+
+
+class TestIterationGuards:
+    @pytest.mark.parametrize("form, m", list(_BUILTIN_ITERATIONS))
+    def test_builtin_iteration_counts(self, form, m):
+        for name, iterations in _BUILTIN_ITERATIONS[form, m].items():
+            scenario = builtin(name)
+            sol = solve(assemble_socp(scenario, build_grid(scenario, m), form=form))
+            assert (sol.status, sol.iterations) == ("optimal", iterations), name
+
+    @pytest.mark.parametrize("m", [3, 513])
+    def test_python_calls_per_iteration(self, m):
+        # the fixed cost of an iteration: Python-level calls, counted as the
+        # profiler sees them, whatever the grid size
+        scenario = builtin("atv")
+        prob = assemble_socp(scenario, build_grid(scenario, m))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            sol = solve(prob)
+        finally:
+            sys.setprofile(previous)
+        assert sol.status == "optimal"
+        assert calls / sol.iterations <= 400

@@ -92,6 +92,33 @@ class TestExtractImpulses:
         assert plan_none.n_impulses == 0
         assert plan_none.total_dv == pytest.approx(plan_all.total_dv, rel=1e-14)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_extraction_tolerance_raises(self, c2c_result, tol):
+        # a NaN tolerance used to drop every impulse of an optimal plan and a
+        # negative one to keep every node
+        grid = c2c_result.grid
+        scen = builtin("circle2circle")
+        exp = expand_solution(c2c_result.problem, c2c_result.solution, scen, grid)
+        with pytest.raises(ValueError, match="extraction tolerance"):
+            extract_impulses(exp, grid, scen, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_stops_plans_and_sweeps_before_solving(self, monkeypatch, tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a bad tolerance")
+
+        monkeypatch.setattr(postprocess, "solve", no_solve)
+        scen = builtin("circle2circle")
+        with pytest.raises(ValueError, match="extraction tolerance"):
+            plan_rendezvous(scen, mesh_m=9, tol=tol)
+        with pytest.raises(ValueError, match="extraction tolerance"):
+            mesh_sweep(scen, [9, 17], tol=tol)
+
+    def test_zero_tolerance_keeps_every_node(self):
+        res = plan_rendezvous(builtin("circle2circle"), mesh_m=9, tol=0.0)
+        assert res.solution.status == "optimal"
+        assert res.plan.n_impulses == 9 and res.plan.extraction_tol == 0.0
+
 
 class TestVerifyPlan:
     def test_converged_plan_closes_terminal_gap(self, c2c_result):
