@@ -277,14 +277,14 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
     lin = np.abs(a) < 1e-300
     disc = bq * bq - 4.0 * a * det_u
     real = ~lin & (disc >= 0.0)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    t = -0.5 * (bq + np.copysign(sq, bq))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the root of the linear case, then the two roots of the quadratic
-        r0, r1, r2 = -det_u / bq, t / a, det_u / t
-    out = np.minimum(np.where(lin & (bq < 0.0), r0, np.inf),
-                     np.minimum(np.where(real & (r1 > 0.0), r1, np.inf),
-                                np.where(real & (r2 > 0.0), r2, np.inf)))
+    lin &= bq < 0.0
+    t = -0.5 * (bq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), bq))
+    # the linear root, then the two quadratic ones, each divided only where
+    # it applies (t != 0 where the roots are real, as det(u) > 0)
+    r0 = np.where(lin, -det_u / np.where(lin, bq, -1.0), np.inf)
+    r1, r2 = t / np.where(real, a, 1.0), det_u / np.where(real, t, 1.0)
+    out = np.minimum(r0, np.minimum(np.where(real & (r1 > 0.0), r1, np.inf),
+                                    np.where(real & (r2 > 0.0), r2, np.inf)))
     return np.minimum.reduce(out.reshape(out.shape[0], -1), axis=1)
 
 
@@ -636,9 +636,9 @@ def _solve_batch(
 
         def step_limit(dxs, dzs, dtau, dkappa):
             # tau and kappa limit the step only where they decrease
-            amax = np.minimum(
-                np.divide(-s.tau, dtau, out=np.full(nb, np.inf), where=dtau < 0.0),
-                np.divide(-s.kappa, dkappa, out=np.full(nb, np.inf), where=dkappa < 0.0))
+            amax = np.minimum(np.where(dtau < 0.0, s.tau, np.inf) / np.where(dtau < 0.0, -dtau, 1.0),
+                              np.where(dkappa < 0.0, s.kappa, np.inf)
+                              / np.where(dkappa < 0.0, -dkappa, 1.0))
             # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
             # W^-1(lambda + alpha dzs), and W maps the cone onto itself
             steps = layout.blocks(np.concatenate([dxs[:, None], dzs[:, None]], axis=1))
