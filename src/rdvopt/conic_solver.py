@@ -173,10 +173,10 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 
 class _ConeLayout:
-    """The solver's variable order, perm: the free block, then per dimension
-    the heads of its g cones, their first tail components, and so on.  A
-    group's blocks are one (d, g) view and the cone algebra runs over g
-    contiguous values.  slots maps each dimension to (start, g)."""
+    """The solver's variable order, perm (undone by unperm): the free block,
+    then per dimension the heads of its g cones, their first tail components,
+    and so on.  A group's blocks are one (d, g) view, so the cone algebra runs
+    over g contiguous values.  slots maps each dimension to (start, g)."""
 
     def __init__(self, spec: ConeSpec):
         dims = np.array(spec.soc_dims, dtype=int)
@@ -190,6 +190,7 @@ class _ConeLayout:
             self.slots[d] = (lo, first.size)
             lo += first.size * d
         self.perm = np.concatenate(order)
+        self.unperm = np.argsort(self.perm)
         self._spans = [(d, lo, lo + g * d, (d, g)) for d, (lo, g) in self.slots.items()]
 
     def blocks(self, v: np.ndarray) -> dict:
@@ -308,8 +309,9 @@ class _KKTPattern:
         a_coo = sparse.coo_matrix(a)
         p, n = a.shape
         size = n + p
-        rows = [a_coo.row + n, a_coo.col]
-        cols = [a_coo.col, a_coo.row + n]
+        var = layout.unperm[a_coo.col]
+        rows = [a_coo.row + n, var]
+        cols = [var, a_coo.row + n]
         for d, (lo, g) in layout.slots.items():
             # variable of component i of cone k, blocks in (g, d, d) order
             idx = lo + np.arange(d) * g + np.arange(g)[:, None]
@@ -354,9 +356,7 @@ class _SparseKKT:
             w[..., 0, :] *= -1.0
             self.wbar_inv[d], self.eta_inv[d] = w, 1.0 / eta[d][:, None]
             w = w[0, 0].T
-            h = 2.0 * w[:, :, None] * w[:, None, :]
-            h[:, 0, 0] -= 1.0
-            h.reshape(-1, d * d)[:, d + 1::d + 1] += 1.0
+            h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(d - 1)])
             vals.append(-(h * self.eta_inv[d][0, 0, :, None, None] ** 2).reshape(-1))
         vals.append(np.zeros(pattern.size))
         data = np.bincount(pattern.slot, weights=np.concatenate(vals))
@@ -466,7 +466,7 @@ def _solve_batch(
     st = settings or SolverSettings()
     nb, p, n = family.A.shape
     layout = _ConeLayout(family.cones)
-    nf, unperm = layout.n_free, np.argsort(layout.perm)
+    nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
     nu = family.cones.n_cones + 1
     kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
     if not scaled_qr and nb != 1:
@@ -478,10 +478,10 @@ def _solve_batch(
 
     s = _Active()
     s.ids = np.arange(nb)
-    # the solver's variable order, undone in finish; np.take keeps each
-    # program's row contiguous, so its products add alike in any batch
-    s.a, s.b, s.c = (np.take(family.A, layout.perm, axis=-1), family.b,
-                     np.take(family.c, layout.perm, axis=-1))
+    # A stays in the program's order (a permuted copy would double the largest
+    # array); take gathers its products, each program's row contiguous so that
+    # they add alike in any batch
+    s.a, s.b, s.c = family.A, family.b, family.c.take(perm, axis=-1)
     s.at = np.swapaxes(s.a, 1, 2)
     s.norm_b = _norm(s.b)
     s.norm_c = _norm(s.c)
@@ -505,8 +505,7 @@ def _solve_batch(
             res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
             out[s.ids[k]] = ConicSolution(
                 x=s.x[k, unperm] / sk, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
-                gap=float(s.gap[k]),
-                residuals=res, iterations=it,
+                gap=float(s.gap[k]), residuals=res, iterations=it,
                 solve_time=time.perf_counter() - t_start,
                 objective=float(s.c[k] @ s.x[k] / sk),
             )
@@ -521,7 +520,7 @@ def _solve_batch(
         """The KKT factorization of the active programs, and which broke down."""
         try:
             if scaled_qr:
-                kkt = _ScaledQRKKT(s.wbar, s.eta, s.a, layout)
+                kkt = _ScaledQRKKT(s.wbar, s.eta, s.a.take(perm, -1), layout)
             else:
                 kkt = _SparseKKT(s.wbar, s.eta, pattern)
         except np.linalg.LinAlgError:
@@ -531,8 +530,8 @@ def _solve_batch(
         return kkt, kkt.singular
 
     for it in range(st.max_iters + 1):
-        ax = _bmv(s.a, s.x)
-        aty = _bmv(s.at, s.y)
+        ax = _bmv(s.a, s.x.take(unperm, axis=-1))
+        aty = _bmv(s.at, s.y).take(perm, axis=-1)
         cx = _dot(s.c, s.x)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
@@ -630,15 +629,16 @@ def _solve_batch(
             # dz from the linear dual equation, which the step then reduces
             # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
             # rounding into z
-            dz = s.c * dtau[:, None] - _bmv(s.at, dy) + (1.0 - gamma)[:, None] * s.r_d
+            dz = (s.c * dtau[:, None] - _bmv(s.at, dy).take(perm, axis=-1)
+                  + (1.0 - gamma)[:, None] * s.r_d)
             dkappa = (d_tk - s.kappa * dtau) / s.tau
             return dxs, dy, dz, layout.scale(s.wbar, s.eta, dz), dtau, dkappa
 
         def step_limit(dxs, dzs, dtau, dkappa):
             # tau and kappa limit the step only where they decrease
-            amax = np.minimum(np.where(dtau < 0.0, s.tau, np.inf) / np.where(dtau < 0.0, -dtau, 1.0),
-                              np.where(dkappa < 0.0, s.kappa, np.inf)
-                              / np.where(dkappa < 0.0, -dkappa, 1.0))
+            amax = np.minimum(
+                np.where(dtau < 0.0, s.tau, np.inf) / np.where(dtau < 0.0, -dtau, 1.0),
+                np.where(dkappa < 0.0, s.kappa, np.inf) / np.where(dkappa < 0.0, -dkappa, 1.0))
             # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
             # W^-1(lambda + alpha dzs), and W maps the cone onto itself
             steps = layout.blocks(np.concatenate([dxs[:, None], dzs[:, None]], axis=1))

@@ -421,7 +421,7 @@ class TestSolveBatch:
 
 
 class TestNTScaling:
-    def test_scalings_are_inverse_and_map_both_points_to_lambda(self, rng):
+    def test_blocks_are_inverse_and_map_both_points_to_lambda(self, rng):
         for _ in range(20):
             dims = tuple(int(d) for d in rng.integers(2, 6, size=int(rng.integers(2, 8))))
             layout, u, v, nt, nt_inv = _scaled_point(rng, ConeSpec(0, dims))
@@ -545,7 +545,8 @@ class TestSparseKKT:
     def _check(rng, prob):
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
         a = prob.A[:, layout.perm]
-        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, a))
+        # the pattern takes A in the program's order
+        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, prob.A))
         k = _dense_kkt(a, layout, _dense(*nt_inv))
         n = prob.c.size
         # K is singular with dependent rows, or with a free direction in the
