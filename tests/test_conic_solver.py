@@ -488,6 +488,7 @@ class TestConeLayout:
         # of the 3-cones at 2 and 7; of the 4-cone at 10
         assert layout.perm.tolist() == [0, 1, 5, 14, 6, 15, 2, 7, 3, 8, 4, 9, 10, 11, 12, 13]
         assert layout.slots == {2: (2, 2), 3: (6, 2), 4: (12, 1)}
+        assert layout.perm[layout.unperm].tolist() == list(range(16))
         v = np.arange(16.0)[None]
         blocks = layout.blocks(v)
         assert blocks[3].shape == (1, 3, 2) and np.shares_memory(blocks[3], v)
