@@ -292,11 +292,12 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
 # -- KKT systems -------------------------------------------------------------
 #
 # With W the NT scaling (the identity on the free block), H = W^-2 and
-# dxs = W^-1 dx, the system -H dx + A'dy = r1, A dx = r2 reads -dxs + G'dy
-# = W r1, G dxs = r2 with G' = W A'.  solve takes stacked W r1 (programs,
-# k, n) and r2 (programs, k, p), returns (dxs, dy) stacked alike, and dx of
-# the first column, the step that moves x: the sparse LU solves for dx
-# itself, which W dxs would round to W's condition number.
+# dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2 reads -dxs + G'dy =
+# W r1 + dl, G dxs = r2 with G' = W A'.  solve takes stacked r1, W r1, the
+# terms of dl (programs, k, n) and r2 (programs, k, p): each path reads the
+# form it solves in, never mapping r1 through W and back.  It returns (dxs,
+# dy) stacked alike, and dx of the first column (the sparse LU's own, which
+# W dxs would round to W's condition number).
 
 
 class _KKTPattern:
@@ -341,7 +342,7 @@ class _SparseKKT:
     w = J wbar, J = diag(1, -1, ..., -1); SuperLU's column ordering keeps a
     banded program banded.  The static regularization is strengthened on an
     exactly singular pivot; refinement runs against the unregularized K.
-    solve maps W r1 and dx through W^-1.  It factors one program.
+    solve adds W^-1 dl to r1 and maps dx through W^-1; it factors one program.
     """
 
     # a factorization that fails raises instead
@@ -375,9 +376,10 @@ class _SparseKKT:
         self.reg_retries = attempt
         self.refine_rounds = 0
 
-    def solve(self, wr1: np.ndarray, r2: np.ndarray):
-        n = wr1.shape[-1]
-        rhs = np.concatenate([self.layout.scale(self.wbar_inv, self.eta_inv, wr1), r2], -1)[0].T
+    def solve(self, r1: np.ndarray, wr1: np.ndarray, dl: list, r2: np.ndarray):
+        n = r1.shape[-1]
+        r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, sum(dl))
+        rhs = np.concatenate([r1, r2], -1)[0].T
         sol = self._lu.solve(rhs)
         # each column refines until it converges or stops improving
         scale = 1.0 + np.max(np.abs(rhs), axis=0)
@@ -425,7 +427,8 @@ class _ScaledQRKKT:
             self.rinv = np.linalg.inv(r)
             self.rinvt = self.rinv.transpose(0, 2, 1)
 
-    def solve(self, wr1: np.ndarray, r2: np.ndarray):
+    def solve(self, r1: np.ndarray, wr1: np.ndarray, dl: list, r2: np.ndarray):
+        wr1 = sum(dl, wr1)
         u = r2 @ self.rinv + wr1 @ self.q
         dxs = u @ self.qt - wr1
         return dxs, u @ self.rinvt, self.layout.scale(self.wbar, self.eta, dxs[:, 0])
@@ -458,11 +461,8 @@ def _solve_batch(
     trace: Optional[Callable[[dict], None]],
     scaled_qr: bool,
 ) -> list[ConicSolution]:
-    """The interior-point loop over a family that shares one KKT path.
-
-    trace, if given, receives the records of a family of one.  The sparse
-    LU path takes one program.
-    """
+    """The interior-point loop over a family that shares one KKT path; trace,
+    if given, receives the records of a family of one, the size the sparse LU takes."""
     st = settings or SolverSettings()
     nb, p, n = family.A.shape
     layout = _ConeLayout(family.cones)
@@ -475,28 +475,30 @@ def _solve_batch(
         raise ValueError("only a batch of one is traced")
 
     t_start = time.perf_counter()
-
     s = _Active()
     s.ids = np.arange(nb)
-    # A stays in the program's order (a permuted copy would double the largest
-    # array); take gathers its products, each program's row contiguous so that
-    # they add alike in any batch
-    s.a, s.b, s.c = family.A, family.b, family.c.take(perm, axis=-1)
+    # A x and c'x add in the program's order, as residuals() does: take
+    # gathers x, each row contiguous so that its products add alike in any
+    # batch (a sparse-LU program's A is not copied: it is the largest array)
+    s.a, s.b, s.c_prog = family.A, family.b, family.c
+    s.c = family.c.take(perm, axis=-1)
     s.at = np.swapaxes(s.a, 1, 2)
-    s.norm_b = _norm(s.b)
-    s.norm_c = _norm(s.c)
-    if not scaled_qr:
+    s.norm_b, s.norm_c = _norm(s.b), _norm(s.c_prog)
+    if scaled_qr:
+        s.a_perm = family.A.take(perm, axis=-1)
+    else:
         pattern = _KKTPattern(layout, s.a[0])
-    s.x = np.zeros((nb, n))
-    s.z = np.zeros((nb, n))
+    s.x, s.z, s.y = np.zeros((nb, n)), np.zeros((nb, n)), np.zeros((nb, p))
     for xb, zb in zip(layout.blocks(s.x).values(), layout.blocks(s.z).values()):
         xb[..., 0, :] = zb[..., 0, :] = 1.0
-    s.y = np.zeros((nb, p))
-    s.tau = np.ones(nb)
-    s.kappa = np.ones(nb)
+    s.tau, s.kappa = np.ones(nb), np.ones(nb)
     s.stalls = np.zeros(nb, dtype=int)
 
     out: list[Optional[ConicSolution]] = [None] * nb
+
+    def cols(u, v):
+        """The two-column stack of right-hand sides, or steps, u and v."""
+        return np.concatenate([u[:, None], v[:, None]], axis=1)
 
     def finish(stopped, status, scale=None):
         """Record the solutions of the stopped programs (a mask over the active ones)."""
@@ -504,10 +506,10 @@ def _solve_batch(
             sk = s.tau[k] if scale is None else scale[k]
             res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
             out[s.ids[k]] = ConicSolution(
-                x=s.x[k, unperm] / sk, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
+                x=s.x_prog[k] / sk, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
                 gap=float(s.gap[k]), residuals=res, iterations=it,
                 solve_time=time.perf_counter() - t_start,
-                objective=float(s.c[k] @ s.x[k] / sk),
+                objective=float(s.c_prog[k] @ s.x_prog[k] / sk),
             )
 
     def stop(stopped, reason):
@@ -519,10 +521,8 @@ def _solve_batch(
     def factor():
         """The KKT factorization of the active programs, and which broke down."""
         try:
-            if scaled_qr:
-                kkt = _ScaledQRKKT(s.wbar, s.eta, s.a.take(perm, -1), layout)
-            else:
-                kkt = _SparseKKT(s.wbar, s.eta, pattern)
+            kkt = (_ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout) if scaled_qr
+                   else _SparseKKT(s.wbar, s.eta, pattern))
         except np.linalg.LinAlgError:
             # factorization breakdown with finite iterates: let the caller
             # see the best effort rather than a hard failure
@@ -530,9 +530,10 @@ def _solve_batch(
         return kkt, kkt.singular
 
     for it in range(st.max_iters + 1):
-        ax = _bmv(s.a, s.x.take(unperm, axis=-1))
+        s.x_prog = s.x.take(unperm, axis=-1)
+        ax = _bmv(s.a, s.x_prog)
         aty = _bmv(s.at, s.y).take(perm, axis=-1)
-        cx = _dot(s.c, s.x)
+        cx = _dot(s.c_prog, s.x_prog)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
         s.r_d = -aty - s.z + s.c * s.tau[:, None]
@@ -613,8 +614,9 @@ def _solve_batch(
 
         # the tau direction (right-hand side [c; b]) and the predictor's
         # (affine, sigma = 0: W r1 = W r_d + lambda) in one two-column solve
-        dxs, dy, dx2 = kkt.solve(np.concatenate([wc[:, None], (wr_d + s.lam)[:, None]], axis=1),
-                                 np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+        dl = np.zeros((nb, 2, n))
+        dl[:, 1] = s.lam
+        dxs, dy, dx2 = kkt.solve(cols(s.c, s.r_d), cols(wc, wr_d), [dl], cols(s.b, -s.r_p))
         dxs2, dy2 = dxs[:, 0], dy[:, 0]
         # c'dx2 = (W c)'dxs2, W being symmetric
         den = s.kappa / s.tau - _dot(wc, dxs2) + _dot(s.b, dy2)
@@ -626,9 +628,8 @@ def _solve_batch(
             dtau = num / den
             dxs = dxs1 + dtau[:, None] * dxs2
             dy = dy1 + dtau[:, None] * dy2
-            # dz from the linear dual equation, which the step then reduces
-            # exactly; W^-1(lambda \ d_c) - H dx would carry the KKT solve's
-            # rounding into z
+            # dz from the linear dual equation, which the step then reduces exactly;
+            # W^-1(lambda \ d_c) - H dx would carry the KKT solve's rounding into z
             dz = (s.c * dtau[:, None] - _bmv(s.at, dy).take(perm, axis=-1)
                   + (1.0 - gamma)[:, None] * s.r_d)
             dkappa = (d_tk - s.kappa * dtau) / s.tau
@@ -641,7 +642,7 @@ def _solve_batch(
                 np.where(dkappa < 0.0, s.kappa, np.inf) / np.where(dkappa < 0.0, -dkappa, 1.0))
             # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
             # W^-1(lambda + alpha dzs), and W maps the cone onto itself
-            steps = layout.blocks(np.concatenate([dxs[:, None], dzs[:, None]], axis=1))
+            steps = layout.blocks(cols(dxs, dzs))
             for d, lam in lam_b.items():
                 amax = np.minimum(amax, _max_step(lam[:, None], s.det_lam[d][:, None], steps[d]))
             return amax
@@ -656,8 +657,8 @@ def _solve_batch(
             (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa))
         sigma = np.minimum(1.0, (np.maximum(comp_aff, 0.0) / s.comp) ** 3)
 
-        # corrector: d_c = sigma mu e - lambda o lambda - dxsa o dzsa (the
-        # Mehrotra term), so that W r1 = (1 - sigma) W r_d - lambda \ d_c
+        # corrector: d_c = sigma mu e - lambda o lambda - dxsa o dzsa (the Mehrotra
+        # term), W r1 = (1 - sigma) W r_d - lambda \ d_c = ... + lambda + shift
         shift = np.zeros((nb, n))
         dxsa_b, dzsa_b = layout.blocks(dxsa), layout.blocks(dzsa)
         for d, blk in layout.blocks(shift).items():
@@ -665,8 +666,9 @@ def _solve_batch(
             corr[..., 0, :] -= (sigma * s.mu)[:, None]
             blk[...] = _jsolve(lam_b[d], s.det_lam[d], corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
-        dxs1, dy1, dx1 = kkt.solve(((1.0 - sigma)[:, None] * wr_d + s.lam + shift)[:, None],
-                                   ((sigma - 1.0)[:, None] * s.r_p)[:, None])
+        rs = (1.0 - sigma)[:, None]
+        dxs1, dy1, dx1 = kkt.solve((rs * s.r_d)[:, None], (rs * wr_d)[:, None],
+                                   [s.lam[:, None], shift[:, None]], (-rs * s.r_p)[:, None])
         dxs, dy, dz, dzs, dtau, dkappa = direction(sigma, d_tk, dxs1[:, 0], dy1[:, 0])
 
         alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(dxs, dzs, dtau, dkappa))
@@ -682,8 +684,7 @@ def _solve_batch(
         s.x += alpha[:, None] * (dx1 + dtau[:, None] * dx2)
         s.y += alpha[:, None] * dy
         s.z[:, nf:] += alpha[:, None] * dz[:, nf:]
-        s.tau = s.tau + alpha * dtau
-        s.kappa = s.kappa + alpha * dkappa
+        s.tau, s.kappa = s.tau + alpha * dtau, s.kappa + alpha * dkappa
         if stalled.any():
             s.take(~stalled)
             if not s.ids.size:
