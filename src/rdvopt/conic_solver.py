@@ -13,9 +13,9 @@ Mehrotra-style predictor-corrector, so no feasible starting point is
 needed and infeasibility is detected through Farkas certificates.
 The Newton step is computed in NT-scaled variables around
 lambda = W z = W^-1 x, with W applied in closed form from (wbar, eta)
-per cone: the KKT solve takes W r1 and returns W^-1 dx, the Mehrotra
-term and both step-length tests use the scaled steps, and dz comes from
-the linear dual equation.  Variables are ordered once per solve as the
+per cone: each KKT path reads r1 or W r1 and returns W^-1 dx, the
+Mehrotra term and both step-length tests use the scaled steps, and dz
+comes from the linear dual equation.  Variables are ordered once per solve as the
 free block, then the cones grouped by dimension, component by component,
 so every cone block is a reshape view.  Cone-only programs with
 independent equality rows solve each Newton system through a thin QR of
