@@ -25,6 +25,10 @@ sparse LU of the statically regularized quasi-definite KKT matrix, with
 its own fill-reducing ordering (a block-banded full form stays banded)
 and iterative refinement against the unregularized system; only it
 builds dense blocks, those of H = W^-2, converting at its boundary.
+It is the only user of scipy and imports scipy.sparse and
+scipy.sparse.linalg where it is first built, so the condensed pipeline
+runs on numpy alone; the first sparse-LU solve in a process counts that
+import in its solve_time and its first factorization time.
 
 One iteration loop serves a whole family of programs: a ConicProblem
 whose c, A and b carry a leading program axis.  Every iterate carries
@@ -46,13 +50,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
 _STATIC_REG = 1e-10
+
+# statuses of a best-effort exit, whose iterate is returned as it stood: the
+# iteration cap, a KKT factorization breakdown, an iterate pinned to the cone
+# boundary and two stalled steps
+BEST_EFFORT = ("max_iters", "kkt_breakdown", "cone_boundary", "step_stall")
 
 
 @dataclass(frozen=True)
@@ -300,19 +307,30 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
 # W dxs would round to W's condition number).
 
 
+def splu(matrix):
+    """SuperLU factorization of a CSC matrix; imports scipy.sparse.linalg on
+    the first call, so that a process without a sparse LU never loads it."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix)
+
+
 class _KKTPattern:
     """CSC sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve:
     A, A', the cone blocks of H and the whole diagonal (the regularization's
     slots).  slot maps each entry, in that order, to its place in the CSC
-    data, so that an iteration only computes the values."""
+    data, so that an iteration only computes the values; each factorization
+    writes them into the data of k and kreg, K and its regularized copy."""
 
     def __init__(self, layout: _ConeLayout, a: np.ndarray):
-        a_coo = sparse.coo_matrix(a)
+        from scipy import sparse
+
+        a_row, a_col = np.nonzero(a)
         p, n = a.shape
         size = n + p
-        var = layout.unperm[a_coo.col]
-        rows = [a_coo.row + n, var]
-        cols = [var, a_coo.row + n]
+        var = layout.unperm[a_col]
+        rows = [a_row + n, var]
+        cols = [var, a_row + n]
         for d, (lo, g) in layout.slots.items():
             # variable of component i of cone k, blocks in (g, d, d) order
             idx = lo + np.arange(d) * g + np.arange(g)[:, None]
@@ -322,15 +340,14 @@ class _KKTPattern:
         cols.append(np.arange(size))
         keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
                                     return_inverse=True)
-        self.indices = keys % size
-        self.indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        indices = keys % size
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
         self.diag_slot = self.slot[-size:]
         self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
-        self.a_vals = np.concatenate([a_coo.data, a_coo.data])
+        self.a_vals = np.concatenate([a[a_row, a_col]] * 2)
         self.layout, self.size = layout, size
-
-    def matrix(self, data: np.ndarray) -> sparse.csc_matrix:
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+        self.k, self.kreg = (sparse.csc_matrix((np.zeros(keys.size), indices, indptr),
+                                               shape=(size, size)) for _ in range(2))
 
 
 class _SparseKKT:
@@ -343,6 +360,7 @@ class _SparseKKT:
     banded program banded.  The static regularization is strengthened on an
     exactly singular pivot; refinement runs against the unregularized K.
     solve adds W^-1 dl to r1 and maps dx through W^-1; it factors one program.
+    It fills the pattern's matrices, so it holds until the next factorization.
     """
 
     # a factorization that fails raises instead
@@ -360,17 +378,17 @@ class _SparseKKT:
             h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(d - 1)])
             vals.append(-(h * self.eta_inv[d][0, 0, :, None, None] ** 2).reshape(-1))
         vals.append(np.zeros(pattern.size))
-        data = np.bincount(pattern.slot, weights=np.concatenate(vals))
-        self.k = pattern.matrix(data)
-        kreg = data.copy()
-        kreg[pattern.diag_slot] += _STATIC_REG * pattern.reg_sign
+        self.k, kreg = pattern.k, pattern.kreg
+        self.k.data[:] = kreg.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
+        kreg.data[pattern.diag_slot] += _STATIC_REG * pattern.reg_sign
         for attempt in range(3):
             try:
-                self._lu = splu(pattern.matrix(kreg))
+                self._lu = splu(kreg)
                 break
             except RuntimeError:
                 # exactly singular pivot: strengthen the regularization and retry
-                kreg[pattern.diag_slot] += _STATIC_REG * 10.0 ** (2 * attempt + 2) * pattern.reg_sign
+                kreg.data[pattern.diag_slot] += (_STATIC_REG * 10.0 ** (2 * attempt + 2)
+                                                 * pattern.reg_sign)
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
         self.reg_retries = attempt
@@ -513,10 +531,10 @@ def _solve_batch(
             )
 
     def stop(stopped, reason):
-        """Best-effort exit reported as max_iters; the trace names the cause."""
+        """Best-effort exit before the iteration cap, reported and traced as its cause."""
         if trace is not None:
             trace({"iter": it, "stop": reason})
-        finish(stopped, "max_iters")
+        finish(stopped, reason)
 
     def factor():
         """The KKT factorization of the active programs, and which broke down."""
@@ -703,6 +721,8 @@ def solve(
     On status "optimal", (x, y, z) is the scaled primal-dual solution.
     On "primal_infeasible", (y, z) is a Farkas certificate normalized to
     b'y = 1; on "dual_infeasible", x is a ray normalized to c'x = -1.
+    A status in BEST_EFFORT returns the last iterate; "numerical_failure"
+    means it was no longer finite.
     A family raises ValueError; solve it with solve_batch.
     """
     _single(problem, "solve")

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import relative_dynamics as rd
-from .conic_solver import ConeSpec, ConicProblem, ConicSolution
+from .conic_solver import BEST_EFFORT, ConeSpec, ConicProblem, ConicSolution
 from .kepler import TargetOrbit, time_from_true, true_from_time
 from .relative_dynamics import RelativeState
 
@@ -287,8 +287,9 @@ def expand_solution(
     scenario: Scenario,
     grid: Grid,
 ) -> ExpandedSolution:
-    """Recover the state chain behind a solution of either formulation."""
-    if sol.status not in ("optimal", "max_iters"):
+    """Recover the state chain behind an optimal or best-effort solution of
+    either formulation."""
+    if sol.status not in ("optimal", *BEST_EFFORT):
         raise ValueError(f"cannot expand a solution with status {sol.status!r}")
     vm = problem.var_map
     m = vm["n_nodes"]

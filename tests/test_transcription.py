@@ -17,6 +17,8 @@ from rdvopt import (
     to_transformed,
     transform_boundaries,
 )
+from rdvopt.conic_solver import BEST_EFFORT
+
 
 @pytest.fixture(scope="module")
 def c2c():
@@ -223,6 +225,14 @@ class TestExpandSolution:
         bad = replace(solve(prob), status="numerical_failure")
         with pytest.raises(ValueError, match="status"):
             expand_solution(prob, bad, c2c, grid)
+
+    @pytest.mark.parametrize("status", BEST_EFFORT)
+    def test_expands_best_effort_solutions(self, c2c, status):
+        grid = build_grid(c2c, 5)
+        prob = assemble_socp(c2c, grid)
+        sol = solve(prob)
+        exp = expand_solution(prob, replace(sol, status=status), c2c, grid)
+        assert np.array_equal(exp.dv, expand_solution(prob, sol, c2c, grid).dv)
 
 
 class TestGridWideMatrices:
