@@ -21,14 +21,19 @@ so every cone block is a reshape view.  Cone-only programs with
 independent equality rows solve each Newton system through a thin QR of
 W A', at a cost linear in the number of cones.  Programs with free
 variables (never split into cone differences) or dependent rows use one
-sparse LU of the statically regularized quasi-definite KKT matrix, with
-its own fill-reducing ordering (a block-banded full form stays banded)
-and iterative refinement against the unregularized system; only it
+sparse LU of the statically regularized quasi-definite KKT matrix K,
+with iterative refinement against the unregularized system; only it
 builds dense blocks, those of H = W^-2, converting at its boundary.
-It is the only user of scipy and imports scipy.sparse and
-scipy.sparse.linalg where it is first built, so the condensed pipeline
+Once per solve it orders K's pattern by reverse Cuthill-McKee, and
+LAPACK's banded LU (dgbtrf/dgbtrs) factors K in band storage in that
+order, at O(size b^2) for half-bandwidth b.  The full form's K keeps b
+fixed as the grid grows (11 for planar programs, 16 to 18 in 3-D), so
+its factorization is linear in M; a program whose K has no narrow band
+in that order pays the O(size b^2) all the same.  It is the only user
+of scipy and imports scipy.sparse, scipy.sparse.csgraph and
+scipy.linalg.lapack where it is first built, so the condensed pipeline
 runs on numpy alone; the first sparse-LU solve in a process counts that
-import in its solve_time and its first factorization time.
+import in its solve_time.
 
 One iteration loop serves a whole family of programs: a ConicProblem
 whose c, A and b carry a leading program axis.  Every iterate carries
@@ -307,23 +312,33 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
 # W dxs would round to W's condition number).
 
 
-def splu(matrix):
-    """SuperLU factorization of a CSC matrix; imports scipy.sparse.linalg on
-    the first call, so that a process without a sparse LU never loads it."""
-    from scipy.sparse.linalg import splu as superlu
+def band_lu(band: np.ndarray, half_band: int):
+    """LU with partial pivoting (LAPACK dgbtrf) of a square matrix in band
+    storage, in place, and its solve (dgbtrs) of (n, k) columns; None at an
+    exactly singular pivot.  Imports scipy.linalg.lapack on the first call,
+    so that a process without a sparse LU never loads it."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    return superlu(matrix)
+    lu, piv, info = dgbtrf(band, half_band, half_band, overwrite_ab=1)
+    if info:
+        return None
+    return lambda r: dgbtrs(lu, half_band, half_band, r, piv)[0]
 
 
 class _KKTPattern:
-    """CSC sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve:
-    A, A', the cone blocks of H and the whole diagonal (the regularization's
-    slots).  slot maps each entry, in that order, to its place in the CSC
-    data, so that an iteration only computes the values; each factorization
-    writes them into the data of k and kreg, K and its regularized copy."""
+    """Sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve: A,
+    A', the cone blocks of H and the whole diagonal (the regularization's
+    slots).  slot maps each entry, in that order, to its place in the data
+    of the CSC matrix k, which holds K for the refinement's products.  order
+    is a reverse Cuthill-McKee order of the pattern, and band_slot places
+    each of k's entries in the LAPACK band storage band of K in that order,
+    of half-bandwidth half_band, with half_band more rows for the fill of
+    partial pivoting.  An iteration only computes the values; each
+    factorization writes them into k and band."""
 
     def __init__(self, layout: _ConeLayout, a: np.ndarray):
         from scipy import sparse
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         a_row, a_col = np.nonzero(a)
         p, n = a.shape
@@ -340,34 +355,44 @@ class _KKTPattern:
         cols.append(np.arange(size))
         keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
                                     return_inverse=True)
-        indices = keys % size
-        indptr = np.searchsorted(keys // size, np.arange(size + 1))
-        self.diag_slot = self.slot[-size:]
+        indices, columns = keys % size, keys // size
+        indptr = np.searchsorted(columns, np.arange(size + 1))
+        self.k = sparse.csc_matrix((np.ones(keys.size), indices, indptr), shape=(size, size))
+        # K's pattern is symmetric; the quasi-definite block structure of a
+        # transcription keeps its bandwidth independent of the grid size
+        self.order = reverse_cuthill_mckee(self.k, symmetric_mode=True)
+        place = np.argsort(self.order)
+        i, j = place[indices], place[columns]
+        b = self.half_band = int(np.max(np.abs(i - j)))
+        # entry (i, j) sits in row 2b + i - j of column j
+        self.band = np.zeros((3 * b + 1, size), order="F")
+        self.band_data = self.band.reshape(-1, order="F")
+        self.band_slot = j * (3 * b + 1) + 2 * b + i - j
+        self.diag_slot = self.band_slot[self.slot[-size:]]
         self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
         self.a_vals = np.concatenate([a[a_row, a_col]] * 2)
         self.layout, self.size = layout, size
-        self.k, self.kreg = (sparse.csc_matrix((np.zeros(keys.size), indices, indptr),
-                                               shape=(size, size)) for _ in range(2))
 
 
 class _SparseKKT:
-    """Sparse LU of the regularized quasi-definite KKT matrix, with refinement.
+    """Banded LU of the regularized quasi-definite KKT matrix, with refinement.
 
     Serves the programs the scaled QR does not: free variables (the full
     formulation) or dependent equality rows.  K = [[-H, A'], [A, 0]] holds
     the sparse A and dense cone blocks H = W^-2 = (2 w w' - J) / eta^2,
-    w = J wbar, J = diag(1, -1, ..., -1); SuperLU's column ordering keeps a
-    banded program banded.  The static regularization is strengthened on an
-    exactly singular pivot; refinement runs against the unregularized K.
+    w = J wbar, J = diag(1, -1, ..., -1); in the pattern's reverse
+    Cuthill-McKee order it is banded, and LAPACK factors it in band storage
+    in O(size half_band^2).  The static regularization is strengthened on
+    an exactly singular pivot; refinement runs against the unregularized K.
     solve adds W^-1 dl to r1 and maps dx through W^-1; it factors one program.
-    It fills the pattern's matrices, so it holds until the next factorization.
+    It fills the pattern's k and band, so it holds until the next factorization.
     """
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
     def __init__(self, wbar: dict, eta: dict, pattern: _KKTPattern):
-        self.layout = pattern.layout
+        self.layout, self.order = pattern.layout, pattern.order
         # W^-1, with an axis for the columns of a stacked right-hand side
         self.wbar_inv, self.eta_inv, vals = {}, {}, [pattern.a_vals]
         for d, w in wbar.items():
@@ -378,43 +403,50 @@ class _SparseKKT:
             h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(d - 1)])
             vals.append(-(h * self.eta_inv[d][0, 0, :, None, None] ** 2).reshape(-1))
         vals.append(np.zeros(pattern.size))
-        self.k, kreg = pattern.k, pattern.kreg
-        self.k.data[:] = kreg.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
-        kreg.data[pattern.diag_slot] += _STATIC_REG * pattern.reg_sign
+        self.k = pattern.k
+        self.k.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
+        reg = _STATIC_REG
         for attempt in range(3):
-            try:
-                self._lu = splu(kreg)
+            pattern.band_data[:] = 0.0
+            pattern.band_data[pattern.band_slot] = self.k.data
+            pattern.band_data[pattern.diag_slot] += reg * pattern.reg_sign
+            self._band_solve = band_lu(pattern.band, pattern.half_band)
+            if self._band_solve is not None:
                 break
-            except RuntimeError:
-                # exactly singular pivot: strengthen the regularization and retry
-                kreg.data[pattern.diag_slot] += (_STATIC_REG * 10.0 ** (2 * attempt + 2)
-                                                 * pattern.reg_sign)
+            # exactly singular pivot: strengthen the regularization and retry
+            reg += _STATIC_REG * 10.0 ** (2 * attempt + 2)
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
         self.reg_retries = attempt
         self.refine_rounds = 0
 
+    def _lu_solve(self, r: np.ndarray) -> np.ndarray:
+        """The regularized K's solution of each row of r."""
+        x = np.empty_like(r)
+        x[:, self.order] = self._band_solve(r[:, self.order].T).T
+        return x
+
     def solve(self, r1: np.ndarray, wr1: np.ndarray, dl: list, r2: np.ndarray):
         n = r1.shape[-1]
         r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, sum(dl))
-        rhs = np.concatenate([r1, r2], -1)[0].T
-        sol = self._lu.solve(rhs)
-        # each column refines until it converges or stops improving
-        scale = 1.0 + np.max(np.abs(rhs), axis=0)
-        best = np.full(rhs.shape[1], math.inf)
-        live = np.ones(rhs.shape[1], dtype=bool)
+        rhs = np.concatenate([r1, r2], -1)[0]
+        sol = self._lu_solve(rhs)
+        # each right-hand side refines until it converges or stops improving
+        scale = 1.0 + np.max(np.abs(rhs), axis=1)
+        best = np.full(rhs.shape[0], math.inf)
+        live = np.ones(rhs.shape[0], dtype=bool)
         rounds = 0
         for _ in range(_REFINEMENT_ROUNDS):
-            resid = rhs - self.k @ sol
-            rnorm = np.max(np.abs(resid), axis=0)
+            resid = rhs - (self.k @ sol.T).T
+            rnorm = np.max(np.abs(resid), axis=1)
             live &= (rnorm > 1e-14 * scale) & (rnorm < best)
             if not live.any():
                 break
             best = np.where(live, rnorm, best)
-            sol[:, live] += self._lu.solve(resid[:, live])
+            sol[live] += self._lu_solve(resid[live])
             rounds += 1
         self.refine_rounds = max(self.refine_rounds, rounds)
-        dx, dy = sol[:n].T[None], sol[n:].T[None]
+        dx, dy = sol[None, :, :n], sol[None, :, n:]
         return self.layout.scale(self.wbar_inv, self.eta_inv, dx), dy, dx[:, 0]
 
 
@@ -522,12 +554,13 @@ def _solve_batch(
         """Record the solutions of the stopped programs (a mask over the active ones)."""
         for k in np.flatnonzero(stopped):
             sk = s.tau[k] if scale is None else scale[k]
+            x = s.x_prog[k] / sk
             res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
             out[s.ids[k]] = ConicSolution(
-                x=s.x_prog[k] / sk, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
+                x=x, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
                 gap=float(s.gap[k]), residuals=res, iterations=it,
                 solve_time=time.perf_counter() - t_start,
-                objective=float(s.c_prog[k] @ s.x_prog[k] / sk),
+                objective=float(s.c_prog[k] @ x),
             )
 
     def stop(stopped, reason):
@@ -559,10 +592,12 @@ def _solve_batch(
         s.comp = _dot(s.x[:, nf:], s.z[:, nf:]) + s.tau * s.kappa
         s.mu = s.comp / nu
 
-        # residuals of the scaled point (x, y, z) / tau
+        # residuals of the scaled point (x, y, z) / tau; the gap is
+        # residuals()'s of the x / tau and y / tau that finish returns
         s.pres = _norm(s.r_p) / (s.tau * (1.0 + s.norm_b))
         s.dres = _norm(s.r_d) / (s.tau * (1.0 + s.norm_c))
-        s.gap = np.abs(cx - by) / (s.tau + np.abs(cx))
+        cx_tau = _dot(s.c_prog, s.x_prog / s.tau[:, None])
+        s.gap = np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None])) / (1.0 + np.abs(cx_tau))
         if trace is not None:
             trace({"iter": it, "mu": float(s.mu[0]), "pres": float(s.pres[0]),
                    "dres": float(s.dres[0]), "gap": float(s.gap[0]),

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def _failing_factorization(*args):
 
 
 def _singular_factorization(*args):
-    raise RuntimeError("Factor is exactly singular")
+    return None  # band_lu's answer to an exactly singular pivot
 
 
 class TestTrivialPrograms:
@@ -244,16 +245,16 @@ class TestSolverProperties:
                 assert not any(rounds)
 
     def test_trace_counts_regularization_retries(self, rng, monkeypatch):
-        real_splu = conic_solver.splu
+        real_band_lu = conic_solver.band_lu
         calls = []
 
-        def splu_singular_once(k):
+        def band_lu_singular_once(band, half_band):
             calls.append(1)
             if len(calls) == 1:
-                raise RuntimeError("Factor is exactly singular")
-            return real_splu(k)
+                return None
+            return real_band_lu(band, half_band)
 
-        monkeypatch.setattr(conic_solver, "splu", splu_singular_once)
+        monkeypatch.setattr(conic_solver, "band_lu", band_lu_singular_once)
         prob, *_ = make_kkt_certified_problem(rng, n_free=2)
         records = []
         solve(prob, trace=records.append)
@@ -264,11 +265,12 @@ class TestSolverProperties:
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
         ("cone_boundary", "_jdot", lambda u, v: np.zeros(u.shape[:-2] + u.shape[-1:])),
         ("step_stall", "_max_step", lambda u, det_u, du: 0.0),
-        pytest.param("kkt_breakdown", "splu", _singular_factorization, id="kkt_breakdown-splu"),
+        pytest.param("kkt_breakdown", "band_lu", _singular_factorization,
+                     id="kkt_breakdown-band_lu"),
     ])
     def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
         monkeypatch.setattr(conic_solver, name, fake)
-        if name == "splu":
+        if name == "band_lu":
             # the sparse path: min sigma s.t. f = 0, v - f = 3 with f free
             prob = ConicProblem(c=[0.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
                                 b=[0.0, 3.0], cones=ConeSpec(1, (2,)))
@@ -586,7 +588,7 @@ class TestSparseKKT:
             assert not self._check(rng, dependent)
 
     def test_csc_matrices_built_once_per_solve(self, monkeypatch):
-        # each factorization writes its values into the solve's two matrices
+        # each factorization writes its values into the solve's matrix
         from scipy import sparse
 
         real, built = sparse.csc_matrix, []
@@ -605,6 +607,36 @@ class TestSparseKKT:
             counts.append(len(built))
         assert counts[0] == counts[1] > 0
 
+    def test_band_storage_allocated_once_per_solve(self, monkeypatch):
+        # each factorization scatters its values into the solve's band storage
+        real, buffers = conic_solver.band_lu, []
+
+        def recording(band, half_band):
+            buffers.append(band.__array_interface__["data"][0])
+            return real(band, half_band)
+
+        monkeypatch.setattr(conic_solver, "band_lu", recording)
+        scenario = builtin("atv")
+        prob = assemble_socp(scenario, build_grid(scenario, 33), form="full")
+        for cap in (3, 10):
+            buffers.clear()
+            assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
+            assert len(buffers) == cap and len(set(buffers)) == 1
+
+    @pytest.mark.parametrize("planar, half_band", [(True, 11), (False, 18)], ids=["planar", "3d"])
+    def test_half_bandwidth_does_not_grow_with_the_grid(self, planar, half_band):
+        # the reverse Cuthill-McKee order keeps the full form's K in a band
+        # whose width does not depend on M, so a factorization costs O(M)
+        scenario = replace(builtin("atv"), planar=planar)
+        widths = []
+        for m in (33, 1025):
+            prob = assemble_socp(scenario, build_grid(scenario, m), form="full")
+            widths.append(conic_solver._KKTPattern(conic_solver._ConeLayout(prob.cones),
+                                                   prob.A).half_band)
+        assert widths[1] <= widths[0] == half_band
+        if planar:
+            assert widths[1] == widths[0]
+
 
 # IPM iterations of the built-in scenarios, as measured on the solver
 # before its Newton step moved to NT-scaled variables: a change to the
@@ -617,6 +649,7 @@ _BUILTIN_ITERATIONS = {
     ("condensed", 1025): {"atv": 16, "circle2circle": 15, "simbolx": 13},
     ("full", 33): {"atv": 11, "circle2circle": 10, "simbolx": 9},
     ("full", 65): {"atv": 11, "circle2circle": 11, "simbolx": 10},
+    ("full", 257): {"atv": 14, "circle2circle": 14, "simbolx": 12},
 }
 
 

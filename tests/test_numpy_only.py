@@ -52,7 +52,9 @@ def test_condensed_pipeline_loads_no_scipy(tmp_path):
     assert run["statuses"] == ["optimal"] * 3
     assert run["cli_codes"] == [0, 0]
     assert run["condensed_only"] == []
-    # the full form takes the sparse LU, which imports scipy where it is built
-    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(run["after_full"])
+    # the full form takes the sparse LU, which imports scipy where it is
+    # built: csgraph for its order, sparse for K and LAPACK for the band LU
+    assert {"scipy.sparse", "scipy.sparse.csgraph",
+            "scipy.linalg.lapack"} <= set(run["after_full"])
     condensed, full = run["totals"]
     assert abs(full - condensed) <= 1e-8 * condensed
