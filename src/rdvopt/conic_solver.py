@@ -36,14 +36,19 @@ runs on numpy alone; the first sparse-LU solve in a process counts that
 import in its solve_time.
 
 One iteration loop serves a whole family of programs: a ConicProblem
-whose c, A and b carry a leading program axis.  Every iterate carries
-that axis: the cone algebra works on (programs, dim, cones) blocks, the
-scaled QR factors the stacked W A' in one call, and each program keeps
-its own tau, kappa, mu, sigma, step lengths and stopping test.  A program
-that stops leaves the family with the iterate it would have reached
-alone, so solve_batch returns what solving each program by itself
-returns.  Programs that need the sparse LU run as families of one; solve
-runs its program as a family of one.
+whose c, A and b carry a leading program axis.  The loop stores every
+iterate variables x programs, the program axis last, so the cones of one
+dimension form one contiguous (dim, cones x programs) block over the
+whole family and the cone algebra makes one pass per quantity; each
+program's tau, kappa, mu, sigma and step lengths broadcast along that
+axis.  The per-program reductions (c'x, b'y, x'z, the norms, A x, A'y and
+the scaled QR's products) run on each program's contiguous row, copied
+out of the iterate where they need it, and the scaled QR factors the
+stacked W A' in one call.  So a program that stops leaves the family with
+the iterate it would have reached alone, and solve_batch returns what
+solving each program by itself returns.  Programs that need the sparse LU
+run as families of one; solve runs its program as a family of one, whose
+iterate is its row in the solver's order.
 """
 
 from __future__ import annotations
@@ -180,15 +185,18 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 # -- batched second-order cone algebra -------------------------------------
 #
-# The g cones of one dimension d are processed together as (..., d, g)
-# arrays, component by component; the leading axes, if any, are programs.
+# The g cones of one dimension d are processed together as (..., d, g K)
+# arrays, component by component, over the g K values of the cones of all K
+# programs; the leading axes, if any, stack right-hand sides or rows of A.
 
 
 class _ConeLayout:
     """The solver's variable order, perm (undone by unperm): the free block,
     then per dimension the heads of its g cones, their first tail components,
-    and so on.  A group's blocks are one (d, g) view, so the cone algebra runs
-    over g contiguous values.  slots maps each dimension to (start, g)."""
+    and so on.  An iterate is stored variables x programs, so a group's blocks
+    are one (d, g K) view over the whole family, whose last axis runs over the
+    cones and, within each cone, the programs.  slots maps each dimension to
+    (start, g)."""
 
     def __init__(self, spec: ConeSpec):
         dims = np.array(spec.soc_dims, dtype=int)
@@ -203,18 +211,36 @@ class _ConeLayout:
             lo += first.size * d
         self.perm = np.concatenate(order)
         self.unperm = np.argsort(self.perm)
-        self._spans = [(d, lo, lo + g * d, (d, g)) for d, (lo, g) in self.slots.items()]
+        self._spans = [(d, lo, lo + g * d) for d, (lo, g) in self.slots.items()]
 
     def blocks(self, v: np.ndarray) -> dict:
-        """(..., d, g) views of the cone blocks of v, whose last axis is the variables."""
-        return {d: v[..., lo:hi].reshape(v.shape[:-1] + dg) for d, lo, hi, dg in self._spans}
+        """(..., d, g K) views of the cone blocks of v, whose last two axes are
+        the variables and the K programs."""
+        return {d: v[..., lo:hi, :].reshape(v.shape[:-2] + (d, -1)) for d, lo, hi in self._spans}
 
     def scale(self, wbar: dict, eta: dict, v: np.ndarray) -> np.ndarray:
         """W v for the NT scaling W = eta Wbar(wbar) of each cone, the free block as is."""
-        lead = v.shape[:-1]
-        parts = [_nt_apply(wbar[d], eta[d], v[..., lo:hi].reshape(lead + dg)).reshape(lead + (-1,))
-                 for d, lo, hi, dg in self._spans]
-        return np.concatenate([v[..., :self.n_free]] + parts, axis=-1)
+        out = np.empty(v.shape)
+        if self.n_free:
+            out[..., :self.n_free, :] = v[..., :self.n_free, :]
+        lead = v.shape[:-2]
+        for d, lo, hi in self._spans:
+            _nt_apply(wbar[d], eta[d], v[..., lo:hi, :].reshape(lead + (d, -1)),
+                      out[..., lo:hi, :].reshape(lead + (d, -1)))
+        return out
+
+
+def _csum(t: np.ndarray) -> np.ndarray:
+    """Sum over the component axis -2, adding the components in order from 0.0
+    whatever the layout.  np.add.reduce does so across (..., c, m) arrays with
+    m > 1; with m = 1 (a lone cone of a program alone) it sums pairwise, which
+    from c = 8 on would set the program apart from its solve in a family."""
+    if t.shape[-1] > 1:
+        return np.add.reduce(t, axis=-2)
+    out = 0.0 + t[..., 0, :]
+    for i in range(1, t.shape[-2]):
+        out += t[..., i, :]
+    return out
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -224,12 +250,12 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _jdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_0 v_0 - u_1'v_1 of each cone (det(u) for v = u)."""
-    return u[..., 0, :] * v[..., 0, :] - np.add.reduce(u[..., 1:, :] * v[..., 1:, :], axis=-2)
+    return u[..., 0, :] * v[..., 0, :] - _csum(u[..., 1:, :] * v[..., 1:, :])
 
 
 def _jprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[..., 0, :] = np.add.reduce(a * b, axis=-2)
+    out[..., 0, :] = _csum(a * b)
     out[..., 1:, :] = a[..., :1, :] * b[..., 1:, :] + b[..., :1, :] * a[..., 1:, :]
     return out
 
@@ -253,63 +279,68 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(u: np.ndarray, v: np.ndarray, det_u: np.ndarray, det_v: np.ndarray):
-    """Nesterov-Todd scaling (wbar, eta) of interior primal/dual cones:
-    W = eta Wbar(wbar) maps v, and W^-1 = Wbar(wbar_0, -wbar_1) / eta maps
-    u, to the same point lambda."""
-    ubar = u / np.sqrt(det_u)[..., None, :]
-    vbar = v / np.sqrt(det_v)[..., None, :]
-    gamma = np.sqrt(0.5 * (1.0 + np.add.reduce(ubar * vbar, axis=-2)))
+    """Nesterov-Todd scaling (wbar, eta) of interior primal/dual (d, g K)
+    cone blocks: W = eta Wbar(wbar) maps v, and W^-1 = Wbar(wbar_0, -wbar_1)
+    / eta maps u, to the same point lambda."""
+    ubar = u / np.sqrt(det_u)
+    vbar = v / np.sqrt(det_v)
+    gamma = np.sqrt(0.5 * (1.0 + _csum(ubar * vbar)))
     wbar = ubar
-    wbar[..., 0, :] += vbar[..., 0, :]
-    wbar[..., 1:, :] -= vbar[..., 1:, :]
-    wbar /= (2.0 * gamma)[..., None, :]
+    wbar[0] += vbar[0]
+    wbar[1:] -= vbar[1:]
+    wbar /= 2.0 * gamma
     return wbar, (det_u / det_v) ** 0.25
 
 
-def _nt_apply(wbar: np.ndarray, eta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """eta Wbar(wbar) v for (..., d, g) cones v, wbar and eta broadcasting
+def _nt_apply(wbar: np.ndarray, eta: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """out = eta Wbar(wbar) v for (..., d, g K) cones v, wbar and eta broadcasting
     against v: Wbar(w) v = (w'v, v_1 + (v_0 + w_1'v_1 / (1 + w_0)) w_1)."""
-    w0, w1 = wbar[..., 0, :], wbar[..., 1:, :]
-    s = np.add.reduce(w1 * v[..., 1:, :], axis=-2)
-    out = np.empty_like(v)
-    out[..., 0, :] = w0 * v[..., 0, :] + s
-    out[..., 1:, :] = v[..., 1:, :] + (v[..., 0, :] + s / (1.0 + w0))[..., None, :] * w1
-    out *= eta[..., None, :]
-    return out
+    w0, w1, v0, v1 = wbar[..., 0, :], wbar[..., 1:, :], v[..., 0, :], v[..., 1:, :]
+    s = _csum(w1 * v1)
+    out[..., 0, :] = w0 * v0 + s
+    out[..., 1:, :] = v1 + (v0 + s / (1.0 + w0))[..., None, :] * w1
+    out *= eta
 
 
-def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray) -> np.ndarray:
+def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray, programs: int) -> np.ndarray:
     """Largest alpha with u + alpha*du in every cone, for interior u (may be inf).
 
-    Takes (programs, ..., d, g) blocks, with u and det_u = det(u)
-    broadcasting against du; returns one step per program, the smallest
-    positive root of det(u + alpha*du) = 0 (det(u) > 0: no root at zero).
+    Takes (..., d, g K) blocks of the given number of programs, with u and
+    det_u = det(u) broadcasting against du; returns one step per program,
+    the smallest positive root of det(u + alpha*du) = 0 over its cones and
+    the leading axes (det(u) > 0: no root at zero).
     """
-    a = _jdot(du, du)
-    bq = 2.0 * _jdot(u, du)
-    lin = np.abs(a) < 1e-300
+    du0, du1 = du[..., 0, :], du[..., 1:, :]
+    # a = det(du) and bq = 2 <u, du>_J, the _jdot of each
+    a = du0 * du0 - _csum(du1 * du1)
+    bq = 2.0 * (u[..., 0, :] * du0 - _csum(u[..., 1:, :] * du1))
     disc = bq * bq - 4.0 * a * det_u
-    real = ~lin & (disc >= 0.0)
-    lin &= bq < 0.0
     t = -0.5 * (bq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), bq))
+    lin = np.abs(a) < 1e-300
+    real = (disc >= 0.0) & ~lin
     # the linear root, then the two quadratic ones, each divided only where
-    # it applies (t != 0 where the roots are real, as det(u) > 0)
-    r0 = np.where(lin, -det_u / np.where(lin, bq, -1.0), np.inf)
-    r1, r2 = t / np.where(real, a, 1.0), det_u / np.where(real, t, 1.0)
-    out = np.minimum(r0, np.minimum(np.where(real & (r1 > 0.0), r1, np.inf),
-                                    np.where(real & (r2 > 0.0), r2, np.inf)))
-    return np.minimum.reduce(out.reshape(out.shape[0], -1), axis=1)
+    # it applies (t != 0 where the roots are real, as det(u) > 0); a
+    # quadratic root counts where it is positive
+    roots = np.empty((3,) + a.shape)
+    roots.fill(np.inf)
+    np.divide(-det_u, bq, out=roots[0], where=lin & (bq < 0.0))
+    np.divide(t, a, out=roots[1], where=real)
+    np.divide(det_u, t, out=roots[2], where=real)
+    quad = roots[1:]
+    quad[~(quad > 0.0)] = np.inf
+    return np.minimum.reduce(roots.reshape(-1, programs), axis=0)
 
 
 # -- KKT systems -------------------------------------------------------------
 #
 # With W the NT scaling (the identity on the free block), H = W^-2 and
 # dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2 reads -dxs + G'dy =
-# W r1 + dl, G dxs = r2 with G' = W A'.  solve takes stacked r1, W r1, the
-# terms of dl (programs, k, n) and r2 (programs, k, p): each path reads the
-# form it solves in, never mapping r1 through W and back.  It returns (dxs,
-# dy) stacked alike, and dx of the first column (the sparse LU's own, which
-# W dxs would round to W's condition number).
+# W r1 + dl, G dxs = r2 with G' = W A'.  solve takes r1 (columns, n,
+# programs) in the one form its path reads, W r1 for the scaled QR and r1
+# for the sparse LU, the terms of dl stacked alike or broadcasting, and r2
+# (programs, columns, p).  It returns dxs as (programs, columns, n) rows and
+# as (columns, n, programs), dy (programs, columns, p), and dx of the first
+# column (the sparse LU's own, which W dxs would round to W's condition number).
 
 
 def band_lu(band: np.ndarray, half_band: int):
@@ -393,15 +424,15 @@ class _SparseKKT:
 
     def __init__(self, wbar: dict, eta: dict, pattern: _KKTPattern):
         self.layout, self.order = pattern.layout, pattern.order
-        # W^-1, with an axis for the columns of a stacked right-hand side
+        # W^-1 = Wbar(wbar_0, -wbar_1) / eta
         self.wbar_inv, self.eta_inv, vals = {}, {}, [pattern.a_vals]
         for d, w in wbar.items():
-            w = -w[:, None]
-            w[..., 0, :] *= -1.0
-            self.wbar_inv[d], self.eta_inv[d] = w, 1.0 / eta[d][:, None]
-            w = w[0, 0].T
+            w = -w
+            w[0] *= -1.0
+            self.wbar_inv[d], self.eta_inv[d] = w, 1.0 / eta[d]
+            w = w.T
             h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(d - 1)])
-            vals.append(-(h * self.eta_inv[d][0, 0, :, None, None] ** 2).reshape(-1))
+            vals.append(-(h * self.eta_inv[d][:, None, None] ** 2).reshape(-1))
         vals.append(np.zeros(pattern.size))
         self.k = pattern.k
         self.k.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
@@ -426,10 +457,10 @@ class _SparseKKT:
         x[:, self.order] = self._band_solve(r[:, self.order].T).T
         return x
 
-    def solve(self, r1: np.ndarray, wr1: np.ndarray, dl: list, r2: np.ndarray):
-        n = r1.shape[-1]
+    def solve(self, r1: np.ndarray, dl: list, r2: np.ndarray):
+        n = r1.shape[-2]
         r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, sum(dl))
-        rhs = np.concatenate([r1, r2], -1)[0]
+        rhs = np.concatenate([r1[..., 0], r2[0]], -1)
         sol = self._lu_solve(rhs)
         # each right-hand side refines until it converges or stops improving
         scale = 1.0 + np.max(np.abs(rhs), axis=1)
@@ -446,18 +477,21 @@ class _SparseKKT:
             sol[live] += self._lu_solve(resid[live])
             rounds += 1
         self.refine_rounds = max(self.refine_rounds, rounds)
-        dx, dy = sol[None, :, :n], sol[None, :, n:]
-        return self.layout.scale(self.wbar_inv, self.eta_inv, dx), dy, dx[:, 0]
+        dx = sol[:, :n, None]
+        dxs = self.layout.scale(self.wbar_inv, self.eta_inv, dx)
+        # a family of one: its rows are views
+        return dxs.transpose(2, 0, 1), dxs, sol[None, :, n:], dx[0]
 
 
 class _ScaledQRKKT:
     """KKT solver for cone-only programs with independent equality rows.
 
     A thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
-    dxs = Q u - W r1, computed on rows.  Neither W^2 nor W^-2 is formed,
-    so the step keeps the accuracy of the scaled problem near the cone
-    boundary, and a factorization costs O(n p^2).  One stacked QR factors
-    all programs; singular flags each whose R has an exactly zero pivot.
+    dxs = Q u - W r1, computed on each program's rows.  Neither W^2 nor W^-2
+    is formed, so the step keeps the accuracy of the scaled problem near the
+    cone boundary, and a factorization costs O(n p^2).  One stacked QR
+    factors all programs; singular flags each whose R has an exactly zero
+    pivot.
     """
 
     reg_retries = 0
@@ -465,10 +499,9 @@ class _ScaledQRKKT:
 
     def __init__(self, wbar: dict, eta: dict, a: np.ndarray, layout: _ConeLayout):
         self.wbar, self.eta, self.layout = wbar, eta, layout
-        # the rows of G = A W are W times the rows of A
-        g = layout.scale({d: w[:, None] for d, w in wbar.items()},
-                         {d: e[:, None] for d, e in eta.items()}, a)
-        self.q, r = np.linalg.qr(g.transpose(0, 2, 1))
+        # the rows of G = A W are W times the rows of A, (p, n, programs)
+        g = layout.scale(wbar, eta, a)
+        self.q, r = np.linalg.qr(g.transpose(2, 1, 0))
         self.qt = self.q.transpose(0, 2, 1)
         self.singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)
         if not self.singular.any():
@@ -477,11 +510,12 @@ class _ScaledQRKKT:
             self.rinv = np.linalg.inv(r)
             self.rinvt = self.rinv.transpose(0, 2, 1)
 
-    def solve(self, r1: np.ndarray, wr1: np.ndarray, dl: list, r2: np.ndarray):
-        wr1 = sum(dl, wr1)
+    def solve(self, wr1: np.ndarray, dl: list, r2: np.ndarray):
+        wr1 = sum(dl, wr1).transpose(2, 0, 1).copy()
         u = r2 @ self.rinv + wr1 @ self.q
         dxs = u @ self.qt - wr1
-        return dxs, u @ self.rinvt, self.layout.scale(self.wbar, self.eta, dxs[:, 0])
+        dxs_cones = dxs.transpose(1, 2, 0).copy()
+        return dxs, dxs_cones, u @ self.rinvt, self.layout.scale(self.wbar, self.eta, dxs_cones[0])
 
 
 # -- main solver ------------------------------------------------------------
@@ -497,12 +531,22 @@ def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
 
 
 class _Active:
-    """Per-program arrays of the programs still iterating, program axis first."""
+    """Per-program arrays of the programs still iterating.  The data rows in
+    rows carry the program axis first; every other array carries it last, and
+    each dict holds per-cone arrays whose last axis is cones x programs."""
+
+    rows = ("a", "at", "b", "c_prog", "y", "x_prog", "r_p")
 
     def take(self, keep: np.ndarray):
+        count = keep.size
         for name, value in vars(self).items():
-            setattr(self, name, {d: block[keep] for d, block in value.items()}
-                    if isinstance(value, dict) else value[keep])
+            # compress keeps an array C-contiguous, so its cone blocks stay views
+            if isinstance(value, dict):
+                value = {d: v.reshape(v.shape[:-1] + (-1, count)).compress(keep, axis=-1).reshape(
+                    v.shape[:-1] + (-1,)) for d, v in value.items()}
+            else:
+                value = value[keep] if name in self.rows else value.compress(keep, axis=-1)
+            setattr(self, name, value)
 
 
 def _solve_batch(
@@ -531,37 +575,37 @@ def _solve_batch(
     # gathers x, each row contiguous so that its products add alike in any
     # batch (a sparse-LU program's A is not copied: it is the largest array)
     s.a, s.b, s.c_prog = family.A, family.b, family.c
-    s.c = family.c.take(perm, axis=-1)
+    s.c = family.c.T.take(perm, axis=0)
     s.at = np.swapaxes(s.a, 1, 2)
     s.norm_b, s.norm_c = _norm(s.b), _norm(s.c_prog)
     if scaled_qr:
-        s.a_perm = family.A.take(perm, axis=-1)
+        s.a_perm = family.A.transpose(1, 2, 0).take(perm, axis=1)
     else:
         pattern = _KKTPattern(layout, s.a[0])
-    s.x, s.z, s.y = np.zeros((nb, n)), np.zeros((nb, n)), np.zeros((nb, p))
+    s.x, s.z, s.y = np.zeros((n, nb)), np.zeros((n, nb)), np.zeros((nb, p))
     for xb, zb in zip(layout.blocks(s.x).values(), layout.blocks(s.z).values()):
-        xb[..., 0, :] = zb[..., 0, :] = 1.0
+        xb[0] = zb[0] = 1.0
     s.tau, s.kappa = np.ones(nb), np.ones(nb)
     s.stalls = np.zeros(nb, dtype=int)
 
     out: list[Optional[ConicSolution]] = [None] * nb
 
-    def cols(u, v):
-        """The two-column stack of right-hand sides, or steps, u and v."""
-        return np.concatenate([u[:, None], v[:, None]], axis=1)
-
     def finish(stopped, status, scale=None):
         """Record the solutions of the stopped programs (a mask over the active ones)."""
-        for k in np.flatnonzero(stopped):
-            sk = s.tau[k] if scale is None else scale[k]
-            x = s.x_prog[k] / sk
-            res = Residuals(primal=float(s.pres[k]), dual=float(s.dres[k]), gap=float(s.gap[k]))
-            out[s.ids[k]] = ConicSolution(
-                x=x, y=s.y[k] / sk, z=s.z[k, unperm] / sk, status=status,
-                gap=float(s.gap[k]), residuals=res, iterations=it,
-                solve_time=time.perf_counter() - t_start,
-                objective=float(s.c_prog[k] @ x),
-            )
+        if not stopped.any():
+            return
+        sk = (s.tau if scale is None else scale)[stopped, None]
+        x = s.x_prog[stopped] / sk
+        y = s.y[stopped] / sk
+        z = s.z[:, stopped].T.take(unperm, axis=-1) / sk
+        solve_time = time.perf_counter() - t_start
+        rows = zip(s.ids[stopped].tolist(), x, y, z, s.pres[stopped].tolist(),
+                   s.dres[stopped].tolist(), s.gap[stopped].tolist(),
+                   _dot(s.c_prog[stopped], x).tolist())
+        for i, xk, yk, zk, primal, dual, gap, objective in rows:
+            res = Residuals(primal=primal, dual=dual, gap=gap)
+            out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, gap=gap, residuals=res,
+                                   iterations=it, solve_time=solve_time, objective=objective)
 
     def stop(stopped, reason):
         """Best-effort exit before the iteration cap, reported and traced as its cause."""
@@ -581,21 +625,24 @@ def _solve_batch(
         return kkt, kkt.singular
 
     for it in range(st.max_iters + 1):
-        s.x_prog = s.x.take(unperm, axis=-1)
+        # each program's row of x and z, in the solver's order
+        x_rows, z_rows = s.x.T.copy(), s.z.T.copy()
+        s.x_prog = x_rows.take(unperm, axis=-1)
         ax = _bmv(s.a, s.x_prog)
         aty = _bmv(s.at, s.y).take(perm, axis=-1)
         cx = _dot(s.c_prog, s.x_prog)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
-        s.r_d = -aty - s.z + s.c * s.tau[:, None]
+        r_d_rows = -aty - z_rows + s.c.T * s.tau[:, None]
+        s.r_d = r_d_rows.T.copy()
         s.r_g = by - cx - s.kappa
-        s.comp = _dot(s.x[:, nf:], s.z[:, nf:]) + s.tau * s.kappa
+        s.comp = _dot(x_rows[:, nf:], z_rows[:, nf:]) + s.tau * s.kappa
         s.mu = s.comp / nu
 
         # residuals of the scaled point (x, y, z) / tau; the gap is
         # residuals()'s of the x / tau and y / tau that finish returns
         s.pres = _norm(s.r_p) / (s.tau * (1.0 + s.norm_b))
-        s.dres = _norm(s.r_d) / (s.tau * (1.0 + s.norm_c))
+        s.dres = _norm(r_d_rows) / (s.tau * (1.0 + s.norm_c))
         cx_tau = _dot(s.c_prog, s.x_prog / s.tau[:, None])
         s.gap = np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None])) / (1.0 + np.abs(cx_tau))
         if trace is not None:
@@ -603,17 +650,17 @@ def _solve_batch(
                    "dres": float(s.dres[0]), "gap": float(s.gap[0]),
                    "tau": float(s.tau[0]), "kappa": float(s.kappa[0])})
 
-        failed = ~(np.isfinite(s.pres) & np.isfinite(s.dres) & np.isfinite(s.gap)
-                   & np.isfinite(s.mu) & np.isfinite(s.tau) & np.isfinite(s.kappa))
+        failed = ~np.isfinite([s.pres, s.dres, s.gap, s.mu, s.tau, s.kappa]).all(axis=0)
         done = failed.copy()
         optimal = ~done & (s.pres <= st.feas_tol) & (s.dres <= st.feas_tol) & (s.gap <= st.gap_tol)
         done |= optimal
         infeasible = ~done & (by > 0.0) & (
-            _norm(aty + s.z) <= st.feas_tol * (1.0 + s.norm_c) * by)
+            _norm(aty + z_rows) <= st.feas_tol * (1.0 + s.norm_c) * by)
         done |= infeasible
         unbounded = ~done & (cx < 0.0) & (_norm(ax) <= st.feas_tol * (1.0 + s.norm_b) * -cx)
         done |= unbounded
-        if done.any():
+        any_done = done.any()
+        if any_done:
             finish(failed, "numerical_failure")
             finish(optimal, "optimal")
             finish(infeasible, "primal_infeasible", scale=by)
@@ -627,26 +674,28 @@ def _solve_batch(
         # iterate pinned to the cone boundary at rounding level: no
         # further centering is possible, return best effort
         xb, zb = layout.blocks(s.x), layout.blocks(s.z)
-        s.det_x, s.det_z = ({d: _jdot(b[d], b[d]) for d in b} for b in (xb, zb))
+        s.det_x, s.det_z = {}, {}
         pinned = np.zeros(s.ids.size, dtype=bool)
         for d in xb:
-            pinned |= np.minimum.reduce(np.minimum(s.det_x[d], s.det_z[d]), axis=-1) <= 0.0
+            s.det_x[d], s.det_z[d] = _jdot(xb[d], xb[d]), _jdot(zb[d], zb[d])
+            pinned |= np.minimum.reduce(np.minimum(s.det_x[d], s.det_z[d]).reshape(
+                -1, s.ids.size), axis=0) <= 0.0
         pinned &= ~done
         if pinned.any():
             stop(pinned, "cone_boundary")
             done |= pinned
-        if done.any():
+            any_done = True
+        if any_done:
             s.take(~done)
             if not s.ids.size:
                 break
             xb, zb = layout.blocks(s.x), layout.blocks(s.z)
 
-        # NT scaling W, and lambda = W z = W^-1 x with its determinant
+        # NT scaling W, and lambda = W z = W^-1 x
         s.wbar, s.eta = {}, {}
         for d in xb:
             s.wbar[d], s.eta[d] = _nt_scaling(xb[d], zb[d], s.det_x[d], s.det_z[d])
         s.lam = layout.scale(s.wbar, s.eta, s.z)
-        s.det_lam = {d: _jdot(blk, blk) for d, blk in layout.blocks(s.lam).items()}
 
         t_factor = time.perf_counter()
         kkt, broken = factor()
@@ -662,83 +711,93 @@ def _solve_batch(
         factor_s = time.perf_counter() - t_factor
         nb = s.ids.size
         lam_b = layout.blocks(s.lam)
-        wc = layout.scale(s.wbar, s.eta, s.c)
-        wr_d = layout.scale(s.wbar, s.eta, s.r_d)
+        det_lam = {d: _jdot(blk, blk) for d, blk in lam_b.items()}
 
         # the tau direction (right-hand side [c; b]) and the predictor's
-        # (affine, sigma = 0: W r1 = W r_d + lambda) in one two-column solve
-        dl = np.zeros((nb, 2, n))
-        dl[:, 1] = s.lam
-        dxs, dy, dx2 = kkt.solve(cols(s.c, s.r_d), cols(wc, wr_d), [dl], cols(s.b, -s.r_p))
-        dxs2, dy2 = dxs[:, 0], dy[:, 0]
+        # (affine, sigma = 0: r1 = r_d + W^-1 lambda) in one two-column solve,
+        # r1 in the form the KKT path reads: W r1 for the scaled QR
+        r1 = np.concatenate([s.c[None], s.r_d[None]])
+        if scaled_qr:
+            r1 = layout.scale(s.wbar, s.eta, r1)
+            wc = r1[0]
+        else:
+            wc = layout.scale(s.wbar, s.eta, s.c)
+        wc_rows = wc.T.copy()
+        dl = np.zeros((2, n, nb))
+        dl[1] = s.lam
+        dxs_rows, dxs, dy, dx2 = kkt.solve(
+            r1, [dl], np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+        dxs2, dy2 = dxs[0], dy[:, 0]
         # c'dx2 = (W c)'dxs2, W being symmetric
-        den = s.kappa / s.tau - _dot(wc, dxs2) + _dot(s.b, dy2)
+        den = s.kappa / s.tau - _dot(wc_rows, dxs_rows[:, 0]) + _dot(s.b, dy2)
 
-        def direction(gamma, d_tk, dxs1, dy1):
-            """Newton direction targeting residual reduction factor (gamma - 1),
-            with the scaled steps dxs = W^-1 dx and dzs = W dz."""
-            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(wc, dxs1) - _dot(s.b, dy1)
+        def direction(gamma, d_tk, dxs1_rows, dxs1, dy1):
+            """Newton direction targeting residual reduction factor (gamma - 1):
+            the scaled steps dxs = W^-1 dx and dzs = W dz stacked, dy, dz, dtau
+            and dkappa."""
+            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(wc_rows, dxs1_rows) - _dot(s.b, dy1)
             dtau = num / den
-            dxs = dxs1 + dtau[:, None] * dxs2
             dy = dy1 + dtau[:, None] * dy2
             # dz from the linear dual equation, which the step then reduces exactly;
             # W^-1(lambda \ d_c) - H dx would carry the KKT solve's rounding into z
-            dz = (s.c * dtau[:, None] - _bmv(s.at, dy).take(perm, axis=-1)
-                  + (1.0 - gamma)[:, None] * s.r_d)
+            dz = s.c * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + (1.0 - gamma) * s.r_d
             dkappa = (d_tk - s.kappa * dtau) / s.tau
-            return dxs, dy, dz, layout.scale(s.wbar, s.eta, dz), dtau, dkappa
+            steps = np.concatenate([(dxs1 + dtau * dxs2)[None],
+                                    layout.scale(s.wbar, s.eta, dz)[None]])
+            return steps, dy, dz, dtau, dkappa
 
-        def step_limit(dxs, dzs, dtau, dkappa):
+        def step_limit(steps, dtau, dkappa):
             # tau and kappa limit the step only where they decrease
             amax = np.minimum(
                 np.where(dtau < 0.0, s.tau, np.inf) / np.where(dtau < 0.0, -dtau, 1.0),
                 np.where(dkappa < 0.0, s.kappa, np.inf) / np.where(dkappa < 0.0, -dkappa, 1.0))
             # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
             # W^-1(lambda + alpha dzs), and W maps the cone onto itself
-            steps = layout.blocks(cols(dxs, dzs))
-            for d, lam in lam_b.items():
-                amax = np.minimum(amax, _max_step(lam[:, None], s.det_lam[d][:, None], steps[d]))
+            for d, step in layout.blocks(steps).items():
+                amax = np.minimum(amax, _max_step(lam_b[d], det_lam[d], step, nb))
             return amax
 
         # predictor
-        dxsa, _, _, dzsa, dtaua, dkappaa = direction(np.zeros(nb), -s.tau * s.kappa,
-                                                      dxs[:, 1], dy[:, 1])
-        alpha_aff = np.minimum(1.0, step_limit(dxsa, dzsa, dtaua, dkappaa))
+        steps, _, _, dtaua, dkappaa = direction(np.zeros(nb), -s.tau * s.kappa,
+                                                dxs_rows[:, 1], dxs[1], dy[:, 1])
+        alpha_aff = np.minimum(1.0, step_limit(steps, dtaua, dkappaa))
 
-        comp_aff = _dot((s.lam + alpha_aff[:, None] * dxsa)[:, nf:],
-                        (s.lam + alpha_aff[:, None] * dzsa)[:, nf:]) + (
+        # lambda + alpha dxs and lambda + alpha dzs, as each program's rows
+        ahead = (s.lam + alpha_aff * steps)[:, nf:].transpose(0, 2, 1).copy()
+        comp_aff = _dot(ahead[0], ahead[1]) + (
             (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa))
         sigma = np.minimum(1.0, (np.maximum(comp_aff, 0.0) / s.comp) ** 3)
 
         # corrector: d_c = sigma mu e - lambda o lambda - dxsa o dzsa (the Mehrotra
         # term), W r1 = (1 - sigma) W r_d - lambda \ d_c = ... + lambda + shift
-        shift = np.zeros((nb, n))
-        dxsa_b, dzsa_b = layout.blocks(dxsa), layout.blocks(dzsa)
+        shift = np.zeros((n, nb))
+        steps_b = layout.blocks(steps)
         for d, blk in layout.blocks(shift).items():
-            corr = _jprod(dxsa_b[d], dzsa_b[d])
-            corr[..., 0, :] -= (sigma * s.mu)[:, None]
-            blk[...] = _jsolve(lam_b[d], s.det_lam[d], corr)
+            corr = _jprod(steps_b[d][0], steps_b[d][1])
+            corr.reshape(d, -1, nb)[0] -= sigma * s.mu
+            blk[...] = _jsolve(lam_b[d], det_lam[d], corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
-        rs = (1.0 - sigma)[:, None]
-        dxs1, dy1, dx1 = kkt.solve((rs * s.r_d)[:, None], (rs * wr_d)[:, None],
-                                   [s.lam[:, None], shift[:, None]], (-rs * s.r_p)[:, None])
-        dxs, dy, dz, dzs, dtau, dkappa = direction(sigma, d_tk, dxs1[:, 0], dy1[:, 0])
+        rs = 1.0 - sigma
+        dxs1_rows, dxs1, dy1, dx1 = kkt.solve((rs * r1[1])[None], [s.lam, shift],
+                                              (-rs[:, None] * s.r_p)[:, None])
+        steps, dy, dz, dtau, dkappa = direction(sigma, d_tk, dxs1_rows[:, 0], dxs1[0], dy1[:, 0])
 
-        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(dxs, dzs, dtau, dkappa))
+        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(steps, dtau, dkappa))
         if trace is not None:
             trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
                    "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
                    "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
         s.stalls = np.where(alpha <= _MIN_STEP, s.stalls + 1, 0)
         stalled = s.stalls >= 2
-        if stalled.any():
+        any_stalled = stalled.any()
+        if any_stalled:
             stop(stalled, "step_stall")
 
-        s.x += alpha[:, None] * (dx1 + dtau[:, None] * dx2)
+        s.x += alpha * (dx1 + dtau * dx2)
         s.y += alpha[:, None] * dy
-        s.z[:, nf:] += alpha[:, None] * dz[:, nf:]
+        s.z[nf:] += alpha * dz[nf:]
         s.tau, s.kappa = s.tau + alpha * dtau, s.kappa + alpha * dkappa
-        if stalled.any():
+        if any_stalled:
             s.take(~stalled)
             if not s.ids.size:
                 break

@@ -35,9 +35,9 @@ from .transcription import (
 # each round shrinks the bracket to 2 / (_BRACKET_POINTS + 1) of its width.
 # A round's family costs little more per added candidate, so fewer, wider
 # rounds pay: over the built-ins and nine drawn scenarios, paired timings
-# of whole searches give 32 points (5.0 rounds) 6-7% less time than 16
-# (6.5 rounds), 24 points the same as 16, and 12 or 8 points 4-6% and 16%
-# more (7.4 and 9.3 rounds).
+# of whole searches (medians of 24 alternating repeats) give 16 points
+# (6.6 rounds) 8-9% and 8 points (9.2 rounds) 30-33% more time than 32
+# (5.0 rounds), and 64 points (4.1 rounds) the same as 32 within 3%.
 _BRACKET_POINTS = 32
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rdvopt import ConeSpec, ConicProblem, SolverSettings, builtin, residuals, solve, solve_batch
 from rdvopt import conic_solver
+from rdvopt.postprocess import _three_node_grid
 from rdvopt.transcription import assemble_socp, build_grid
 
 
@@ -264,7 +265,7 @@ class TestSolverProperties:
     @pytest.mark.parametrize("stop, name, fake", [
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
         ("cone_boundary", "_jdot", lambda u, v: np.zeros(u.shape[:-2] + u.shape[-1:])),
-        ("step_stall", "_max_step", lambda u, det_u, du: 0.0),
+        ("step_stall", "_max_step", lambda u, det_u, du, programs: 0.0),
         pytest.param("kkt_breakdown", "band_lu", _singular_factorization,
                      id="kkt_breakdown-band_lu"),
     ])
@@ -386,6 +387,11 @@ class TestSolveBatch:
             assert (g.status, g.iterations) == (w.status, w.iterations)
             assert np.array_equal(g.x, w.x)
 
+    def test_a_lone_large_cone_adds_up_as_it_does_alone(self, rng):
+        # one 9-cone per program: alone, its eight tail components lie on a
+        # contiguous axis, which np.add.reduce would sum pairwise
+        self._matches_solo(_stack(self._family(rng, 6, dims=[3, 9, 3])))
+
     def test_free_variables_run_one_at_a_time(self, rng):
         self._matches_solo(_stack(self._family(rng, 3, n_free=2)))
 
@@ -416,6 +422,22 @@ class TestSolveBatch:
         assert empty.A.shape == (0,) + family.A.shape[1:]
         assert solve_batch(empty) == []
 
+    @pytest.mark.parametrize("name", ["atv", "circle2circle", "simbolx"])
+    def test_three_node_families_report_what_they_report_alone(self, name):
+        # the inner-node search's families: each built-in's resolution-100
+        # scan and, out of plane, a 32-point bracket round, whose cones pool
+        # into one (d, 3 K) block per iterate
+        scenario = builtin(name)
+        span = scenario.theta_f - scenario.theta0
+        scan = scenario.theta0 + span * np.arange(1, 101) / 101
+        sols = self._matches_solo(assemble_socp(scenario, _three_node_grid(scenario, scan)))
+        assert sum(sol.status == "optimal" for sol in sols) >= 90
+        spatial = replace(scenario, planar=False)
+        bracket = scan[40] + (scan[42] - scan[40]) * np.arange(1, 33) / 33
+        family = assemble_socp(spatial, _three_node_grid(spatial, bracket))
+        assert family.cones.soc_dims == (4, 4, 4) and family.A.shape[0] == 32
+        self._matches_solo(family)
+
 
 class TestNTScaling:
     def test_blocks_are_inverse_and_map_both_points_to_lambda(self, rng):
@@ -437,7 +459,7 @@ def _scaled_point(rng, cones):
     (wbar, eta) dicts that _ConeLayout.scale takes."""
     layout = conic_solver._ConeLayout(cones)
     free = np.zeros(cones.n_free)
-    u, v = (np.concatenate([free, _interior(rng, cones.soc_dims)])[None, layout.perm]
+    u, v = (np.concatenate([free, _interior(rng, cones.soc_dims)])[layout.perm, None]
             for _ in range(2))
     ub, vb = layout.blocks(u), layout.blocks(v)
     wbar, eta, wbar_inv, eta_inv = {}, {}, {}, {}
@@ -455,7 +477,8 @@ def _dense(wbar, eta):
     for d, w in wbar.items():
         g = w.shape[-1]
         unit = np.broadcast_to(np.eye(d)[:, :, None], (d, d, g))
-        cols = conic_solver._nt_apply(w[0], eta[d][0], unit)
+        cols = np.empty((d, d, g))
+        conic_solver._nt_apply(w, eta[d], unit, cols)
         out[d] = cols.transpose(2, 1, 0)
     return out
 
@@ -473,11 +496,6 @@ def _dense_kkt(a, layout, winv):
     return k
 
 
-def _columns(nt):
-    """A scaling that broadcasts over the columns of a stacked right-hand side."""
-    return tuple({d: v[:, None] for d, v in part.items()} for part in nt)
-
-
 class TestConeLayout:
     def test_permutation_groups_cones_by_dimension_component_by_component(self):
         layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
@@ -486,10 +504,39 @@ class TestConeLayout:
         assert layout.perm.tolist() == [0, 1, 5, 14, 6, 15, 2, 7, 3, 8, 4, 9, 10, 11, 12, 13]
         assert layout.slots == {2: (2, 2), 3: (6, 2), 4: (12, 1)}
         assert layout.perm[layout.unperm].tolist() == list(range(16))
-        v = np.arange(16.0)[None]
+        v = np.arange(16.0)[:, None]
         blocks = layout.blocks(v)
-        assert blocks[3].shape == (1, 3, 2) and np.shares_memory(blocks[3], v)
-        assert blocks[3][0, :, 1].tolist() == [7.0, 9.0, 11.0]
+        assert blocks[3].shape == (3, 2) and np.shares_memory(blocks[3], v)
+        assert blocks[3][:, 1].tolist() == [7.0, 9.0, 11.0]
+
+    def test_a_family_pools_each_dimension_into_one_contiguous_view(self):
+        # variables x programs: component i of cone j of program k sits at
+        # [i, j K + k] of its dimension's (d, g K) view
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
+        count = 5
+        v = np.arange(16.0 * count).reshape(16, count)
+        for d, block in layout.blocks(v).items():
+            lo, g = layout.slots[d]
+            assert block.shape == (d, g * count) and block.flags.c_contiguous
+            assert np.shares_memory(block, v)
+            i, j, k = np.meshgrid(range(d), range(g), range(count), indexing="ij")
+            assert np.array_equal(block[i, j * count + k], v[lo + i * g + j, k])
+        # a stack of iterates, (columns, n, programs), pools alike
+        stacked = layout.blocks(np.stack([v, -v]))
+        assert stacked[3].shape == (2, 3, 2 * count)
+        assert np.array_equal(stacked[3][1], -layout.blocks(v)[3])
+
+    def test_a_solo_program_keeps_its_row_order(self):
+        # a family of one stores one program's variables in the solver's
+        # order, contiguously, and each block is the (d, g) view of that row
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
+        row = np.arange(16.0)
+        v = row[:, None].copy()
+        assert np.array_equal(v.reshape(-1), row) and v.flags.c_contiguous
+        for d, block in layout.blocks(v).items():
+            lo, g = layout.slots[d]
+            assert block.strides == (8 * g, 8)
+            assert np.array_equal(block, row[lo:lo + g * d].reshape(d, g))
 
 
 class TestScaledQRKKT:
@@ -498,18 +545,20 @@ class TestScaledQRKKT:
             prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 6)))
             layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
             a = prob.A[:, layout.perm]
-            qr = conic_solver._ScaledQRKKT(*nt, a[None], layout)
+            # A's rows as (p, n, programs)
+            qr = conic_solver._ScaledQRKKT(*nt, a[:, :, None], layout)
             # two right-hand sides r1 + W^-1 dl, solved as one stacked pair
-            r1, dl = rng.normal(size=(2, 1, 2, prob.c.size))
+            r1, dl = rng.normal(size=(2, 2, prob.c.size, 1))
             r2 = rng.normal(size=(1, 2, prob.b.size))
-            dxs, dy, dx = qr.solve(r1, layout.scale(*_columns(nt), r1), [dl], r2)
+            dxs_rows, dxs, dy, dx = qr.solve(layout.scale(*nt, r1), [dl], r2)
             k = _dense_kkt(a, layout, _dense(*nt_inv))
-            r1 = r1 + layout.scale(*_columns(nt_inv), dl)
+            r1 = r1 + layout.scale(*nt_inv, dl)
             for col in range(2):
-                want = np.linalg.solve(k, np.concatenate([r1[0, col], r2[0, col]]))
-                got = np.concatenate([layout.scale(*nt, dxs[:, col])[0], dy[0, col]])
+                want = np.linalg.solve(k, np.concatenate([r1[col, :, 0], r2[0, col]]))
+                got = np.concatenate([layout.scale(*nt, dxs[col])[:, 0], dy[0, col]])
                 assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-            assert np.array_equal(dx, layout.scale(*nt, dxs[:, 0]))
+            assert np.array_equal(dx, layout.scale(*nt, dxs[0]))
+            assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
 
     def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
@@ -558,18 +607,18 @@ class TestSparseKKT:
         # with A dx = 0 and zero cost is a free direction of the program.
         rhs = k @ rng.normal(size=k.shape[0])
         want = np.linalg.lstsq(k, rhs, rcond=None)[0]
-        # the solver's interface: r1 + W^-1 dl in (and W r1, which the
-        # sparse LU does not read), dxs = W^-1 dx out, and the unscaled dx of
-        # the first column
-        dl = rng.normal(size=(1, 1, n))
-        r1 = rhs[None, None, :n] - layout.scale(*_columns(nt_inv), dl)
-        dxs, dy, dx = kkt.solve(r1, None, [dl], rhs[None, None, n:])
-        got = np.concatenate([dx[0], dy[0, 0]])
+        # the solver's interface: r1 + W^-1 dl in, dxs = W^-1 dx out (as
+        # rows and as cone columns), and the unscaled dx of the first column
+        dl = rng.normal(size=(1, n, 1))
+        r1 = rhs[None, :n, None] - layout.scale(*nt_inv, dl)
+        dxs_rows, dxs, dy, dx = kkt.solve(r1, [dl], rhs[None, None, n:])
+        assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
+        got = np.concatenate([dx[:, 0], dy[0, 0]])
         determined = np.linalg.pinv(k) @ (k @ got)
         assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
         # dxs is the same step in scaled variables
-        assert np.linalg.norm(layout.scale(*nt, dxs[:, 0]) - dx) <= 1e-9 * np.linalg.norm(dx)
+        assert np.linalg.norm(layout.scale(*nt, dxs[0]) - dx) <= 1e-9 * np.linalg.norm(dx)
         return np.linalg.matrix_rank(k) == k.shape[0]
 
     def test_matches_dense_least_squares_with_free_variables(self, rng):
@@ -680,4 +729,4 @@ class TestIterationGuards:
         finally:
             sys.setprofile(previous)
         assert sol.status == "optimal"
-        assert calls / sol.iterations <= 400
+        assert calls / sol.iterations <= 350
