@@ -15,11 +15,13 @@ The Newton step is computed in NT-scaled variables around
 lambda = W z = W^-1 x, with W applied in closed form from (wbar, eta)
 per cone: each KKT path reads r1 or W r1 and returns W^-1 dx, the
 Mehrotra term and both step-length tests use the scaled steps, and dz
-comes from the linear dual equation.  Variables are ordered once per solve as the
-free block, then the cones grouped by dimension, component by component,
-so every cone block is a reshape view.  Cone-only programs with
-independent equality rows solve each Newton system through a thin QR of
-W A', at a cost linear in the number of cones.  Programs with free
+comes from the linear dual equation.  Every cone of a program has one
+dimension d (ConeSpec raises ValueError on mixed dimensions), and
+variables are ordered once per solve as the free block, then the cones
+component by component, so the cone block is one reshape view.
+Cone-only programs with independent equality rows solve each Newton
+system through a thin QR of W A', at a cost linear in the number of
+cones.  Programs with free
 variables (never split into cone differences) or dependent rows use one
 sparse LU of the statically regularized quasi-definite KKT matrix K,
 with iterative refinement against the unregularized system; only it
@@ -37,17 +39,17 @@ import in its solve_time.
 
 One iteration loop serves a whole family of programs: a ConicProblem
 whose c, A and b carry a leading program axis.  The loop stores every
-iterate variables x programs, the program axis last, so the cones of one
-dimension form one contiguous (dim, cones x programs) block over the
-whole family and the cone algebra makes one pass per quantity; each
-program's tau, kappa, mu, sigma and step lengths broadcast along that
-axis.  The per-program reductions (c'x, b'y, x'z, the norms, A x, A'y and
-the scaled QR's products) run on each program's contiguous row, copied
-out of the iterate where they need it, and the scaled QR factors the
-stacked W A' in one call.  So a program that stops leaves the family with
-the iterate it would have reached alone, and solve_batch returns what
-solving each program by itself returns.  Programs that need the sparse LU
-run as families of one; solve runs its program as a family of one, whose
+iterate variables x programs, the program axis last, so the cones form
+one contiguous (d, cones x programs) block over the whole family and the
+cone algebra makes one pass per quantity; each program's tau, kappa, mu,
+sigma and step lengths broadcast along that axis.  The per-program
+reductions (c'x, b'y, x'z, the norms, A x, A'y and the scaled QR's
+products) run on each program's contiguous row, copied out of the
+iterate where they need it, and the scaled QR factors the stacked W A'
+in one call.  So a program that stops leaves the family with the iterate
+it would have reached alone, and solve_batch returns what solving each
+program by itself returns.  Programs that need the sparse LU run as
+families of one; solve runs its program as a family of one, whose
 iterate is its row in the solver's order.
 """
 
@@ -74,7 +76,8 @@ BEST_EFFORT = ("max_iters", "kkt_breakdown", "cone_boundary", "step_stall")
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Ordered cone structure of the variable vector: free block, then SOCs."""
+    """Ordered cone structure of the variable vector: free block, then SOCs,
+    all of one dimension."""
 
     n_free: int
     soc_dims: tuple[int, ...] = ()
@@ -84,6 +87,9 @@ class ConeSpec:
             raise ValueError("free block size must be nonnegative")
         if any(d < 2 for d in self.soc_dims):
             raise ValueError("second-order cones need dimension >= 2")
+        if len(set(self.soc_dims)) > 1:
+            raise ValueError("second-order cones need one dimension, got dimensions "
+                             f"{sorted(set(self.soc_dims))}")
         object.__setattr__(self, "soc_dims", tuple(int(d) for d in self.soc_dims))
 
     @property
@@ -185,48 +191,38 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 # -- batched second-order cone algebra -------------------------------------
 #
-# The g cones of one dimension d are processed together as (..., d, g K)
-# arrays, component by component, over the g K values of the cones of all K
+# The g cones of dimension d are processed together as (..., d, g K) arrays,
+# component by component, over the g K values of the cones of all K
 # programs; the leading axes, if any, stack right-hand sides or rows of A.
 
 
 class _ConeLayout:
     """The solver's variable order, perm (undone by unperm): the free block,
-    then per dimension the heads of its g cones, their first tail components,
-    and so on.  An iterate is stored variables x programs, so a group's blocks
-    are one (d, g K) view over the whole family, whose last axis runs over the
-    cones and, within each cone, the programs.  slots maps each dimension to
-    (start, g)."""
+    then the heads of the g cones of dimension d, their first tail
+    components, and so on.  An iterate is stored variables x programs, so
+    its cone block is one (d, g K) view over the whole family, whose last
+    axis runs over the cones and, within each cone, the programs."""
 
     def __init__(self, spec: ConeSpec):
-        dims = np.array(spec.soc_dims, dtype=int)
-        starts = spec.n_free + np.cumsum([0, *spec.soc_dims])[:-1]
-        order = [np.arange(spec.n_free)]
-        self.slots = {}
-        lo = self.n_free = spec.n_free
-        for d in sorted(set(spec.soc_dims)):
-            first = starts[dims == d]
-            order.append((np.arange(d)[:, None] + first).reshape(-1))
-            self.slots[d] = (lo, first.size)
-            lo += first.size * d
-        self.perm = np.concatenate(order)
+        self.n_free, self.g = spec.n_free, spec.n_cones
+        # any dimension serves the empty block of a program without cones
+        self.d = spec.soc_dims[0] if spec.soc_dims else 2
+        heads = self.n_free + self.d * np.arange(self.g)
+        self.perm = np.concatenate([np.arange(self.n_free),
+                                    (np.arange(self.d)[:, None] + heads).reshape(-1)])
         self.unperm = np.argsort(self.perm)
-        self._spans = [(d, lo, lo + g * d) for d, (lo, g) in self.slots.items()]
 
-    def blocks(self, v: np.ndarray) -> dict:
-        """(..., d, g K) views of the cone blocks of v, whose last two axes are
+    def blocks(self, v: np.ndarray) -> np.ndarray:
+        """(..., d, g K) view of the cone block of v, whose last two axes are
         the variables and the K programs."""
-        return {d: v[..., lo:hi, :].reshape(v.shape[:-2] + (d, -1)) for d, lo, hi in self._spans}
+        return v[..., self.n_free:, :].reshape(v.shape[:-2] + (self.d, -1))
 
-    def scale(self, wbar: dict, eta: dict, v: np.ndarray) -> np.ndarray:
+    def scale(self, wbar: np.ndarray, eta: np.ndarray, v: np.ndarray) -> np.ndarray:
         """W v for the NT scaling W = eta Wbar(wbar) of each cone, the free block as is."""
         out = np.empty(v.shape)
         if self.n_free:
             out[..., :self.n_free, :] = v[..., :self.n_free, :]
-        lead = v.shape[:-2]
-        for d, lo, hi in self._spans:
-            _nt_apply(wbar[d], eta[d], v[..., lo:hi, :].reshape(lead + (d, -1)),
-                      out[..., lo:hi, :].reshape(lead + (d, -1)))
+        _nt_apply(wbar, eta, self.blocks(v), self.blocks(out))
         return out
 
 
@@ -308,7 +304,7 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray, programs: int) -
     Takes (..., d, g K) blocks of the given number of programs, with u and
     det_u = det(u) broadcasting against du; returns one step per program,
     the smallest positive root of det(u + alpha*du) = 0 over its cones and
-    the leading axes (det(u) > 0: no root at zero).
+    the leading axes (det(u) > 0: no root at zero), inf without cones.
     """
     du0, du1 = du[..., 0, :], du[..., 1:, :]
     # a = det(du) and bq = 2 <u, du>_J, the _jdot of each
@@ -328,7 +324,7 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray, programs: int) -
     np.divide(det_u, t, out=roots[2], where=real)
     quad = roots[1:]
     quad[~(quad > 0.0)] = np.inf
-    return np.minimum.reduce(roots.reshape(-1, programs), axis=0)
+    return np.minimum.reduce(roots.reshape(-1, programs), axis=0, initial=np.inf)
 
 
 # -- KKT systems -------------------------------------------------------------
@@ -377,11 +373,11 @@ class _KKTPattern:
         var = layout.unperm[a_col]
         rows = [a_row + n, var]
         cols = [var, a_row + n]
-        for d, (lo, g) in layout.slots.items():
-            # variable of component i of cone k, blocks in (g, d, d) order
-            idx = lo + np.arange(d) * g + np.arange(g)[:, None]
-            rows.append(np.broadcast_to(idx[:, :, None], (g, d, d)).reshape(-1))
-            cols.append(np.broadcast_to(idx[:, None, :], (g, d, d)).reshape(-1))
+        # variable of component i of cone k, blocks in (g, d, d) order
+        d, g = layout.d, layout.g
+        idx = layout.n_free + np.arange(d) * g + np.arange(g)[:, None]
+        rows.append(np.broadcast_to(idx[:, :, None], (g, d, d)).reshape(-1))
+        cols.append(np.broadcast_to(idx[:, None, :], (g, d, d)).reshape(-1))
         rows.append(np.arange(size))
         cols.append(np.arange(size))
         keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
@@ -422,18 +418,16 @@ class _SparseKKT:
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
-    def __init__(self, wbar: dict, eta: dict, pattern: _KKTPattern):
+    def __init__(self, wbar: np.ndarray, eta: np.ndarray, pattern: _KKTPattern):
         self.layout, self.order = pattern.layout, pattern.order
         # W^-1 = Wbar(wbar_0, -wbar_1) / eta
-        self.wbar_inv, self.eta_inv, vals = {}, {}, [pattern.a_vals]
-        for d, w in wbar.items():
-            w = -w
-            w[0] *= -1.0
-            self.wbar_inv[d], self.eta_inv[d] = w, 1.0 / eta[d]
-            w = w.T
-            h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(d - 1)])
-            vals.append(-(h * self.eta_inv[d][:, None, None] ** 2).reshape(-1))
-        vals.append(np.zeros(pattern.size))
+        w = -wbar
+        w[0] *= -1.0
+        self.wbar_inv, self.eta_inv = w, 1.0 / eta
+        w = w.T
+        h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(self.layout.d - 1)])
+        vals = [pattern.a_vals, -(h * self.eta_inv[:, None, None] ** 2).reshape(-1),
+                np.zeros(pattern.size)]
         self.k = pattern.k
         self.k.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
         reg = _STATIC_REG
@@ -497,7 +491,7 @@ class _ScaledQRKKT:
     reg_retries = 0
     refine_rounds = 0
 
-    def __init__(self, wbar: dict, eta: dict, a: np.ndarray, layout: _ConeLayout):
+    def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout):
         self.wbar, self.eta, self.layout = wbar, eta, layout
         # the rows of G = A W are W times the rows of A, (p, n, programs)
         g = layout.scale(wbar, eta, a)
@@ -532,20 +526,24 @@ def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
 
 class _Active:
     """Per-program arrays of the programs still iterating.  The data rows in
-    rows carry the program axis first; every other array carries it last, and
-    each dict holds per-cone arrays whose last axis is cones x programs."""
+    rows carry the program axis first; every other array carries it last,
+    and on the per-cone arrays in cones that axis is cones x programs."""
 
     rows = ("a", "at", "b", "c_prog", "y", "x_prog", "r_p")
+    cones = ("wbar", "eta", "det_x", "det_z")
 
     def take(self, keep: np.ndarray):
         count = keep.size
         for name, value in vars(self).items():
             # compress keeps an array C-contiguous, so its cone blocks stay views
-            if isinstance(value, dict):
-                value = {d: v.reshape(v.shape[:-1] + (-1, count)).compress(keep, axis=-1).reshape(
-                    v.shape[:-1] + (-1,)) for d, v in value.items()}
+            if name in self.rows:
+                value = value[keep]
+            elif name in self.cones:
+                lead = value.shape[:-1]
+                value = value.reshape(lead + (-1, count)).compress(keep, axis=-1).reshape(
+                    lead + (-1,))
             else:
-                value = value[keep] if name in self.rows else value.compress(keep, axis=-1)
+                value = value.compress(keep, axis=-1)
             setattr(self, name, value)
 
 
@@ -583,8 +581,7 @@ def _solve_batch(
     else:
         pattern = _KKTPattern(layout, s.a[0])
     s.x, s.z, s.y = np.zeros((n, nb)), np.zeros((n, nb)), np.zeros((nb, p))
-    for xb, zb in zip(layout.blocks(s.x).values(), layout.blocks(s.z).values()):
-        xb[0] = zb[0] = 1.0
+    layout.blocks(s.x)[0] = layout.blocks(s.z)[0] = 1.0
     s.tau, s.kappa = np.ones(nb), np.ones(nb)
     s.stalls = np.zeros(nb, dtype=int)
 
@@ -674,13 +671,9 @@ def _solve_batch(
         # iterate pinned to the cone boundary at rounding level: no
         # further centering is possible, return best effort
         xb, zb = layout.blocks(s.x), layout.blocks(s.z)
-        s.det_x, s.det_z = {}, {}
-        pinned = np.zeros(s.ids.size, dtype=bool)
-        for d in xb:
-            s.det_x[d], s.det_z[d] = _jdot(xb[d], xb[d]), _jdot(zb[d], zb[d])
-            pinned |= np.minimum.reduce(np.minimum(s.det_x[d], s.det_z[d]).reshape(
-                -1, s.ids.size), axis=0) <= 0.0
-        pinned &= ~done
+        s.det_x, s.det_z = _jdot(xb, xb), _jdot(zb, zb)
+        pinned = ~done & (np.minimum.reduce(np.minimum(s.det_x, s.det_z).reshape(
+            -1, s.ids.size), axis=0, initial=np.inf) <= 0.0)
         if pinned.any():
             stop(pinned, "cone_boundary")
             done |= pinned
@@ -692,9 +685,7 @@ def _solve_batch(
             xb, zb = layout.blocks(s.x), layout.blocks(s.z)
 
         # NT scaling W, and lambda = W z = W^-1 x
-        s.wbar, s.eta = {}, {}
-        for d in xb:
-            s.wbar[d], s.eta[d] = _nt_scaling(xb[d], zb[d], s.det_x[d], s.det_z[d])
+        s.wbar, s.eta = _nt_scaling(xb, zb, s.det_x, s.det_z)
         s.lam = layout.scale(s.wbar, s.eta, s.z)
 
         t_factor = time.perf_counter()
@@ -711,7 +702,7 @@ def _solve_batch(
         factor_s = time.perf_counter() - t_factor
         nb = s.ids.size
         lam_b = layout.blocks(s.lam)
-        det_lam = {d: _jdot(blk, blk) for d, blk in lam_b.items()}
+        det_lam = _jdot(lam_b, lam_b)
 
         # the tau direction (right-hand side [c; b]) and the predictor's
         # (affine, sigma = 0: r1 = r_d + W^-1 lambda) in one two-column solve,
@@ -753,9 +744,7 @@ def _solve_batch(
                 np.where(dkappa < 0.0, s.kappa, np.inf) / np.where(dkappa < 0.0, -dkappa, 1.0))
             # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
             # W^-1(lambda + alpha dzs), and W maps the cone onto itself
-            for d, step in layout.blocks(steps).items():
-                amax = np.minimum(amax, _max_step(lam_b[d], det_lam[d], step, nb))
-            return amax
+            return np.minimum(amax, _max_step(lam_b, det_lam, layout.blocks(steps), nb))
 
         # predictor
         steps, _, _, dtaua, dkappaa = direction(np.zeros(nb), -s.tau * s.kappa,
@@ -772,10 +761,9 @@ def _solve_batch(
         # term), W r1 = (1 - sigma) W r_d - lambda \ d_c = ... + lambda + shift
         shift = np.zeros((n, nb))
         steps_b = layout.blocks(steps)
-        for d, blk in layout.blocks(shift).items():
-            corr = _jprod(steps_b[d][0], steps_b[d][1])
-            corr.reshape(d, -1, nb)[0] -= sigma * s.mu
-            blk[...] = _jsolve(lam_b[d], det_lam[d], corr)
+        corr = _jprod(steps_b[0], steps_b[1])
+        corr.reshape(layout.d, -1, nb)[0] -= sigma * s.mu
+        layout.blocks(shift)[...] = _jsolve(lam_b, det_lam, corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
         rs = 1.0 - sigma
         dxs1_rows, dxs1, dy1, dx1 = kkt.solve((rs * r1[1])[None], [s.lam, shift],

@@ -242,48 +242,39 @@ def reconstruct_trajectory(
 ) -> list[TrajectorySample]:
     """Densely sampled physical trajectory between consecutive burn nodes.
 
-    Impulse nodes appear twice, once with the incoming velocity and once
-    with the outgoing one; positions agree, velocities jump by dv.
+    Burns apply in anomaly order, whatever their order in the plan, and the
+    burns of one anomaly (within 1e-12 of each other, relative to theta_f)
+    add up.  Each burn anomaly appears twice, once with the incoming
+    velocity and once with the outgoing one; positions agree, velocities
+    jump by the anomaly's summed dv.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be at least 1")
     orbit = scenario.orbit
     eps = 1e-12 * max(1.0, abs(scenario.theta_f))
-    breaks = [scenario.theta0]
-    jumps = {}
-    for imp in plan.impulses:
-        if imp.theta > breaks[-1] + eps and imp.theta < scenario.theta_f - eps:
-            breaks.append(imp.theta)
-        jumps[imp.theta] = _transformed_jump(imp.dv, imp.theta, orbit)
-    breaks.append(scenario.theta_f)
-
     x0t, _ = transform_boundaries(scenario)
-    state = x0t.vector.copy()
+    theta, state = scenario.theta0, x0t.vector
     # sampled anomalies and transformed states, mapped back in one call
-    thetas: list[np.ndarray] = []
-    states: list[np.ndarray] = []
+    thetas, states = [np.array([theta])], [state[None, :]]
 
-    def emit_one(th, vec):
-        thetas.append(np.array([th]))
-        states.append(vec[None, :].copy())  # vec is updated in place afterwards
-
-    for th_a, th_b in zip(breaks[:-1], breaks[1:]):
-        if abs(th_a - scenario.theta0) <= eps and th_a in jumps:
-            # burn at departure
-            emit_one(th_a, state)
-            state[3:] += jumps.pop(th_a)
-        pts = np.linspace(th_a, th_b, samples_per_segment + 1)
-        seg = rd.stm_full(pts, th_a, orbit) @ state
+    def coast(th0, th1, x):
+        """Sample the coast from th0 (excluded) to th1; the state at th1."""
+        pts = np.linspace(th0, th1, samples_per_segment + 1)[1:]
         thetas.append(pts)
-        states.append(seg)
-        state = seg[-1].copy()
-        jump = None
-        for th_j in list(jumps):
-            if abs(th_j - th_b) <= eps:
-                jump = jumps.pop(th_j)
-        if jump is not None:
-            state[3:] += jump
-            emit_one(th_b, state)
+        states.append(rd.stm_full(pts, th0, orbit) @ x)
+        return states[-1][-1]
+
+    burns = sorted(plan.impulses, key=lambda imp: imp.theta)
+    for k, imp in enumerate(burns):
+        if imp.theta > theta + eps:
+            theta, state = imp.theta, coast(theta, imp.theta, state)
+        state = state.copy()
+        state[3:] += _transformed_jump(imp.dv, imp.theta, orbit)
+        if k + 1 == len(burns) or burns[k + 1].theta > theta + eps:
+            thetas.append(np.array([theta]))
+            states.append(state[None, :])
+    if scenario.theta_f > theta + eps:
+        coast(theta, scenario.theta_f, state)
 
     theta = np.concatenate(thetas)
     times = time_from_true(theta, orbit)

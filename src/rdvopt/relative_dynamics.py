@@ -43,53 +43,35 @@ def _triples(value) -> np.ndarray:
     return arr
 
 
-def _states_equal(a, b):
-    """Field-wise equality for the array-holding state classes."""
-    if type(a) is not type(b):
-        return NotImplemented
-    return bool(np.array_equal(a.r, b.r) and np.array_equal(a.v, b.v))
-
-
-@dataclass(frozen=True)
-class RelativeState:
-    """Chaser position/velocity relative to the target, rotating frame.
-
-    r and v have shape (3,), or (..., 3) for a stack of states.
-    """
+@dataclass(frozen=True, eq=False)
+class _State:
+    """Position/velocity pair; r and v have shape (3,), or (..., 3) for a
+    stack of states.  States compare field by field, and only with states
+    of their own class."""
 
     r: np.ndarray
     v: np.ndarray
 
-    __eq__ = _states_equal
-
     def __post_init__(self):
         object.__setattr__(self, "r", _triples(self.r))
         object.__setattr__(self, "v", _triples(self.v))
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return bool(np.array_equal(self.r, other.r) and np.array_equal(self.v, other.v))
 
     @property
     def vector(self) -> np.ndarray:
         return np.concatenate([self.r, self.v], axis=-1)
 
 
-@dataclass(frozen=True)
-class TransformedState:
-    """Chaser state in rho-scaled coordinates; both blocks carry length units.
+class RelativeState(_State):
+    """Chaser position/velocity relative to the target, rotating frame."""
 
-    r and v have shape (3,), or (..., 3) for a stack of states.
-    """
 
-    r: np.ndarray
-    v: np.ndarray
-
-    __eq__ = _states_equal
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _triples(self.r))
-        object.__setattr__(self, "v", _triples(self.v))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v], axis=-1)
+class TransformedState(_State):
+    """Chaser state in rho-scaled coordinates; both blocks carry length units."""
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "TransformedState":

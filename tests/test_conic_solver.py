@@ -16,15 +16,16 @@ def make_kkt_certified_problem(rng, n_free=None, ncones=None, strict=False, dims
     The pair (x*, y*, z*) is optimal by construction: b := A x* makes x*
     feasible, c := A'y* + z* makes (y*, z*) dual feasible, and each cone
     block is complementary (x interior with z = 0, x = 0 with z interior,
-    or a complementary boundary pair).  dims and p, when given, fix the
-    cone dimensions and the number of rows.
+    or a complementary boundary pair).  The cones share one dimension, as
+    the solver requires.  dims and p, when given, fix the cone dimensions
+    and the number of rows.
     """
     if n_free is None:
         n_free = int(rng.integers(0, 3))
     if dims is None:
         if ncones is None:
             ncones = int(rng.integers(1, 4))
-        dims = [int(rng.integers(2, 6)) for _ in range(ncones)]
+        dims = [int(rng.integers(2, 6))] * ncones
     n = n_free + sum(dims)
     # strict: pin x through the equalities so the argmin is unique
     if p is None:
@@ -232,6 +233,13 @@ class TestSolverProperties:
         with pytest.raises(ValueError, match="dimension"):
             ConicProblem(c=[1.0, 2.0, 3.0], A=[[1.0, 0.0]], b=[1.0], cones=ConeSpec(0, (2,)))
 
+    def test_cones_of_mixed_dimensions_raise(self):
+        # every cone of a program has one dimension; the error names them
+        with pytest.raises(ValueError, match=r"one dimension, got dimensions \[3, 4\]"):
+            ConicProblem(c=np.zeros(7), A=np.ones((1, 7)), b=[1.0], cones=ConeSpec(0, (3, 4)))
+        with pytest.raises(ValueError, match=r"\[2, 3\]"):
+            ConeSpec(1, (3, 2, 3))
+
     def test_trace_names_the_kkt_path(self, rng):
         for n_free, path in ((0, "scaled_qr"), (2, "sparse_lu")):
             prob, *_ = make_kkt_certified_problem(rng, n_free=n_free)
@@ -322,11 +330,11 @@ def _member(family, k):
 
 class TestSolveBatch:
     @staticmethod
-    def _family(rng, count, n_free=0, dims=None):
-        """Random programs of one shape: cone dimensions and rows drawn once."""
+    def _family(rng, count, n_free=0, dims=None, min_rows=2):
+        """Random programs of one shape: cone dimension and rows drawn once."""
         if dims is None:
-            dims = [int(d) for d in rng.integers(2, 6, size=4)]
-        p = int(rng.integers(2, n_free + sum(dims)))
+            dims = [int(rng.integers(2, 6))] * 4
+        p = int(rng.integers(min_rows, n_free + sum(dims)))
         return [make_kkt_certified_problem(rng, n_free=n_free, dims=dims, p=p)[0]
                 for _ in range(count)]
 
@@ -345,10 +353,9 @@ class TestSolveBatch:
 
     def test_members_report_what_they_report_alone(self, rng):
         capped_statuses = set()
-        # the last family spreads three 3-cones apart, so that their blocks
-        # are gathered rather than sliced
-        for dims in (None, None, None, None, [3, 2, 3, 4, 3]):
-            family = self._family(rng, 8, dims=dims)
+        # at least three rows, so that the member below has a dependent one
+        for dims in (None, None, None, None, [3] * 5):
+            family = self._family(rng, 8, dims=dims, min_rows=3)
             family.append(_infeasible_like(rng, family[0]))
             # dependent rows: this member needs the sparse LU and runs alone
             dep = family[1]
@@ -390,7 +397,7 @@ class TestSolveBatch:
     def test_a_lone_large_cone_adds_up_as_it_does_alone(self, rng):
         # one 9-cone per program: alone, its eight tail components lie on a
         # contiguous axis, which np.add.reduce would sum pairwise
-        self._matches_solo(_stack(self._family(rng, 6, dims=[3, 9, 3])))
+        self._matches_solo(_stack(self._family(rng, 6, dims=[9])))
 
     def test_free_variables_run_one_at_a_time(self, rng):
         self._matches_solo(_stack(self._family(rng, 3, n_free=2)))
@@ -442,12 +449,11 @@ class TestSolveBatch:
 class TestNTScaling:
     def test_blocks_are_inverse_and_map_both_points_to_lambda(self, rng):
         for _ in range(20):
-            dims = tuple(int(d) for d in rng.integers(2, 6, size=int(rng.integers(2, 8))))
+            dims = (int(rng.integers(2, 6)),) * int(rng.integers(2, 8))
             layout, u, v, nt, nt_inv = _scaled_point(rng, ConeSpec(0, dims))
             w, winv = _dense(*nt), _dense(*nt_inv)
-            for d in layout.slots:
-                eye = np.broadcast_to(np.eye(d), w[d].shape)
-                assert np.max(np.abs(np.matmul(w[d], winv[d]) - eye)) <= 1e-12
+            eye = np.broadcast_to(np.eye(layout.d), w.shape)
+            assert np.max(np.abs(np.matmul(w, winv) - eye)) <= 1e-12
             lam = layout.scale(*nt, v)
             scale = np.max(np.abs(lam))
             assert np.max(np.abs(layout.scale(*nt_inv, u) - lam)) <= 1e-12 * scale
@@ -456,31 +462,26 @@ class TestNTScaling:
 def _scaled_point(rng, cones):
     """A random interior primal-dual pair (u, v) in the solver's variable
     order, with its NT scaling and the inverse scaling, each as the
-    (wbar, eta) dicts that _ConeLayout.scale takes."""
+    (wbar, eta) arrays that _ConeLayout.scale takes."""
     layout = conic_solver._ConeLayout(cones)
     free = np.zeros(cones.n_free)
     u, v = (np.concatenate([free, _interior(rng, cones.soc_dims)])[layout.perm, None]
             for _ in range(2))
     ub, vb = layout.blocks(u), layout.blocks(v)
-    wbar, eta, wbar_inv, eta_inv = {}, {}, {}, {}
-    for d in layout.slots:
-        wbar[d], eta[d] = conic_solver._nt_scaling(ub[d], vb[d], conic_solver._jdot(ub[d], ub[d]),
-                                                   conic_solver._jdot(vb[d], vb[d]))
-        # W^-1 = Wbar(wbar_0, -wbar_1) / eta
-        wbar_inv[d], eta_inv[d] = wbar[d] * np.r_[1.0, -np.ones(d - 1)][:, None], 1.0 / eta[d]
-    return layout, u, v, (wbar, eta), (wbar_inv, eta_inv)
+    wbar, eta = conic_solver._nt_scaling(ub, vb, conic_solver._jdot(ub, ub),
+                                         conic_solver._jdot(vb, vb))
+    # W^-1 = Wbar(wbar_0, -wbar_1) / eta
+    wbar_inv = wbar * np.r_[1.0, -np.ones(layout.d - 1)][:, None]
+    return layout, u, v, (wbar, eta), (wbar_inv, 1.0 / eta)
 
 
 def _dense(wbar, eta):
     """(g, d, d) matrices of the scaling of each cone (one program), column by column."""
-    out = {}
-    for d, w in wbar.items():
-        g = w.shape[-1]
-        unit = np.broadcast_to(np.eye(d)[:, :, None], (d, d, g))
-        cols = np.empty((d, d, g))
-        conic_solver._nt_apply(w, eta[d], unit, cols)
-        out[d] = cols.transpose(2, 1, 0)
-    return out
+    d, g = wbar.shape
+    unit = np.broadcast_to(np.eye(d)[:, :, None], (d, d, g))
+    cols = np.empty((d, d, g))
+    conic_solver._nt_apply(wbar, eta, unit, cols)
+    return cols.transpose(2, 1, 0)
 
 
 def _dense_kkt(a, layout, winv):
@@ -488,9 +489,8 @@ def _dense_kkt(a, layout, winv):
     solver's variable order (a is A with its columns in that order)."""
     p, n = a.shape
     k = np.zeros((n + p, n + p))
-    for d, (lo, g) in layout.slots.items():
-        idx = lo + np.arange(d) * g + np.arange(g)[:, None]
-        k[idx[:, :, None], idx[:, None, :]] = -np.matmul(winv[d], winv[d])
+    idx = layout.n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
+    k[idx[:, :, None], idx[:, None, :]] = -np.matmul(winv, winv)
     k[n:, :n] = a
     k[:n, n:] = a.T
     return k
@@ -498,45 +498,48 @@ def _dense_kkt(a, layout, winv):
 
 class TestConeLayout:
     def test_permutation_groups_cones_by_dimension_component_by_component(self):
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
-        # free block; the heads, then the tails, of the 2-cones at 5 and 14;
-        # of the 3-cones at 2 and 7; of the 4-cone at 10
-        assert layout.perm.tolist() == [0, 1, 5, 14, 6, 15, 2, 7, 3, 8, 4, 9, 10, 11, 12, 13]
-        assert layout.slots == {2: (2, 2), 3: (6, 2), 4: (12, 1)}
-        assert layout.perm[layout.unperm].tolist() == list(range(16))
-        v = np.arange(16.0)[:, None]
-        blocks = layout.blocks(v)
-        assert blocks[3].shape == (3, 2) and np.shares_memory(blocks[3], v)
-        assert blocks[3][:, 1].tolist() == [7.0, 9.0, 11.0]
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3)))
+        # free block; the heads, first tails and second tails of the 3-cones
+        # at 2, 5 and 8
+        assert layout.perm.tolist() == [0, 1, 2, 5, 8, 3, 6, 9, 4, 7, 10]
+        assert (layout.n_free, layout.d, layout.g) == (2, 3, 3)
+        assert layout.perm[layout.unperm].tolist() == list(range(11))
+        v = np.arange(11.0)[:, None]
+        block = layout.blocks(v)
+        assert block.shape == (3, 3) and np.shares_memory(block, v)
+        # column 1 holds the cone at 5, component by component
+        assert block[:, 1].tolist() == [3.0, 6.0, 9.0]
+        assert layout.perm[[3, 6, 9]].tolist() == [5, 6, 7]
+        # a program without cones has an empty block
+        empty = conic_solver._ConeLayout(ConeSpec(1, ()))
+        assert empty.perm.tolist() == [0] and empty.blocks(np.ones((1, 4))).size == 0
 
     def test_a_family_pools_each_dimension_into_one_contiguous_view(self):
         # variables x programs: component i of cone j of program k sits at
-        # [i, j K + k] of its dimension's (d, g K) view
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
-        count = 5
-        v = np.arange(16.0 * count).reshape(16, count)
-        for d, block in layout.blocks(v).items():
-            lo, g = layout.slots[d]
-            assert block.shape == (d, g * count) and block.flags.c_contiguous
-            assert np.shares_memory(block, v)
-            i, j, k = np.meshgrid(range(d), range(g), range(count), indexing="ij")
-            assert np.array_equal(block[i, j * count + k], v[lo + i * g + j, k])
+        # [i, j K + k] of the (d, g K) view
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3, 3)))
+        d, g, count = 3, 4, 5
+        v = np.arange(14.0 * count).reshape(14, count)
+        block = layout.blocks(v)
+        assert block.shape == (d, g * count) and block.flags.c_contiguous
+        assert np.shares_memory(block, v)
+        i, j, k = np.meshgrid(range(d), range(g), range(count), indexing="ij")
+        assert np.array_equal(block[i, j * count + k], v[2 + i * g + j, k])
         # a stack of iterates, (columns, n, programs), pools alike
         stacked = layout.blocks(np.stack([v, -v]))
-        assert stacked[3].shape == (2, 3, 2 * count)
-        assert np.array_equal(stacked[3][1], -layout.blocks(v)[3])
+        assert stacked.shape == (2, d, g * count)
+        assert np.array_equal(stacked[1], -block)
 
     def test_a_solo_program_keeps_its_row_order(self):
         # a family of one stores one program's variables in the solver's
-        # order, contiguously, and each block is the (d, g) view of that row
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 2, 3, 4, 2)))
-        row = np.arange(16.0)
+        # order, contiguously, and its block is the (d, g) view of that row
+        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3, 3)))
+        row = np.arange(14.0)
         v = row[:, None].copy()
         assert np.array_equal(v.reshape(-1), row) and v.flags.c_contiguous
-        for d, block in layout.blocks(v).items():
-            lo, g = layout.slots[d]
-            assert block.strides == (8 * g, 8)
-            assert np.array_equal(block, row[lo:lo + g * d].reshape(d, g))
+        block = layout.blocks(v)
+        assert block.strides == (8 * 4, 8)
+        assert np.array_equal(block, row[2:].reshape(3, 4))
 
 
 class TestScaledQRKKT:

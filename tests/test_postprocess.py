@@ -226,6 +226,26 @@ class TestReconstructTrajectory:
         assert np.max(np.abs(traj[0].state.vector - scen.x0.vector)) < 1e-10
         assert np.max(np.abs(traj[-1].state.vector - scen.xf.vector)) < 1e-6
 
+    def test_ends_where_verification_ends_whatever_the_burn_list(self, c2c_result):
+        # one burn split in two halves, or the burns out of anomaly order, is
+        # the same plan: the last sample is verify_plan's propagated end state
+        scen = builtin("circle2circle")
+        plan = c2c_result.plan
+        burns = plan.impulses
+        half = replace(burns[1], dv=burns[1].dv / 2, magnitude=burns[1].magnitude / 2)
+        for impulses in (burns, burns[:1] + [half, half] + burns[2:],
+                         [burns[k] for k in (2, 0, 3, 1)]):
+            variant = replace(plan, impulses=impulses, n_impulses=len(impulses))
+            miss = verify_plan(variant, scen)
+            traj = reconstruct_trajectory(variant, scen, samples_per_segment=4)
+            end = traj[-1].state
+            assert traj[-1].theta == scen.theta_f
+            assert np.linalg.norm(end.r - scen.xf.r) == pytest.approx(miss.position, abs=1e-12)
+            assert np.linalg.norm(end.v - scen.xf.v) == pytest.approx(miss.velocity, abs=1e-12)
+            # each burn anomaly twice: incoming and outgoing velocity
+            count = Counter(s.theta for s in traj)
+            assert [count[imp.theta] for imp in burns] == [2] * len(burns)
+
     def test_sample_count_validation(self, c2c_result):
         with pytest.raises(ValueError, match="samples_per_segment"):
             reconstruct_trajectory(c2c_result.plan, builtin("circle2circle"), 0)

@@ -63,6 +63,13 @@ class TestTransformations:
         assert not np.any(t.vector)
         assert not np.any(from_transformed(TransformedState(np.zeros(3), np.zeros(3)), 0.7, o).vector)
 
+    def test_states_compare_only_within_their_frame(self):
+        r, v = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
+        assert RelativeState(r, v) == RelativeState(np.array(r), v)
+        assert RelativeState(r, v) != RelativeState(r, [4.0, 5.0, 7.0])
+        assert RelativeState(r, v) != TransformedState(r, v)
+        assert TransformedState(r, v) != RelativeState(r, v)
+
     def test_round_trip_thousand_random(self, rng):
         for _ in range(1000):
             o = random_orbit(rng)
