@@ -197,15 +197,8 @@ def _cmd_inner_node(args) -> int:
     if res.plan is None:
         print(f"solver status: {res.status}", file=sys.stderr)
         return 2
-    doc = {
-        "tool": {"name": "rdvopt", "version": __version__},
-        "scenario": {"name": scenario.name, "hash": scenario_hash(scenario)},
-        "resolution": args.resolution,
-        "theta2_rad": res.theta2,
-        "total_dv": res.total_dv,
-        "units": _unit_labels(scenario),
-        "impulses": [_impulse_record(imp) for imp in res.plan.impulses],
-    }
+    doc = solution_document(scenario, res, None)
+    doc.update(resolution=args.resolution, theta2_rad=res.theta2)
     _write_json(doc, args.out)
     return 0
 
@@ -251,8 +244,6 @@ def _cmd_validate(args) -> int:
         impulses=impulses,
         total_dv=doc.get("total_dv", 0.0),
         dropped_dv=doc.get("dropped_dv", 0.0),
-        n_impulses=len(impulses),
-        mesh_m=doc.get("mesh_M", 0),
         extraction_tol=doc.get("extraction_tol", 0.0),
         raw_thetas=np.array([]), raw_times=np.array([]),
         raw_dv=np.zeros((0, 3)), raw_magnitudes=np.array([]),
@@ -315,9 +306,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        return _err(str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _err(str(exc))
 
 

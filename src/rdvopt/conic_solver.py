@@ -83,6 +83,10 @@ class ConeSpec:
     soc_dims: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # whether a size is an integer depends on its type alone: check one of each
+        for size in {type(s): s for s in (self.n_free, *self.soc_dims)}.values():
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise ValueError(f"cone sizes must be integers, got {size!r}")
         if self.n_free < 0:
             raise ValueError("free block size must be nonnegative")
         if any(d < 2 for d in self.soc_dims):
@@ -158,11 +162,14 @@ class ConicSolution:
     y: np.ndarray
     z: np.ndarray
     status: str
-    gap: float
     residuals: Residuals
     iterations: int
     solve_time: float
     objective: float = math.nan
+
+    @property
+    def gap(self) -> float:
+        return self.residuals.gap
 
 
 def _single(problem: ConicProblem, caller: str):
@@ -601,7 +608,7 @@ def _solve_batch(
                    _dot(s.c_prog[stopped], x).tolist())
         for i, xk, yk, zk, primal, dual, gap, objective in rows:
             res = Residuals(primal=primal, dual=dual, gap=gap)
-            out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, gap=gap, residuals=res,
+            out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, residuals=res,
                                    iterations=it, solve_time=solve_time, objective=objective)
 
     def stop(stopped, reason):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -71,14 +71,20 @@ class ImpulsePlan:
     impulses: list[Impulse]
     total_dv: float
     dropped_dv: float
-    n_impulses: int
-    mesh_m: int
     extraction_tol: float
     raw_thetas: np.ndarray
     raw_times: np.ndarray
     raw_dv: np.ndarray
     raw_magnitudes: np.ndarray
     terminal_error: Optional[TerminalError] = None
+
+    @property
+    def n_impulses(self) -> int:
+        return len(self.impulses)
+
+    @property
+    def mesh_m(self) -> int:
+        return len(self.raw_thetas)
 
 
 def _physical_dv(dv_scaled: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
@@ -128,8 +134,6 @@ def extract_impulses(
         impulses=impulses,
         total_dv=float(mags.sum()),
         dropped_dv=float(mags[~keep].sum()),
-        n_impulses=len(impulses),
-        mesh_m=grid.m,
         extraction_tol=float(tol),
         raw_thetas=grid.nodes.copy(),
         raw_times=grid.times.copy(),
@@ -214,18 +218,7 @@ def merge_adjacent_impulses(
         theta = float(weights @ [i.theta for i in group] / weights.sum())
         merged.append(Impulse(theta=theta, t=float(time_from_true(theta, scenario.orbit)),
                               dv=dv, magnitude=float(np.linalg.norm(dv))))
-    return ImpulsePlan(
-        impulses=merged,
-        total_dv=plan.total_dv,
-        dropped_dv=plan.dropped_dv,
-        n_impulses=len(merged),
-        mesh_m=plan.mesh_m,
-        extraction_tol=plan.extraction_tol,
-        raw_thetas=plan.raw_thetas,
-        raw_times=plan.raw_times,
-        raw_dv=plan.raw_dv,
-        raw_magnitudes=plan.raw_magnitudes,
-    )
+    return replace(plan, impulses=merged, terminal_error=None)
 
 
 @dataclass(frozen=True)
@@ -425,15 +418,23 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
 
 
 @dataclass(frozen=True)
-class InnerNodeResult:
-    """Best interior node; plan is None (total_dv inf) when its solve was not optimal."""
+class InnerNodeResult(PlanResult):
+    """The PlanResult of the best three-node grid, with the scan that chose it.
+
+    plan is None (total_dv inf) when the chosen grid's solve was not optimal.
+    """
 
     theta2: float
-    total_dv: float
-    plan: Optional[ImpulsePlan]
-    status: str
     scan_nodes: np.ndarray
     scan_costs: np.ndarray
+
+    @property
+    def total_dv(self) -> float:
+        return self.plan.total_dv if self.plan is not None else math.inf
+
+    @property
+    def status(self) -> str:
+        return self.solution.status
 
 
 def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
@@ -469,7 +470,8 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     Scans the open horizon at the given resolution, then narrows the
     bracket around the best candidate to 1e-6 rad: each round solves
     evenly spaced interior points of the bracket as one batch and keeps
-    the two neighbours of the best.  Only the chosen anomaly is planned.
+    the two neighbours of the best.  Only the chosen anomaly is planned,
+    and its PlanResult is returned with the scan.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be at least 10, got {resolution}")
@@ -488,6 +490,4 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
         a, b = (points[j - 1] if j > 0 else a), (points[j + 1] if j < _BRACKET_POINTS - 1 else b)
     theta2 = 0.5 * (a + b)
     res = plan_rendezvous(scenario, grid=_three_node_grid(scenario, theta2), settings=settings)
-    total = res.plan.total_dv if res.plan is not None else math.inf
-    return InnerNodeResult(theta2=float(theta2), total_dv=float(total), plan=res.plan,
-                           status=res.solution.status, scan_nodes=cands, scan_costs=costs)
+    return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=cands, scan_costs=costs)

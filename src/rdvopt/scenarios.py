@@ -122,13 +122,14 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
 
     opts = doc.get("options", {})
     _require_keys(opts, _OPTION_KEYS, set(), f"{source}.options")
-    planar = opts.get("planar", False)
+    planar = opts.get("planar", Scenario.planar)
     if not isinstance(planar, bool):
         _fail(f"{source}.options.planar", "must be a boolean")
-    mesh_m = opts.get("mesh_M", 257)
+    mesh_m = opts.get("mesh_M", Scenario.mesh_m)
     if not isinstance(mesh_m, int) or mesh_m < 2:
         _fail(f"{source}.options.mesh_M", f"must be an integer >= 2, got {mesh_m!r}")
-    tol = _number(opts.get("extraction_tol", 1e-5), f"{source}.options.extraction_tol")
+    tol = _number(opts.get("extraction_tol", Scenario.extraction_tol),
+                  f"{source}.options.extraction_tol")
 
     try:
         return Scenario(

@@ -37,7 +37,6 @@ class UnitSystem:
 
     length: float
     time: float
-    label: str = "km-s"
 
     @property
     def velocity(self) -> float:
@@ -95,7 +94,7 @@ class Scenario:
 
     @property
     def units(self) -> UnitSystem:
-        return UnitSystem(length=self.orbit.p, time=1.0 / self.orbit.n, label=self.unit_label)
+        return UnitSystem(length=self.orbit.p, time=1.0 / self.orbit.n)
 
     @property
     def state_dim(self) -> int:

@@ -64,6 +64,28 @@ def c2c_doc_path(tmp_path_factory):
     return out
 
 
+# a scenario path that cannot be read, or an output path in a missing
+# directory, per command; {dir} is an existing directory
+UNREADABLE_OR_UNWRITABLE = {
+    "solve-scenario-is-directory": ["solve", "{dir}"],
+    "solve-out": ["solve", "circle2circle", "--mesh", "9", "--out", "{dir}/missing/plan.json"],
+    "solve-trajectory": ["solve", "circle2circle", "--mesh", "9",
+                         "--trajectory", "{dir}/missing/traj.csv"],
+    "sweep-out": ["sweep", "circle2circle", "--mesh-list", "9", "--out", "{dir}/missing/s.csv"],
+    "inner-node-out": ["inner-node", "circle2circle", "--resolution", "10",
+                       "--out", "{dir}/missing/inner.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_OR_UNWRITABLE))
+def test_unreadable_or_unwritable_path_is_input_error(tmp_path, case):
+    proc = run_cli(*(arg.format(dir=tmp_path) for arg in UNREADABLE_OR_UNWRITABLE[case]))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestSolveCommand:
     def test_builtin_solve_document(self, c2c_doc_path):
         doc = json.loads(c2c_doc_path.read_text())
@@ -217,6 +239,19 @@ class TestInnerNodeCommand:
             docs.append(json.loads(proc.stdout))
         assert abs(docs[0]["theta2_rad"] - docs[1]["theta2_rad"]) < 1e-5
         assert abs(docs[0]["total_dv"] - docs[1]["total_dv"]) < 1e-9
+
+    def test_document_is_the_solve_document_of_the_chosen_grid(self, tmp_path):
+        out = tmp_path / "inner.json"
+        proc = run_cli("inner-node", "circle2circle", "--resolution", "10", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        res = postprocess.inner_node_search(builtin("circle2circle"), resolution=10)
+        want = strip_timing(cli.solution_document(builtin("circle2circle"), res, None))
+        want.update(resolution=10, theta2_rad=res.theta2)
+        assert strip_timing(doc) == want
+        assert doc["solver"]["status"] == "optimal" and doc["mesh_M"] == 3
+        proc = run_cli("validate", str(out), "circle2circle")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_no_plan_at_chosen_node_exits_2(self, monkeypatch, capsys):
         real_solve = postprocess.solve

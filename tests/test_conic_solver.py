@@ -240,6 +240,18 @@ class TestSolverProperties:
         with pytest.raises(ValueError, match=r"\[2, 3\]"):
             ConeSpec(1, (3, 2, 3))
 
+    @pytest.mark.parametrize("n_free, dims", [
+        (0, (2.7,)), (0, (3.0,)), (1.5, (3,)), (True, (3,)), (0, (True, True)), (0, ("3",)),
+    ])
+    def test_non_integral_cone_sizes_raise(self, n_free, dims):
+        # a size is rejected, never truncated to an integer
+        with pytest.raises(ValueError, match="cone sizes must be integers"):
+            ConeSpec(n_free, dims)
+
+    def test_numpy_integer_cone_sizes_are_kept(self):
+        spec = ConeSpec(np.int64(2), (np.int64(3),) * 2)
+        assert spec.dim == 8 and spec.soc_dims == (3, 3)
+
     def test_trace_names_the_kkt_path(self, rng):
         for n_free, path in ((0, "scaled_qr"), (2, "sparse_lu")):
             prob, *_ = make_kkt_certified_problem(rng, n_free=n_free)

@@ -9,9 +9,9 @@ from rdvopt import (
     time_from_true,
     true_from_time,
 )
-from rdvopt.kepler import solve_kepler
+from rdvopt.kepler import eccentric_from_true, mean_from_true, solve_kepler, true_from_eccentric
 
-from conftest import random_orbit
+from conftest import ECCENTRICITIES, random_orbit
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,3 +155,26 @@ class TestArrayAnomalies:
         revs = np.arange(11)
         t = time_from_true(0.5 + TWO_PI * revs, o)
         assert np.allclose(np.diff(t), o.period, rtol=1e-12)
+
+    @pytest.mark.parametrize("fn", [eccentric_from_true, mean_from_true])
+    def test_anomaly_conversions_take_scalars_and_arrays(self, fn, rng):
+        e = 0.7
+        assert type(fn(2.0, e)) is float
+        assert type(fn(np.float64(2.0), e)) is float
+        theta = rng.uniform(0.0, 10.0 * TWO_PI, size=(4, 8))
+        got = fn(theta, e)
+        assert got.shape == theta.shape
+        stacked = np.array([fn(float(th), e) for th in theta.ravel()]).reshape(theta.shape)
+        assert np.array_equal(got, stacked)
+
+    @pytest.mark.parametrize("e", ECCENTRICITIES)
+    def test_anomaly_round_trips_keep_the_revolution(self, e):
+        # ten revolutions, each anomaly through E and back, and through M,
+        # Kepler's equation and E back
+        theta = np.linspace(-1.0, 10.0 * TWO_PI, 241)
+        ecc, mean = eccentric_from_true(theta, e), mean_from_true(theta, e)
+        for th, ea, ma in zip(theta, ecc, mean):
+            assert true_from_eccentric(float(ea), e) == pytest.approx(th, abs=1e-12)
+            revs = math.floor(ma / TWO_PI)
+            ea_kepler = solve_kepler(ma - TWO_PI * revs, e) + TWO_PI * revs
+            assert true_from_eccentric(ea_kepler, e) == pytest.approx(th, abs=1e-9)

@@ -29,7 +29,7 @@ from rdvopt import (
     verify_plan,
 )
 from rdvopt import postprocess, transcription
-from rdvopt.postprocess import ImpulsePlan, TrajectorySample, _three_node_costs
+from rdvopt.postprocess import ImpulsePlan, PlanResult, TrajectorySample, _three_node_costs
 from rdvopt.transcription import expand_solution
 
 DATA = Path(__file__).parent / "data"
@@ -128,7 +128,7 @@ class TestVerifyPlan:
 
     def test_empty_plan_on_coasting_scenario(self, coasting):
         plan = ImpulsePlan(
-            impulses=[], total_dv=0.0, dropped_dv=0.0, n_impulses=0, mesh_m=0,
+            impulses=[], total_dv=0.0, dropped_dv=0.0,
             extraction_tol=0.0, raw_thetas=np.array([]), raw_times=np.array([]),
             raw_dv=np.zeros((0, 3)), raw_magnitudes=np.array([]),
         )
@@ -142,7 +142,6 @@ class TestVerifyPlan:
             impulses=[replace(imp, dv=np.zeros(3)) if k == 1 else imp
                       for k, imp in enumerate(plan.impulses)],
             total_dv=plan.total_dv, dropped_dv=plan.dropped_dv,
-            n_impulses=plan.n_impulses, mesh_m=plan.mesh_m,
             extraction_tol=plan.extraction_tol, raw_thetas=plan.raw_thetas,
             raw_times=plan.raw_times, raw_dv=plan.raw_dv,
             raw_magnitudes=plan.raw_magnitudes,
@@ -163,7 +162,7 @@ class TestMergeAdjacentImpulses:
         ]
         return ImpulsePlan(
             impulses=entries, total_dv=sum(e.magnitude for e in entries),
-            dropped_dv=0.0, n_impulses=len(entries), mesh_m=len(grid_thetas),
+            dropped_dv=0.0,
             extraction_tol=0.0, raw_thetas=np.asarray(grid_thetas, float),
             raw_times=np.asarray(grid_thetas, float),
             raw_dv=np.zeros((len(grid_thetas), 3)),
@@ -177,8 +176,9 @@ class TestMergeAdjacentImpulses:
             [(3.0, [0.03, 0.0, 0.0]), (4.0, [0.01, 0.0, 0.0]), (9.0, [0.0, 0.0, 0.02])],
             grid,
         )
+        plan.terminal_error = verify_plan(plan, scen)
         merged = merge_adjacent_impulses(plan, scen)
-        assert merged.n_impulses == 2
+        assert merged.n_impulses == 2 and merged.terminal_error is None
         assert np.allclose(merged.impulses[0].dv, [0.04, 0.0, 0.0])
         # cost-weighted anomaly: (0.03*3 + 0.01*4) / 0.04
         assert merged.impulses[0].theta == pytest.approx(3.25, rel=1e-12)
@@ -235,7 +235,7 @@ class TestReconstructTrajectory:
         half = replace(burns[1], dv=burns[1].dv / 2, magnitude=burns[1].magnitude / 2)
         for impulses in (burns, burns[:1] + [half, half] + burns[2:],
                          [burns[k] for k in (2, 0, 3, 1)]):
-            variant = replace(plan, impulses=impulses, n_impulses=len(impulses))
+            variant = replace(plan, impulses=impulses)
             miss = verify_plan(variant, scen)
             traj = reconstruct_trajectory(variant, scen, samples_per_segment=4)
             end = traj[-1].state
@@ -335,6 +335,21 @@ class TestInnerNodeSearch:
         assert abs(res.theta2 - best_scan) <= res.scan_nodes[1] - res.scan_nodes[0]
         assert res.total_dv <= np.min(res.scan_costs) + 1e-9
         assert res.plan is not None
+
+    def test_result_is_the_plan_result_of_the_chosen_grid(self):
+        scen = builtin("atv")
+        res = inner_node_search(scen, resolution=10)
+        assert isinstance(res, PlanResult)
+        assert res.grid.nodes.tolist() == [scen.theta0, res.theta2, scen.theta_f]
+        again = plan_rendezvous(scen, grid=res.grid)
+        assert res.status == again.solution.status == "optimal"
+        assert res.total_dv == again.plan.total_dv
+        assert res.plan.terminal_error == again.plan.terminal_error
+
+    def test_no_plan_at_the_chosen_grid_costs_inf(self):
+        res = inner_node_search(builtin("atv"), resolution=10, settings=SolverSettings(max_iters=2))
+        assert res.plan is None and res.total_dv == math.inf
+        assert res.status == res.solution.status == "max_iters"
 
     def test_refinement_stable_across_resolutions(self):
         # resolutions bracketing the same basin refine to the same point;

@@ -7,6 +7,7 @@ import pytest
 
 from rdvopt import builtin, builtin_names, load_scenario, save_scenario, to_transformed
 from rdvopt.scenarios import ScenarioError, scenario_to_dict
+from rdvopt.transcription import Scenario
 
 
 class TestBuiltins:
@@ -143,6 +144,13 @@ class TestStrictValidation:
         path.write_text('{"name": "x",\n  "orbit": }')
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(path)
+
+    def test_missing_options_take_the_scenario_defaults(self, tmp_path, valid_doc):
+        del valid_doc["options"]
+        s = load_scenario(_write(tmp_path, valid_doc))
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        for name in ("planar", "mesh_m", "extraction_tol"):
+            assert getattr(s, name) == defaults[name], name
 
     def test_default_mu_is_earth(self, tmp_path, valid_doc):
         del valid_doc["orbit"]["mu"]
