@@ -198,7 +198,8 @@ def _cmd_inner_node(args) -> int:
         print(f"solver status: {res.status}", file=sys.stderr)
         return 2
     doc = solution_document(scenario, res, None)
-    doc.update(resolution=args.resolution, theta2_rad=res.theta2)
+    doc.update(resolution=args.resolution, theta2_rad=res.theta2,
+               bracket_rounds=res.bracket_rounds)
     _write_json(doc, args.out)
     return 0
 

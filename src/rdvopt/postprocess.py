@@ -31,13 +31,13 @@ from .transcription import (
     transform_boundaries,
 )
 
-# Interior points of the bracket solved together in each refinement round;
-# each round shrinks the bracket to 2 / (_BRACKET_POINTS + 1) of its width.
-# A round's family costs little more per added candidate, so fewer, wider
-# rounds pay: over the built-ins and nine drawn scenarios, paired timings
-# of whole searches (medians of 24 alternating repeats) give 16 points
-# (6.6 rounds) 8-9% and 8 points (9.2 rounds) 30-33% more time than 32
-# (5.0 rounds), and 64 points (4.1 rounds) the same as 32 within 3%.
+# Interior points of the bracket solved together in each refinement round.
+# With the parabolic step most searches end after two rounds whatever the
+# count, so it mostly sets what a round costs: over the built-ins and
+# sixteen drawn scenarios, paired timings of whole searches (16 alternating
+# repeats) give 16 points (2.3 rounds) and 24 points (2.2 rounds) 3% less
+# time than 32 (2.1 rounds) but faster in only 12 and 9 of the 16 pairs,
+# 8 points (3.0 rounds) 1% less in 9 of 16, and 64 points (2.1 rounds) 7% more.
 _BRACKET_POINTS = 32
 
 
@@ -422,11 +422,13 @@ class InnerNodeResult(PlanResult):
     """The PlanResult of the best three-node grid, with the scan that chose it.
 
     plan is None (total_dv inf) when the chosen grid's solve was not optimal.
+    bracket_rounds counts the batched solves that refined the scan's best.
     """
 
     theta2: float
     scan_nodes: np.ndarray
     scan_costs: np.ndarray
+    bracket_rounds: int
 
     @property
     def total_dv(self) -> float:
@@ -463,15 +465,49 @@ def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
     return costs
 
 
+def _parabola_vertex(points: np.ndarray, costs: np.ndarray, j: int) -> tuple[float, float]:
+    """Vertex of the parabola through evenly spaced points j-1, j, j+1, and its spread.
+
+    The spread, the vertex's largest distance from the vertices of the
+    adjacent triples, estimates its error.  It is inf, and the vertex
+    unusable, when point j has no neighbour on a side, a cost the triples
+    use is inf, a triple is not convex, or the vertex leaves the bracket
+    (points[j-1], points[j+1]).
+    """
+    if not 0 < j < len(points) - 1:
+        return math.nan, math.inf
+    start, stop = max(j - 2, 0), min(j + 3, len(points))
+    near = costs[start:stop]
+    if not np.all(np.isfinite(near)):
+        return math.nan, math.inf
+    curvature = near[:-2] - 2.0 * near[1:-1] + near[2:]
+    if not np.all(curvature > 0.0):
+        return math.nan, math.inf
+    step = points[1] - points[0]
+    vertices = points[start + 1:stop - 1] + 0.5 * step * (near[:-2] - near[2:]) / curvature
+    vertex = float(vertices[j - start - 1])
+    if not points[j - 1] < vertex < points[j + 1]:
+        return math.nan, math.inf
+    return vertex, float(np.max(np.abs(vertices - vertex)))
+
+
 def inner_node_search(scenario: Scenario, resolution: int = 100,
                       settings: Optional[SolverSettings] = None) -> InnerNodeResult:
     """Best interior burn anomaly for a three-node grid.
 
-    Scans the open horizon at the given resolution, then narrows the
-    bracket around the best candidate to 1e-6 rad: each round solves
-    evenly spaced interior points of the bracket as one batch and keeps
-    the two neighbours of the best.  Only the chosen anomaly is planned,
-    and its PlanResult is returned with the scan.
+    Scans the open horizon at the given resolution, then refines the
+    bracket around the best candidate in rounds.  Each round solves evenly
+    spaced interior points of a window as one batch and keeps the two
+    neighbours of the best as the bracket.  The parabola through the best
+    and its neighbours steps to its vertex (successive parabolic
+    interpolation, as in Brent's minimizer): once the vertices of the
+    adjacent triples agree with it to 0.5e-6 rad it is the answer,
+    otherwise the next window is the vertex +/- twice that spread, inside
+    the bracket.  Where the vertex is unusable the next round samples the
+    whole bracket, and a window whose best lies on its edge gives way to
+    the bracket again.  A bracket 1e-6 rad wide ends the search at its
+    midpoint.  Only the chosen anomaly is planned, and its PlanResult is
+    returned with the scan.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be at least 10, got {resolution}")
@@ -482,12 +518,30 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     best = int(np.argmin(costs))
 
     pad = 1e-9 * span
-    a = cands[best - 1] if best > 0 else th0 + pad
-    b = cands[best + 1] if best < resolution - 1 else thf - pad
-    while (b - a) > 1e-6:
-        points = a + (b - a) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
-        j = int(np.argmin(_three_node_costs(scenario, points, settings)))
-        a, b = (points[j - 1] if j > 0 else a), (points[j + 1] if j < _BRACKET_POINTS - 1 else b)
-    theta2 = 0.5 * (a + b)
+    lo = cands[best - 1] if best > 0 else th0 + pad
+    hi = cands[best + 1] if best < resolution - 1 else thf - pad
+    outer, rounds = (lo, hi), 0
+    while hi - lo > 1e-6:
+        points = lo + (hi - lo) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
+        round_costs = _three_node_costs(scenario, points, settings)
+        rounds += 1
+        j = int(np.argmin(round_costs))
+        if (j == 0 and lo > outer[0]) or (j == _BRACKET_POINTS - 1 and hi < outer[1]):
+            # the best lies on an edge of a window inside the bracket: the
+            # minimum may lie outside the window, so sample the bracket again
+            lo, hi = outer
+            continue
+        lo = points[j - 1] if j > 0 else lo
+        hi = points[j + 1] if j < _BRACKET_POINTS - 1 else hi
+        outer = (lo, hi)
+        vertex, spread = _parabola_vertex(points, round_costs, j)
+        if spread <= 0.5e-6:
+            theta2 = vertex
+            break
+        if spread < math.inf:
+            lo, hi = max(lo, vertex - 2.0 * spread), min(hi, vertex + 2.0 * spread)
+    else:
+        theta2 = 0.5 * (lo + hi)
     res = plan_rendezvous(scenario, grid=_three_node_grid(scenario, theta2), settings=settings)
-    return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=cands, scan_costs=costs)
+    return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=cands,
+                           scan_costs=costs, bracket_rounds=rounds)

@@ -247,9 +247,10 @@ class TestInnerNodeCommand:
         doc = json.loads(out.read_text())
         res = postprocess.inner_node_search(builtin("circle2circle"), resolution=10)
         want = strip_timing(cli.solution_document(builtin("circle2circle"), res, None))
-        want.update(resolution=10, theta2_rad=res.theta2)
+        want.update(resolution=10, theta2_rad=res.theta2, bracket_rounds=res.bracket_rounds)
         assert strip_timing(doc) == want
         assert doc["solver"]["status"] == "optimal" and doc["mesh_M"] == 3
+        assert doc["bracket_rounds"] >= 1
         proc = run_cli("validate", str(out), "circle2circle")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -380,6 +380,57 @@ class TestInnerNodeSearch:
         assert abs(res.theta2 - theta2) <= 1e-5
         assert res.total_dv == pytest.approx(total, rel=1e-9, abs=0.0)
 
+    # synthetic cost curves of x = theta2 - theta*, each with its known
+    # minimiser: an asymmetric curve, a kink, and a smooth curve that is
+    # inf beyond a point of the bracket
+    @pytest.mark.parametrize("curve, minimiser", [
+        (lambda x: np.abs(x) ** 1.5 + 0.3 * x, -0.04),
+        (lambda x: np.abs(x) + 0.5 * x, 0.0),
+        (lambda x: np.where(x < 0.01, np.exp(x) - x, np.inf), 0.0),
+    ], ids=["asymmetric", "kink", "inf-beyond"])
+    def test_safeguarded_steps_find_a_synthetic_minimum(self, monkeypatch, curve, minimiser):
+        scen = builtin("atv")
+        centre = scen.theta0 + (scen.theta_f - scen.theta0) * 50.3 / 101
+        monkeypatch.setattr(postprocess, "_three_node_costs",
+                            lambda scenario, thetas, settings: curve(thetas - centre))
+        res = inner_node_search(scen, resolution=100)
+        assert abs(res.theta2 - (centre + minimiser)) <= 1e-6
+        best = int(np.argmin(res.scan_costs))
+        assert res.scan_nodes[best - 1] < res.theta2 < res.scan_nodes[best + 1]
+        assert res.bracket_rounds >= 1
+
+    def test_a_window_that_misses_the_minimum_gives_way_to_the_bracket(self, monkeypatch):
+        # ripples 6.3e-3 rad long on a parabola: the coarse fit's window lies
+        # beside the rippled minimum, its best lands on the window's edge,
+        # and only a return to the bracket ends at a local minimum
+        scen = builtin("circle2circle")
+        centre = scen.theta0 + (scen.theta_f - scen.theta0) * 50.3 / 101
+
+        def curve(theta):
+            x = theta - centre
+            return x**2 + 1e-5 * np.cos(x / 1e-3 + 1.0)
+        monkeypatch.setattr(postprocess, "_three_node_costs",
+                            lambda scenario, thetas, settings: curve(thetas))
+        res = inner_node_search(scen, resolution=100)
+        assert curve(res.theta2) <= min(curve(res.theta2 - 1e-6), curve(res.theta2 + 1e-6))
+
+    @pytest.mark.parametrize("name", ["atv", "circle2circle"])
+    def test_two_rounds_reach_the_optimum_of_a_fine_family(self, monkeypatch, name):
+        scen = builtin(name)
+        calls = []
+
+        def counted(scenario, thetas, settings):
+            calls.append(len(thetas))
+            return _three_node_costs(scenario, thetas, settings)
+        monkeypatch.setattr(postprocess, "_three_node_costs", counted)
+        res = inner_node_search(scen, resolution=100)
+        assert len(calls) <= 1 + 2
+        assert res.bracket_rounds == len(calls) - 1
+        # however the search got there: no anomaly of a fine family around
+        # its answer costs less
+        near = _three_node_costs(scen, np.linspace(res.theta2 - 1e-4, res.theta2 + 1e-4, 33), None)
+        assert res.total_dv <= near.min() * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("planar", [True, False])
     def test_a_round_takes_the_same_kernel_calls_for_any_size(self, monkeypatch, planar):
         # one grid, one assembly and one costing per round: the Kepler times
@@ -415,9 +466,9 @@ class TestInnerNodeSearch:
         assert np.all(capped == math.inf)
 
     def test_search_repeats_its_recorded_results(self, monkeypatch):
-        # theta2, total and scan costs recorded bit for bit with 16 bracket
-        # points before the candidates were built as one family; like the
-        # assembly pins they hold for one numpy and BLAS build
+        # theta2 and total recorded bit for bit with 16 bracket points, the
+        # scan costs before the candidates were built as one family; like
+        # the assembly pins they hold for one numpy and BLAS build
         monkeypatch.setattr(postprocess, "_BRACKET_POINTS", 16)
         pins = json.loads((DATA / "inner-node-search-pins.json").read_text())
         for name, pin in pins.items():
