@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conic_solver import SolverSettings
 from .postprocess import (
     Impulse,
     ImpulsePlan,
     inner_node_search,
     mesh_sweep,
     plan_rendezvous,
+    reconstruct_trajectory,
     verify_plan,
 )
 from .scenarios import (
@@ -131,8 +131,6 @@ def _write_json(doc: dict, out: str | None):
 
 
 def _write_trajectory(path: str, plan: ImpulsePlan, scenario: Scenario, samples: int):
-    from .postprocess import reconstruct_trajectory
-
     traj = reconstruct_trajectory(plan, scenario, samples_per_segment=samples)
     u = _unit_labels(scenario)
     lu, vu, tu = u["length"], u["velocity"].replace("/", "_"), u["time"]
@@ -155,7 +153,6 @@ def _cmd_solve(args) -> int:
         mesh_m=args.mesh,
         form=args.form,
         tol=args.tol,
-        settings=SolverSettings(),
         trace=_trace_sink(),
     )
     doc = solution_document(scenario, result, args.tol)
@@ -243,10 +240,9 @@ def _cmd_validate(args) -> int:
     impulses = _document_impulses(doc, args.document, scenario)
     plan = ImpulsePlan(
         impulses=impulses,
-        total_dv=doc.get("total_dv", 0.0),
         dropped_dv=doc.get("dropped_dv", 0.0),
         extraction_tol=doc.get("extraction_tol", 0.0),
-        raw_thetas=np.array([]), raw_times=np.array([]),
+        raw_thetas=np.array([]),
         raw_dv=np.zeros((0, 3)), raw_magnitudes=np.array([]),
     )
     err = verify_plan(plan, scenario)

@@ -61,22 +61,24 @@ class TerminalError:
 
 @dataclass
 class ImpulsePlan:
-    """Extracted burn sequence plus the raw per-node magnitudes.
+    """Extracted burn sequence plus the raw per-node impulses.
 
-    total_dv sums every grid node (the exact optimizer cost); impulses
-    holds only the nodes above the extraction tolerance, with the
+    impulses holds only the nodes above the extraction tolerance, with the
     discarded mass reported in dropped_dv.
     """
 
     impulses: list[Impulse]
-    total_dv: float
     dropped_dv: float
     extraction_tol: float
     raw_thetas: np.ndarray
-    raw_times: np.ndarray
     raw_dv: np.ndarray
     raw_magnitudes: np.ndarray
     terminal_error: Optional[TerminalError] = None
+
+    @property
+    def total_dv(self) -> float:
+        """Sum over every grid node, dropped ones included: the optimizer's cost."""
+        return float(self.raw_magnitudes.sum())
 
     @property
     def n_impulses(self) -> int:
@@ -123,7 +125,7 @@ def extract_impulses(
     """
     tol = _extraction_tol(tol, scenario)
     dv = _physical_dv(expanded.dv, grid, scenario)
-    mags = np.linalg.norm(dv, axis=1)
+    mags = np.linalg.norm(dv, axis=-1)
     threshold = tol * scenario.units.velocity
     keep = mags > threshold
     impulses = [
@@ -132,11 +134,9 @@ def extract_impulses(
     ]
     return ImpulsePlan(
         impulses=impulses,
-        total_dv=float(mags.sum()),
         dropped_dv=float(mags[~keep].sum()),
         extraction_tol=float(tol),
         raw_thetas=grid.nodes.copy(),
-        raw_times=grid.times.copy(),
         raw_dv=dv,
         raw_magnitudes=mags,
     )
@@ -162,17 +162,15 @@ def verify_plan(plan: ImpulsePlan, scenario: Scenario) -> TerminalError:
         theta = imp.theta
     state = rd.stm_full(scenario.theta_f, theta, orbit) @ state
 
-    diff = state - xft.vector
-    thf = scenario.theta_f
-    rho_f = rd.rho(thf, orbit.e)
-    r_err = diff[:3] / rho_f
-    v_err = orbit.k2 * (orbit.e * math.sin(thf) * diff[:3] + rho_f * diff[3:])
+    miss = rd.from_transformed(rd.TransformedState.from_vector(state - xft.vector),
+                               scenario.theta_f, orbit)
+    position, velocity = np.linalg.norm(miss.r), np.linalg.norm(miss.v)
     units = scenario.units
     return TerminalError(
-        position=float(np.linalg.norm(r_err)),
-        velocity=float(np.linalg.norm(v_err)),
-        position_scaled=float(np.linalg.norm(r_err) / units.length),
-        velocity_scaled=float(np.linalg.norm(v_err) / units.velocity),
+        position=float(position),
+        velocity=float(velocity),
+        position_scaled=float(position / units.length),
+        velocity_scaled=float(velocity / units.velocity),
     )
 
 
@@ -354,7 +352,8 @@ def plan_rendezvous(
 ) -> PlanResult:
     """Transcribe, solve, extract and verify one scenario.
 
-    A bad extraction tolerance raises ValueError before any work is done.
+    A bad extraction tolerance raises ValueError before any work is done,
+    and so does a grid whose ends are not the scenario's horizon.
     """
     _extraction_tol(tol, scenario)
     grid_time = 0.0
@@ -386,8 +385,6 @@ class MeshPoint:
     total_dv: float
     n_impulses: int
     solve_time: float
-    assembly_time: float
-    iterations: int
     status: str
 
 
@@ -401,16 +398,13 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     _extraction_tol(tol, scenario)
     rows = []
     for m in sorted(int(m) for m in m_list):
-        point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan,
-                     assembly_time=math.nan, iterations=0)
+        point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan)
         try:
             res = plan_rendezvous(scenario, mesh_m=m, form=form, tol=tol)
         except (ValueError, np.linalg.LinAlgError) as exc:
             point["status"] = f"error: {exc}"
         else:
-            sol = res.solution
-            point.update(solve_time=sol.solve_time, assembly_time=res.times.assembly,
-                         iterations=sol.iterations, status=sol.status)
+            point.update(solve_time=res.solution.solve_time, status=res.solution.status)
             if res.plan is not None:
                 point.update(total_dv=res.plan.total_dv, n_impulses=res.plan.n_impulses)
         rows.append(MeshPoint(m=m, **point))
@@ -439,11 +433,6 @@ class InnerNodeResult(PlanResult):
         return self.solution.status
 
 
-def _total_dv(dv: np.ndarray, grid: Grid, scenario: Scenario) -> np.ndarray:
-    """Physical total of each solution's impulses, the total_dv of its plan."""
-    return np.linalg.norm(_physical_dv(dv, grid, scenario), axis=-1).sum(axis=-1)
-
-
 def _three_node_grid(scenario: Scenario, theta2) -> Grid:
     """The grid through one interior anomaly, or the family through an array of them."""
     ends = np.broadcast_arrays(scenario.theta0, theta2, scenario.theta_f)
@@ -460,7 +449,8 @@ def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
     grid = _three_node_grid(scenario, thetas)
     problem = assemble_socp(scenario, grid)
     sols = solve_batch(problem, settings)
-    costs = _total_dv(np.stack([sol.x for sol in sols])[:, problem.var_map["dv"]], grid, scenario)
+    dv = _physical_dv(np.stack([sol.x for sol in sols])[:, problem.var_map["dv"]], grid, scenario)
+    costs = np.linalg.norm(dv, axis=-1).sum(axis=-1)
     costs[[sol.status != "optimal" for sol in sols]] = math.inf
     return costs
 

@@ -143,15 +143,10 @@ def build_grid(scenario: Scenario, m: int) -> Grid:
     return grid_from_nodes(scenario, np.linspace(scenario.theta0, scenario.theta_f, m))
 
 
-def transform_boundaries(scenario: Scenario, grid: Optional[Grid] = None):
-    """Boundary states in transformed coordinates at the horizon anomalies, shared by a family."""
-    th0, thf = scenario.theta0, scenario.theta_f
-    if grid is not None:
-        th0, thf = float(grid.nodes.flat[0]), float(grid.nodes.flat[-1])
-        if grid.nodes.ndim > 1 and np.any(grid.nodes[..., [0, -1]] != (th0, thf)):
-            raise ValueError("the grids of a family must share their end anomalies")
-    x0t = rd.to_transformed(scenario.x0, th0, scenario.orbit)
-    xft = rd.to_transformed(scenario.xf, thf, scenario.orbit)
+def transform_boundaries(scenario: Scenario):
+    """Boundary states in transformed coordinates at the horizon anomalies."""
+    x0t = rd.to_transformed(scenario.x0, scenario.theta0, scenario.orbit)
+    xft = rd.to_transformed(scenario.xf, scenario.theta_f, scenario.orbit)
     return x0t, xft
 
 
@@ -181,26 +176,31 @@ def _node_weights(scenario: Scenario, grid: Grid) -> np.ndarray:
 def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> ConicProblem:
     """Build the cone program for the scenario on the given grid.
 
-    A (K, m) family of grids gives one condensed family of programs,
-    c (K, n), A (K, d, n) and b (K, d), built by the same calls.
+    Every grid must run over the scenario's horizon: its end nodes are
+    exactly (theta0, thetaf), otherwise ValueError.  A (K, m) family of
+    grids gives one condensed family of programs, c (K, n), A (K, d, n)
+    and b (K, d), built by the same calls.
     """
     if form not in ("condensed", "full"):
         raise ValueError(f"form must be 'condensed' or 'full', got {form!r}")
     family = grid.nodes.shape[:-1]
     if family and form == "full":
         raise ValueError("the full form takes a single grid, not a family of them")
+    horizon = (scenario.theta0, scenario.theta_f)
+    if np.any(grid.nodes[..., [0, -1]] != horizon):
+        raise ValueError(f"grid end anomalies must be the scenario's horizon {horizon}")
     m = grid.m
     d = scenario.state_dim
     q = scenario.input_dim
     cone = q + 1
     bmat = _actuation(d, q)
     lscale = scenario.units.length
-    x0t, xft = transform_boundaries(scenario, grid)
+    x0t, xft = transform_boundaries(scenario)
     xv0 = _reduce(x0t.vector, scenario.planar) / lscale
     xvf = _reduce(xft.vector, scenario.planar) / lscale
     w = _node_weights(scenario, grid)
-    # Phi(thetaf, theta_j) for every node; a family shares thetaf
-    phif = _stm(scenario, grid.nodes.flat[-1], grid.nodes)
+    # Phi(thetaf, theta_j) for every node
+    phif = _stm(scenario, scenario.theta_f, grid.nodes)
 
     if form == "condensed":
         n = m * cone
@@ -245,9 +245,6 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
 
     var_map = {
         "form": form,
-        "n_nodes": m,
-        "state_dim": d,
-        "input_dim": q,
         "sigma": sigma_idx,
         "dv": dv_idx,
         "weights": w,
@@ -267,7 +264,6 @@ class ExpandedSolution:
     """
 
     dv: np.ndarray
-    sigma: np.ndarray
     jumps: np.ndarray
     _states: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
@@ -290,22 +286,20 @@ def expand_solution(
     either formulation."""
     if sol.status not in ("optimal", *BEST_EFFORT):
         raise ValueError(f"cannot expand a solution with status {sol.status!r}")
-    vm = problem.var_map
-    m = vm["n_nodes"]
-    d = vm["state_dim"]
-    bmat = _actuation(d, vm["input_dim"])
-    dv = sol.x[vm["dv"]]
-    sigma = sol.x[vm["sigma"]]
+    m = grid.m
+    d = scenario.state_dim
+    bmat = _actuation(d, scenario.input_dim)
+    dv = sol.x[problem.var_map["dv"]]
     jumps = dv @ bmat.T
 
-    if vm["form"] == "full":
+    if problem.var_map["form"] == "full":
         x_full = sol.x[:d * m].reshape(m, d).copy()
 
         def states():
             return x_full
     else:
         def states():
-            x0t, _ = transform_boundaries(scenario, grid)
+            x0t, _ = transform_boundaries(scenario)
             phis = _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
             x_minus = np.empty((m, d))
             x_minus[0] = _reduce(x0t.vector, scenario.planar) / scenario.units.length
@@ -313,4 +307,4 @@ def expand_solution(
                 x_minus[j + 1] = phis[j] @ (x_minus[j] + jumps[j])
             return x_minus
 
-    return ExpandedSolution(dv=dv, sigma=sigma, jumps=jumps, _states=states)
+    return ExpandedSolution(dv=dv, jumps=jumps, _states=states)

@@ -128,8 +128,8 @@ class TestVerifyPlan:
 
     def test_empty_plan_on_coasting_scenario(self, coasting):
         plan = ImpulsePlan(
-            impulses=[], total_dv=0.0, dropped_dv=0.0,
-            extraction_tol=0.0, raw_thetas=np.array([]), raw_times=np.array([]),
+            impulses=[], dropped_dv=0.0,
+            extraction_tol=0.0, raw_thetas=np.array([]),
             raw_dv=np.zeros((0, 3)), raw_magnitudes=np.array([]),
         )
         err = verify_plan(plan, coasting)
@@ -141,9 +141,9 @@ class TestVerifyPlan:
         tampered = ImpulsePlan(
             impulses=[replace(imp, dv=np.zeros(3)) if k == 1 else imp
                       for k, imp in enumerate(plan.impulses)],
-            total_dv=plan.total_dv, dropped_dv=plan.dropped_dv,
+            dropped_dv=plan.dropped_dv,
             extraction_tol=plan.extraction_tol, raw_thetas=plan.raw_thetas,
-            raw_times=plan.raw_times, raw_dv=plan.raw_dv,
+            raw_dv=plan.raw_dv,
             raw_magnitudes=plan.raw_magnitudes,
         )
         err = verify_plan(tampered, builtin("circle2circle"))
@@ -160,13 +160,14 @@ class TestMergeAdjacentImpulses:
                     magnitude=float(np.linalg.norm(dv)))
             for th, dv in impulses
         ]
+        raw_thetas = np.asarray(grid_thetas, float)
+        raw_dv = np.zeros((len(raw_thetas), 3))
+        for e in entries:
+            raw_dv[np.flatnonzero(raw_thetas == e.theta)] = e.dv
         return ImpulsePlan(
-            impulses=entries, total_dv=sum(e.magnitude for e in entries),
-            dropped_dv=0.0,
-            extraction_tol=0.0, raw_thetas=np.asarray(grid_thetas, float),
-            raw_times=np.asarray(grid_thetas, float),
-            raw_dv=np.zeros((len(grid_thetas), 3)),
-            raw_magnitudes=np.zeros(len(grid_thetas)),
+            impulses=entries, dropped_dv=0.0,
+            extraction_tol=0.0, raw_thetas=raw_thetas,
+            raw_dv=raw_dv, raw_magnitudes=np.linalg.norm(raw_dv, axis=1),
         )
 
     def test_aligned_neighbors_merge_at_weighted_anomaly(self):
@@ -183,7 +184,7 @@ class TestMergeAdjacentImpulses:
         # cost-weighted anomaly: (0.03*3 + 0.01*4) / 0.04
         assert merged.impulses[0].theta == pytest.approx(3.25, rel=1e-12)
         assert merged.impulses[1].theta == 9.0
-        assert merged.total_dv == plan.total_dv
+        assert merged.total_dv == plan.total_dv == pytest.approx(0.06, rel=1e-12)
 
     def test_disagreeing_directions_not_merged(self):
         scen = builtin("circle2circle")

@@ -11,6 +11,7 @@ from rdvopt import (
     builtin,
     expand_solution,
     grid_from_nodes,
+    plan_rendezvous,
     solve,
     stm_full,
     stm_in_plane,
@@ -79,12 +80,11 @@ class TestBuildGrid:
 
 class TestTransformBoundaries:
     def test_rendezvous_target_is_zero(self, atv):
-        g = build_grid(atv, 5)
-        _, xft = transform_boundaries(atv, g)
+        _, xft = transform_boundaries(atv)
         assert np.allclose(xft.v[1], 0.0)
 
     def test_circular_normalized_boundary_is_identity(self, c2c):
-        x0t, xft = transform_boundaries(c2c, build_grid(c2c, 3))
+        x0t, xft = transform_boundaries(c2c)
         assert np.allclose(x0t.vector, [-math.pi, 0.0, 1.0 / 6.0, 0.25, 0.0, 0.0], atol=1e-15)
         assert not np.any(xft.vector)
 
@@ -197,7 +197,7 @@ class TestExpandSolution:
         prob = assemble_socp(c2c, grid)
         sol = solve(prob)
         exp = expand_solution(prob, sol, c2c, grid)
-        _, xft = transform_boundaries(c2c, grid)
+        _, xft = transform_boundaries(c2c)
         target = xft.vector[[0, 2, 3, 5]] / c2c.units.length
         assert np.max(np.abs(exp.x_plus[-1] - target)) < 1e-6
 
@@ -254,7 +254,7 @@ class TestGridWideMatrices:
         want = np.stack(cols[::-1])
         got = np.stack([prob.A[:, idx] for idx in prob.var_map["dv"]])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        x0t, xft = transform_boundaries(scen, grid)
+        x0t, xft = transform_boundaries(scen)
         sel = [0, 2, 3, 5] if scen.planar else list(range(6))
         b = (xft.vector[sel] - chain @ x0t.vector[sel]) / scen.units.length
         assert np.max(np.abs(prob.b - b)) <= 1e-10 * np.max(np.abs(b))
@@ -273,7 +273,7 @@ class TestGridWideMatrices:
             return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
         phif = stm_full(thf, float(grid.nodes[0]), scen.orbit)
-        x0t, _ = transform_boundaries(scen, grid)
+        x0t, _ = transform_boundaries(scen)
         assert close(prob.A[:d, :d], phif)
         assert close(prob.b[:d], phif @ x0t.vector / scen.units.length)
         for j in range(m - 1):
@@ -376,6 +376,17 @@ class TestGridFamilies:
         nodes[1, -1] -= 1.0
         with pytest.raises(ValueError, match="end anomalies"):
             assemble_socp(atv, grid_from_nodes(atv, nodes))
+
+    @pytest.mark.parametrize("ends", [(0.0, 50.0), (1.0, None)])
+    def test_single_grid_must_end_at_the_horizon(self, atv, ends):
+        # the horizon is [0, 62.83]: a grid ending at 50 plans a transfer
+        # that misses the target by 2.1 km, so it must not be solved at all
+        first, last = ends
+        grid = grid_from_nodes(atv, [first, 30.0, atv.theta_f if last is None else last])
+        with pytest.raises(ValueError, match="end anomalies"):
+            assemble_socp(atv, grid)
+        with pytest.raises(ValueError, match="end anomalies"):
+            plan_rendezvous(atv, grid=grid)
 
 
 # SHA-256 (first 32 hex digits) of c, A and b of single-grid programs as
