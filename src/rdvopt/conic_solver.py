@@ -13,15 +13,21 @@ Mehrotra-style predictor-corrector, so no feasible starting point is
 needed and infeasibility is detected through Farkas certificates.
 The Newton step is computed in NT-scaled variables around
 lambda = W z = W^-1 x, with W applied in closed form from (wbar, eta)
-per cone: each KKT path reads r1 or W r1 and returns W^-1 dx, the
-Mehrotra term and both step-length tests use the scaled steps, and dz
-comes from the linear dual equation.  Every cone of a program has one
-dimension d (ConeSpec raises ValueError on mixed dimensions), and
-variables are ordered once per solve as the free block, then the cones
-component by component, so the cone block is one reshape view.
-Cone-only programs with independent equality rows solve each Newton
-system through a thin QR of W A', at a cost linear in the number of
-cones.  Programs with free
+per cone, once per quantity: one product of the stacked (z, c, r_d)
+gives lambda, W c and W r_d.  Each KKT path reads r1 or W r1 and
+returns W^-1 dx; the Mehrotra term and both step-length tests use the
+scaled steps.  The predictor's scaled dual step comes from the
+factorization where it has one (the scaled QR's W A'), and since the
+affine step is complementary sigma is (1 - alpha_aff)^3.  The step to
+the cone boundary is closed form on lambda-normalized directions.  The
+corrector's dz comes from the linear dual equation.  Every cone of a
+program has one dimension d (ConeSpec raises ValueError on mixed
+dimensions), and variables are ordered once per solve as the free block,
+then the cones component by component, so the cone block is one reshape
+view.  Cone-only programs with independent equality rows solve each
+Newton system through a thin QR of W A', at a cost linear in the number
+of cones; the rows are tested by the pivots of A's own R, the one the
+first iteration factors (W = I at the start).  Programs with free
 variables (never split into cone differences) or dependent rows use one
 sparse LU of the statically regularized quasi-definite KKT matrix K,
 with iterative refinement against the unregularized system; only it
@@ -67,6 +73,8 @@ _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
 _STATIC_REG = 1e-10
+# the first solve's dl: lambda in the predictor's column, none in the tau direction's
+_SECOND_COLUMN = np.array([0.0, 1.0])[:, None, None]
 
 # statuses of a best-effort exit, whose iterate is returned as it stood: the
 # iteration cap, a KKT factorization breakdown, an iterate pinned to the cone
@@ -222,7 +230,7 @@ class _ConeLayout:
     def blocks(self, v: np.ndarray) -> np.ndarray:
         """(..., d, g K) view of the cone block of v, whose last two axes are
         the variables and the K programs."""
-        return v[..., self.n_free:, :].reshape(v.shape[:-2] + (self.d, -1))
+        return v[..., self.n_free:, :].reshape(v.shape[:-2] + (self.d, self.g * v.shape[-1]))
 
     def scale(self, wbar: np.ndarray, eta: np.ndarray, v: np.ndarray) -> np.ndarray:
         """W v for the NT scaling W = eta Wbar(wbar) of each cone, the free block as is."""
@@ -305,33 +313,20 @@ def _nt_apply(wbar: np.ndarray, eta: np.ndarray, v: np.ndarray, out: np.ndarray)
     out *= eta
 
 
-def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray, programs: int) -> np.ndarray:
-    """Largest alpha with u + alpha*du in every cone, for interior u (may be inf).
+def _max_step(lbar: np.ndarray, rdet: np.ndarray, du: np.ndarray, programs: int) -> np.ndarray:
+    """Largest alpha with lambda + alpha*du in every cone, per program (1e300 without a bound).
 
-    Takes (..., d, g K) blocks of the given number of programs, with u and
-    det_u = det(u) broadcasting against du; returns one step per program,
-    the smallest positive root of det(u + alpha*du) = 0 over its cones and
-    the leading axes (det(u) > 0: no root at zero), inf without cones.
+    Takes (..., d, g K) steps du of the given number of programs and the
+    normalization of lambda, lbar = lambda / rdet with rdet = sqrt(det(lambda))
+    per cone.  u = Wbar(J lbar) du / rdet is du normalized by lambda: the map
+    sends lambda to e = (1, 0) and the cone onto itself, and e + alpha u
+    stays in the cone while alpha (||u_1|| - u_0) <= 1 (CVXOPT's max_step).
     """
-    du0, du1 = du[..., 0, :], du[..., 1:, :]
-    # a = det(du) and bq = 2 <u, du>_J, the _jdot of each
-    a = du0 * du0 - _csum(du1 * du1)
-    bq = 2.0 * (u[..., 0, :] * du0 - _csum(u[..., 1:, :] * du1))
-    disc = bq * bq - 4.0 * a * det_u
-    t = -0.5 * (bq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), bq))
-    lin = np.abs(a) < 1e-300
-    real = (disc >= 0.0) & ~lin
-    # the linear root, then the two quadratic ones, each divided only where
-    # it applies (t != 0 where the roots are real, as det(u) > 0); a
-    # quadratic root counts where it is positive
-    roots = np.empty((3,) + a.shape)
-    roots.fill(np.inf)
-    np.divide(-det_u, bq, out=roots[0], where=lin & (bq < 0.0))
-    np.divide(t, a, out=roots[1], where=real)
-    np.divide(det_u, t, out=roots[2], where=real)
-    quad = roots[1:]
-    quad[~(quad > 0.0)] = np.inf
-    return np.minimum.reduce(roots.reshape(-1, programs), axis=0, initial=np.inf)
+    l0, l1, d0, d1 = lbar[0], lbar[1:], du[..., 0, :], du[..., 1:, :]
+    s = _csum(l1 * d1)
+    u1 = d1 - (d0 - s / (1.0 + l0))[..., None, :] * l1
+    t = (np.sqrt(_csum(u1 * u1)) - (l0 * d0 - s)) / rdet
+    return 1.0 / np.maximum.reduce(t.reshape(-1, programs), axis=0, initial=1e-300)
 
 
 # -- KKT systems -------------------------------------------------------------
@@ -340,10 +335,13 @@ def _max_step(u: np.ndarray, det_u: np.ndarray, du: np.ndarray, programs: int) -
 # dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2 reads -dxs + G'dy =
 # W r1 + dl, G dxs = r2 with G' = W A'.  solve takes r1 (columns, n,
 # programs) in the one form its path reads, W r1 for the scaled QR and r1
-# for the sparse LU, the terms of dl stacked alike or broadcasting, and r2
+# for the sparse LU, dl stacked alike or broadcasting, and r2
 # (programs, columns, p).  It returns dxs as (programs, columns, n) rows and
-# as (columns, n, programs), dy (programs, columns, p), and dx of the first
-# column (the sparse LU's own, which W dxs would round to W's condition number).
+# as (columns, n, programs), dy (programs, columns, p), and the sparse LU's
+# own dx of the first column (None from the scaled QR).  Each path also
+# gives the predictor's scaled dual step W dz, and the x update's dx from
+# the step's dxs: the scaled QR as W dxs, the sparse LU from its own dx,
+# which W dxs would round to W's condition number.
 
 
 def band_lu(band: np.ndarray, half_band: int):
@@ -406,6 +404,8 @@ class _KKTPattern:
         self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
         self.a_vals = np.concatenate([a[a_row, a_col]] * 2)
         self.layout, self.size = layout, size
+        # A' of the program alone, as the loop's (programs, n, p) view
+        self.at = a.T[None]
 
 
 class _SparseKKT:
@@ -426,7 +426,8 @@ class _SparseKKT:
     singular = np.zeros(1, dtype=bool)
 
     def __init__(self, wbar: np.ndarray, eta: np.ndarray, pattern: _KKTPattern):
-        self.layout, self.order = pattern.layout, pattern.order
+        self.layout, self.order, self.at = pattern.layout, pattern.order, pattern.at
+        self.wbar, self.eta = wbar, eta
         # W^-1 = Wbar(wbar_0, -wbar_1) / eta
         w = -wbar
         w[0] *= -1.0
@@ -458,30 +459,45 @@ class _SparseKKT:
         x[:, self.order] = self._band_solve(r[:, self.order].T).T
         return x
 
-    def solve(self, r1: np.ndarray, dl: list, r2: np.ndarray):
+    def solve(self, r1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
         n = r1.shape[-2]
-        r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, sum(dl))
+        r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, dl)
         rhs = np.concatenate([r1[..., 0], r2[0]], -1)
         sol = self._lu_solve(rhs)
-        # each right-hand side refines until it converges or stops improving
-        scale = 1.0 + np.max(np.abs(rhs), axis=1)
-        best = np.full(rhs.shape[0], math.inf)
-        live = np.ones(rhs.shape[0], dtype=bool)
+        resid = rhs - (self.k @ sol.T).T
+        rnorm = np.max(np.abs(resid), axis=1)
+        # each right-hand side refines while a round lowers its residual and
+        # returns its best iterate.  A round that lowers it less than LAPACK
+        # dgerfs's half is kept: refinement against the regularized LU
+        # contracts at about reg ||K^-1||, which an ill-conditioned K pushes
+        # between 1/2 and 1
+        tol = 1e-14 * (1.0 + np.max(np.abs(rhs), axis=1))
+        best = sol.copy()
+        live = rnorm > tol
         rounds = 0
-        for _ in range(_REFINEMENT_ROUNDS):
-            resid = rhs - (self.k @ sol.T).T
-            rnorm = np.max(np.abs(resid), axis=1)
-            live &= (rnorm > 1e-14 * scale) & (rnorm < best)
-            if not live.any():
-                break
-            best = np.where(live, rnorm, best)
+        while rounds < _REFINEMENT_ROUNDS and live.any():
             sol[live] += self._lu_solve(resid[live])
             rounds += 1
+            resid = rhs - (self.k @ sol.T).T
+            new = np.max(np.abs(resid), axis=1)
+            better = live & (new < rnorm)
+            best[better] = sol[better]
+            live = better & (new > tol)
+            rnorm = np.where(better, new, rnorm)
         self.refine_rounds = max(self.refine_rounds, rounds)
-        dx = sol[:, :n, None]
+        dx = best[:, :n, None]
         dxs = self.layout.scale(self.wbar_inv, self.eta_inv, dx)
         # a family of one: its rows are views
-        return dxs.transpose(2, 0, 1), dxs, sol[None, :, n:], dx[0]
+        return dxs.transpose(2, 0, 1), dxs, best[None, :, n:], dx[0]
+
+    def scaled_dual(self, dtau: np.ndarray, dy: np.ndarray, v: np.ndarray, wv: np.ndarray):
+        """The predictor's W dz: W applied to dz = dtau c - A'dy + r_d."""
+        dz = v[2] * dtau - _bmv(self.at, dy).T.take(self.layout.perm, axis=0) + v[3]
+        return self.layout.scale(self.wbar, self.eta, dz)
+
+    def primal_step(self, wdxs: np.ndarray, dtau: np.ndarray, dx1: np.ndarray, dx2: np.ndarray):
+        """dx = dx1 + dtau dx2 from the LU's own solutions, not W dxs."""
+        return dx1 + dtau * dx2
 
 
 class _ScaledQRKKT:
@@ -500,9 +516,10 @@ class _ScaledQRKKT:
 
     def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout):
         self.wbar, self.eta, self.layout = wbar, eta, layout
-        # the rows of G = A W are W times the rows of A, (p, n, programs)
-        g = layout.scale(wbar, eta, a)
-        self.q, r = np.linalg.qr(g.transpose(2, 1, 0))
+        # the rows of G = A W are W times the rows of A, (p, n, programs); G'
+        # is kept as each program's contiguous (n, p) block for its products
+        self.gt = np.ascontiguousarray(layout.scale(wbar, eta, a).transpose(2, 1, 0))
+        self.q, r = np.linalg.qr(self.gt)
         self.qt = self.q.transpose(0, 2, 1)
         self.singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)
         if not self.singular.any():
@@ -511,12 +528,20 @@ class _ScaledQRKKT:
             self.rinv = np.linalg.inv(r)
             self.rinvt = self.rinv.transpose(0, 2, 1)
 
-    def solve(self, wr1: np.ndarray, dl: list, r2: np.ndarray):
-        wr1 = sum(dl, wr1).transpose(2, 0, 1).copy()
+    def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
+        wr1 = (wr1 + dl).transpose(2, 0, 1).copy()
         u = r2 @ self.rinv + wr1 @ self.q
         dxs = u @ self.qt - wr1
-        dxs_cones = dxs.transpose(1, 2, 0).copy()
-        return dxs, dxs_cones, u @ self.rinvt, self.layout.scale(self.wbar, self.eta, dxs_cones[0])
+        return dxs, dxs.transpose(1, 2, 0).copy(), u @ self.rinvt, None
+
+    def scaled_dual(self, dtau: np.ndarray, dy: np.ndarray, v: np.ndarray, wv: np.ndarray):
+        """The predictor's W dz = dtau W c - G'dy + W r_d, from the factored G'
+        and the stacked W v: no dz, A'dy or W product."""
+        return dtau * wv[1] - _bmv(self.gt, dy).T + wv[2]
+
+    def primal_step(self, wdxs: np.ndarray, dtau: np.ndarray, dx1, dx2):
+        """dx = W dxs, formed once per iteration with the scaled dual step."""
+        return wdxs
 
 
 # -- main solver ------------------------------------------------------------
@@ -525,10 +550,16 @@ class _ScaledQRKKT:
 def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
     """Whether the program, or each program of a family, takes the scaled QR:
     cone-only programs with independent equality rows do; free variables,
-    or dependent rows (W A' is then rank deficient), need the sparse LU."""
-    if problem.cones.n_free or not problem.cones.n_cones:
+    or dependent rows, need the sparse LU.  The rows are read off the R
+    that the first iteration factors, where W = I and G' is A' itself: a
+    pivot within rounding of zero (as matrix_rank's tolerance) marks them."""
+    p, n = problem.A.shape[-2:]
+    if problem.cones.n_free or not problem.cones.n_cones or p > n:
         return np.zeros(problem.A.shape[:-2], dtype=bool)
-    return np.linalg.matrix_rank(problem.A) == problem.A.shape[-2]
+    r = np.linalg.qr(np.swapaxes(problem.A, -1, -2), mode="r")
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
+    return np.min(pivots, axis=-1, initial=np.inf) > tol
 
 
 class _Active:
@@ -537,7 +568,7 @@ class _Active:
     and on the per-cone arrays in cones that axis is cones x programs."""
 
     rows = ("a", "at", "b", "c_prog", "y", "x_prog", "r_p")
-    cones = ("wbar", "eta", "det_x", "det_z")
+    cones = ("wbar", "eta", "det")
 
     def take(self, keep: np.ndarray):
         count = keep.size
@@ -580,17 +611,22 @@ def _solve_batch(
     # gathers x, each row contiguous so that its products add alike in any
     # batch (a sparse-LU program's A is not copied: it is the largest array)
     s.a, s.b, s.c_prog = family.A, family.b, family.c
-    s.c = family.c.T.take(perm, axis=0)
     s.at = np.swapaxes(s.a, 1, 2)
-    s.norm_b, s.norm_c = _norm(s.b), _norm(s.c_prog)
+    s.norm_b1, s.norm_c1 = 1.0 + _norm(s.b), 1.0 + _norm(s.c_prog)
+    s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     if scaled_qr:
         s.a_perm = family.A.transpose(1, 2, 0).take(perm, axis=1)
     else:
         pattern = _KKTPattern(layout, s.a[0])
-    s.x, s.z, s.y = np.zeros((n, nb)), np.zeros((n, nb)), np.zeros((nb, p))
-    layout.blocks(s.x)[0] = layout.blocks(s.z)[0] = 1.0
+    # x, z, c and r_d stacked, variables x programs: one W product gives
+    # lambda = W z, W c and W r_d, and one transposed copy the rows of x and z
+    s.v = np.zeros((4, n, nb))
+    layout.blocks(s.v[:2])[:, 0] = 1.0
+    s.v[2] = family.c.T.take(perm, axis=0)
+    s.y = np.zeros((nb, p))
     s.tau, s.kappa = np.ones(nb), np.ones(nb)
-    s.stalls = np.zeros(nb, dtype=int)
+    # whether each program's last step was below _MIN_STEP: two in a row stall it
+    s.small = np.zeros(nb, dtype=bool)
 
     out: list[Optional[ConicSolution]] = [None] * nb
 
@@ -601,7 +637,7 @@ def _solve_batch(
         sk = (s.tau if scale is None else scale)[stopped, None]
         x = s.x_prog[stopped] / sk
         y = s.y[stopped] / sk
-        z = s.z[:, stopped].T.take(unperm, axis=-1) / sk
+        z = s.v[1][:, stopped].T.take(unperm, axis=-1) / sk
         solve_time = time.perf_counter() - t_start
         rows = zip(s.ids[stopped].tolist(), x, y, z, s.pres[stopped].tolist(),
                    s.dres[stopped].tolist(), s.gap[stopped].tolist(),
@@ -629,24 +665,23 @@ def _solve_batch(
         return kkt, kkt.singular
 
     for it in range(st.max_iters + 1):
-        # each program's row of x and z, in the solver's order
-        x_rows, z_rows = s.x.T.copy(), s.z.T.copy()
+        # each program's row of x and z in the solver's order, and of x in its own
+        x_rows, z_rows = s.v[:2].transpose(0, 2, 1).copy()
         s.x_prog = x_rows.take(unperm, axis=-1)
         ax = _bmv(s.a, s.x_prog)
-        aty = _bmv(s.at, s.y).take(perm, axis=-1)
+        atyz = _bmv(s.at, s.y).take(perm, axis=-1) + z_rows
         cx = _dot(s.c_prog, s.x_prog)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
-        r_d_rows = -aty - z_rows + s.c.T * s.tau[:, None]
-        s.r_d = r_d_rows.T.copy()
+        r_d_rows = s.v[2].T * s.tau[:, None] - atyz
+        s.v[3] = r_d_rows.T
         s.r_g = by - cx - s.kappa
-        s.comp = _dot(x_rows[:, nf:], z_rows[:, nf:]) + s.tau * s.kappa
-        s.mu = s.comp / nu
+        s.mu = (_dot(x_rows[:, nf:], z_rows[:, nf:]) + s.tau * s.kappa) / nu
 
         # residuals of the scaled point (x, y, z) / tau; the gap is
         # residuals()'s of the x / tau and y / tau that finish returns
-        s.pres = _norm(s.r_p) / (s.tau * (1.0 + s.norm_b))
-        s.dres = _norm(r_d_rows) / (s.tau * (1.0 + s.norm_c))
+        s.pres = _norm(s.r_p) / (s.tau * s.norm_b1)
+        s.dres = _norm(r_d_rows) / (s.tau * s.norm_c1)
         cx_tau = _dot(s.c_prog, s.x_prog / s.tau[:, None])
         s.gap = np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None])) / (1.0 + np.abs(cx_tau))
         if trace is not None:
@@ -654,14 +689,14 @@ def _solve_batch(
                    "dres": float(s.dres[0]), "gap": float(s.gap[0]),
                    "tau": float(s.tau[0]), "kappa": float(s.kappa[0])})
 
-        failed = ~np.isfinite([s.pres, s.dres, s.gap, s.mu, s.tau, s.kappa]).all(axis=0)
+        # a sum of the six is finite only where each one is
+        failed = ~np.isfinite(s.pres + s.dres + s.gap + s.mu + s.tau + s.kappa)
         done = failed.copy()
         optimal = ~done & (s.pres <= st.feas_tol) & (s.dres <= st.feas_tol) & (s.gap <= st.gap_tol)
         done |= optimal
-        infeasible = ~done & (by > 0.0) & (
-            _norm(aty + z_rows) <= st.feas_tol * (1.0 + s.norm_c) * by)
+        infeasible = ~done & (by > 0.0) & (_norm(atyz) <= s.feas_c * by)
         done |= infeasible
-        unbounded = ~done & (cx < 0.0) & (_norm(ax) <= st.feas_tol * (1.0 + s.norm_b) * -cx)
+        unbounded = ~done & (cx < 0.0) & (_norm(ax) <= s.feas_b * -cx)
         done |= unbounded
         any_done = done.any()
         if any_done:
@@ -677,10 +712,10 @@ def _solve_batch(
 
         # iterate pinned to the cone boundary at rounding level: no
         # further centering is possible, return best effort
-        xb, zb = layout.blocks(s.x), layout.blocks(s.z)
-        s.det_x, s.det_z = _jdot(xb, xb), _jdot(zb, zb)
-        pinned = ~done & (np.minimum.reduce(np.minimum(s.det_x, s.det_z).reshape(
-            -1, s.ids.size), axis=0, initial=np.inf) <= 0.0)
+        xzb = layout.blocks(s.v[:2])
+        s.det = _jdot(xzb, xzb)
+        pinned = ~done & (np.minimum.reduce(s.det.reshape(-1, s.ids.size), axis=0,
+                                            initial=np.inf) <= 0.0)
         if pinned.any():
             stop(pinned, "cone_boundary")
             done |= pinned
@@ -689,11 +724,10 @@ def _solve_batch(
             s.take(~done)
             if not s.ids.size:
                 break
-            xb, zb = layout.blocks(s.x), layout.blocks(s.z)
+            xzb = layout.blocks(s.v[:2])
 
-        # NT scaling W, and lambda = W z = W^-1 x
-        s.wbar, s.eta = _nt_scaling(xb, zb, s.det_x, s.det_z)
-        s.lam = layout.scale(s.wbar, s.eta, s.z)
+        # NT scaling W
+        s.wbar, s.eta = _nt_scaling(xzb[0], xzb[1], s.det[0], s.det[1])
 
         t_factor = time.perf_counter()
         kkt, broken = factor()
@@ -708,89 +742,90 @@ def _solve_batch(
             break
         factor_s = time.perf_counter() - t_factor
         nb = s.ids.size
-        lam_b = layout.blocks(s.lam)
+
+        # lambda = W z = W^-1 x, W c and W r_d, and lambda normalized for
+        # the step rule
+        wv = layout.scale(s.wbar, s.eta, s.v[1:])
+        lam = wv[0]
+        lam_b = layout.blocks(lam)
         det_lam = _jdot(lam_b, lam_b)
+        rdet = np.sqrt(det_lam)
+        lbar = lam_b / rdet
+        wc_rows = wv[1].T.copy()
+
+        def direction(gamma, d_tk, dxs1, cdx1, bdy1, dy1):
+            """Newton direction targeting residual reduction factor (gamma - 1)
+            from the first solve's column and its c'dx and b'dy: the scaled
+            step dxs = W^-1 dx, dy, dtau and dkappa."""
+            dtau = ((gamma - 1.0) * s.r_g + d_tk / s.tau + cdx1 - bdy1) / den
+            dkappa = (d_tk - s.kappa * dtau) / s.tau
+            return dxs1 + dtau * dxs2, dy1 + dtau[:, None] * dy2, dtau, dkappa
+
+        def step_limit(steps, dtau, dkappa, frac):
+            """frac times the largest step, capped at 1; tau and kappa limit it
+            only where they decrease."""
+            t = np.maximum(-dtau / s.tau, -dkappa / s.kappa)
+            # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
+            # W^-1(lambda + alpha dzs), and W maps the cone onto itself
+            return np.minimum(frac / np.maximum(t, frac),
+                              frac * _max_step(lbar, rdet, layout.blocks(steps), nb))
 
         # the tau direction (right-hand side [c; b]) and the predictor's
         # (affine, sigma = 0: r1 = r_d + W^-1 lambda) in one two-column solve,
         # r1 in the form the KKT path reads: W r1 for the scaled QR
-        r1 = np.concatenate([s.c[None], s.r_d[None]])
-        if scaled_qr:
-            r1 = layout.scale(s.wbar, s.eta, r1)
-            wc = r1[0]
-        else:
-            wc = layout.scale(s.wbar, s.eta, s.c)
-        wc_rows = wc.T.copy()
-        dl = np.zeros((2, n, nb))
-        dl[1] = s.lam
+        rhs = wv[1:] if scaled_qr else s.v[2:]
         dxs_rows, dxs, dy, dx2 = kkt.solve(
-            r1, [dl], np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+            rhs, lam * _SECOND_COLUMN, np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+        # c'dx = (W c)'dxs, W being symmetric, and b'dy of each column
+        cdx, bdy = _bmv(dxs_rows, wc_rows), _bmv(dy, s.b)
         dxs2, dy2 = dxs[0], dy[:, 0]
-        # c'dx2 = (W c)'dxs2, W being symmetric
-        den = s.kappa / s.tau - _dot(wc_rows, dxs_rows[:, 0]) + _dot(s.b, dy2)
+        den = s.kappa / s.tau - cdx[:, 0] + bdy[:, 0]
 
-        def direction(gamma, d_tk, dxs1_rows, dxs1, dy1):
-            """Newton direction targeting residual reduction factor (gamma - 1):
-            the scaled steps dxs = W^-1 dx and dzs = W dz stacked, dy, dz, dtau
-            and dkappa."""
-            num = (gamma - 1.0) * s.r_g + d_tk / s.tau + _dot(wc_rows, dxs1_rows) - _dot(s.b, dy1)
-            dtau = num / den
-            dy = dy1 + dtau[:, None] * dy2
-            # dz from the linear dual equation, which the step then reduces exactly;
-            # W^-1(lambda \ d_c) - H dx would carry the KKT solve's rounding into z
-            dz = s.c * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + (1.0 - gamma) * s.r_d
-            dkappa = (d_tk - s.kappa * dtau) / s.tau
-            steps = np.concatenate([(dxs1 + dtau * dxs2)[None],
-                                    layout.scale(s.wbar, s.eta, dz)[None]])
-            return steps, dy, dz, dtau, dkappa
-
-        def step_limit(steps, dtau, dkappa):
-            # tau and kappa limit the step only where they decrease
-            amax = np.minimum(
-                np.where(dtau < 0.0, s.tau, np.inf) / np.where(dtau < 0.0, -dtau, 1.0),
-                np.where(dkappa < 0.0, s.kappa, np.inf) / np.where(dkappa < 0.0, -dkappa, 1.0))
-            # x + alpha dx = W(lambda + alpha dxs) and z + alpha dz =
-            # W^-1(lambda + alpha dzs), and W maps the cone onto itself
-            return np.minimum(amax, _max_step(lam_b, det_lam, layout.blocks(steps), nb))
-
-        # predictor
-        steps, _, _, dtaua, dkappaa = direction(np.zeros(nb), -s.tau * s.kappa,
-                                                dxs_rows[:, 1], dxs[1], dy[:, 1])
-        alpha_aff = np.minimum(1.0, step_limit(steps, dtaua, dkappaa))
-
-        # lambda + alpha dxs and lambda + alpha dzs, as each program's rows
-        ahead = (s.lam + alpha_aff * steps)[:, nf:].transpose(0, 2, 1).copy()
-        comp_aff = _dot(ahead[0], ahead[1]) + (
-            (s.tau + alpha_aff * dtaua) * (s.kappa + alpha_aff * dkappaa))
-        sigma = np.minimum(1.0, (np.maximum(comp_aff, 0.0) / s.comp) ** 3)
+        # predictor: the affine step is complementary, so the complementarity
+        # it reaches is (1 - alpha_aff) times mu's, and sigma its cube
+        dxsa, dya, dtaua, dkappaa = direction(0.0, -s.tau * s.kappa, dxs[1], cdx[:, 1],
+                                              bdy[:, 1], dy[:, 1])
+        steps = np.concatenate([dxsa[None], kkt.scaled_dual(dtaua, dya, s.v, wv)[None]])
+        alpha_aff = step_limit(steps, dtaua, dkappaa, 1.0)
+        sigma = (1.0 - alpha_aff) ** 3
 
         # corrector: d_c = sigma mu e - lambda o lambda - dxsa o dzsa (the Mehrotra
-        # term), W r1 = (1 - sigma) W r_d - lambda \ d_c = ... + lambda + shift
-        shift = np.zeros((n, nb))
+        # term), W r1 = (1 - sigma) W r_d - lambda \ d_c = ... + dl, with dl =
+        # lambda + lambda \ (dxsa o dzsa - sigma mu e)
         steps_b = layout.blocks(steps)
         corr = _jprod(steps_b[0], steps_b[1])
         corr.reshape(layout.d, -1, nb)[0] -= sigma * s.mu
-        layout.blocks(shift)[...] = _jsolve(lam_b, det_lam, corr)
+        dl = lam.copy()
+        layout.blocks(dl)[...] += _jsolve(lam_b, det_lam, corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
         rs = 1.0 - sigma
-        dxs1_rows, dxs1, dy1, dx1 = kkt.solve((rs * r1[1])[None], [s.lam, shift],
+        dxs1_rows, dxs1, dy1, dx1 = kkt.solve((rs * rhs[1])[None], dl,
                                               (-rs[:, None] * s.r_p)[:, None])
-        steps, dy, dz, dtau, dkappa = direction(sigma, d_tk, dxs1_rows[:, 0], dxs1[0], dy1[:, 0])
+        dxs, dy, dtau, dkappa = direction(sigma, d_tk, dxs1[0], _bmv(dxs1_rows, wc_rows)[:, 0],
+                                          _bmv(dy1, s.b)[:, 0], dy1[:, 0])
+        # dz from the linear dual equation, which the step then reduces exactly;
+        # W^-1(lambda \ d_c) - H dx would carry the KKT solve's rounding into z
+        dz = s.v[2] * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + rs * s.v[3]
+        # one W product gives W dxs (the scaled QR's dx) and the scaled dual step
+        steps = np.concatenate([dxs[None], dz[None]])
+        wsteps = layout.scale(s.wbar, s.eta, steps)
+        steps[1] = wsteps[1]
 
-        alpha = np.minimum(1.0, _FRACTION_TO_BOUNDARY * step_limit(steps, dtau, dkappa))
+        alpha = step_limit(steps, dtau, dkappa, _FRACTION_TO_BOUNDARY)
         if trace is not None:
             trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
                    "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
                    "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
-        s.stalls = np.where(alpha <= _MIN_STEP, s.stalls + 1, 0)
-        stalled = s.stalls >= 2
+        small = alpha <= _MIN_STEP
+        stalled = small & s.small
+        s.small = small
         any_stalled = stalled.any()
         if any_stalled:
             stop(stalled, "step_stall")
 
-        s.x += alpha * (dx1 + dtau * dx2)
+        s.v[0] += alpha * kkt.primal_step(wsteps[0], dtau, dx1, dx2)
         s.y += alpha[:, None] * dy
-        s.z[nf:] += alpha * dz[nf:]
+        s.v[1, nf:] += alpha * dz[nf:]
         s.tau, s.kappa = s.tau + alpha * dtau, s.kappa + alpha * dkappa
         if any_stalled:
             s.take(~stalled)

@@ -10,6 +10,7 @@ internal state chain.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -499,8 +500,9 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     midpoint.  Only the chosen anomaly is planned, and its PlanResult is
     returned with the scan.
     """
-    if resolution < 10:
-        raise ValueError(f"resolution must be at least 10, got {resolution}")
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) \
+            or resolution < 10:
+        raise ValueError(f"resolution must be an integer of at least 10, got {resolution!r}")
     th0, thf = scenario.theta0, scenario.theta_f
     span = thf - th0
     cands = th0 + span * (np.arange(1, resolution + 1) / (resolution + 1))

@@ -19,6 +19,7 @@ are unity and the scaling is the identity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -138,8 +139,8 @@ def grid_from_nodes(scenario: Scenario, nodes) -> Grid:
 
 def build_grid(scenario: Scenario, m: int) -> Grid:
     """Uniform anomaly grid with m nodes from theta0 to thetaf inclusive."""
-    if m < 2:
-        raise ValueError(f"mesh size must be at least 2, got {m}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+        raise ValueError(f"mesh size must be an integer of at least 2, got {m!r}")
     return grid_from_nodes(scenario, np.linspace(scenario.theta0, scenario.theta_f, m))
 
 

@@ -111,6 +111,20 @@ class TestTrivialPrograms:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(value, abs=1e-8)
 
+    @pytest.mark.parametrize("c, status, objective", [
+        ([1.0, 0.0, 0.0], "optimal", 0.0),
+        ([1.0, 2.0, 0.0], "dual_infeasible", -1.0),
+    ])
+    def test_cone_only_program_without_rows(self, c, status, objective):
+        # min c'x over the 3-cone alone: no equality rows for the scaled QR
+        prob = ConicProblem(c=c, A=np.zeros((0, 3)), b=np.zeros(0), cones=ConeSpec(0, (3,)))
+        sol = solve(prob)
+        assert (sol.status, sol.y.shape) == (status, (0,))
+        assert sol.objective == pytest.approx(objective, abs=1e-8)
+        family = ConicProblem(c=[c, c], A=np.zeros((2, 0, 3)), b=np.zeros((2, 0)),
+                              cones=prob.cones)
+        assert [s.status for s in solve_batch(family)] == [status] * 2
+
     def test_max_iters_returns_diagnostics(self):
         prob = ConicProblem(c=[1.0, 0.0, 0.0], A=[[0.0, 1.0, 0.5]], b=[3.0],
                             cones=ConeSpec(0, (3,)))
@@ -470,6 +484,26 @@ class TestNTScaling:
             scale = np.max(np.abs(lam))
             assert np.max(np.abs(layout.scale(*nt_inv, u) - lam)) <= 1e-12 * scale
 
+    def test_max_step_is_the_step_to_the_cone_boundary(self, rng):
+        bounded = 0
+        for _ in range(40):
+            dims = (int(rng.integers(2, 6)),) * int(rng.integers(1, 5))
+            layout, u, v, nt, _ = _scaled_point(rng, ConeSpec(0, dims))
+            lam = layout.blocks(layout.scale(*nt, v))
+            rdet = np.sqrt(conic_solver._jdot(lam, lam))
+            # a stacked pair of steps of one program
+            du = rng.normal(size=(2,) + lam.shape) * rng.uniform(0.1, 10.0)
+            alpha = conic_solver._max_step(lam / rdet, rdet, du, 1)[0]
+
+            def inside(step):
+                pts = lam + step * du
+                return bool(np.all(pts[..., 0, :] >= np.linalg.norm(pts[..., 1:, :], axis=-2)))
+            assert inside(alpha * (1.0 - 1e-9))
+            if alpha < 1e300:
+                bounded += 1
+                assert not inside(alpha * (1.0 + 1e-6))
+        assert bounded >= 30
+
 
 def _scaled_point(rng, cones):
     """A random interior primal-dual pair (u, v) in the solver's variable
@@ -554,6 +588,17 @@ class TestConeLayout:
         assert np.array_equal(block, row[2:].reshape(3, 4))
 
 
+def _check_scaled_dual(rng, kkt, a, layout, nt):
+    """A KKT path's predictor W dz against W applied to dtau c - A'dy + r_d
+    (a is A with its columns in the solver's order, as is every vector)."""
+    n = a.shape[1]
+    v = rng.normal(size=(4, n, 1))
+    dtau, dy = rng.normal(size=1), rng.normal(size=(1, a.shape[0]))
+    want = layout.scale(*nt, v[2] * dtau - (a.T @ dy[0])[:, None] + v[3])
+    got = kkt.scaled_dual(dtau, dy, v, layout.scale(*nt, v[1:]))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestScaledQRKKT:
     def test_matches_dense_factorization_on_the_same_scaling(self, rng):
         for _ in range(20):
@@ -565,15 +610,20 @@ class TestScaledQRKKT:
             # two right-hand sides r1 + W^-1 dl, solved as one stacked pair
             r1, dl = rng.normal(size=(2, 2, prob.c.size, 1))
             r2 = rng.normal(size=(1, 2, prob.b.size))
-            dxs_rows, dxs, dy, dx = qr.solve(layout.scale(*nt, r1), [dl], r2)
+            dxs_rows, dxs, dy, dx = qr.solve(layout.scale(*nt, r1), dl, r2)
             k = _dense_kkt(a, layout, _dense(*nt_inv))
             r1 = r1 + layout.scale(*nt_inv, dl)
             for col in range(2):
                 want = np.linalg.solve(k, np.concatenate([r1[col, :, 0], r2[0, col]]))
                 got = np.concatenate([layout.scale(*nt, dxs[col])[:, 0], dy[0, col]])
                 assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-            assert np.array_equal(dx, layout.scale(*nt, dxs[0]))
             assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
+            # the x update's dx is W dxs, which the loop forms with the scaled
+            # dual step, not the solve
+            assert dx is None
+            wdxs = layout.scale(*nt, dxs[0])
+            assert qr.primal_step(wdxs, 0.5, None, None) is wdxs
+            _check_scaled_dual(rng, qr, a, layout, nt)
 
     def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
@@ -626,7 +676,7 @@ class TestSparseKKT:
         # rows and as cone columns), and the unscaled dx of the first column
         dl = rng.normal(size=(1, n, 1))
         r1 = rhs[None, :n, None] - layout.scale(*nt_inv, dl)
-        dxs_rows, dxs, dy, dx = kkt.solve(r1, [dl], rhs[None, None, n:])
+        dxs_rows, dxs, dy, dx = kkt.solve(r1, dl, rhs[None, None, n:])
         assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
         got = np.concatenate([dx[:, 0], dy[0, 0]])
         determined = np.linalg.pinv(k) @ (k @ got)
@@ -634,6 +684,10 @@ class TestSparseKKT:
         assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
         # dxs is the same step in scaled variables
         assert np.linalg.norm(layout.scale(*nt, dxs[0]) - dx) <= 1e-9 * np.linalg.norm(dx)
+        # the x update's dx comes from the LU's own solutions
+        dx2 = rng.normal(size=dx.shape)
+        assert np.array_equal(kkt.primal_step(dxs[0], 0.5, dx, dx2), dx + 0.5 * dx2)
+        _check_scaled_dual(rng, kkt, a, layout, nt)
         return np.linalg.matrix_rank(k) == k.shape[0]
 
     def test_matches_dense_least_squares_with_free_variables(self, rng):
@@ -650,6 +704,28 @@ class TestSparseKKT:
             dependent = ConicProblem(c=prob.c, A=np.vstack([prob.A, mix @ prob.A]),
                                      b=np.concatenate([prob.b, mix @ prob.b]), cones=prob.cones)
             assert not self._check(rng, dependent)
+
+    def test_refinement_returns_the_best_iterate(self, rng):
+        # a first solve 1e-6 off, a correction that halves the residual, then
+        # one that makes it 11 times worse: refinement stops there and
+        # returns the iterate of the smallest residual
+        prob, *_ = make_kkt_certified_problem(rng, n_free=2, strict=True)
+        layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
+        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, prob.A))
+        real, seen = kkt._band_solve, []
+
+        def worse_later(r):
+            seen.append(np.max(np.abs(r)))
+            return real(r) * (1.0 + 1e-6, 0.5, -10.0)[min(len(seen), 3) - 1]
+        kkt._band_solve = worse_later
+        n = prob.c.size
+        r1, r2 = rng.normal(size=(1, n, 1)), rng.normal(size=(1, 1, prob.b.size))
+        _, _, dy, dx = kkt.solve(r1, np.zeros((1, n, 1)), r2)
+        k = _dense_kkt(prob.A[:, layout.perm], layout, _dense(*nt_inv))
+        resid = np.concatenate([r1[0, :, 0], r2[0, 0]]) - k @ np.concatenate([dx[:, 0], dy[0, 0]])
+        # the solve, then two corrections, whose residuals halve and then grow
+        assert len(seen) == 3 and seen[2] < 0.6 * seen[1]
+        assert np.max(np.abs(resid)) == pytest.approx(seen[2], rel=1e-6)
 
     def test_csc_matrices_built_once_per_solve(self, monkeypatch):
         # each factorization writes its values into the solve's matrix
@@ -725,10 +801,30 @@ class TestIterationGuards:
             sol = solve(assemble_socp(scenario, build_grid(scenario, m), form=form))
             assert (sol.status, sol.iterations) == ("optimal", iterations), name
 
+    def test_band_solves_per_iteration(self, monkeypatch):
+        # the full form's KKT solves: the first solve of each right-hand side
+        # and its refinement rounds, counted over atv at M=65
+        real, calls = conic_solver.band_lu, []
+
+        def counting(band, half_band):
+            solve_band = real(band, half_band)
+
+            def counted(r):
+                calls.append(1)
+                return solve_band(r)
+            return counted
+
+        monkeypatch.setattr(conic_solver, "band_lu", counting)
+        scenario = builtin("atv")
+        sol = solve(assemble_socp(scenario, build_grid(scenario, 65), form="full"))
+        # 66 in 11 iterations
+        assert (sol.status, sol.iterations) == ("optimal", 11)
+        assert len(calls) / sol.iterations <= 6.3
+
     @pytest.mark.parametrize("m", [3, 513])
     def test_python_calls_per_iteration(self, m):
         # the fixed cost of an iteration: Python-level calls, counted as the
-        # profiler sees them, whatever the grid size
+        # profiler sees them, whatever the grid size (268 at m=3, 244 at m=513)
         scenario = builtin("atv")
         prob = assemble_socp(scenario, build_grid(scenario, m))
         calls = 0
@@ -744,4 +840,4 @@ class TestIterationGuards:
         finally:
             sys.setprofile(previous)
         assert sol.status == "optimal"
-        assert calls / sol.iterations <= 350
+        assert calls / sol.iterations <= 281

@@ -329,6 +329,12 @@ class TestInnerNodeSearch:
         with pytest.raises(ValueError, match="resolution"):
             inner_node_search(builtin("circle2circle"), resolution=5)
 
+    @pytest.mark.parametrize("resolution", [10.5, 100.0, True, "100"])
+    def test_non_integer_resolution_raises(self, resolution):
+        # 10.5 would scan 11 candidates over 11.5 divisions
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            inner_node_search(builtin("circle2circle"), resolution=resolution)
+
     def test_matches_brute_force_scan(self):
         scen = builtin("circle2circle")
         res = inner_node_search(scen, resolution=40)

@@ -71,6 +71,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="at least 2"):
             build_grid(c2c, 1)
 
+    @pytest.mark.parametrize("m", [3.5, 33.0, True, "33"])
+    def test_non_integer_mesh_rejected(self, c2c, m):
+        # a size is rejected, never truncated or handed to numpy
+        with pytest.raises(ValueError, match="mesh size must be an integer"):
+            plan_rendezvous(c2c, mesh_m=m)
+
     def test_explicit_nodes(self, atv):
         g = grid_from_nodes(atv, [0.0, 30.0, atv.theta_f])
         assert g.m == 3
