@@ -7,56 +7,30 @@ Solves the standard-form pair
                 x in K                          z in K*
 
 where K is a product of one free block and second-order cones
-(sigma, u) with sigma >= ||u||.  The algorithm is path-following on the
-homogeneous self-dual embedding with Nesterov-Todd scaling and a
-Mehrotra-style predictor-corrector, so no feasible starting point is
-needed and infeasibility is detected through Farkas certificates.
-The Newton step is computed in NT-scaled variables around
-lambda = W z = W^-1 x, with W applied in closed form from (wbar, eta)
-per cone, once per quantity: one product of the stacked (z, c, r_d)
-gives lambda, W c and W r_d.  Each KKT path reads r1 or W r1 and
-returns W^-1 dx; the Mehrotra term and both step-length tests use the
-scaled steps.  The predictor's scaled dual step comes from the
-factorization where it has one (the scaled QR's W A'), and since the
-affine step is complementary sigma is (1 - alpha_aff)^3.  The step to
-the cone boundary is closed form on lambda-normalized directions.  The
-corrector's dz comes from the linear dual equation.  Every cone of a
-program has one dimension d (ConeSpec raises ValueError on mixed
-dimensions), and variables are ordered once per solve as the free block,
-then the cones component by component, so the cone block is one reshape
-view.  Cone-only programs with independent equality rows solve each
-Newton system through a thin QR of W A', at a cost linear in the number
-of cones; the rows are tested by the pivots of A's own R, the one the
-first iteration factors (W = I at the start).  Programs with free
-variables (never split into cone differences) or dependent rows use one
-sparse LU of the statically regularized quasi-definite KKT matrix K,
-with iterative refinement against the unregularized system; only it
-builds dense blocks, those of H = W^-2, converting at its boundary.
-Once per solve it orders K's pattern by reverse Cuthill-McKee, and
-LAPACK's banded LU (dgbtrf/dgbtrs) factors K in band storage in that
-order, at O(size b^2) for half-bandwidth b.  The full form's K keeps b
-fixed as the grid grows (11 for planar programs, 16 to 18 in 3-D), so
-its factorization is linear in M; a program whose K has no narrow band
-in that order pays the O(size b^2) all the same.  It is the only user
-of scipy and imports scipy.sparse, scipy.sparse.csgraph and
-scipy.linalg.lapack where it is first built, so the condensed pipeline
-runs on numpy alone; the first sparse-LU solve in a process counts that
-import in its solve_time.
+(sigma, u) with sigma >= ||u||, all of one dimension d.  The method is
+path-following on the homogeneous self-dual embedding with Nesterov-Todd
+scaling W, applied in closed form per cone, and a Mehrotra predictor-
+corrector; infeasibility is detected through Farkas certificates.
+Variables are ordered once per solve as the free block, then the cones
+component by component, so the cone block is one reshape view.
 
-One iteration loop serves a whole family of programs: a ConicProblem
-whose c, A and b carry a leading program axis.  The loop stores every
-iterate variables x programs, the program axis last, so the cones form
-one contiguous (d, cones x programs) block over the whole family and the
-cone algebra makes one pass per quantity; each program's tau, kappa, mu,
-sigma and step lengths broadcast along that axis.  The per-program
-reductions (c'x, b'y, x'z, the norms, A x, A'y and the scaled QR's
-products) run on each program's contiguous row, copied out of the
-iterate where they need it, and the scaled QR factors the stacked W A'
-in one call.  So a program that stops leaves the family with the iterate
-it would have reached alone, and solve_batch returns what solving each
-program by itself returns.  Programs that need the sparse LU run as
-families of one; solve runs its program as a family of one, whose
-iterate is its row in the solver's order.
+Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.
+Cone-only programs with independent rows take a thin QR of G' = W A',
+linear in the number of cones; W = I at the start, so the path test
+factors the first iteration's G' = A' and reads dependent rows off its R.
+Other programs take LAPACK's banded LU (dgbtrf/dgbtrs) of the scaled KKT
+matrix [[-E, G'], [G, 0]], E the identity on the cones, with refinement.
+For a StageMatrix A (the full form) it runs in stage order, row block j,
+x_j, cone j, where K's half-bandwidth is 9 (planar) or 13 (3-D) whatever
+the grid, so a factorization costs O(M); any other A keeps the identity
+order, whose band is the whole matrix.  Only this path uses scipy, which
+it imports on its first factorization, so the condensed pipeline runs on
+numpy alone and that first solve's solve_time counts the import.
+
+One loop serves a scaled-QR family (c, A and b with a leading program
+axis), stored variables x programs so the cone algebra makes one pass
+over it, each program's reductions on its own row with the calls of a
+program alone: solve_batch returns what each program returns alone.
 """
 
 from __future__ import annotations
@@ -114,13 +88,78 @@ class ConeSpec:
 
 
 @dataclass(frozen=True)
+class StageMatrix:
+    """Equality matrix of a staged program, held as its O(m) blocks: stage
+    j < m owns the free x_j (d variables) and cone j (w - d), x runs (x_0,
+    ..., x_{m-1}, cone 0, ..., cone m-1), and of the m + 1 row blocks of d,
+    block j holds diag[j] (d, d) on x_j and block j + 1 lower[j] (d, w) on
+    (x_j, cone j).  A @ v (a vector or (n, k) columns) and v @ A (a vector
+    or (k, p) rows) are batched block products; np.asarray(A) is dense."""
+
+    diag: np.ndarray
+    lower: np.ndarray
+    ndim = 2
+    # numpy defers v @ A to __rmatmul__ rather than densify A
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        m, d, w = self.lower.shape
+        j, k = np.arange(m)[:, None], np.arange(w)
+        # x's index of each stage's variables, (m, w): x_j, then cone j
+        cols = np.where(k < d, d * j + k, m * d + (w - d) * j + k - d)
+        # row block j, (d, d + w), on x_j and stage j - 1, whose columns it
+        # gathers from x; a missing stage's are zero and read x's padding n
+        blocks = np.zeros((m + 1, d, d + w))
+        blocks[:m, :, :d], blocks[1:, :, d:] = self.diag, self.lower
+        gather = np.full((m + 1, d + w), m * w)
+        gather[:m, :d], gather[1:, d:] = cols[:, :d], cols
+        # cols permutes x's indices, and uncols undoes it
+        self.__dict__.update(cols=cols, uncols=np.argsort(cols.reshape(-1)), blocks=blocks,
+                             gather=gather, shape=((m + 1) * d, m * w))
+
+    def __matmul__(self, v) -> np.ndarray:
+        x = np.asarray(v, dtype=float).T
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1).take(self.gather, axis=-1)
+        return _bmv(self.blocks, x).reshape(x.shape[:-2] + (-1,)).T
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        m, d, _ = self.lower.shape
+        y = np.asarray(v, dtype=float).reshape(np.shape(v)[:-1] + (m + 1, 1, d))
+        g = np.matmul(y, self.blocks)[..., 0, :]
+        stages = g[..., 1:, d:]
+        stages[..., :d] += g[..., :m, :d]
+        return stages.reshape(y.shape[:-3] + (-1,)).take(self.uncols, axis=-1)
+
+    def entries(self):
+        """Row, column and value of every block entry, zeros included."""
+        d = self.lower.shape[1]
+        rows = d * np.arange(len(self.blocks))[:, None, None] + np.arange(d)[:, None]
+        rows, cols = (np.broadcast_to(v, self.blocks.shape) for v in (rows, self.gather[:, None]))
+        real = cols < self.shape[1]
+        return rows[real], cols[real], self.blocks[real]
+
+    def stage_order(self) -> np.ndarray:
+        """The variables and rows (numbered from n on) stage by stage: row
+        block j, x_j, cone j, with the terminal row block last."""
+        m, d, _ = self.lower.shape
+        rows = self.shape[1] + d * np.arange(m + 1)[:, None] + np.arange(d)
+        return np.concatenate([np.hstack([rows[:m], self.cols]).reshape(-1), rows[m]])
+
+    def __array__(self, dtype=None, copy=None):
+        a = np.zeros(self.shape, dtype=dtype)
+        rows, cols, vals = self.entries()
+        a[rows, cols] = vals
+        return a
+
+
+@dataclass(frozen=True)
 class ConicProblem:
     """Standard-form conic program data, for one program or a family.
 
     A family carries one leading program axis: c (K, n), A (K, p, n) and
-    b (K, p), all sharing the cone structure and var_map.  var_map is
-    free-form metadata for the builder (e.g. where each impulse lives in
-    x); the solver ignores it.
+    b (K, p), all sharing the cone structure and var_map.  One program's A
+    may be a StageMatrix.  var_map is free-form metadata of the assembly
+    (e.g. where each impulse lives in x); the solver ignores it.
     """
 
     c: np.ndarray
@@ -130,7 +169,8 @@ class ConicProblem:
     var_map: Optional[dict] = None
 
     def __post_init__(self):
-        c, a, b = (np.asarray(v, dtype=float) for v in (self.c, self.A, self.b))
+        c, b = (np.asarray(v, dtype=float) for v in (self.c, self.b))
+        a = self.A if isinstance(self.A, StageMatrix) else np.asarray(self.A, dtype=float)
         if (a.ndim not in (2, 3) or c.shape != a.shape[:-2] + a.shape[-1:]
                 or b.shape != a.shape[:-1]):
             raise ValueError(f"dimension mismatch: c {c.shape}, A {a.shape} and b {b.shape} are "
@@ -199,16 +239,15 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
         )
     pcost = float(problem.c @ x)
     primal = np.linalg.norm(problem.A @ x - problem.b) / (1.0 + np.linalg.norm(problem.b))
-    dual = np.linalg.norm(problem.A.T @ y + z - problem.c) / (1.0 + np.linalg.norm(problem.c))
+    dual = np.linalg.norm(y @ problem.A + z - problem.c) / (1.0 + np.linalg.norm(problem.c))
     gap = abs(pcost - float(problem.b @ y)) / (1.0 + abs(pcost))
     return Residuals(primal=float(primal), dual=float(dual), gap=float(gap))
 
 
 # -- batched second-order cone algebra -------------------------------------
 #
-# The g cones of dimension d are processed together as (..., d, g K) arrays,
-# component by component, over the g K values of the cones of all K
-# programs; the leading axes, if any, stack right-hand sides or rows of A.
+# The g cones of K programs are processed together as (..., d, g K) arrays,
+# the leading axes, if any, stacking right-hand sides or rows of A.
 
 
 class _ConeLayout:
@@ -314,14 +353,11 @@ def _nt_apply(wbar: np.ndarray, eta: np.ndarray, v: np.ndarray, out: np.ndarray)
 
 
 def _max_step(lbar: np.ndarray, rdet: np.ndarray, du: np.ndarray, programs: int) -> np.ndarray:
-    """Largest alpha with lambda + alpha*du in every cone, per program (1e300 without a bound).
-
-    Takes (..., d, g K) steps du of the given number of programs and the
-    normalization of lambda, lbar = lambda / rdet with rdet = sqrt(det(lambda))
-    per cone.  u = Wbar(J lbar) du / rdet is du normalized by lambda: the map
-    sends lambda to e = (1, 0) and the cone onto itself, and e + alpha u
-    stays in the cone while alpha (||u_1|| - u_0) <= 1 (CVXOPT's max_step).
-    """
+    """Largest alpha with lambda + alpha du in every cone, per program (1e300
+    without a bound), for (..., d, g K) steps du and lbar = lambda / rdet,
+    rdet = sqrt(det(lambda)).  u = Wbar(J lbar) du / rdet sends lambda to e
+    and the cone onto itself, and e + alpha u stays in the cone while
+    alpha (||u_1|| - u_0) <= 1 (CVXOPT's max_step)."""
     l0, l1, d0, d1 = lbar[0], lbar[1:], du[..., 0, :], du[..., 1:, :]
     s = _csum(l1 * d1)
     u1 = d1 - (d0 - s / (1.0 + l0))[..., None, :] * l1
@@ -331,24 +367,18 @@ def _max_step(lbar: np.ndarray, rdet: np.ndarray, du: np.ndarray, programs: int)
 
 # -- KKT systems -------------------------------------------------------------
 #
-# With W the NT scaling (the identity on the free block), H = W^-2 and
-# dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2 reads -dxs + G'dy =
-# W r1 + dl, G dxs = r2 with G' = W A'.  solve takes r1 (columns, n,
-# programs) in the one form its path reads, W r1 for the scaled QR and r1
-# for the sparse LU, dl stacked alike or broadcasting, and r2
-# (programs, columns, p).  It returns dxs as (programs, columns, n) rows and
-# as (columns, n, programs), dy (programs, columns, p), and the sparse LU's
-# own dx of the first column (None from the scaled QR).  Each path also
-# gives the predictor's scaled dual step W dz, and the x update's dx from
-# the step's dxs: the scaled QR as W dxs, the sparse LU from its own dx,
-# which W dxs would round to W's condition number.
+# With H = W^-2 and dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2
+# reads -E dxs + G'dy = W r1 + dl, G dxs = r2.  solve takes W r1 (columns,
+# n, programs), dl stacked alike or broadcasting, and r2 (programs, columns,
+# p); it returns dxs as (programs, columns, n) rows and as (columns, n,
+# programs), and dy (programs, columns, p).  gty gives G'dy.
 
 
 def band_lu(band: np.ndarray, half_band: int):
     """LU with partial pivoting (LAPACK dgbtrf) of a square matrix in band
     storage, in place, and its solve (dgbtrs) of (n, k) columns; None at an
     exactly singular pivot.  Imports scipy.linalg.lapack on the first call,
-    so that a process without a sparse LU never loads it."""
+    so that a process without a band LU never loads it."""
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     lu, piv, info = dgbtrf(band, half_band, half_band, overwrite_ab=1)
@@ -357,120 +387,109 @@ def band_lu(band: np.ndarray, half_band: int):
     return lambda r: dgbtrs(lu, half_band, half_band, r, piv)[0]
 
 
-class _KKTPattern:
-    """Sparsity pattern of K = [[-H, A'], [A, 0]], built once per solve: A,
-    A', the cone blocks of H and the whole diagonal (the regularization's
-    slots).  slot maps each entry, in that order, to its place in the data
-    of the CSC matrix k, which holds K for the refinement's products.  order
-    is a reverse Cuthill-McKee order of the pattern, and band_slot places
-    each of k's entries in the LAPACK band storage band of K in that order,
-    of half-bandwidth half_band, with half_band more rows for the fill of
-    partial pivoting.  An iteration only computes the values; each
-    factorization writes them into k and band."""
-
-    def __init__(self, layout: _ConeLayout, a: np.ndarray):
-        from scipy import sparse
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-        a_row, a_col = np.nonzero(a)
-        p, n = a.shape
-        size = n + p
-        var = layout.unperm[a_col]
-        rows = [a_row + n, var]
-        cols = [var, a_row + n]
-        # variable of component i of cone k, blocks in (g, d, d) order
-        d, g = layout.d, layout.g
-        idx = layout.n_free + np.arange(d) * g + np.arange(g)[:, None]
-        rows.append(np.broadcast_to(idx[:, :, None], (g, d, d)).reshape(-1))
-        cols.append(np.broadcast_to(idx[:, None, :], (g, d, d)).reshape(-1))
-        rows.append(np.arange(size))
-        cols.append(np.arange(size))
-        keys, self.slot = np.unique(np.concatenate(cols) * size + np.concatenate(rows),
-                                    return_inverse=True)
-        indices, columns = keys % size, keys // size
-        indptr = np.searchsorted(columns, np.arange(size + 1))
-        self.k = sparse.csc_matrix((np.ones(keys.size), indices, indptr), shape=(size, size))
-        # K's pattern is symmetric; the quasi-definite block structure of a
-        # transcription keeps its bandwidth independent of the grid size
-        self.order = reverse_cuthill_mckee(self.k, symmetric_mode=True)
-        place = np.argsort(self.order)
-        i, j = place[indices], place[columns]
-        b = self.half_band = int(np.max(np.abs(i - j)))
-        # entry (i, j) sits in row 2b + i - j of column j
-        self.band = np.zeros((3 * b + 1, size), order="F")
-        self.band_data = self.band.reshape(-1, order="F")
-        self.band_slot = j * (3 * b + 1) + 2 * b + i - j
-        self.diag_slot = self.band_slot[self.slot[-size:]]
-        self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
-        self.a_vals = np.concatenate([a[a_row, a_col]] * 2)
-        self.layout, self.size = layout, size
-        # A' of the program alone, as the loop's (programs, n, p) view
-        self.at = a.T[None]
-
-
 class _SparseKKT:
-    """Banded LU of the regularized quasi-definite KKT matrix, with refinement.
-
-    Serves the programs the scaled QR does not: free variables (the full
-    formulation) or dependent equality rows.  K = [[-H, A'], [A, 0]] holds
-    the sparse A and dense cone blocks H = W^-2 = (2 w w' - J) / eta^2,
-    w = J wbar, J = diag(1, -1, ..., -1); in the pattern's reverse
-    Cuthill-McKee order it is banded, and LAPACK factors it in band storage
-    in O(size half_band^2).  The static regularization is strengthened on
-    an exactly singular pivot; refinement runs against the unregularized K.
-    solve adds W^-1 dl to r1 and maps dx through W^-1; it factors one program.
-    It fills the pattern's k and band, so it holds until the next factorization.
-    """
+    """Banded LU of one program's regularized scaled KKT matrix K, refined
+    against the unregularized K, in the program's order (x, then the rows).
+    Built once per solve: order is the KKT index at each band position, base
+    the LAPACK band storage (half_band rows for pivoting's fill) of A's free
+    columns and -E.  factor writes G = A W, W times A's cone columns, into g
+    and band, with the static regularization, raised on a singular pivot."""
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
-    def __init__(self, wbar: np.ndarray, eta: np.ndarray, pattern: _KKTPattern):
-        self.layout, self.order, self.at = pattern.layout, pattern.order, pattern.at
-        self.wbar, self.eta = wbar, eta
-        # W^-1 = Wbar(wbar_0, -wbar_1) / eta
-        w = -wbar
-        w[0] *= -1.0
-        self.wbar_inv, self.eta_inv = w, 1.0 / eta
-        w = w.T
-        h = 2.0 * w[:, :, None] * w[:, None, :] - np.diag(np.r_[1.0, -np.ones(self.layout.d - 1)])
-        vals = [pattern.a_vals, -(h * self.eta_inv[:, None, None] ** 2).reshape(-1),
-                np.zeros(pattern.size)]
-        self.k = pattern.k
-        self.k.data[:] = np.bincount(pattern.slot, weights=np.concatenate(vals))
+    def __init__(self, layout: _ConeLayout, a):
+        p, n = a.shape
+        nf, d, g = layout.n_free, layout.d, layout.g
+        # the column of component i of cone j, (d, g)
+        cone_col = layout.perm[nf:].reshape(d, g)
+        if isinstance(a, StageMatrix):
+            self.order = a.stage_order()
+            rows, cols, vals = a.entries()
+            # the stage blocks' zeros stay out of the band; row block j + 1 holds cone j
+            rows, cols, vals = (v[(vals != 0.0) & (cols < nf)] for v in (rows, cols, vals))
+            m, k, w = a.lower.shape
+            self.cone_rows = a.lower[:, :, k:].transpose(1, 2, 0)
+            cone_row = k * np.arange(1, m + 1) + np.arange(k)[:, None, None]
+            self.g = StageMatrix(a.diag, a.lower)
+            g_data, g_index = self.g.blocks, cone_row * (k + w) + 2 * k + np.arange(d)[:, None]
+        else:
+            self.order = np.arange(n + p)
+            rows, cols = (v.reshape(-1) for v in np.indices((p, nf)))
+            vals = a[:, :nf].reshape(-1)
+            self.cone_rows = a[:, cone_col]
+            cone_row = np.arange(p)[:, None, None]
+            self.g = g_data = a.copy()
+            g_index = cone_row * n + cone_col
+        self.g_data, self.g_index = g_data.reshape(-1), g_index
+        place = self.place = np.argsort(self.order)
+        i, j = place[n + rows], place[cols]
+        ci, cj = (np.broadcast_to(v, self.cone_rows.shape).reshape(-1)
+                  for v in (place[n + cone_row], place[cone_col]))
+        b = self.half_band = int(np.max(np.abs(np.concatenate([i - j, ci - cj])), initial=0))
+
+        def slot(i, j):
+            # entry (i, j) sits in row 2b + i - j of column j
+            return j * (3 * b + 1) + 2 * b + i - j
+
+        cone = place[nf:n]
+        fixed = np.concatenate([slot(i, j), slot(j, i), slot(cone, cone)])
+        self.base = np.zeros((3 * b + 1, n + p), order="F")
+        self.base.reshape(-1, order="F")[fixed] = np.concatenate([vals, vals, -np.ones(n - nf)])
+        self.band = np.empty_like(self.base)
+        self.g_slot = np.stack([slot(ci, cj), slot(cj, ci)])
+        self.diag_slot = slot(place, place)
+        self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
+        self.a, self.layout, self.n = a, layout, n
+
+    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_SparseKKT":
+        g = np.empty(self.cone_rows.shape)
+        _nt_apply(wbar, eta, self.cone_rows, g)
+        self.g_data[self.g_index] = g
+        band = self.band.reshape(-1, order="F")
         reg = _STATIC_REG
         for attempt in range(3):
-            pattern.band_data[:] = 0.0
-            pattern.band_data[pattern.band_slot] = self.k.data
-            pattern.band_data[pattern.diag_slot] += reg * pattern.reg_sign
-            self._band_solve = band_lu(pattern.band, pattern.half_band)
+            self.band[...] = self.base
+            band[self.g_slot] = g.reshape(-1)
+            band[self.diag_slot] += reg * self.reg_sign
+            self._band_solve = band_lu(self.band, self.half_band)
             if self._band_solve is not None:
                 break
             # exactly singular pivot: strengthen the regularization and retry
             reg += _STATIC_REG * 10.0 ** (2 * attempt + 2)
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
-        self.reg_retries = attempt
-        self.refine_rounds = 0
+        self.reg_retries, self.refine_rounds = attempt, 0
+        return self
 
+    # A x and A'y of each row, in the program's order
+    def a_rows(self, x: np.ndarray) -> np.ndarray:
+        return (self.a @ x.T).T
+
+    def at_rows(self, y: np.ndarray) -> np.ndarray:
+        return y @ self.a
+
+    # the regularized K's solution, and the unregularized K's product, of each row
     def _lu_solve(self, r: np.ndarray) -> np.ndarray:
-        """The regularized K's solution of each row of r."""
-        x = np.empty_like(r)
-        x[:, self.order] = self._band_solve(r[:, self.order].T).T
-        return x
+        return self._band_solve(r.take(self.order, axis=1).T).T.take(self.place, axis=1)
 
-    def solve(self, r1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
-        n = r1.shape[-2]
-        r1 = r1 + self.layout.scale(self.wbar_inv, self.eta_inv, dl)
-        rhs = np.concatenate([r1[..., 0], r2[0]], -1)
+    def _k_mul(self, v: np.ndarray) -> np.ndarray:
+        n, nf = self.n, self.layout.n_free
+        out = np.empty_like(v)
+        out[:, n:] = (self.g @ v[:, :n].T).T
+        out[:, :n] = v[:, n:] @ self.g
+        out[:, nf:n] -= v[:, nf:n]
+        return out
+
+    def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
+        n = self.n
+        rhs = np.concatenate([(wr1 + dl)[..., 0].take(self.layout.unperm, axis=1), r2[0]], -1)
         sol = self._lu_solve(rhs)
-        resid = rhs - (self.k @ sol.T).T
+        resid = rhs - self._k_mul(sol)
         rnorm = np.max(np.abs(resid), axis=1)
-        # each right-hand side refines while a round lowers its residual and
-        # returns its best iterate.  A round that lowers it less than LAPACK
-        # dgerfs's half is kept: refinement against the regularized LU
-        # contracts at about reg ||K^-1||, which an ill-conditioned K pushes
-        # between 1/2 and 1
+        # each right-hand side refines while a round lowers its residual, and
+        # returns its best iterate: against the regularized LU a round can
+        # contract by less than dgerfs's half and still help
         tol = 1e-14 * (1.0 + np.max(np.abs(rhs), axis=1))
         best = sol.copy()
         live = rnorm > tol
@@ -478,48 +497,40 @@ class _SparseKKT:
         while rounds < _REFINEMENT_ROUNDS and live.any():
             sol[live] += self._lu_solve(resid[live])
             rounds += 1
-            resid = rhs - (self.k @ sol.T).T
+            resid = rhs - self._k_mul(sol)
             new = np.max(np.abs(resid), axis=1)
             better = live & (new < rnorm)
             best[better] = sol[better]
             live = better & (new > tol)
             rnorm = np.where(better, new, rnorm)
         self.refine_rounds = max(self.refine_rounds, rounds)
-        dx = best[:, :n, None]
-        dxs = self.layout.scale(self.wbar_inv, self.eta_inv, dx)
-        # a family of one: its rows are views
-        return dxs.transpose(2, 0, 1), dxs, best[None, :, n:], dx[0]
+        dxs = best[:, :n].take(self.layout.perm, axis=1)
+        return dxs[None], dxs[:, :, None], best[None, :, n:]
 
-    def scaled_dual(self, dtau: np.ndarray, dy: np.ndarray, v: np.ndarray, wv: np.ndarray):
-        """The predictor's W dz: W applied to dz = dtau c - A'dy + r_d."""
-        dz = v[2] * dtau - _bmv(self.at, dy).T.take(self.layout.perm, axis=0) + v[3]
-        return self.layout.scale(self.wbar, self.eta, dz)
-
-    def primal_step(self, wdxs: np.ndarray, dtau: np.ndarray, dx1: np.ndarray, dx2: np.ndarray):
-        """dx = dx1 + dtau dx2 from the LU's own solutions, not W dxs."""
-        return dx1 + dtau * dx2
+    def gty(self, dy: np.ndarray) -> np.ndarray:
+        """G'dy, (n, 1)."""
+        return (dy @ self.g).take(self.layout.perm, axis=1).T
 
 
 class _ScaledQRKKT:
-    """KKT solver for cone-only programs with independent equality rows.
-
-    A thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
-    dxs = Q u - W r1, computed on each program's rows.  Neither W^2 nor W^-2
-    is formed, so the step keeps the accuracy of the scaled problem near the
-    cone boundary, and a factorization costs O(n p^2).  One stacked QR
-    factors all programs; singular flags each whose R has an exactly zero
-    pivot.
-    """
+    """KKT solver for cone-only programs with independent equality rows: a
+    thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
+    dxs = Q u - W r1 on each program's rows, at O(n p^2).  One stacked QR
+    factors all programs, unless first hands over (G', Q, R); singular flags
+    each whose R has an exactly zero pivot."""
 
     reg_retries = 0
     refine_rounds = 0
 
-    def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout):
+    def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout,
+                 first: Optional[list] = None):
         self.wbar, self.eta, self.layout = wbar, eta, layout
-        # the rows of G = A W are W times the rows of A, (p, n, programs); G'
-        # is kept as each program's contiguous (n, p) block for its products
-        self.gt = np.ascontiguousarray(layout.scale(wbar, eta, a).transpose(2, 1, 0))
-        self.q, r = np.linalg.qr(self.gt)
+        if first is None:
+            # the rows of G = A W are W times the rows of A, (p, n, programs);
+            # G' is kept as each program's contiguous (n, p) block for its products
+            gt = np.ascontiguousarray(layout.scale(wbar, eta, a).transpose(2, 1, 0))
+            first = (gt, *np.linalg.qr(gt))
+        self.gt, self.q, r = first
         self.qt = self.q.transpose(0, 2, 1)
         self.singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)
         if not self.singular.any():
@@ -532,34 +543,29 @@ class _ScaledQRKKT:
         wr1 = (wr1 + dl).transpose(2, 0, 1).copy()
         u = r2 @ self.rinv + wr1 @ self.q
         dxs = u @ self.qt - wr1
-        return dxs, dxs.transpose(1, 2, 0).copy(), u @ self.rinvt, None
+        return dxs, dxs.transpose(1, 2, 0).copy(), u @ self.rinvt
 
-    def scaled_dual(self, dtau: np.ndarray, dy: np.ndarray, v: np.ndarray, wv: np.ndarray):
-        """The predictor's W dz = dtau W c - G'dy + W r_d, from the factored G'
-        and the stacked W v: no dz, A'dy or W product."""
-        return dtau * wv[1] - _bmv(self.gt, dy).T + wv[2]
-
-    def primal_step(self, wdxs: np.ndarray, dtau: np.ndarray, dx1, dx2):
-        """dx = W dxs, formed once per iteration with the scaled dual step."""
-        return wdxs
+    def gty(self, dy: np.ndarray) -> np.ndarray:
+        """G'dy from the factored G', (n, programs)."""
+        return _bmv(self.gt, dy).T
 
 
 # -- main solver ------------------------------------------------------------
 
 
-def _scaled_qr_path(problem: ConicProblem) -> np.ndarray:
-    """Whether the program, or each program of a family, takes the scaled QR:
-    cone-only programs with independent equality rows do; free variables,
-    or dependent rows, need the sparse LU.  The rows are read off the R
-    that the first iteration factors, where W = I and G' is A' itself: a
-    pivot within rounding of zero (as matrix_rank's tolerance) marks them."""
+def _scaled_qr_path(problem: ConicProblem):
+    """Whether each program takes the scaled QR (cone-only, independent rows),
+    and the family's first factorization [G', Q, R], or None.  W = I at the
+    start, so G' is A' in the solver's order; a pivot of R within rounding
+    of zero (as matrix_rank's tolerance) marks dependent rows."""
     p, n = problem.A.shape[-2:]
     if problem.cones.n_free or not problem.cones.n_cones or p > n:
-        return np.zeros(problem.A.shape[:-2], dtype=bool)
-    r = np.linalg.qr(np.swapaxes(problem.A, -1, -2), mode="r")
+        return np.zeros(problem.A.shape[:-2], dtype=bool), None
+    gt = np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2)
+    q, r = np.linalg.qr(gt)
     pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
-    return np.min(pivots, axis=-1, initial=np.inf) > tol
+    return np.min(pivots, axis=-1, initial=np.inf) > tol, [gt, q, r]
 
 
 class _Active:
@@ -586,43 +592,47 @@ class _Active:
 
 
 def _solve_batch(
-    family: ConicProblem,
+    problem: ConicProblem,
     settings: SolverSettings | None,
     trace: Optional[Callable[[dict], None]],
-    scaled_qr: bool,
+    first: Optional[list],
 ) -> list[ConicSolution]:
-    """The interior-point loop over a family that shares one KKT path; trace,
-    if given, receives the records of a family of one, the size the sparse LU takes."""
+    """The interior-point loop over a scaled-QR family with its first factorization,
+    or one band-LU program (first None); trace gets a family of one's records."""
     st = settings or SolverSettings()
-    nb, p, n = family.A.shape
-    layout = _ConeLayout(family.cones)
+    scaled_qr = first is not None
+    c, b = np.atleast_2d(problem.c), np.atleast_2d(problem.b)
+    (nb, n), p = c.shape, b.shape[1]
+    layout = _ConeLayout(problem.cones)
     nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
-    nu = family.cones.n_cones + 1
+    nu = problem.cones.n_cones + 1
     kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
-    if not scaled_qr and nb != 1:
-        raise ValueError("the sparse LU path solves one program at a time")
-    if trace is not None and nb != 1:
-        raise ValueError("only a batch of one is traced")
 
     t_start = time.perf_counter()
     s = _Active()
     s.ids = np.arange(nb)
-    # A x and c'x add in the program's order, as residuals() does: take
-    # gathers x, each row contiguous so that its products add alike in any
-    # batch (a sparse-LU program's A is not copied: it is the largest array)
-    s.a, s.b, s.c_prog = family.A, family.b, family.c
-    s.at = np.swapaxes(s.a, 1, 2)
+    # A x and c'x add in the program's order, as residuals() does, each row
+    # contiguous so that its products add alike in any batch
+    s.b, s.c_prog = b, c
     s.norm_b1, s.norm_c1 = 1.0 + _norm(s.b), 1.0 + _norm(s.c_prog)
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     if scaled_qr:
-        s.a_perm = family.A.transpose(1, 2, 0).take(perm, axis=1)
+        s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
+        s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
+
+        def a_rows(x):
+            return _bmv(s.a, x)
+
+        def at_rows(y):
+            return _bmv(s.at, y)
     else:
-        pattern = _KKTPattern(layout, s.a[0])
+        band = _SparseKKT(layout, problem.A)
+        a_rows, at_rows = band.a_rows, band.at_rows
     # x, z, c and r_d stacked, variables x programs: one W product gives
     # lambda = W z, W c and W r_d, and one transposed copy the rows of x and z
     s.v = np.zeros((4, n, nb))
     layout.blocks(s.v[:2])[:, 0] = 1.0
-    s.v[2] = family.c.T.take(perm, axis=0)
+    s.v[2] = c.T.take(perm, axis=0)
     s.y = np.zeros((nb, p))
     s.tau, s.kappa = np.ones(nb), np.ones(nb)
     # whether each program's last step was below _MIN_STEP: two in a row stall it
@@ -653,14 +663,13 @@ def _solve_batch(
             trace({"iter": it, "stop": reason})
         finish(stopped, reason)
 
-    def factor():
+    def factor(start=None):
         """The KKT factorization of the active programs, and which broke down."""
         try:
-            kkt = (_ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout) if scaled_qr
-                   else _SparseKKT(s.wbar, s.eta, pattern))
+            kkt = (_ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout, start) if scaled_qr
+                   else band.factor(s.wbar, s.eta))
         except np.linalg.LinAlgError:
-            # factorization breakdown with finite iterates: let the caller
-            # see the best effort rather than a hard failure
+            # a breakdown with finite iterates returns the best effort
             return None, np.ones(s.ids.size, dtype=bool)
         return kkt, kkt.singular
 
@@ -668,8 +677,8 @@ def _solve_batch(
         # each program's row of x and z in the solver's order, and of x in its own
         x_rows, z_rows = s.v[:2].transpose(0, 2, 1).copy()
         s.x_prog = x_rows.take(unperm, axis=-1)
-        ax = _bmv(s.a, s.x_prog)
-        atyz = _bmv(s.at, s.y).take(perm, axis=-1) + z_rows
+        ax = a_rows(s.x_prog)
+        atyz = at_rows(s.y).take(perm, axis=-1) + z_rows
         cx = _dot(s.c_prog, s.x_prog)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
@@ -710,8 +719,7 @@ def _solve_batch(
             finish(~done, "max_iters")
             break
 
-        # iterate pinned to the cone boundary at rounding level: no
-        # further centering is possible, return best effort
+        # an iterate pinned to the cone boundary can center no further
         xzb = layout.blocks(s.v[:2])
         s.det = _jdot(xzb, xzb)
         pinned = ~done & (np.minimum.reduce(s.det.reshape(-1, s.ids.size), axis=0,
@@ -730,7 +738,11 @@ def _solve_batch(
         s.wbar, s.eta = _nt_scaling(xzb[0], xzb[1], s.det[0], s.det[1])
 
         t_factor = time.perf_counter()
-        kkt, broken = factor()
+        # W = I at the start: take over the path test's G', Q and R, emptying its list
+        start = [v if s.ids.size == nb else v[s.ids] for v in first or ()] or None
+        if first:
+            first.clear()
+        kkt, broken = factor(start)
         while broken.any():
             # each program factors alone, so the others factor as before
             stop(broken, "kkt_breakdown")
@@ -743,8 +755,7 @@ def _solve_batch(
         factor_s = time.perf_counter() - t_factor
         nb = s.ids.size
 
-        # lambda = W z = W^-1 x, W c and W r_d, and lambda normalized for
-        # the step rule
+        # lambda = W z = W^-1 x, W c and W r_d, and lambda normalized
         wv = layout.scale(s.wbar, s.eta, s.v[1:])
         lam = wv[0]
         lam_b = layout.blocks(lam)
@@ -771,11 +782,9 @@ def _solve_batch(
                               frac * _max_step(lbar, rdet, layout.blocks(steps), nb))
 
         # the tau direction (right-hand side [c; b]) and the predictor's
-        # (affine, sigma = 0: r1 = r_d + W^-1 lambda) in one two-column solve,
-        # r1 in the form the KKT path reads: W r1 for the scaled QR
-        rhs = wv[1:] if scaled_qr else s.v[2:]
-        dxs_rows, dxs, dy, dx2 = kkt.solve(
-            rhs, lam * _SECOND_COLUMN, np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
+        # (affine, sigma = 0: W r1 = W r_d + lambda) in one two-column solve
+        dxs_rows, dxs, dy = kkt.solve(
+            wv[1:], lam * _SECOND_COLUMN, np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
         # c'dx = (W c)'dxs, W being symmetric, and b'dy of each column
         cdx, bdy = _bmv(dxs_rows, wc_rows), _bmv(dy, s.b)
         dxs2, dy2 = dxs[0], dy[:, 0]
@@ -785,7 +794,8 @@ def _solve_batch(
         # it reaches is (1 - alpha_aff) times mu's, and sigma its cube
         dxsa, dya, dtaua, dkappaa = direction(0.0, -s.tau * s.kappa, dxs[1], cdx[:, 1],
                                               bdy[:, 1], dy[:, 1])
-        steps = np.concatenate([dxsa[None], kkt.scaled_dual(dtaua, dya, s.v, wv)[None]])
+        # its scaled dual step W dz = dtau W c - G'dy + W r_d
+        steps = np.concatenate([dxsa[None], (dtaua * wv[1] - kkt.gty(dya) + wv[2])[None]])
         alpha_aff = step_limit(steps, dtaua, dkappaa, 1.0)
         sigma = (1.0 - alpha_aff) ** 3
 
@@ -799,14 +809,12 @@ def _solve_batch(
         layout.blocks(dl)[...] += _jsolve(lam_b, det_lam, corr)
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
         rs = 1.0 - sigma
-        dxs1_rows, dxs1, dy1, dx1 = kkt.solve((rs * rhs[1])[None], dl,
-                                              (-rs[:, None] * s.r_p)[:, None])
+        dxs1_rows, dxs1, dy1 = kkt.solve((rs * wv[2])[None], dl, (-rs[:, None] * s.r_p)[:, None])
         dxs, dy, dtau, dkappa = direction(sigma, d_tk, dxs1[0], _bmv(dxs1_rows, wc_rows)[:, 0],
                                           _bmv(dy1, s.b)[:, 0], dy1[:, 0])
-        # dz from the linear dual equation, which the step then reduces exactly;
-        # W^-1(lambda \ d_c) - H dx would carry the KKT solve's rounding into z
-        dz = s.v[2] * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + rs * s.v[3]
-        # one W product gives W dxs (the scaled QR's dx) and the scaled dual step
+        # dz from the linear dual equation, which the step then reduces exactly
+        dz = s.v[2] * dtau - at_rows(dy).T.take(perm, axis=0) + rs * s.v[3]
+        # one W product gives W dxs (the x update's dx) and the scaled dual step
         steps = np.concatenate([dxs[None], dz[None]])
         wsteps = layout.scale(s.wbar, s.eta, steps)
         steps[1] = wsteps[1]
@@ -823,7 +831,7 @@ def _solve_batch(
         if any_stalled:
             stop(stalled, "step_stall")
 
-        s.v[0] += alpha * kkt.primal_step(wsteps[0], dtau, dx1, dx2)
+        s.v[0] += alpha * wsteps[0]
         s.y += alpha[:, None] * dy
         s.v[1, nf:] += alpha * dz[nf:]
         s.tau, s.kappa = s.tau + alpha * dtau, s.kappa + alpha * dkappa
@@ -850,8 +858,11 @@ def solve(
     A family raises ValueError; solve it with solve_batch.
     """
     _single(problem, "solve")
-    family = ConicProblem(problem.c[None], problem.A[None], problem.b[None], problem.cones)
-    return _solve_batch(family, settings, trace, bool(_scaled_qr_path(problem)))[0]
+    qr, first = _scaled_qr_path(problem)
+    if qr:
+        problem = ConicProblem(problem.c[None], problem.A[None], problem.b[None], problem.cones)
+    first = [v[None] for v in first] if qr else None
+    return _solve_batch(problem, settings, trace, first)[0]
 
 
 def solve_batch(
@@ -863,15 +874,20 @@ def solve_batch(
     Returns, in order, what solve returns for each program alone, except
     that solve_time is the family's wall time until the program stopped.
     The programs that take the scaled QR advance together in one loop;
-    each one that needs the sparse LU runs by itself.
+    each one that needs the band LU runs by itself.
     """
     if problem.A.ndim != 3:
         raise ValueError("solve_batch takes a family: c, A and b with a program axis")
-    qr = _scaled_qr_path(problem)
+    qr, first = _scaled_qr_path(problem)
     out: list[Optional[ConicSolution]] = [None] * qr.size
     ids = np.arange(qr.size)
-    for rows in ([ids[qr]] if qr.any() else []) + [slice(k, k + 1) for k in ids[~qr]]:
+    if qr.any():
+        rows = ids[qr]
         part = ConicProblem(problem.c[rows], problem.A[rows], problem.b[rows], problem.cones)
-        for k, sol in zip(ids[rows], _solve_batch(part, settings, None, bool(qr[rows][0]))):
+        part_first = first if qr.all() else [v[rows] for v in first]
+        for k, sol in zip(rows, _solve_batch(part, settings, None, part_first)):
             out[k] = sol
+    for k in ids[~qr]:
+        part = ConicProblem(problem.c[k], problem.A[k], problem.b[k], problem.cones)
+        out[k] = _solve_batch(part, settings, None, None)[0]
     return out

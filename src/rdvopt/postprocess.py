@@ -33,12 +33,8 @@ from .transcription import (
 )
 
 # Interior points of the bracket solved together in each refinement round.
-# With the parabolic step most searches end after two rounds whatever the
-# count, so it mostly sets what a round costs: over the built-ins and
-# sixteen drawn scenarios, paired timings of whole searches (16 alternating
-# repeats) give 16 points (2.3 rounds) and 24 points (2.2 rounds) 3% less
-# time than 32 (2.1 rounds) but faster in only 12 and 9 of the 16 pairs,
-# 8 points (3.0 rounds) 1% less in 9 of 16, and 64 points (2.1 rounds) 7% more.
+# Most searches end after two rounds whatever the count, so it mostly sets
+# what a round costs; 8 to 64 points time within a few percent of 32.
 _BRACKET_POINTS = 32
 
 
@@ -394,9 +390,12 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     """Independent solves over a list of mesh sizes, sorted by size.
 
     Failed meshes are reported with their status and NaN cost; the sweep
-    continues.  A bad extraction tolerance raises ValueError at once.
+    continues.  A bad extraction tolerance or a size that is not an integer
+    raises ValueError at once.
     """
     _extraction_tol(tol, scenario)
+    if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in m_list):
+        raise ValueError(f"mesh sizes must be integers, got {list(m_list)!r}")
     rows = []
     for m in sorted(int(m) for m in m_list):
         point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan)

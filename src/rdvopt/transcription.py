@@ -10,7 +10,8 @@ closed-form transition matrices.  Two equivalent formulations are built:
 * full: one free state vector per node plus the node-to-node defect
   equalities of the discretized problem statement, each mapped to the
   final anomaly by Phi(thetaf, theta_{j+1}), so that the equality
-  residuals sum to the plan's terminal miss.
+  residuals sum to the plan's terminal miss.  Its A is a StageMatrix,
+  the O(m) stage blocks, which the solver's band LU reads in stage order.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import relative_dynamics as rd
-from .conic_solver import BEST_EFFORT, ConeSpec, ConicProblem, ConicSolution
+from .conic_solver import BEST_EFFORT, ConeSpec, ConicProblem, ConicSolution, StageMatrix
 from .kepler import TargetOrbit, time_from_true, true_from_time
 from .relative_dynamics import RelativeState
 
@@ -203,46 +204,30 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     # Phi(thetaf, theta_j) for every node
     phif = _stm(scenario, scenario.theta_f, grid.nodes)
 
+    n_free = 0 if form == "condensed" else m * d
+    sigma_idx = n_free + np.arange(m) * cone
+    dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
+    cvec = np.zeros(family + (n_free + m * cone,))
+    cvec[..., sigma_idx] = w
+    cones = ConeSpec(n_free=n_free, soc_dims=(cone,) * m)
     if form == "condensed":
-        n = m * cone
-        amat = np.zeros(family + (d, n))
-        cvec = np.zeros(family + (n,))
-        sigma_idx = np.arange(m) * cone
-        dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
+        amat = np.zeros(family + (d, m * cone))
         # amat[..., dv_idx] is (..., d, m, q), phif @ bmat is (..., m, d, q)
         amat[..., dv_idx] = (phif @ bmat).swapaxes(-3, -2)
-        cvec[..., sigma_idx] = w
         bvec = xvf - phif[..., 0, :, :] @ xv0
-        cones = ConeSpec(n_free=0, soc_dims=(cone,) * m)
     else:
-        n_state = m * d
-        n = n_state + m * cone
-        sigma_idx = n_state + np.arange(m) * cone
-        dv_idx = sigma_idx[:, None] + 1 + np.arange(q)[None, :]
-        amat = np.zeros((d * (m + 1), n))
-        bvec = np.zeros(d * (m + 1))
-        cvec = np.zeros(n)
-        cvec[sigma_idx] = w
-        # Every block but the terminal one is stated at thetaf:
+        # The stage blocks, every row block but the terminal one stated at thetaf:
         #   row block 0:   Phi_f0 x_0 = Phi_f0 x0
         #   row block j+1: Phi_f,j+1 (x_{j+1} - Phi_j x_j - Phi_j B dv_j) = 0
         # so the terminal block minus all others is the condensed row, and
         # the residual the solver bounds is the terminal miss of the plan
         # rather than one that grows through Phi(thetaf, theta_j).
-        seg = np.arange(m)[:, None, None]
-        rows = d * seg + np.arange(d)[:, None]
-        amat[rows, d * seg + np.arange(d)] = phif
-        bvec[:d] = phif[0] @ xv0
         phis = phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
-        seg = seg[:-1]
-        rows = rows[1:]
-        amat[rows, d * seg + np.arange(d)] = -phis
-        amat[rows, dv_idx[:-1, None, :]] = -(phis @ bmat)
-        rows = slice(d * m, d * (m + 1))
-        amat[rows, d * (m - 1):d * m] = np.eye(d)
-        amat[rows, dv_idx[m - 1]] = bmat
-        bvec[rows] = xvf
-        cones = ConeSpec(n_free=n_state, soc_dims=(cone,) * m)
+        lower = np.zeros((m, d, d + cone))
+        lower[:, :, :d] = np.concatenate([-phis, np.eye(d)[None]])
+        lower[:, :, d + 1:] = np.concatenate([-(phis @ bmat), bmat[None]])
+        amat = StageMatrix(diag=phif, lower=lower)
+        bvec = np.concatenate([phif[0] @ xv0, np.zeros(d * (m - 1)), xvf])
 
     var_map = {
         "form": form,

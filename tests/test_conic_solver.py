@@ -389,7 +389,7 @@ class TestSolveBatch:
             a[-1] = a[0] + a[1]
             family.append(ConicProblem(c=dep.c, A=a, b=a @ solve(dep).x, cones=dep.cones))
             family = _stack(family)
-            assert conic_solver._scaled_qr_path(family).tolist() == [True] * 9 + [False]
+            assert conic_solver._scaled_qr_path(family)[0].tolist() == [True] * 9 + [False]
             sols = self._matches_solo(family)
             assert sols[-2].status == "primal_infeasible"
             assert sols[-1].status == "optimal"
@@ -588,15 +588,22 @@ class TestConeLayout:
         assert np.array_equal(block, row[2:].reshape(3, 4))
 
 
-def _check_scaled_dual(rng, kkt, a, layout, nt):
-    """A KKT path's predictor W dz against W applied to dtau c - A'dy + r_d
-    (a is A with its columns in the solver's order, as is every vector)."""
-    n = a.shape[1]
-    v = rng.normal(size=(4, n, 1))
-    dtau, dy = rng.normal(size=1), rng.normal(size=(1, a.shape[0]))
-    want = layout.scale(*nt, v[2] * dtau - (a.T @ dy[0])[:, None] + v[3])
-    got = kkt.scaled_dual(dtau, dy, v, layout.scale(*nt, v[1:]))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+def _check_gty(rng, kkt, a, layout, nt):
+    """A KKT path's G'dy, which the predictor's W dz takes, against W applied
+    to A'dy (a is A with its columns in the solver's order, as is every vector)."""
+    dy = rng.normal(size=(1, a.shape[0]))
+    want = layout.scale(*nt, (a.T @ dy[0])[:, None])
+    assert np.linalg.norm(kkt.gty(dy) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _scaled_kkt(a, layout, nt, nt_inv):
+    """Reference scaled K = [[-E, G'], [G, 0]], G = A W, as S K S for the
+    unscaled K and S = diag(W, I) (H = 0 on the free block, W H W = I on the cones)."""
+    p, n = a.shape
+    s = np.eye(n + p)
+    idx = layout.n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
+    s[idx[:, :, None], idx[:, None, :]] = _dense(*nt)
+    return s @ _dense_kkt(a, layout, _dense(*nt_inv)) @ s
 
 
 class TestScaledQRKKT:
@@ -610,7 +617,7 @@ class TestScaledQRKKT:
             # two right-hand sides r1 + W^-1 dl, solved as one stacked pair
             r1, dl = rng.normal(size=(2, 2, prob.c.size, 1))
             r2 = rng.normal(size=(1, 2, prob.b.size))
-            dxs_rows, dxs, dy, dx = qr.solve(layout.scale(*nt, r1), dl, r2)
+            dxs_rows, dxs, dy = qr.solve(layout.scale(*nt, r1), dl, r2)
             k = _dense_kkt(a, layout, _dense(*nt_inv))
             r1 = r1 + layout.scale(*nt_inv, dl)
             for col in range(2):
@@ -618,12 +625,7 @@ class TestScaledQRKKT:
                 got = np.concatenate([layout.scale(*nt, dxs[col])[:, 0], dy[0, col]])
                 assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
             assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
-            # the x update's dx is W dxs, which the loop forms with the scaled
-            # dual step, not the solve
-            assert dx is None
-            wdxs = layout.scale(*nt, dxs[0])
-            assert qr.primal_step(wdxs, 0.5, None, None) is wdxs
-            _check_scaled_dual(rng, qr, a, layout, nt)
+            _check_gty(rng, qr, a, layout, nt)
 
     def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
@@ -658,9 +660,9 @@ class TestSparseKKT:
     def _check(rng, prob):
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
         a = prob.A[:, layout.perm]
-        # the pattern takes A in the program's order
-        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, prob.A))
-        k = _dense_kkt(a, layout, _dense(*nt_inv))
+        # the band LU takes A in the program's order
+        kkt = conic_solver._SparseKKT(layout, prob.A).factor(*nt)
+        k = _scaled_kkt(a, layout, nt, nt_inv)
         n = prob.c.size
         # K is singular with dependent rows, or with a free direction in the
         # null space of A.  For a consistent right-hand side the solution is
@@ -672,22 +674,16 @@ class TestSparseKKT:
         # with A dx = 0 and zero cost is a free direction of the program.
         rhs = k @ rng.normal(size=k.shape[0])
         want = np.linalg.lstsq(k, rhs, rcond=None)[0]
-        # the solver's interface: r1 + W^-1 dl in, dxs = W^-1 dx out (as
-        # rows and as cone columns), and the unscaled dx of the first column
+        # the solver's interface: W r1 + dl in, dxs = W^-1 dx out, as rows
+        # and as cone columns
         dl = rng.normal(size=(1, n, 1))
-        r1 = rhs[None, :n, None] - layout.scale(*nt_inv, dl)
-        dxs_rows, dxs, dy, dx = kkt.solve(r1, dl, rhs[None, None, n:])
+        dxs_rows, dxs, dy = kkt.solve(rhs[None, :n, None] - dl, dl, rhs[None, None, n:])
         assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
-        got = np.concatenate([dx[:, 0], dy[0, 0]])
+        got = np.concatenate([dxs[0, :, 0], dy[0, 0]])
         determined = np.linalg.pinv(k) @ (k @ got)
         assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
         assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
-        # dxs is the same step in scaled variables
-        assert np.linalg.norm(layout.scale(*nt, dxs[0]) - dx) <= 1e-9 * np.linalg.norm(dx)
-        # the x update's dx comes from the LU's own solutions
-        dx2 = rng.normal(size=dx.shape)
-        assert np.array_equal(kkt.primal_step(dxs[0], 0.5, dx, dx2), dx + 0.5 * dx2)
-        _check_scaled_dual(rng, kkt, a, layout, nt)
+        _check_gty(rng, kkt, a, layout, nt)
         return np.linalg.matrix_rank(k) == k.shape[0]
 
     def test_matches_dense_least_squares_with_free_variables(self, rng):
@@ -711,7 +707,7 @@ class TestSparseKKT:
         # returns the iterate of the smallest residual
         prob, *_ = make_kkt_certified_problem(rng, n_free=2, strict=True)
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._SparseKKT(*nt, conic_solver._KKTPattern(layout, prob.A))
+        kkt = conic_solver._SparseKKT(layout, prob.A).factor(*nt)
         real, seen = kkt._band_solve, []
 
         def worse_later(r):
@@ -720,24 +716,24 @@ class TestSparseKKT:
         kkt._band_solve = worse_later
         n = prob.c.size
         r1, r2 = rng.normal(size=(1, n, 1)), rng.normal(size=(1, 1, prob.b.size))
-        _, _, dy, dx = kkt.solve(r1, np.zeros((1, n, 1)), r2)
-        k = _dense_kkt(prob.A[:, layout.perm], layout, _dense(*nt_inv))
-        resid = np.concatenate([r1[0, :, 0], r2[0, 0]]) - k @ np.concatenate([dx[:, 0], dy[0, 0]])
+        _, dxs, dy = kkt.solve(r1, np.zeros((1, n, 1)), r2)
+        k = _scaled_kkt(prob.A[:, layout.perm], layout, nt, nt_inv)
+        resid = np.concatenate([r1[0, :, 0], r2[0, 0]]) - k @ np.concatenate([dxs[0, :, 0],
+                                                                              dy[0, 0]])
         # the solve, then two corrections, whose residuals halve and then grow
         assert len(seen) == 3 and seen[2] < 0.6 * seen[1]
         assert np.max(np.abs(resid)) == pytest.approx(seen[2], rel=1e-6)
 
-    def test_csc_matrices_built_once_per_solve(self, monkeypatch):
-        # each factorization writes its values into the solve's matrix
-        from scipy import sparse
+    def test_band_slot_map_built_once_per_solve(self, monkeypatch):
+        # each factorization writes its values into the solve's band slots
+        built = []
 
-        real, built = sparse.csc_matrix, []
+        class CountingBand(conic_solver._SparseKKT):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
 
-        def counting(*args, **kwargs):
-            built.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sparse, "csc_matrix", counting)
+        monkeypatch.setattr(conic_solver, "_SparseKKT", CountingBand)
         scenario = builtin("atv")
         prob = assemble_socp(scenario, build_grid(scenario, 33), form="full")
         counts = []
@@ -745,7 +741,7 @@ class TestSparseKKT:
             built.clear()
             assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
             counts.append(len(built))
-        assert counts[0] == counts[1] > 0
+        assert counts == [1, 1]
 
     def test_band_storage_allocated_once_per_solve(self, monkeypatch):
         # each factorization scatters its values into the solve's band storage
@@ -763,19 +759,17 @@ class TestSparseKKT:
             assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
             assert len(buffers) == cap and len(set(buffers)) == 1
 
-    @pytest.mark.parametrize("planar, half_band", [(True, 11), (False, 18)], ids=["planar", "3d"])
+    @pytest.mark.parametrize("planar, half_band", [(True, 9), (False, 13)], ids=["planar", "3d"])
     def test_half_bandwidth_does_not_grow_with_the_grid(self, planar, half_band):
-        # the reverse Cuthill-McKee order keeps the full form's K in a band
-        # whose width does not depend on M, so a factorization costs O(M)
+        # the stage order keeps the full form's K in a band whose width does
+        # not depend on M, so a factorization costs O(M)
         scenario = replace(builtin("atv"), planar=planar)
         widths = []
         for m in (33, 1025):
             prob = assemble_socp(scenario, build_grid(scenario, m), form="full")
-            widths.append(conic_solver._KKTPattern(conic_solver._ConeLayout(prob.cones),
-                                                   prob.A).half_band)
-        assert widths[1] <= widths[0] == half_band
-        if planar:
-            assert widths[1] == widths[0]
+            widths.append(conic_solver._SparseKKT(conic_solver._ConeLayout(prob.cones),
+                                                  prob.A).half_band)
+        assert widths == [half_band, half_band]
 
 
 # IPM iterations of the built-in scenarios, as measured on the solver

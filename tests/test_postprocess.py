@@ -316,6 +316,15 @@ class TestMeshSweep:
         rows = mesh_sweep(builtin("circle2circle"), [2, 33])
         assert rows[0].total_dv >= rows[1].total_dv - 1e-9
 
+    @pytest.mark.parametrize("sizes", [[3.5, 9.9], [9, 9.9], [True, 9]])
+    def test_non_integer_mesh_sizes_raise_before_solving(self, sizes, monkeypatch):
+        # 3.5 and 9.9 used to be truncated to M=3 and M=9
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a sweep with a bad size must not solve")
+        monkeypatch.setattr(postprocess, "plan_rendezvous", no_plan)
+        with pytest.raises(ValueError, match="mesh sizes must be integers"):
+            mesh_sweep(builtin("circle2circle"), sizes)
+
     def test_failed_mesh_marked_and_sweep_continues(self):
         rows = mesh_sweep(builtin("circle2circle"), [1, 9])
         assert len(rows) == 2

@@ -120,6 +120,37 @@ class TestAssembleSocp:
         assert prob.c.size == 20 + 15
         assert prob.A.shape == (24, 35)
 
+    def test_full_form_is_held_in_stage_blocks(self, atv):
+        # O(M) storage: A as a dense array would take 235.6 MB at M=1025
+        prob = assemble_socp(atv, build_grid(atv, 1025), form="full")
+        # every array it holds: c, b, A's blocks and index maps, var_map
+        arrays = [prob.c, prob.b, *vars(prob.A).values(), *prob.var_map.values()]
+        assert prob.A.shape == (4104, 7175)
+        assert sum(v.nbytes for v in arrays if isinstance(v, np.ndarray)) < 10e6
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    def test_full_form_block_products_match_the_dense_matrix(self, atv, planar):
+        # A @ x and y @ A against the dense A laid out from the same blocks
+        scen = replace(atv, planar=planar)
+        a = assemble_socp(scen, build_grid(scen, 9), form="full").A
+        m, d, w = a.lower.shape
+        dense = np.zeros(a.shape)
+        for j in range(m):
+            dense[d * j:d * (j + 1), d * j:d * (j + 1)] = a.diag[j]
+            rows = slice(d * (j + 1), d * (j + 2))
+            dense[rows, d * j:d * (j + 1)] = a.lower[j, :, :d]
+            dense[rows, m * d + (w - d) * j:m * d + (w - d) * (j + 1)] = a.lower[j, :, d:]
+        assert np.array_equal(np.asarray(a), dense)
+        rng = np.random.default_rng(9)
+        (p, n), products = a.shape, []
+        for x in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            products.append((a @ x, dense @ x))
+        for y in (rng.normal(size=p), rng.normal(size=(3, p))):
+            products.append((y @ a, y @ dense))
+        for got, want in products:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_unknown_form_rejected(self, c2c):
         with pytest.raises(ValueError, match="form"):
             assemble_socp(c2c, build_grid(c2c, 3), form="dense")
@@ -271,6 +302,7 @@ class TestGridWideMatrices:
         scen = replace(atv, planar=False)
         grid = build_grid(scen, 9)
         prob = assemble_socp(scen, grid, form="full")
+        a = np.asarray(prob.A)
         d, m = scen.state_dim, grid.m
         thf = float(grid.nodes[-1])
         dv = prob.var_map["dv"]
@@ -280,17 +312,17 @@ class TestGridWideMatrices:
 
         phif = stm_full(thf, float(grid.nodes[0]), scen.orbit)
         x0t, _ = transform_boundaries(scen)
-        assert close(prob.A[:d, :d], phif)
+        assert close(a[:d, :d], phif)
         assert close(prob.b[:d], phif @ x0t.vector / scen.units.length)
         for j in range(m - 1):
             rows = slice(d * (j + 1), d * (j + 2))
             phi = stm_full(float(grid.nodes[j + 1]), float(grid.nodes[j]), scen.orbit)
             phif = stm_full(thf, float(grid.nodes[j + 1]), scen.orbit)
             seg = phif @ phi
-            assert close(prob.A[rows, d * j:d * (j + 1)], -seg)
-            assert close(prob.A[rows, d * (j + 1):d * (j + 2)], phif)
-            assert close(prob.A[rows, dv[j]], -seg[:, 3:])
-            rest = prob.A[rows].copy()
+            assert close(a[rows, d * j:d * (j + 1)], -seg)
+            assert close(a[rows, d * (j + 1):d * (j + 2)], phif)
+            assert close(a[rows, dv[j]], -seg[:, 3:])
+            rest = a[rows].copy()
             rest[:, d * j:d * (j + 2)] = 0.0
             rest[:, dv[j]] = 0.0
             assert not np.any(rest)
@@ -305,7 +337,7 @@ class TestGridWideMatrices:
             full = assemble_socp(scen, grid, form="full")
             cond = assemble_socp(scen, grid)
             d, m = scen.state_dim, grid.m
-            a_blocks = full.A.reshape(m + 1, d, -1)
+            a_blocks = np.asarray(full.A).reshape(m + 1, d, -1)
             b_blocks = full.b.reshape(m + 1, d)
             a_tel = a_blocks[m] - a_blocks[:m].sum(axis=0)
             b_tel = b_blocks[m] - b_blocks[:m].sum(axis=0)
