@@ -19,7 +19,9 @@ Cone-only programs with independent rows take a thin QR of G' = W A',
 linear in the number of cones; W = I at the start, so the path test
 factors the first iteration's G' = A' and reads dependent rows off its R.
 Other programs take LAPACK's banded LU (dgbtrf/dgbtrs) of the scaled KKT
-matrix [[-E, G'], [G, 0]], E the identity on the cones, with refinement.
+matrix K = [[-E, G'], [G, 0]], E the identity on the cones.  K's diagonal
+is shifted by a rounding, so a Newton solve is mostly one dgbtrs call;
+refinement runs only on a residual that misses its tolerance.
 For a StageMatrix A (the full form) it runs in stage order, row block j,
 x_j, cone j, where K's half-bandwidth is 9 (planar) or 13 (3-D) whatever
 the grid, so a factorization costs O(M); any other A keeps the identity
@@ -46,7 +48,9 @@ import numpy as np
 _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
-_STATIC_REG = 1e-10
+# the band LU's diagonal shifts of K: a rounding of its unit cone diagonal,
+# then the two retries after an exactly singular pivot
+_SHIFTS = (np.finfo(float).eps, 1e-10 + 1e-8, 1e-10 + 1e-8 + 1e-6)
 # the first solve's dl: lambda in the predictor's column, none in the tau direction's
 _SECOND_COLUMN = np.array([0.0, 1.0])[:, None, None]
 
@@ -388,12 +392,16 @@ def band_lu(band: np.ndarray, half_band: int):
 
 
 class _SparseKKT:
-    """Banded LU of one program's regularized scaled KKT matrix K, refined
-    against the unregularized K, in the program's order (x, then the rows).
-    Built once per solve: order is the KKT index at each band position, base
-    the LAPACK band storage (half_band rows for pivoting's fill) of A's free
-    columns and -E.  factor writes G = A W, W times A's cone columns, into g
-    and band, with the static regularization, raised on a singular pivot."""
+    """Banded LU of one program's scaled KKT matrix K, its diagonal shifted,
+    in the program's order (x, then the rows), refined against the unshifted
+    K while a residual misses its tolerance.  Built once per solve: order is
+    the KKT index at each band position, base the LAPACK band storage
+    (half_band rows for pivoting's fill) of A's free columns and -E.  factor
+    writes G = A W, W times A's cone columns, into g and band with the first
+    of _SHIFTS, raised on an exactly singular pivot.  eps, the shift that
+    moves the cone diagonal -1 to its next float, keeps the zero pivots of
+    dependent rows off zero and stays within the pivoted LU's own rounding,
+    so a solve mostly meets the tolerance without refinement."""
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
@@ -439,7 +447,7 @@ class _SparseKKT:
         self.band = np.empty_like(self.base)
         self.g_slot = np.stack([slot(ci, cj), slot(cj, ci)])
         self.diag_slot = slot(place, place)
-        self.reg_sign = np.concatenate([-np.ones(n), np.ones(p)])
+        self.shift_sign = np.concatenate([-np.ones(n), np.ones(p)])
         self.a, self.layout, self.n = a, layout, n
 
     def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_SparseKKT":
@@ -447,16 +455,13 @@ class _SparseKKT:
         _nt_apply(wbar, eta, self.cone_rows, g)
         self.g_data[self.g_index] = g
         band = self.band.reshape(-1, order="F")
-        reg = _STATIC_REG
-        for attempt in range(3):
+        for attempt, shift in enumerate(_SHIFTS):
             self.band[...] = self.base
             band[self.g_slot] = g.reshape(-1)
-            band[self.diag_slot] += reg * self.reg_sign
+            band[self.diag_slot] += shift * self.shift_sign
             self._band_solve = band_lu(self.band, self.half_band)
             if self._band_solve is not None:
                 break
-            # exactly singular pivot: strengthen the regularization and retry
-            reg += _STATIC_REG * 10.0 ** (2 * attempt + 2)
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
         self.reg_retries, self.refine_rounds = attempt, 0
@@ -469,7 +474,7 @@ class _SparseKKT:
     def at_rows(self, y: np.ndarray) -> np.ndarray:
         return y @ self.a
 
-    # the regularized K's solution, and the unregularized K's product, of each row
+    # the shifted K's solution, and the unshifted K's product, of each row
     def _lu_solve(self, r: np.ndarray) -> np.ndarray:
         return self._band_solve(r.take(self.order, axis=1).T).T.take(self.place, axis=1)
 
@@ -488,7 +493,7 @@ class _SparseKKT:
         resid = rhs - self._k_mul(sol)
         rnorm = np.max(np.abs(resid), axis=1)
         # each right-hand side refines while a round lowers its residual, and
-        # returns its best iterate: against the regularized LU a round can
+        # returns its best iterate: against the shifted LU a round can
         # contract by less than dgerfs's half and still help
         tol = 1e-14 * (1.0 + np.max(np.abs(rhs), axis=1))
         best = sol.copy()
