@@ -26,6 +26,7 @@ from .kepler import (
     true_from_time,
 )
 from .postprocess import (
+    BracketRound,
     Impulse,
     ImpulsePlan,
     InnerNodeResult,

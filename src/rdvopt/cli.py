@@ -196,9 +196,25 @@ def _cmd_inner_node(args) -> int:
         return 2
     doc = solution_document(scenario, res, None)
     doc.update(resolution=args.resolution, theta2_rad=res.theta2,
-               bracket_rounds=res.bracket_rounds)
+               bracket_rounds=res.bracket_rounds,
+               rounds=[_round_record(r) for r in res.rounds])
     _write_json(doc, args.out)
     return 0
+
+
+def _round_record(r) -> dict:
+    """One bracket round of the search; an unusable fit's estimate, spread and margin are null."""
+    usable = math.isfinite(r.spread)
+    return {
+        "lo_rad": r.lo,
+        "hi_rad": r.hi,
+        "best": r.best,
+        "estimate_rad": r.estimate if usable else None,
+        "spread_rad": r.spread if usable else None,
+        "margin_rad": r.margin if usable else None,
+        "placed": r.placed,
+        "wall_s": r.wall_time,
+    }
 
 
 def _document_impulses(doc: dict, source: str, scenario: Scenario) -> list[Impulse]:

@@ -412,17 +412,38 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
 
 
 @dataclass(frozen=True)
+class BracketRound:
+    """One batched solve of the inner-node search.
+
+    It sampled the window (lo, hi) and found its best at index best.  The
+    five-point fit there put the minimum at estimate, with the spread and
+    margin of _stencil_minimum (nan, inf and inf when the fit was
+    unusable).  placed says whether an earlier estimate placed the window;
+    wall_time is the round's seconds.
+    """
+
+    lo: float
+    hi: float
+    best: int
+    estimate: float
+    spread: float
+    margin: float
+    placed: bool
+    wall_time: float
+
+
+@dataclass(frozen=True)
 class InnerNodeResult(PlanResult):
     """The PlanResult of the best three-node grid, with the scan that chose it.
 
     plan is None (total_dv inf) when the chosen grid's solve was not optimal.
-    bracket_rounds counts the batched solves that refined the scan's best.
+    rounds holds one record per batched solve that refined the scan's best.
     """
 
     theta2: float
     scan_nodes: np.ndarray
     scan_costs: np.ndarray
-    bracket_rounds: int
+    rounds: tuple[BracketRound, ...]
 
     @property
     def total_dv(self) -> float:
@@ -431,6 +452,10 @@ class InnerNodeResult(PlanResult):
     @property
     def status(self) -> str:
         return self.solution.status
+
+    @property
+    def bracket_rounds(self) -> int:
+        return len(self.rounds)
 
 
 def _three_node_grid(scenario: Scenario, theta2) -> Grid:
@@ -455,30 +480,58 @@ def _three_node_costs(scenario: Scenario, thetas: np.ndarray,
     return costs
 
 
-def _parabola_vertex(points: np.ndarray, costs: np.ndarray, j: int) -> tuple[float, float]:
-    """Vertex of the parabola through evenly spaced points j-1, j, j+1, and its spread.
+# Rows give p'(s) = a0 + a1 s + a2 s^2 + a3 s^3 of the degree-4 polynomial
+# through f(-2), ..., f(2), s in units of the sample spacing.
+_QUARTIC_SLOPE = np.array([
+    [1.0, -8.0, 0.0, 8.0, -1.0],
+    [-1.0, 16.0, -30.0, 16.0, -1.0],
+    [-1.0, 2.0, 0.0, -2.0, 1.0],
+    [1.0, -4.0, 6.0, -4.0, 1.0],
+]) / np.array([[12.0], [12.0], [4.0], [6.0]])
 
-    The spread, the vertex's largest distance from the vertices of the
-    adjacent triples, estimates its error.  It is inf, and the vertex
-    unusable, when point j has no neighbour on a side, a cost the triples
-    use is inf, a triple is not convex, or the vertex leaves the bracket
-    (points[j-1], points[j+1]).
+
+def _stencil_minimum(points: np.ndarray, costs: np.ndarray, j: int,
+                     reach: int = 2) -> tuple[float, float, float]:
+    """Minimum of the quartic through evenly spaced points j-2 .. j+2, its spread and margin.
+
+    Newton steps on the quartic's cubic derivative, from point j, find the
+    minimum of every five-point stencil through j that fits in the points
+    and lies at most reach points off centre.  The spread, the centred
+    minimum's largest distance from the minima of the stencils shifted by
+    one point, estimates its error where the samples resolve the curve;
+    the margin, its largest distance from all the shifted minima, is the
+    wider estimate that also holds where they are coarse.  Both are inf,
+    and the minimum unusable, when the centred stencil does not fit, a
+    stencil holds an inf cost, has no positive curvature at its minimum or
+    has not settled there, or the centred minimum leaves (points[j-1],
+    points[j+1]).
     """
-    if not 0 < j < len(points) - 1:
-        return math.nan, math.inf
-    start, stop = max(j - 2, 0), min(j + 3, len(points))
-    near = costs[start:stop]
-    if not np.all(np.isfinite(near)):
-        return math.nan, math.inf
-    curvature = near[:-2] - 2.0 * near[1:-1] + near[2:]
-    if not np.all(curvature > 0.0):
-        return math.nan, math.inf
-    step = points[1] - points[0]
-    vertices = points[start + 1:stop - 1] + 0.5 * step * (near[:-2] - near[2:]) / curvature
-    vertex = float(vertices[j - start - 1])
-    if not points[j - 1] < vertex < points[j + 1]:
-        return math.nan, math.inf
-    return vertex, float(np.max(np.abs(vertices - vertex)))
+    if not 2 <= j < len(points) - 2:
+        return math.nan, math.inf, math.inf
+    start, stop = max(j - 2 - reach, 0), min(j + 3 + reach, len(points))
+    stencils = costs[np.arange(start, stop - 4)[:, None] + np.arange(5)]
+    shift = np.arange(start + 2, stop - 2) - j
+    # s counts spacings from each stencil's own centre
+    s = -shift.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0, a1, a2, a3 = _QUARTIC_SLOPE @ stencils.T
+        for _ in range(6):
+            curvature = a1 + s * (2.0 * a2 + 3.0 * a3 * s)
+            step = (a0 + s * (a1 + s * (a2 + s * a3))) / curvature
+            s = s - step
+    minima = points[start + 2:stop - 2] + (points[1] - points[0]) * s
+    centre = float(minima[shift == 0][0])
+    if not (np.all((curvature > 0.0) & (np.abs(step) <= 1e-9))
+            and points[j - 1] < centre < points[j + 1]):
+        return math.nan, math.inf, math.inf
+    distance = np.abs(minima - centre)
+    return centre, float(distance[np.abs(shift) <= 1].max()), float(distance.max())
+
+
+def _window(estimate: float, margin: float, lo: float, hi: float) -> tuple[float, float]:
+    """The window an estimate places: estimate +/- max(2 margin, 1e-6), inside (lo, hi)."""
+    half = max(2.0 * margin, 1e-6)
+    return max(lo, estimate - half), min(hi, estimate + half)
 
 
 def inner_node_search(scenario: Scenario, resolution: int = 100,
@@ -486,18 +539,23 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     """Best interior burn anomaly for a three-node grid.
 
     Scans the open horizon at the given resolution, then refines the
-    bracket around the best candidate in rounds.  Each round solves evenly
-    spaced interior points of a window as one batch and keeps the two
-    neighbours of the best as the bracket.  The parabola through the best
-    and its neighbours steps to its vertex (successive parabolic
-    interpolation, as in Brent's minimizer): once the vertices of the
-    adjacent triples agree with it to 0.5e-6 rad it is the answer,
-    otherwise the next window is the vertex +/- twice that spread, inside
-    the bracket.  Where the vertex is unusable the next round samples the
-    whole bracket, and a window whose best lies on its edge gives way to
-    the bracket again.  A bracket 1e-6 rad wide ends the search at its
-    midpoint.  Only the chosen anomaly is planned, and its PlanResult is
-    returned with the scan.
+    bracket around the best candidate (its two neighbours) in rounds.
+    Each round solves evenly spaced interior points of a window as one
+    batch and keeps the two neighbours of its best as the bracket.  The
+    degree-4 polynomial through the five points around a best, the scan's
+    or a round's, estimates the minimum; the stencils shifted off centre
+    (by one point at the scan, by up to two in a round) give its spread
+    and margin (_stencil_minimum).  A usable estimate places the next
+    window at the estimate +/- max(2 margin, 1e-6), inside the bracket; an
+    unusable one sends the next round to the whole bracket, and so does a
+    window whose best lies on its edge.  An estimate with a spread of at
+    most 0.5e-6 rad is the answer only from a round whose window an
+    earlier estimate placed inside the bracket, never from one that
+    sampled the whole bracket: samples that far apart can alias a ripple
+    the fit cannot see.  At least one round runs, and a bracket 1e-6 rad
+    wide ends the search at its midpoint.  Only the chosen anomaly is
+    planned, and its PlanResult is returned with the scan and one
+    BracketRound per round.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) \
             or resolution < 10:
@@ -511,28 +569,44 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     pad = 1e-9 * span
     lo = cands[best - 1] if best > 0 else th0 + pad
     hi = cands[best + 1] if best < resolution - 1 else thf - pad
-    outer, rounds = (lo, hi), 0
-    while hi - lo > 1e-6:
+    outer = (lo, hi)
+    # the scan's stencils reach one point off centre: at its spacing, those
+    # two off reach across the cost curve's kinks (atv's come once per
+    # revolution) and overstate the error.  A round's reach two: they catch
+    # a kink or a jump beside its best, and the margin they give holds
+    # where the spread of a coarse round does not (atv's first round
+    # misses by 4.8 times its spread)
+    estimate, spread, margin = _stencil_minimum(cands, costs, best, reach=1)
+    if spread < math.inf:
+        lo, hi = _window(estimate, margin, lo, hi)
+    placed = (lo, hi) != outer
+    rounds = []
+    while True:
+        t0 = time.perf_counter()
         points = lo + (hi - lo) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
         round_costs = _three_node_costs(scenario, points, settings)
-        rounds += 1
         j = int(np.argmin(round_costs))
+        estimate, spread, margin = _stencil_minimum(points, round_costs, j)
+        rounds.append(BracketRound(lo=float(lo), hi=float(hi), best=j, estimate=estimate,
+                                   spread=spread, margin=margin, placed=placed,
+                                   wall_time=time.perf_counter() - t0))
         if (j == 0 and lo > outer[0]) or (j == _BRACKET_POINTS - 1 and hi < outer[1]):
             # the best lies on an edge of a window inside the bracket: the
             # minimum may lie outside the window, so sample the bracket again
-            lo, hi = outer
-            continue
-        lo = points[j - 1] if j > 0 else lo
-        hi = points[j + 1] if j < _BRACKET_POINTS - 1 else hi
-        outer = (lo, hi)
-        vertex, spread = _parabola_vertex(points, round_costs, j)
-        if spread <= 0.5e-6:
-            theta2 = vertex
+            (lo, hi), placed = outer, False
+        else:
+            lo = points[j - 1] if j > 0 else lo
+            hi = points[j + 1] if j < _BRACKET_POINTS - 1 else hi
+            outer = (lo, hi)
+            if placed and spread <= 0.5e-6:
+                theta2 = estimate
+                break
+            if spread < math.inf:
+                lo, hi = _window(estimate, margin, lo, hi)
+            placed = (lo, hi) != outer
+        if hi - lo <= 1e-6:
+            theta2 = 0.5 * (lo + hi)
             break
-        if spread < math.inf:
-            lo, hi = max(lo, vertex - 2.0 * spread), min(hi, vertex + 2.0 * spread)
-    else:
-        theta2 = 0.5 * (lo + hi)
     res = plan_rendezvous(scenario, grid=_three_node_grid(scenario, theta2), settings=settings)
     return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=cands,
-                           scan_costs=costs, bracket_rounds=rounds)
+                           scan_costs=costs, rounds=tuple(rounds))

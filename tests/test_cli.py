@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +54,8 @@ def run_cli(*args, env=None):
 def strip_timing(doc: dict) -> dict:
     doc = json.loads(json.dumps(doc))
     doc.get("solver", {}).pop("solve_time_s", None)
+    for record in doc.get("rounds", []):
+        record.pop("wall_s")
     return doc
 
 
@@ -247,10 +250,16 @@ class TestInnerNodeCommand:
         doc = json.loads(out.read_text())
         res = postprocess.inner_node_search(builtin("circle2circle"), resolution=10)
         want = strip_timing(cli.solution_document(builtin("circle2circle"), res, None))
-        want.update(resolution=10, theta2_rad=res.theta2, bracket_rounds=res.bracket_rounds)
+        want.update(resolution=10, theta2_rad=res.theta2, bracket_rounds=res.bracket_rounds,
+                    rounds=[{"lo_rad": r.lo, "hi_rad": r.hi, "best": r.best,
+                             "estimate_rad": r.estimate if math.isfinite(r.spread) else None,
+                             "spread_rad": r.spread if math.isfinite(r.spread) else None,
+                             "margin_rad": r.margin if math.isfinite(r.spread) else None,
+                             "placed": r.placed} for r in res.rounds])
         assert strip_timing(doc) == want
         assert doc["solver"]["status"] == "optimal" and doc["mesh_M"] == 3
-        assert doc["bracket_rounds"] >= 1
+        assert doc["bracket_rounds"] == len(doc["rounds"]) >= 1
+        assert all(r["wall_s"] > 0.0 for r in doc["rounds"])
         proc = run_cli("validate", str(out), "circle2circle")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdvopt import (
     SolverSettings,
@@ -430,22 +432,79 @@ class TestInnerNodeSearch:
         res = inner_node_search(scen, resolution=100)
         assert curve(res.theta2) <= min(curve(res.theta2 - 1e-6), curve(res.theta2 + 1e-6))
 
-    @pytest.mark.parametrize("name", ["atv", "circle2circle"])
-    def test_two_rounds_reach_the_optimum_of_a_fine_family(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, rounds", [("atv", 2), ("circle2circle", 1)])
+    def test_one_or_two_rounds_find_the_fine_optimum(self, monkeypatch, name, rounds):
         scen = builtin(name)
         calls = []
 
         def counted(scenario, thetas, settings):
-            calls.append(len(thetas))
-            return _three_node_costs(scenario, thetas, settings)
+            costs = _three_node_costs(scenario, thetas, settings)
+            calls.append((thetas, costs))
+            return costs
         monkeypatch.setattr(postprocess, "_three_node_costs", counted)
         res = inner_node_search(scen, resolution=100)
-        assert len(calls) <= 1 + 2
-        assert res.bracket_rounds == len(calls) - 1
+        assert len(calls) <= 1 + rounds
+        assert res.bracket_rounds == len(res.rounds) == len(calls) - 1
+        # each record describes the family its round solved
+        for record, (thetas, costs) in zip(res.rounds, calls[1:]):
+            assert record.lo < thetas.min() and thetas.max() < record.hi
+            assert record.best == np.argmin(costs) and record.wall_time > 0.0
+        # the answer comes from a round whose window an estimate placed
+        assert res.rounds[-1].placed
         # however the search got there: no anomaly of a fine family around
         # its answer costs less
         near = _three_node_costs(scen, np.linspace(res.theta2 - 1e-4, res.theta2 + 1e-4, 33), None)
         assert res.total_dv <= near.min() * (1.0 + 1e-12)
+
+    def test_a_noisy_draw_reaches_the_optimum_of_a_fine_family(self):
+        # perfbench inner-node draw (seed 4201, block 0, draw 5), written with
+        # save_scenario: its cost jumps by 1e-7 of itself within 5e-6 rad of
+        # the optimum, and a fit across the jump puts the minimum 2.4e-6 rad
+        # beside it
+        scen = load_scenario(DATA / "gen-4201-0-5.json")
+        res = inner_node_search(scen, resolution=100)
+        assert res.status == "optimal"
+        assert res.bracket_rounds <= 4
+        near = _three_node_costs(scen, np.linspace(res.theta2 - 1e-4, res.theta2 + 1e-4, 33), None)
+        assert res.total_dv <= near.min() * (1.0 + 1e-12)
+
+    @staticmethod
+    def _quartic(a, b, c, x_min):
+        return lambda x: a * (x - x_min) ** 2 + b * (x - x_min) ** 3 + c * (x - x_min) ** 4
+
+    def test_stencil_minimum_is_exact_on_a_quartic(self):
+        points = np.linspace(0.0, 1.0, 33)
+        curve = self._quartic(2.0, 1.5, 3.0, 0.4337)
+        j = int(np.argmin(curve(points)))
+        estimate, spread, margin = postprocess._stencil_minimum(points, curve(points), j)
+        assert estimate == pytest.approx(0.4337, abs=1e-12)
+        assert spread <= margin <= 1e-12
+
+    @pytest.mark.parametrize("curve", [
+        lambda x: np.abs(x - 0.5) + 0.5 * (x - 0.5),
+        lambda x: np.where(x < 0.56, (x - 0.5) ** 2, np.inf),
+        lambda x: np.where(x > 0.45, (x - 0.5) ** 2, np.inf),
+    ], ids=["kink", "inf-beside-right", "inf-beside-left"])
+    def test_stencil_minimum_is_unusable(self, curve):
+        points = np.linspace(0.0, 1.0, 33) + 0.3 / 32
+        costs = curve(points)
+        j = int(np.argmin(costs))
+        estimate, spread, margin = postprocess._stencil_minimum(points, costs, j)
+        assert math.isnan(estimate) and spread == margin == math.inf
+
+    @given(a=st.floats(0.1, 10.0), c=st.floats(0.0, 10.0), skew=st.floats(-0.99, 0.99),
+           where=st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_search_lands_on_the_minimum_of_a_unimodal_quartic(self, a, c, skew, where):
+        # a (x - x*)^2 + b (x - x*)^3 + c (x - x*)^4 has one minimum, at x*,
+        # while 9 b^2 < 32 a c
+        scen = builtin("circle2circle")
+        x_min = scen.theta0 + (scen.theta_f - scen.theta0) * where
+        curve = self._quartic(a, skew * math.sqrt(32.0 * a * c / 9.0), c, x_min)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(postprocess, "_three_node_costs", lambda scenario, thetas, settings: curve(thetas))
+            res = inner_node_search(scen, resolution=100)
+        assert abs(res.theta2 - x_min) <= 1e-6
 
     @pytest.mark.parametrize("planar", [True, False])
     def test_a_round_takes_the_same_kernel_calls_for_any_size(self, monkeypatch, planar):
