@@ -16,12 +16,14 @@ component by component, so the cone block is one reshape view.
 
 Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.
 Cone-only programs with independent rows take a thin QR of G' = W A',
-linear in the number of cones; W = I at the start, so the path test
-factors the first iteration's G' = A' and reads dependent rows off its R.
+linear in the number of cones, and solve with it without refinement;
+W = I at the start, so the path test factors the first iteration's
+G' = A' and reads dependent rows off its R.
 Other programs take LAPACK's banded LU (dgbtrf/dgbtrs) of the scaled KKT
 matrix K = [[-E, G'], [G, 0]], E the identity on the cones.  K's diagonal
 is shifted by a rounding, so a Newton solve is mostly one dgbtrs call;
-refinement runs only on a residual that misses its tolerance.
+refinement runs only on a residual that misses its tolerance, and an
+exactly singular pivot refactors K under the next, larger shift (_SHIFTS).
 For a StageMatrix A (the full form) it runs in stage order, row block j,
 x_j, cone j, where K's half-bandwidth is 9 (planar) or 13 (3-D) whatever
 the grid, so a factorization costs O(M); any other A keeps the identity
@@ -60,6 +62,11 @@ _SECOND_COLUMN = np.array([0.0, 1.0])[:, None, None]
 BEST_EFFORT = ("max_iters", "kkt_breakdown", "cone_boundary", "step_stall")
 
 
+def _integer(value) -> bool:
+    """Whether a size or count is an integer: a bool, a float such as 3.0 or a string is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Ordered cone structure of the variable vector: free block, then SOCs,
@@ -71,7 +78,7 @@ class ConeSpec:
     def __post_init__(self):
         # whether a size is an integer depends on its type alone: check one of each
         for size in {type(s): s for s in (self.n_free, *self.soc_dims)}.values():
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            if not _integer(size):
                 raise ValueError(f"cone sizes must be integers, got {size!r}")
         if self.n_free < 0:
             raise ValueError("free block size must be nonnegative")
@@ -197,7 +204,7 @@ class SolverSettings:
             if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {tol!r}")
         it = self.max_iters
-        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
+        if not _integer(it) or it < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {it!r}")
 
 
@@ -860,7 +867,8 @@ def solve(
     b'y = 1; on "dual_infeasible", x is a ray normalized to c'x = -1.
     A status in BEST_EFFORT returns the last iterate; "numerical_failure"
     means it was no longer finite.
-    A family raises ValueError; solve it with solve_batch.
+    A family raises ValueError; solve it with solve_batch.  trace, if
+    given, receives the iteration records as dicts (fields in README.md).
     """
     _single(problem, "solve")
     qr, first = _scaled_qr_path(problem)

@@ -10,7 +10,6 @@ internal state chain.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -18,7 +17,14 @@ from typing import Optional
 import numpy as np
 
 from . import relative_dynamics as rd
-from .conic_solver import ConicProblem, ConicSolution, SolverSettings, solve, solve_batch
+from .conic_solver import (
+    ConicProblem,
+    ConicSolution,
+    SolverSettings,
+    _integer,
+    solve,
+    solve_batch,
+)
 from .kepler import TargetOrbit, time_from_true
 from .relative_dynamics import RelativeState
 from .transcription import (
@@ -143,25 +149,68 @@ def _transformed_jump(dv_phys: np.ndarray, theta: float, orbit: TargetOrbit) -> 
     return dv_phys / (orbit.k2 * rd.rho(theta, orbit.e))
 
 
+def _propagate(plan: ImpulsePlan, scenario: Scenario,
+               samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anomalies and transformed states of reconstruct_trajectory's pass.
+
+    The start, samples evenly spaced points of each coast (its end
+    included) and each burn anomaly's outgoing state.  The transition
+    matrices of every coast come fresh from one stm_full call.  A burn
+    outside the horizon (by more than the 1e-12 that groups burns) raises
+    ValueError.
+    """
+    if not _integer(samples) or samples < 1:
+        raise ValueError(f"samples_per_segment must be an integer of at least 1, got {samples!r}")
+    orbit = scenario.orbit
+    eps = 1e-12 * max(1.0, abs(scenario.theta_f))
+    if not all(scenario.theta0 - eps <= imp.theta <= scenario.theta_f + eps
+               for imp in plan.impulses):
+        raise ValueError("every impulse must lie within the horizon [theta0, theta_f]")
+    # the coasts' ends: the start, each burn anomaly and the final anomaly,
+    # with the burns at each
+    knots, groups = [scenario.theta0], [[]]
+    for imp in sorted(plan.impulses, key=lambda imp: imp.theta):
+        if imp.theta > knots[-1] + eps:
+            knots.append(imp.theta)
+            groups.append([])
+        groups[-1].append(imp)
+    if scenario.theta_f > knots[-1] + eps:
+        knots.append(scenario.theta_f)
+        groups.append([])
+    ends = np.array(knots)
+    # np.linspace(ends[k], ends[k + 1], samples + 1)[1:] for every coast k at once
+    pts = ends[:-1, None] + np.arange(1, samples + 1) * ((ends[1:] - ends[:-1]) / samples)[:, None]
+    pts[:, -1] = ends[1:]
+    phis = rd.stm_full(pts, ends[:-1, None], orbit)
+
+    state = transform_boundaries(scenario)[0].vector
+    thetas, states = [ends[:1]], [state[None, :]]
+    for k, group in enumerate(groups):
+        if k:
+            thetas.append(pts[k - 1])
+            states.append(phis[k - 1] @ state)
+            state = states[-1][-1]
+        if group:
+            state = state.copy()
+            for imp in group:
+                state[3:] += _transformed_jump(imp.dv, imp.theta, orbit)
+            thetas.append(ends[k:k + 1])
+            states.append(state[None, :])
+    return np.concatenate(thetas), np.concatenate(states)
+
+
 def verify_plan(plan: ImpulsePlan, scenario: Scenario) -> TerminalError:
     """Propagate the boundary state through the plan and report the miss.
 
     Independent of the optimizer: only the plan's impulse list and fresh
-    transition matrices are used.
+    transition matrices are used.  The end state is that of the pass
+    reconstruct_trajectory samples, taken with one sample per coast.
     """
-    orbit = scenario.orbit
-    x0t, xft = transform_boundaries(scenario)
-    state = x0t.vector.copy()
-    theta = scenario.theta0
-    for imp in plan.impulses:
-        state = rd.stm_full(imp.theta, theta, orbit) @ state
-        state[3:] += _transformed_jump(imp.dv, imp.theta, orbit)
-        theta = imp.theta
-    state = rd.stm_full(scenario.theta_f, theta, orbit) @ state
-
-    miss = rd.from_transformed(rd.TransformedState.from_vector(state - xft.vector),
-                               scenario.theta_f, orbit)
-    position, velocity = np.linalg.norm(miss.r), np.linalg.norm(miss.v)
+    state = _propagate(plan, scenario, 1)[1][-1]
+    end = rd.from_transformed(rd.TransformedState.from_vector(state), scenario.theta_f,
+                              scenario.orbit)
+    position = np.linalg.norm(end.r - scenario.xf.r)
+    velocity = np.linalg.norm(end.v - scenario.xf.v)
     units = scenario.units
     return TerminalError(
         position=float(position),
@@ -232,42 +281,14 @@ def reconstruct_trajectory(
 
     Burns apply in anomaly order, whatever their order in the plan, and the
     burns of one anomaly (within 1e-12 of each other, relative to theta_f)
-    add up.  Each burn anomaly appears twice, once with the incoming
-    velocity and once with the outgoing one; positions agree, velocities
-    jump by the anomaly's summed dv.
+    add up.  Each coast gets samples_per_segment points, an integer of at
+    least 1 (else ValueError).  Each burn anomaly appears twice, once with
+    the incoming velocity and once with the outgoing one; positions agree,
+    velocities jump by the anomaly's summed dv.
     """
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be at least 1")
-    orbit = scenario.orbit
-    eps = 1e-12 * max(1.0, abs(scenario.theta_f))
-    x0t, _ = transform_boundaries(scenario)
-    theta, state = scenario.theta0, x0t.vector
-    # sampled anomalies and transformed states, mapped back in one call
-    thetas, states = [np.array([theta])], [state[None, :]]
-
-    def coast(th0, th1, x):
-        """Sample the coast from th0 (excluded) to th1; the state at th1."""
-        pts = np.linspace(th0, th1, samples_per_segment + 1)[1:]
-        thetas.append(pts)
-        states.append(rd.stm_full(pts, th0, orbit) @ x)
-        return states[-1][-1]
-
-    burns = sorted(plan.impulses, key=lambda imp: imp.theta)
-    for k, imp in enumerate(burns):
-        if imp.theta > theta + eps:
-            theta, state = imp.theta, coast(theta, imp.theta, state)
-        state = state.copy()
-        state[3:] += _transformed_jump(imp.dv, imp.theta, orbit)
-        if k + 1 == len(burns) or burns[k + 1].theta > theta + eps:
-            thetas.append(np.array([theta]))
-            states.append(state[None, :])
-    if scenario.theta_f > theta + eps:
-        coast(theta, scenario.theta_f, state)
-
-    theta = np.concatenate(thetas)
-    times = time_from_true(theta, orbit)
-    rel = rd.from_transformed(rd.TransformedState.from_vector(np.concatenate(states)),
-                              theta, orbit)
+    theta, states = _propagate(plan, scenario, samples_per_segment)
+    times = time_from_true(theta, scenario.orbit)
+    rel = rd.from_transformed(rd.TransformedState.from_vector(states), theta, scenario.orbit)
     return [TrajectorySample(theta=float(th), t=float(t), state=RelativeState(r=r, v=v))
             for th, t, r, v in zip(theta, times, rel.r, rel.v)]
 
@@ -349,10 +370,14 @@ def plan_rendezvous(
 ) -> PlanResult:
     """Transcribe, solve, extract and verify one scenario.
 
-    A bad extraction tolerance raises ValueError before any work is done,
-    and so does a grid whose ends are not the scenario's horizon.
+    The grid is given by mesh_m (default: the scenario's) or as grid, not
+    both.  A bad extraction tolerance raises ValueError before any work is
+    done, and so do both grid arguments and a grid whose ends are not the
+    scenario's horizon.
     """
     _extraction_tol(tol, scenario)
+    if mesh_m is not None and grid is not None:
+        raise ValueError("give the grid by mesh_m or by grid, not both")
     grid_time = 0.0
     if grid is None:
         t0 = time.perf_counter()
@@ -394,7 +419,7 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     raises ValueError at once.
     """
     _extraction_tol(tol, scenario)
-    if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in m_list):
+    if not all(_integer(m) for m in m_list):
         raise ValueError(f"mesh sizes must be integers, got {list(m_list)!r}")
     rows = []
     for m in sorted(int(m) for m in m_list):
@@ -557,8 +582,7 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     planned, and its PlanResult is returned with the scan and one
     BracketRound per round.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) \
-            or resolution < 10:
+    if not _integer(resolution) or resolution < 10:
         raise ValueError(f"resolution must be an integer of at least 10, got {resolution!r}")
     th0, thf = scenario.theta0, scenario.theta_f
     span = thf - th0

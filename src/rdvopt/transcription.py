@@ -20,7 +20,6 @@ are unity and the scaling is the identity.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -28,9 +27,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import relative_dynamics as rd
-from .conic_solver import BEST_EFFORT, ConeSpec, ConicProblem, ConicSolution, StageMatrix
+from .conic_solver import (
+    BEST_EFFORT,
+    ConeSpec,
+    ConicProblem,
+    ConicSolution,
+    StageMatrix,
+    _integer,
+)
 from .kepler import TargetOrbit, time_from_true, true_from_time
 from .relative_dynamics import RelativeState
+
+
+def _check_mesh_size(m) -> None:
+    if not _integer(m) or m < 2:
+        raise ValueError(f"mesh size must be an integer of at least 2, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,8 @@ class Scenario:
     """Boundary states, target orbit and horizon of one transfer problem.
 
     Exactly one of duration (time units of the orbit) or thetaf
-    (unwrapped true anomaly) defines the horizon.
+    (unwrapped true anomaly) defines the horizon.  mesh_m, the default
+    grid size, must be an integer of at least 2.
     """
 
     name: str
@@ -73,6 +85,7 @@ class Scenario:
             raise ValueError("thetaf must exceed the orbit's initial anomaly")
         if not (np.all(np.isfinite(self.x0.vector)) and np.all(np.isfinite(self.xf.vector))):
             raise ValueError("boundary states must be finite")
+        _check_mesh_size(self.mesh_m)
         if not (np.isfinite(self.extraction_tol) and self.extraction_tol >= 0.0):
             raise ValueError("extraction tolerance must be finite and nonnegative, "
                              f"got {self.extraction_tol}")
@@ -140,8 +153,7 @@ def grid_from_nodes(scenario: Scenario, nodes) -> Grid:
 
 def build_grid(scenario: Scenario, m: int) -> Grid:
     """Uniform anomaly grid with m nodes from theta0 to thetaf inclusive."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-        raise ValueError(f"mesh size must be an integer of at least 2, got {m!r}")
+    _check_mesh_size(m)
     return grid_from_nodes(scenario, np.linspace(scenario.theta0, scenario.theta_f, m))
 
 
@@ -181,7 +193,10 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     Every grid must run over the scenario's horizon: its end nodes are
     exactly (theta0, thetaf), otherwise ValueError.  A (K, m) family of
     grids gives one condensed family of programs, c (K, n), A (K, d, n)
-    and b (K, d), built by the same calls.
+    and b (K, d), built by the same calls; the full form takes one grid.
+    var_map holds the form, the indices in x of each node's cone head
+    (sigma) and impulse (dv), and the node cost weights, (K, m) for a
+    family.
     """
     if form not in ("condensed", "full"):
         raise ValueError(f"form must be 'condensed' or 'full', got {form!r}")

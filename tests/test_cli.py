@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from rdvopt import SolverSettings, builtin, cli, postprocess, save_scenario
 
 # the CLI subprocess imports the same rdvopt as the tests
 SRC = str(Path(rdvopt.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _set_impulse_field(key, value):
@@ -330,3 +333,39 @@ class TestValidateCommand:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+def _keys(value) -> set:
+    """Every key of a JSON value, those of nested objects and arrays included."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+def test_readme_names_every_interface_fact(c2c_doc_path, monkeypatch, capsys):
+    """Each subcommand, option, exit code, document key, sweep header and
+    trace field appears in the README in backticks, outside code blocks."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    facts = set(commands.choices) | set("0123")
+    for command in (parser, *commands.choices.values()):
+        facts.update(option for action in command._actions for option in action.option_strings
+                     if option not in ("-h", "--help"))
+    facts |= _keys(json.loads(c2c_doc_path.read_text()))
+    assert cli.main(["inner-node", "circle2circle", "--resolution", "10"]) == 0
+    facts |= _keys(json.loads(capsys.readouterr().out))
+    assert cli.main(["validate", str(c2c_doc_path), "circle2circle"]) == 0
+    facts |= _keys(json.loads(capsys.readouterr().out))
+    assert cli.main(["sweep", "circle2circle", "--mesh-list", "9"]) == 0
+    facts.add(capsys.readouterr().out.splitlines()[0])
+    monkeypatch.setenv("RDVOPT_TRACE", "1")
+    assert cli.main(["solve", "circle2circle", "--mesh", "9"]) == 0
+    traced = [line.split()[1:] for line in capsys.readouterr().err.splitlines()
+              if line.startswith("trace: ")]
+    assert traced
+    facts |= {field.split("=")[0] for record in traced for field in record}
+
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    assert sorted(facts - set(re.findall(r"`([^`\n]+)`", prose))) == []

@@ -138,6 +138,13 @@ class TestVerifyPlan:
         assert err.position_scaled < 1e-12
         assert err.velocity_scaled < 1e-12
 
+    @pytest.mark.parametrize("theta", [-0.5, 10.5])
+    def test_impulse_outside_the_horizon_raises(self, c2c_result, theta):
+        plan = c2c_result.plan
+        stray = replace(plan, impulses=plan.impulses + [replace(plan.impulses[0], theta=theta)])
+        with pytest.raises(ValueError, match="within the horizon"):
+            verify_plan(stray, builtin("circle2circle"))
+
     def test_tampered_impulse_reports_error(self, c2c_result):
         plan = c2c_result.plan
         tampered = ImpulsePlan(
@@ -252,6 +259,12 @@ class TestReconstructTrajectory:
     def test_sample_count_validation(self, c2c_result):
         with pytest.raises(ValueError, match="samples_per_segment"):
             reconstruct_trajectory(c2c_result.plan, builtin("circle2circle"), 0)
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+    def test_non_integer_sample_count_raises(self, c2c_result, samples):
+        # a count is rejected, never truncated or handed to numpy
+        with pytest.raises(ValueError, match="samples_per_segment must be an integer"):
+            reconstruct_trajectory(c2c_result.plan, builtin("circle2circle"), samples)
 
 
 class TestToInertial:

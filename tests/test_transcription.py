@@ -77,6 +77,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="mesh size must be an integer"):
             plan_rendezvous(c2c, mesh_m=m)
 
+    def test_non_integer_scenario_mesh_rejected(self, c2c):
+        # the scenario's default size is checked when it is built, not at the solve
+        with pytest.raises(ValueError, match="mesh size must be an integer"):
+            replace(c2c, mesh_m=3.5)
+
+    def test_mesh_size_and_grid_together_rejected(self, c2c):
+        with pytest.raises(ValueError, match="not both"):
+            plan_rendezvous(c2c, mesh_m=33, grid=build_grid(c2c, 9))
+
     def test_explicit_nodes(self, atv):
         g = grid_from_nodes(atv, [0.0, 30.0, atv.theta_f])
         assert g.m == 3
