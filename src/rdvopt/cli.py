@@ -272,8 +272,18 @@ def _cmd_validate(args) -> int:
     return 0 if report["ok"] else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose malformed command line is an input error:
+    its usage and one error line, then exit 1 (argparse's own code, 2, is a
+    solve that missed optimality here).  Subcommands take the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rdvopt",
         description="Propellant-minimal impulsive rendezvous planning on elliptic orbits.",
     )

@@ -18,18 +18,15 @@ Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.
 Cone-only programs with independent rows take a thin QR of G' = W A',
 linear in the number of cones, and solve with it without refinement;
 W = I at the start, so the path test factors the first iteration's
-G' = A' and reads dependent rows off its R.
-Other programs take LAPACK's banded LU (dgbtrf/dgbtrs) of the scaled KKT
-matrix K = [[-E, G'], [G, 0]], E the identity on the cones.  K's diagonal
-is shifted by a rounding, so a Newton solve is mostly one dgbtrs call;
-refinement runs only on a residual that misses its tolerance, and an
-exactly singular pivot refactors K under the next, larger shift (_SHIFTS).
-For a StageMatrix A (the full form) it runs in stage order, row block j,
-x_j, cone j, where K's half-bandwidth is 9 (planar) or 13 (3-D) whatever
-the grid, so a factorization costs O(M); any other A keeps the identity
-order, whose band is the whole matrix.  Only this path uses scipy, which
-it imports on its first factorization, so the condensed pipeline runs on
-numpy alone and that first solve's solve_time counts the import.
+G' = A' and reads dependent rows off its R.  A StageMatrix A (the full
+form) takes the same QR, under the same test, once its states are
+eliminated stage by stage (_StageKKT) to cone-only rows of the condensed
+form's shape.  Any other program with free variables or dependent rows
+(only tests build them) takes numpy's dense LU of the scaled KKT matrix
+K = [[-E, G'], [G, 0]], E the identity on the cones, its diagonal shifted
+by a rounding; refinement runs only on a residual that misses its
+tolerance, and an exactly singular pivot refactors K under the next,
+larger shift (_SHIFTS).  The solver needs numpy alone.
 
 One loop serves a scaled-QR family (c, A and b with a leading program
 axis), stored variables x programs so the cone algebra makes one pass
@@ -50,7 +47,7 @@ import numpy as np
 _FRACTION_TO_BOUNDARY = 0.99
 _REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
-# the band LU's diagonal shifts of K: a rounding of its unit cone diagonal,
+# the dense LU's diagonal shifts of K: a rounding of its unit cone diagonal,
 # then the two retries after an exactly singular pivot
 _SHIFTS = (np.finfo(float).eps, 1e-10 + 1e-8, 1e-10 + 1e-8 + 1e-6)
 # the first solve's dl: lambda in the predictor's column, none in the tau direction's
@@ -124,8 +121,8 @@ class StageMatrix:
         blocks[:m, :, :d], blocks[1:, :, d:] = self.diag, self.lower
         gather = np.full((m + 1, d + w), m * w)
         gather[:m, :d], gather[1:, d:] = cols[:, :d], cols
-        # cols permutes x's indices, and uncols undoes it
-        self.__dict__.update(cols=cols, uncols=np.argsort(cols.reshape(-1)), blocks=blocks,
+        # uncols undoes the permutation cols of x's indices
+        self.__dict__.update(uncols=np.argsort(cols.reshape(-1)), blocks=blocks,
                              gather=gather, shape=((m + 1) * d, m * w))
 
     def __matmul__(self, v) -> np.ndarray:
@@ -141,25 +138,13 @@ class StageMatrix:
         stages[..., :d] += g[..., :m, :d]
         return stages.reshape(y.shape[:-3] + (-1,)).take(self.uncols, axis=-1)
 
-    def entries(self):
-        """Row, column and value of every block entry, zeros included."""
+    def __array__(self, dtype=None, copy=None):
+        a = np.zeros(self.shape, dtype=dtype)
         d = self.lower.shape[1]
         rows = d * np.arange(len(self.blocks))[:, None, None] + np.arange(d)[:, None]
         rows, cols = (np.broadcast_to(v, self.blocks.shape) for v in (rows, self.gather[:, None]))
         real = cols < self.shape[1]
-        return rows[real], cols[real], self.blocks[real]
-
-    def stage_order(self) -> np.ndarray:
-        """The variables and rows (numbered from n on) stage by stage: row
-        block j, x_j, cone j, with the terminal row block last."""
-        m, d, _ = self.lower.shape
-        rows = self.shape[1] + d * np.arange(m + 1)[:, None] + np.arange(d)
-        return np.concatenate([np.hstack([rows[:m], self.cols]).reshape(-1), rows[m]])
-
-    def __array__(self, dtype=None, copy=None):
-        a = np.zeros(self.shape, dtype=dtype)
-        rows, cols, vals = self.entries()
-        a[rows, cols] = vals
+        a[rows[real], cols[real]] = self.blocks[real]
         return a
 
 
@@ -188,6 +173,11 @@ class ConicProblem:
                              "neither one program nor a family of K programs on one axis")
         if self.cones.dim != a.shape[-1]:
             raise ValueError(f"dimension mismatch: cones dim {self.cones.dim}, n {a.shape[-1]}")
+        if isinstance(a, StageMatrix):
+            m, d, w = a.lower.shape
+            if (self.cones.n_free, self.cones.soc_dims) != (m * d, (w - d,) * m):
+                raise ValueError(f"a StageMatrix of {m} stages needs {m * d} free variables "
+                                 f"and {m} cones of dimension {w - d}, got {self.cones}")
         for name, value in (("c", c), ("A", a), ("b", b)):
             object.__setattr__(self, name, value)
 
@@ -385,119 +375,50 @@ def _max_step(lbar: np.ndarray, rdet: np.ndarray, du: np.ndarray, programs: int)
 # programs), and dy (programs, columns, p).  gty gives G'dy.
 
 
-def band_lu(band: np.ndarray, half_band: int):
-    """LU with partial pivoting (LAPACK dgbtrf) of a square matrix in band
-    storage, in place, and its solve (dgbtrs) of (n, k) columns; None at an
-    exactly singular pivot.  Imports scipy.linalg.lapack on the first call,
-    so that a process without a band LU never loads it."""
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-    lu, piv, info = dgbtrf(band, half_band, half_band, overwrite_ab=1)
-    if info:
+def dense_lu(k: np.ndarray):
+    """The solve of (rows, size) right-hand sides by numpy's LU (gesv) of a square
+    K; None at an exactly singular pivot, whose LU slogdet reads as sign 0."""
+    if np.linalg.slogdet(k)[0] == 0.0:
         return None
-    return lambda r: dgbtrs(lu, half_band, half_band, r, piv)[0]
+    return lambda r: np.linalg.solve(k, r.T).T
 
 
-class _SparseKKT:
-    """Banded LU of one program's scaled KKT matrix K, its diagonal shifted,
-    in the program's order (x, then the rows), refined against the unshifted
-    K while a residual misses its tolerance.  Built once per solve: order is
-    the KKT index at each band position, base the LAPACK band storage
-    (half_band rows for pivoting's fill) of A's free columns and -E.  factor
-    writes G = A W, W times A's cone columns, into g and band with the first
-    of _SHIFTS, raised on an exactly singular pivot.  eps, the shift that
-    moves the cone diagonal -1 to its next float, keeps the zero pivots of
-    dependent rows off zero and stays within the pivoted LU's own rounding,
-    so a solve mostly meets the tolerance without refinement."""
+class _DenseKKT:
+    """Dense LU of one program's scaled KKT matrix K in the solver's order,
+    its diagonal shifted by the first of _SHIFTS (raised on an exactly
+    singular pivot), refined against the unshifted K while a residual misses
+    its tolerance.  eps, the shift that moves the cone diagonal -1 to its next
+    float, keeps the zero pivots of dependent rows off zero and stays within
+    the LU's own rounding, so a solve mostly needs no refinement."""
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
-    def __init__(self, layout: _ConeLayout, a):
+    def __init__(self, layout: _ConeLayout, a: np.ndarray):
         p, n = a.shape
-        nf, d, g = layout.n_free, layout.d, layout.g
-        # the column of component i of cone j, (d, g)
-        cone_col = layout.perm[nf:].reshape(d, g)
-        if isinstance(a, StageMatrix):
-            self.order = a.stage_order()
-            rows, cols, vals = a.entries()
-            # the stage blocks' zeros stay out of the band; row block j + 1 holds cone j
-            rows, cols, vals = (v[(vals != 0.0) & (cols < nf)] for v in (rows, cols, vals))
-            m, k, w = a.lower.shape
-            self.cone_rows = a.lower[:, :, k:].transpose(1, 2, 0)
-            cone_row = k * np.arange(1, m + 1) + np.arange(k)[:, None, None]
-            self.g = StageMatrix(a.diag, a.lower)
-            g_data, g_index = self.g.blocks, cone_row * (k + w) + 2 * k + np.arange(d)[:, None]
-        else:
-            self.order = np.arange(n + p)
-            rows, cols = (v.reshape(-1) for v in np.indices((p, nf)))
-            vals = a[:, :nf].reshape(-1)
-            self.cone_rows = a[:, cone_col]
-            cone_row = np.arange(p)[:, None, None]
-            self.g = g_data = a.copy()
-            g_index = cone_row * n + cone_col
-        self.g_data, self.g_index = g_data.reshape(-1), g_index
-        place = self.place = np.argsort(self.order)
-        i, j = place[n + rows], place[cols]
-        ci, cj = (np.broadcast_to(v, self.cone_rows.shape).reshape(-1)
-                  for v in (place[n + cone_row], place[cone_col]))
-        b = self.half_band = int(np.max(np.abs(np.concatenate([i - j, ci - cj])), initial=0))
-
-        def slot(i, j):
-            # entry (i, j) sits in row 2b + i - j of column j
-            return j * (3 * b + 1) + 2 * b + i - j
-
-        cone = place[nf:n]
-        fixed = np.concatenate([slot(i, j), slot(j, i), slot(cone, cone)])
-        self.base = np.zeros((3 * b + 1, n + p), order="F")
-        self.base.reshape(-1, order="F")[fixed] = np.concatenate([vals, vals, -np.ones(n - nf)])
-        self.band = np.empty_like(self.base)
-        self.g_slot = np.stack([slot(ci, cj), slot(cj, ci)])
-        self.diag_slot = slot(place, place)
+        self.a, self.layout, self.n = a[:, layout.perm], layout, n
+        self.k = np.diag(np.r_[np.zeros(layout.n_free), -np.ones(n - layout.n_free), np.zeros(p)])
         self.shift_sign = np.concatenate([-np.ones(n), np.ones(p)])
-        self.a, self.layout, self.n = a, layout, n
 
-    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_SparseKKT":
-        g = np.empty(self.cone_rows.shape)
-        _nt_apply(wbar, eta, self.cone_rows, g)
-        self.g_data[self.g_index] = g
-        band = self.band.reshape(-1, order="F")
+    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_DenseKKT":
+        n = self.n
+        # the rows of G = A W are W times the rows of A
+        self.g = self.layout.scale(wbar, eta, self.a[:, :, None])[:, :, 0]
+        self.k[n:, :n], self.k[:n, n:] = self.g, self.g.T
         for attempt, shift in enumerate(_SHIFTS):
-            self.band[...] = self.base
-            band[self.g_slot] = g.reshape(-1)
-            band[self.diag_slot] += shift * self.shift_sign
-            self._band_solve = band_lu(self.band, self.half_band)
-            if self._band_solve is not None:
+            self._k_solve = dense_lu(self.k + np.diag(shift * self.shift_sign))
+            if self._k_solve is not None:
                 break
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
         self.reg_retries, self.refine_rounds = attempt, 0
         return self
 
-    # A x and A'y of each row, in the program's order
-    def a_rows(self, x: np.ndarray) -> np.ndarray:
-        return (self.a @ x.T).T
-
-    def at_rows(self, y: np.ndarray) -> np.ndarray:
-        return y @ self.a
-
-    # the shifted K's solution, and the unshifted K's product, of each row
-    def _lu_solve(self, r: np.ndarray) -> np.ndarray:
-        return self._band_solve(r.take(self.order, axis=1).T).T.take(self.place, axis=1)
-
-    def _k_mul(self, v: np.ndarray) -> np.ndarray:
-        n, nf = self.n, self.layout.n_free
-        out = np.empty_like(v)
-        out[:, n:] = (self.g @ v[:, :n].T).T
-        out[:, :n] = v[:, n:] @ self.g
-        out[:, nf:n] -= v[:, nf:n]
-        return out
-
     def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
         n = self.n
-        rhs = np.concatenate([(wr1 + dl)[..., 0].take(self.layout.unperm, axis=1), r2[0]], -1)
-        sol = self._lu_solve(rhs)
-        resid = rhs - self._k_mul(sol)
+        rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], -1)
+        sol = self._k_solve(rhs)
+        resid = rhs - sol @ self.k
         rnorm = np.max(np.abs(resid), axis=1)
         # each right-hand side refines while a round lowers its residual, and
         # returns its best iterate: against the shifted LU a round can
@@ -507,21 +428,21 @@ class _SparseKKT:
         live = rnorm > tol
         rounds = 0
         while rounds < _REFINEMENT_ROUNDS and live.any():
-            sol[live] += self._lu_solve(resid[live])
+            sol[live] += self._k_solve(resid[live])
             rounds += 1
-            resid = rhs - self._k_mul(sol)
+            resid = rhs - sol @ self.k
             new = np.max(np.abs(resid), axis=1)
             better = live & (new < rnorm)
             best[better] = sol[better]
             live = better & (new > tol)
             rnorm = np.where(better, new, rnorm)
         self.refine_rounds = max(self.refine_rounds, rounds)
-        dxs = best[:, :n].take(self.layout.perm, axis=1)
+        dxs = best[:, :n]
         return dxs[None], dxs[:, :, None], best[None, :, n:]
 
     def gty(self, dy: np.ndarray) -> np.ndarray:
         """G'dy, (n, 1)."""
-        return (dy @ self.g).take(self.layout.perm, axis=1).T
+        return (dy @ self.g).T
 
 
 class _ScaledQRKKT:
@@ -562,22 +483,91 @@ class _ScaledQRKKT:
         return _bmv(self.gt, dy).T
 
 
+class _StageKKT:
+    """A StageMatrix program's KKT system by elimination of its states onto
+    the scaled QR.  With D_j = diag[j], [L_j, C_j] = lower[j] and T_j =
+    -L_j D_j^-1, x_j's rows D_j'dy_j + L_j'dy_{j+1} = f_j give dy_j = P_j dy_m
+    + q_j, P_j = T_j' ... T_{m-1}', q_j = P_j sum_{i>=j} P_i^-1 D_i^-T f_i.
+    Weighting row block i by P_i' cancels every dx_j (P_j'D_j = -P_{j+1}'L_j)
+    and leaves the cone-only rows Abar = [P_{j+1}'C_j] on dy_m; row block i
+    then gives D_i dx_i = P_i^-T sum_{j<=i} P_j'(r_j - C_{j-1} W dxs_{j-1}).
+    P, D^-1 and Abar depend on A alone; a factorization is one QR of W Abar'."""
+
+    reg_retries = 0
+    refine_rounds = 0
+
+    def __init__(self, layout: _ConeLayout, a: StageMatrix):
+        m, s, w = a.lower.shape
+        dinv = np.linalg.inv(a.diag)
+        self.c = a.lower[:, :, s:]
+        # P_j = T_j' P_{j+1}, P_m = I, as suffix products in log2(m) rounds
+        p = np.concatenate([-(a.lower[:, :, :s] @ dinv).swapaxes(1, 2), np.eye(s)[None]])
+        step = 1
+        while step < m:
+            p[:-step] = p[:-step] @ p[step:]
+            step *= 2
+        pinv = np.linalg.inv(p[:m])
+        self.p, self.pt = p, p.swapaxes(1, 2)
+        self.fwd, self.back = pinv @ dinv.swapaxes(1, 2), dinv @ pinv.swapaxes(1, 2)
+        # Abar's rows with its columns in the solver's order, (s, m c, 1)
+        self.abar = (self.pt[1:] @ self.c).transpose(1, 2, 0).reshape(s, -1, 1)
+        self.cones = _ConeLayout(ConeSpec(0, (w - s,) * m))
+        (self.independent,), self.first = _rank_test(self.abar.transpose(2, 1, 0))
+        self.a, self.layout = a, layout
+
+    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_StageKKT":
+        # W = I at the first factorization: take over the rank test's QR
+        self.qr = _ScaledQRKKT(wbar, eta, self.abar, self.cones, self.first)
+        self.first, self.singular = None, self.qr.singular
+        self.wbar, self.eta = wbar, eta
+        return self
+
+    def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
+        m, s, c = self.c.shape
+        h = (wr1 + dl)[..., 0]
+        k = len(h)
+        r = r2[0].reshape(k, m + 1, s)
+        q = np.zeros((k, m + 1, s))
+        f = _bmv(self.fwd, h[:, :m * s].reshape(k, m, s))
+        q[:, :m] = _bmv(self.p[:m], np.cumsum(f[:, ::-1], axis=1)[:, ::-1])
+        # the cone rows less W C_j'q_{j+1}, in the solver's order, component by component
+        ctq = _bmv(self.c.swapaxes(1, 2), q[:, 1:]).transpose(0, 2, 1).reshape(k, -1, 1)
+        wr1 = h[:, m * s:, None] - self.cones.scale(self.wbar, self.eta, ctq)
+        _, dxs, dym = self.qr.solve(wr1, 0.0, np.sum(_bmv(self.pt, r), axis=1)[None])
+        dy = _bmv(self.p, dym[0, :, None]) + q
+        wdx = self.cones.scale(self.wbar, self.eta, dxs)[..., 0].reshape(k, c, m)
+        v = r[:, :m].copy()
+        v[:, 1:] -= _bmv(self.c[:-1], wdx[:, :, :-1].transpose(0, 2, 1))
+        dx = _bmv(self.back, np.cumsum(_bmv(self.pt[:m], v), axis=1))
+        dxs = np.concatenate([dx.reshape(k, -1), dxs[..., 0]], axis=1)
+        return dxs[None], dxs[:, :, None], dy.reshape(1, k, -1)
+
+    def gty(self, dy: np.ndarray) -> np.ndarray:
+        """G'dy = W A'dy, (n, 1)."""
+        return self.layout.scale(self.wbar, self.eta, (dy @ self.a)[:, self.layout.perm].T)
+
+
 # -- main solver ------------------------------------------------------------
+
+
+def _rank_test(gt: np.ndarray):
+    """Whether A's rows are independent, and the QR [G', Q, R] of (..., n, p)
+    G' = A' that tells: more rows than columns, or a pivot of R within
+    rounding of zero (as matrix_rank's tolerance), marks dependent rows."""
+    n, p = gt.shape[-2:]
+    q, r = np.linalg.qr(gt)
+    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
+    return (p <= n) & (np.min(pivots, axis=-1, initial=np.inf) > tol), [gt, q, r]
 
 
 def _scaled_qr_path(problem: ConicProblem):
     """Whether each program takes the scaled QR (cone-only, independent rows),
     and the family's first factorization [G', Q, R], or None.  W = I at the
-    start, so G' is A' in the solver's order; a pivot of R within rounding
-    of zero (as matrix_rank's tolerance) marks dependent rows."""
-    p, n = problem.A.shape[-2:]
-    if problem.cones.n_free or not problem.cones.n_cones or p > n:
+    start, so G' is A' in the solver's order."""
+    if problem.cones.n_free or not problem.cones.n_cones:
         return np.zeros(problem.A.shape[:-2], dtype=bool), None
-    gt = np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2)
-    q, r = np.linalg.qr(gt)
-    pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
-    return np.min(pivots, axis=-1, initial=np.inf) > tol, [gt, q, r]
+    return _rank_test(np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2))
 
 
 class _Active:
@@ -610,7 +600,7 @@ def _solve_batch(
     first: Optional[list],
 ) -> list[ConicSolution]:
     """The interior-point loop over a scaled-QR family with its first factorization,
-    or one band-LU program (first None); trace gets a family of one's records."""
+    or one other program (first None); trace gets a family of one's records."""
     st = settings or SolverSettings()
     scaled_qr = first is not None
     c, b = np.atleast_2d(problem.c), np.atleast_2d(problem.b)
@@ -618,7 +608,6 @@ def _solve_batch(
     layout = _ConeLayout(problem.cones)
     nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
     nu = problem.cones.n_cones + 1
-    kkt_path = "scaled_qr" if scaled_qr else "sparse_lu"
 
     t_start = time.perf_counter()
     s = _Active()
@@ -629,6 +618,7 @@ def _solve_batch(
     s.norm_b1, s.norm_c1 = 1.0 + _norm(s.b), 1.0 + _norm(s.c_prog)
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     if scaled_qr:
+        kkt_path = "scaled_qr"
         s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
         s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
 
@@ -638,8 +628,17 @@ def _solve_batch(
         def at_rows(y):
             return _bmv(s.at, y)
     else:
-        band = _SparseKKT(layout, problem.A)
-        a_rows, at_rows = band.a_rows, band.at_rows
+        # the stage elimination of a StageMatrix whose rows pass, else the dense LU
+        lone = _StageKKT(layout, problem.A) if isinstance(problem.A, StageMatrix) else None
+        kkt_path, lone = (("stage_qr", lone) if lone is not None and lone.independent
+                          else ("dense_lu", _DenseKKT(layout, np.asarray(problem.A))))
+
+        # A x and A'y of each row, in the program's order
+        def a_rows(x):
+            return (problem.A @ x.T).T
+
+        def at_rows(y):
+            return y @ problem.A
     # x, z, c and r_d stacked, variables x programs: one W product gives
     # lambda = W z, W c and W r_d, and one transposed copy the rows of x and z
     s.v = np.zeros((4, n, nb))
@@ -679,7 +678,7 @@ def _solve_batch(
         """The KKT factorization of the active programs, and which broke down."""
         try:
             kkt = (_ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout, start) if scaled_qr
-                   else band.factor(s.wbar, s.eta))
+                   else lone.factor(s.wbar, s.eta))
         except np.linalg.LinAlgError:
             # a breakdown with finite iterates returns the best effort
             return None, np.ones(s.ids.size, dtype=bool)
@@ -887,7 +886,7 @@ def solve_batch(
     Returns, in order, what solve returns for each program alone, except
     that solve_time is the family's wall time until the program stopped.
     The programs that take the scaled QR advance together in one loop;
-    each one that needs the band LU runs by itself.
+    each one that needs another KKT path runs by itself.
     """
     if problem.A.ndim != 3:
         raise ValueError("solve_batch takes a family: c, A and b with a program axis")

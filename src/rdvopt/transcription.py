@@ -11,7 +11,9 @@ closed-form transition matrices.  Two equivalent formulations are built:
   equalities of the discretized problem statement, each mapped to the
   final anomaly by Phi(thetaf, theta_{j+1}), so that the equality
   residuals sum to the plan's terminal miss.  Its A is a StageMatrix,
-  the O(m) stage blocks, which the solver's band LU reads in stage order.
+  the O(m) stage blocks, whose states the solver eliminates stage by
+  stage: the weighted row blocks telescope to the condensed row, so a
+  Newton step costs one QR of the condensed form's size.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales

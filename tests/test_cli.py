@@ -92,6 +92,29 @@ def test_unreadable_or_unwritable_path_is_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [["solve", "circle2circle", "--mesh", "3.5"], ["solve"]],
+                         ids=["non-integer-mesh", "no-scenario"])
+def test_malformed_command_line_is_input_error(capsys, args):
+    # exit 2 would read as a solve that missed optimality
+    with pytest.raises(SystemExit) as stop:
+        cli.main(args)
+    assert stop.value.code == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith("usage: rdvopt solve ")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("rdvopt solve: error: ")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, args):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(args)
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and not err
+
+
 class TestSolveCommand:
     def test_builtin_solve_document(self, c2c_doc_path):
         doc = json.loads(c2c_doc_path.read_text())

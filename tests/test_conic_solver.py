@@ -7,6 +7,7 @@ import pytest
 from rdvopt import ConeSpec, ConicProblem, SolverSettings, builtin, residuals, solve, solve_batch
 from rdvopt import conic_solver
 from rdvopt.postprocess import _three_node_grid
+from rdvopt.relative_dynamics import RelativeState
 from rdvopt.transcription import assemble_socp, build_grid
 
 
@@ -64,7 +65,7 @@ def _failing_factorization(*args):
 
 
 def _singular_factorization(*args):
-    return None  # band_lu's answer to an exactly singular pivot
+    return None  # dense_lu's answer to an exactly singular pivot
 
 
 class TestTrivialPrograms:
@@ -112,7 +113,7 @@ class TestTrivialPrograms:
         assert sol.objective == pytest.approx(value, abs=1e-8)
 
     def test_free_variables_with_a_consistent_dependent_row(self, rng):
-        # free variables take the band LU, whose diagonal shift is what keeps
+        # free variables take the dense LU, whose diagonal shift is what keeps
         # a dependent row's zero pivot off zero: the appended row changes
         # neither the status nor the objective
         for _ in range(20):
@@ -281,8 +282,11 @@ class TestSolverProperties:
         assert spec.dim == 8 and spec.soc_dims == (3, 3)
 
     def test_trace_names_the_kkt_path(self, rng):
-        for n_free, path in ((0, "scaled_qr"), (2, "sparse_lu")):
-            prob, *_ = make_kkt_certified_problem(rng, n_free=n_free)
+        scenario = builtin("atv")
+        programs = {"scaled_qr": make_kkt_certified_problem(rng, n_free=0)[0],
+                    "dense_lu": make_kkt_certified_problem(rng, n_free=2)[0],
+                    "stage_qr": assemble_socp(scenario, build_grid(scenario, 9), form="full")}
+        for path, prob in programs.items():
             records = []
             solve(prob, trace=records.append)
             steps = [r for r in records if "alpha" in r]
@@ -290,20 +294,20 @@ class TestSolverProperties:
             assert all(r["factor_s"] >= 0.0 and r["reg_retries"] == 0 for r in steps)
             rounds = [r["refine_rounds"] for r in steps]
             assert all(0 <= k <= conic_solver._REFINEMENT_ROUNDS for k in rounds)
-            if path == "scaled_qr":
+            if path != "dense_lu":
                 assert not any(rounds)
 
     def test_trace_counts_regularization_retries(self, rng, monkeypatch):
-        real_band_lu = conic_solver.band_lu
+        real_dense_lu = conic_solver.dense_lu
         calls = []
 
-        def band_lu_singular_once(band, half_band):
+        def dense_lu_singular_once(k):
             calls.append(1)
             if len(calls) == 1:
                 return None
-            return real_band_lu(band, half_band)
+            return real_dense_lu(k)
 
-        monkeypatch.setattr(conic_solver, "band_lu", band_lu_singular_once)
+        monkeypatch.setattr(conic_solver, "dense_lu", dense_lu_singular_once)
         prob, *_ = make_kkt_certified_problem(rng, n_free=2)
         records = []
         solve(prob, trace=records.append)
@@ -314,13 +318,13 @@ class TestSolverProperties:
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
         ("cone_boundary", "_jdot", lambda u, v: np.zeros(u.shape[:-2] + u.shape[-1:])),
         ("step_stall", "_max_step", lambda u, det_u, du, programs: 0.0),
-        pytest.param("kkt_breakdown", "band_lu", _singular_factorization,
-                     id="kkt_breakdown-band_lu"),
+        pytest.param("kkt_breakdown", "dense_lu", _singular_factorization,
+                     id="kkt_breakdown-dense_lu"),
     ])
     def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
         monkeypatch.setattr(conic_solver, name, fake)
-        if name == "band_lu":
-            # the sparse path: min sigma s.t. f = 0, v - f = 3 with f free
+        if name == "dense_lu":
+            # the dense path: min sigma s.t. f = 0, v - f = 3 with f free
             prob = ConicProblem(c=[0.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
                                 b=[0.0, 3.0], cones=ConeSpec(1, (2,)))
         else:
@@ -397,7 +401,7 @@ class TestSolveBatch:
         for dims in (None, None, None, None, [3] * 5):
             family = self._family(rng, 8, dims=dims, min_rows=3)
             family.append(_infeasible_like(rng, family[0]))
-            # dependent rows: this member needs the sparse LU and runs alone
+            # dependent rows: this member needs the dense LU and runs alone
             dep = family[1]
             a = dep.A.copy()
             a[-1] = a[0] + a[1]
@@ -644,15 +648,17 @@ class TestScaledQRKKT:
     def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
         built = []
 
-        class CountingSparseKKT(conic_solver._SparseKKT):
+        class CountingDenseKKT(conic_solver._DenseKKT):
             def __init__(self, *args):
                 built.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(conic_solver, "_SparseKKT", CountingSparseKKT)
+        monkeypatch.setattr(conic_solver, "_DenseKKT", CountingDenseKKT)
         scenario = builtin("circle2circle")
         programs = [make_kkt_certified_problem(rng, n_free=0)[0] for _ in range(10)]
-        programs.append(assemble_socp(scenario, build_grid(scenario, 33)))
+        # the full form's free states are eliminated onto the scaled QR
+        programs += [assemble_socp(scenario, build_grid(scenario, 33), form=form)
+                     for form in ("condensed", "full")]
         for prob in programs:
             solve(prob)
         assert not built
@@ -670,12 +676,14 @@ class TestScaledQRKKT:
 
 
 class TestSparseKKT:
+    """The dense LU's KKT system, which programs outside the scaled QR and
+    the stage elimination take; the name keeps these tests' ids."""
+
     @staticmethod
     def _check(rng, prob):
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
         a = prob.A[:, layout.perm]
-        # the band LU takes A in the program's order
-        kkt = conic_solver._SparseKKT(layout, prob.A).factor(*nt)
+        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
         k = _scaled_kkt(a, layout, nt, nt_inv)
         n = prob.c.size
         # K is singular with dependent rows, or with a free direction in the
@@ -721,13 +729,13 @@ class TestSparseKKT:
         # returns the iterate of the smallest residual
         prob, *_ = make_kkt_certified_problem(rng, n_free=2, strict=True)
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._SparseKKT(layout, prob.A).factor(*nt)
-        real, seen = kkt._band_solve, []
+        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
+        real, seen = kkt._k_solve, []
 
         def worse_later(r):
             seen.append(np.max(np.abs(r)))
             return real(r) * (1.0 + 1e-6, 0.5, -10.0)[min(len(seen), 3) - 1]
-        kkt._band_solve = worse_later
+        kkt._k_solve = worse_later
         n = prob.c.size
         r1, r2 = rng.normal(size=(1, n, 1)), rng.normal(size=(1, 1, prob.b.size))
         _, dxs, dy = kkt.solve(r1, np.zeros((1, n, 1)), r2)
@@ -742,35 +750,72 @@ class TestSparseKKT:
         # the first factorization shifts K's diagonal by a rounding; each
         # exactly singular pivot retries at 1e-10 + 1e-8, then + 1e-6.  The
         # row block's diagonal holds the shift alone
-        real, shifts = conic_solver.band_lu, []
+        real, shifts = conic_solver.dense_lu, []
 
-        def singular_twice(band, half_band):
-            shifts.append(band[2 * half_band, n:].copy())
-            return None if len(shifts) <= 2 else real(band, half_band)
+        def singular_twice(k):
+            shifts.append(np.diagonal(k)[n:].copy())
+            return None if len(shifts) <= 2 else real(k)
 
-        monkeypatch.setattr(conic_solver, "band_lu", singular_twice)
+        monkeypatch.setattr(conic_solver, "dense_lu", singular_twice)
         prob, *_ = make_kkt_certified_problem(rng, n_free=2)
         n = prob.c.size
         layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._SparseKKT(layout, prob.A).factor(*nt)
+        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
         assert kkt.reg_retries == 2
         first, retry, last = shifts
         assert np.all(first == np.finfo(float).eps)
         assert retry == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8), rel=1e-12)
         assert last == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8 + 1e-6), rel=1e-12)
 
-    def test_band_slot_map_built_once_per_solve(self, monkeypatch):
-        # each factorization writes its values into the solve's band slots
+
+class TestStageKKT:
+    @staticmethod
+    def _full(planar, m):
+        scenario = replace(builtin("atv"), planar=planar)
+        return assemble_socp(scenario, build_grid(scenario, m), form="full")
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    def test_matches_the_dense_lu_on_random_interior_scalings(self, rng, planar):
+        # at NT scalings of random interior points the step solves the scaled
+        # K to a backward error of rounding, so it agrees with the dense LU
+        # within K's condition number (3e10 at M=2); W'dy agrees to rounding
+        for m in (2, 9, 33):
+            prob = self._full(planar, m)
+            n, p = prob.A.shape[1], prob.A.shape[0]
+            for _ in range(3):
+                layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
+                stage = conic_solver._StageKKT(layout, prob.A)
+                # the path test's QR serves W = I only
+                stage.first = None
+                stage.factor(*nt)
+                dense = conic_solver._DenseKKT(layout, np.asarray(prob.A)).factor(*nt)
+                wr1, dl = rng.normal(size=(2, 2, n, 1))
+                r2 = rng.normal(size=(1, 2, p))
+                got, want = stage.solve(wr1, dl, r2), dense.solve(wr1, dl, r2)
+                assert [v.shape for v in got] == [v.shape for v in want]
+                assert np.array_equal(got[0], got[1].transpose(2, 0, 1))
+                x, ref = (np.concatenate([v[1][..., 0], v[2][0]], axis=1) for v in (got, want))
+                rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], axis=1)
+                k = dense.k
+                backward = np.linalg.norm(rhs - x @ k, axis=1) / (
+                    np.linalg.norm(k, 2) * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
+                assert np.all(backward <= 1e-14)
+                assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.cond(k) * np.linalg.norm(ref)
+                dy = rng.normal(size=(1, p))
+                gty = dense.gty(dy)
+                assert np.linalg.norm(stage.gty(dy) - gty) <= 1e-12 * np.linalg.norm(gty)
+
+    def test_built_once_per_solve(self, monkeypatch):
+        # each factorization is one QR of the solve's eliminated rows
         built = []
 
-        class CountingBand(conic_solver._SparseKKT):
+        class CountingStage(conic_solver._StageKKT):
             def __init__(self, *args):
                 built.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(conic_solver, "_SparseKKT", CountingBand)
-        scenario = builtin("atv")
-        prob = assemble_socp(scenario, build_grid(scenario, 33), form="full")
+        monkeypatch.setattr(conic_solver, "_StageKKT", CountingStage)
+        prob = self._full(True, 33)
         counts = []
         for cap in (3, 10):
             built.clear()
@@ -778,33 +823,51 @@ class TestSparseKKT:
             counts.append(len(built))
         assert counts == [1, 1]
 
-    def test_band_storage_allocated_once_per_solve(self, monkeypatch):
-        # each factorization scatters its values into the solve's band storage
-        real, buffers = conic_solver.band_lu, []
-
-        def recording(band, half_band):
-            buffers.append(band.__array_interface__["data"][0])
-            return real(band, half_band)
-
-        monkeypatch.setattr(conic_solver, "band_lu", recording)
-        scenario = builtin("atv")
-        prob = assemble_socp(scenario, build_grid(scenario, 33), form="full")
-        for cap in (3, 10):
-            buffers.clear()
-            assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
-            assert len(buffers) == cap and len(set(buffers)) == 1
-
-    @pytest.mark.parametrize("planar, half_band", [(True, 9), (False, 13)], ids=["planar", "3d"])
-    def test_half_bandwidth_does_not_grow_with_the_grid(self, planar, half_band):
-        # the stage order keeps the full form's K in a band whose width does
-        # not depend on M, so a factorization costs O(M)
-        scenario = replace(builtin("atv"), planar=planar)
-        widths = []
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    def test_holds_only_o_m_arrays(self, planar):
+        # the elimination's arrays and its QR take a fixed size per stage
+        # whatever the grid: no array grows with the square of M
+        per_stage = []
         for m in (33, 1025):
-            prob = assemble_socp(scenario, build_grid(scenario, m), form="full")
-            widths.append(conic_solver._SparseKKT(conic_solver._ConeLayout(prob.cones),
-                                                  prob.A).half_band)
-        assert widths == [half_band, half_band]
+            prob = self._full(planar, m)
+            layout = conic_solver._ConeLayout(prob.cones)
+            kkt = conic_solver._StageKKT(layout, prob.A)
+            kkt.factor(*_scaled_point(np.random.default_rng(m), prob.cones)[3])
+            arrays = [v for obj in (kkt, kkt.qr) for v in vars(obj).values()
+                      if isinstance(v, np.ndarray)]
+            per_stage.append(sum(v.nbytes for v in arrays) / m)
+        assert per_stage[1] <= 1.1 * per_stage[0]
+
+    def test_cones_must_match_the_stages(self):
+        # the elimination reads stage j's free x_j and cone j off the blocks
+        prob = self._full(True, 9)
+        assert (prob.cones.n_free, prob.cones.soc_dims) == (36, (3,) * 9)
+        with pytest.raises(ValueError, match="StageMatrix of 9 stages needs 36 free"):
+            ConicProblem(prob.c, prob.A, prob.b, ConeSpec(39, (3,) * 8))
+
+    @pytest.mark.parametrize("out_of_plane, status, objective", [
+        ((2e-4, 1e-4), "primal_infeasible", 2.0 / 3.0),
+        ((0.0, 0.0), "optimal", 5.0e-4),
+    ], ids=["infeasible", "optimal"])
+    def test_dependent_eliminated_rows_take_the_dense_lu(self, out_of_plane, status, objective):
+        # half a period in 3-D: both impulses leave the final out-of-plane
+        # position alone, so that row of Abar (and of the condensed A) is
+        # zero, and both forms take the dense LU and agree
+        c2c = builtin("circle2circle")
+        scenario = replace(c2c, planar=False, thetaf=c2c.theta0 + np.pi,
+                           x0=RelativeState(r=[1e-3, out_of_plane[0], 0.0],
+                                            v=[0.0, out_of_plane[1], 0.0]))
+        sols = {}
+        for form in ("condensed", "full"):
+            records = []
+            sols[form] = solve(assemble_socp(scenario, build_grid(scenario, 2), form=form),
+                               trace=records.append)
+            assert {r["kkt"] for r in records if "kkt" in r} == {"dense_lu"}
+        condensed, full = sols["condensed"], sols["full"]
+        assert (full.status, full.iterations) == (condensed.status, condensed.iterations)
+        assert full.status == status
+        assert full.objective == pytest.approx(objective, rel=1e-6)
+        assert full.objective == pytest.approx(condensed.objective, rel=1e-12)
 
 
 # IPM iterations of the built-in scenarios, as measured on the solver
@@ -830,25 +893,21 @@ class TestIterationGuards:
             sol = solve(assemble_socp(scenario, build_grid(scenario, m), form=form))
             assert (sol.status, sol.iterations) == ("optimal", iterations), name
 
-    def test_band_solves_per_iteration(self, monkeypatch):
-        # the full form's KKT solves: the first solve of each right-hand side
-        # and its refinement rounds, counted over atv at M=65
-        real, calls = conic_solver.band_lu, []
+    def test_one_qr_per_iteration(self, monkeypatch):
+        # the full form's factorizations, counted over atv at M=65: the path
+        # test's QR serves the first iteration, one QR of W Abar' each other
+        real, calls = np.linalg.qr, []
 
-        def counting(band, half_band):
-            solve_band = real(band, half_band)
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
 
-            def counted(r):
-                calls.append(1)
-                return solve_band(r)
-            return counted
-
-        monkeypatch.setattr(conic_solver, "band_lu", counting)
+        monkeypatch.setattr(np.linalg, "qr", counting)
         scenario = builtin("atv")
         sol = solve(assemble_socp(scenario, build_grid(scenario, 65), form="full"))
-        # 22 in 11 iterations: two Newton solves each, none refined
         assert (sol.status, sol.iterations) == ("optimal", 11)
-        assert len(calls) / sol.iterations <= 2.1
+        # the condensed form's size: (programs, m c, s) = (1, 65 * 3, 4)
+        assert calls == [(1, 195, 4)] * 11
 
     @pytest.mark.parametrize("m", [3, 513])
     def test_python_calls_per_iteration(self, m):

@@ -1,4 +1,4 @@
-"""The condensed pipeline runs on numpy alone; the band LU loads scipy's LAPACK only.
+"""Both pipelines, the condensed and the full form, run on numpy alone.
 
 Other test modules import scipy, so the check runs in a fresh interpreter.
 """
@@ -18,25 +18,20 @@ import contextlib, io, json, os, sys
 
 from rdvopt import builtin, cli, inner_node_search, plan_rendezvous
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-
 scenario = builtin("circle2circle")
 condensed = plan_rendezvous(scenario, mesh_m=33)
 search = inner_node_search(scenario, resolution=10)
-doc = os.path.join(sys.argv[1], "plan.json")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["solve", "circle2circle", "--mesh", "33", "--out", doc]),
-             cli.main(["validate", doc, "circle2circle"])]
-condensed_only = scipy_modules()
 full = plan_rendezvous(scenario, mesh_m=33, form="full")
+docs = [os.path.join(sys.argv[1], name) for name in ("plan.json", "full.json")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["solve", "circle2circle", "--mesh", "33", "--out", docs[0]]),
+             cli.main(["solve", "atv", "--mesh", "33", "--form", "full", "--out", docs[1]]),
+             cli.main(["validate", docs[0], "circle2circle"]),
+             cli.main(["validate", docs[1], "atv"])]
 print(json.dumps({
     "statuses": [condensed.solution.status, search.status, full.solution.status],
     "cli_codes": codes,
-    "condensed_only": condensed_only,
-    "after_full": scipy_modules(),
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "totals": [condensed.plan.total_dv, full.plan.total_dv],
 }))
 """
@@ -50,11 +45,8 @@ def test_condensed_pipeline_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     run = json.loads(proc.stdout)
     assert run["statuses"] == ["optimal"] * 3
-    assert run["cli_codes"] == [0, 0]
-    assert run["condensed_only"] == []
-    # the full form takes the band LU, which imports LAPACK where it is
-    # first factored; its stage order and K's products need no scipy.sparse
-    assert "scipy.linalg.lapack" in run["after_full"]
-    assert not {"scipy.sparse", "scipy.sparse.csgraph"} & set(run["after_full"])
+    assert run["cli_codes"] == [0, 0, 0, 0]
+    # the full form's Newton steps eliminate its states onto numpy's QR
+    assert run["scipy"] == []
     condensed, full = run["totals"]
     assert abs(full - condensed) <= 1e-8 * condensed
