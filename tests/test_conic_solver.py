@@ -677,7 +677,8 @@ class TestScaledQRKKT:
 
 class TestSparseKKT:
     """The dense LU's KKT system, which programs outside the scaled QR and
-    the stage elimination take; the name keeps these tests' ids."""
+    the stage elimination take, and the full form's once-per-solve set-up;
+    the name keeps these tests' ids."""
 
     @staticmethod
     def _check(rng, prob):
@@ -767,6 +768,47 @@ class TestSparseKKT:
         assert retry == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8), rel=1e-12)
         assert last == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8 + 1e-6), rel=1e-12)
 
+    @staticmethod
+    def _full(m):
+        scenario = builtin("atv")
+        return assemble_socp(scenario, build_grid(scenario, m), form="full")
+
+    def test_band_slot_map_built_once_per_solve(self, monkeypatch):
+        # the stage elimination (P, D^-1, Abar), which depends on A alone, is
+        # built once per solve; each factorization is one QR of its rows
+        built = []
+
+        class CountingStage(conic_solver._StageKKT):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(conic_solver, "_StageKKT", CountingStage)
+        prob = self._full(33)
+        counts = []
+        for cap in (3, 10):
+            built.clear()
+            assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
+            counts.append(len(built))
+        assert counts == [1, 1]
+
+    def test_band_storage_allocated_once_per_solve(self, monkeypatch):
+        # every factorization of a solve reads the same arrays of the stage
+        # elimination: none is rebuilt or copied per iteration
+        real, buffers = conic_solver._StageKKT.factor, []
+
+        def recording(self, wbar, eta):
+            buffers.append(tuple(v.__array_interface__["data"][0]
+                                 for v in (self.p, self.fwd, self.back, self.abar, self.c)))
+            return real(self, wbar, eta)
+
+        monkeypatch.setattr(conic_solver._StageKKT, "factor", recording)
+        prob = self._full(33)
+        for cap in (3, 10):
+            buffers.clear()
+            assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
+            assert len(buffers) == cap and len(set(buffers)) == 1
+
 
 class TestStageKKT:
     @staticmethod
@@ -804,24 +846,6 @@ class TestStageKKT:
                 dy = rng.normal(size=(1, p))
                 gty = dense.gty(dy)
                 assert np.linalg.norm(stage.gty(dy) - gty) <= 1e-12 * np.linalg.norm(gty)
-
-    def test_built_once_per_solve(self, monkeypatch):
-        # each factorization is one QR of the solve's eliminated rows
-        built = []
-
-        class CountingStage(conic_solver._StageKKT):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(conic_solver, "_StageKKT", CountingStage)
-        prob = self._full(True, 33)
-        counts = []
-        for cap in (3, 10):
-            built.clear()
-            assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
-            counts.append(len(built))
-        assert counts == [1, 1]
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_holds_only_o_m_arrays(self, planar):
