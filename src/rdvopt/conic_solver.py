@@ -18,15 +18,16 @@ Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.
 Cone-only programs with independent rows take a thin QR of G' = W A',
 linear in the number of cones, and solve with it without refinement;
 W = I at the start, so the path test factors the first iteration's
-G' = A' and reads dependent rows off its R.  A StageMatrix A (the full
-form) takes the same QR, under the same test, once its states are
-eliminated stage by stage (_StageKKT) to cone-only rows of the condensed
-form's shape.  Any other program with free variables or dependent rows
-(only tests build them) takes numpy's dense LU of the scaled KKT matrix
-K = [[-E, G'], [G, 0]], E the identity on the cones, its diagonal shifted
-by a rounding; refinement runs only on a residual that misses its
-tolerance, and an exactly singular pivot refactors K under the next,
-larger shift (_SHIFTS).  The solver needs numpy alone.
+G' = A' and reads dependent rows off its R.  A StageMatrix program (the
+full form) is presolved once: its states are eliminated to a cone-only
+program of the condensed form's shape, which takes the same QR under the
+same test, and restored after the loop (_StageElimination).  Any other
+program with free variables or dependent rows (only tests build them)
+takes numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]],
+E the identity on the cones, its diagonal shifted by a rounding;
+refinement runs only on a residual that misses its tolerance, and an
+exactly singular pivot refactors K under the next, larger shift
+(_SHIFTS).  The solver needs numpy alone.
 
 One loop serves a scaled-QR family (c, A and b with a leading program
 axis), stored variables x programs so the cone algebra makes one pass
@@ -102,7 +103,10 @@ class StageMatrix:
     ..., x_{m-1}, cone 0, ..., cone m-1), and of the m + 1 row blocks of d,
     block j holds diag[j] (d, d) on x_j and block j + 1 lower[j] (d, w) on
     (x_j, cone j).  A @ v (a vector or (n, k) columns) and v @ A (a vector
-    or (k, p) rows) are batched block products; np.asarray(A) is dense."""
+    or (k, p) rows) are batched block products; np.asarray(A) is dense.
+    The state blocks telescope exactly, else ValueError: lower[j]'s block on
+    x_j is -diag[j] bit for bit, but both blocks of x_{m-1} are I, so block
+    m less all the others cancels every x_j in floating point."""
 
     diag: np.ndarray
     lower: np.ndarray
@@ -112,6 +116,10 @@ class StageMatrix:
 
     def __post_init__(self):
         m, d, w = self.lower.shape
+        sign = np.r_[-np.ones(m - 1), 1.0][:, None, None]
+        if np.any(self.lower[:, :, :d] != sign * self.diag) or np.any(self.diag[-1] != np.eye(d)):
+            raise ValueError("the state blocks of a StageMatrix must telescope: lower[j]'s "
+                             "block on x_j is -diag[j], and the last state's blocks are I")
         j, k = np.arange(m)[:, None], np.arange(w)
         # x's index of each stage's variables, (m, w): x_j, then cone j
         cols = np.where(k < d, d * j + k, m * d + (w - d) * j + k - d)
@@ -178,6 +186,8 @@ class ConicProblem:
             if (self.cones.n_free, self.cones.soc_dims) != (m * d, (w - d,) * m):
                 raise ValueError(f"a StageMatrix of {m} stages needs {m * d} free variables "
                                  f"and {m} cones of dimension {w - d}, got {self.cones}")
+            if np.any(c[:m * d]):
+                raise ValueError("the states of a StageMatrix program carry no cost")
         for name, value in (("c", c), ("A", a), ("b", b)):
             object.__setattr__(self, name, value)
 
@@ -483,68 +493,41 @@ class _ScaledQRKKT:
         return _bmv(self.gt, dy).T
 
 
-class _StageKKT:
-    """A StageMatrix program's KKT system by elimination of its states onto
-    the scaled QR.  With D_j = diag[j], [L_j, C_j] = lower[j] and T_j =
-    -L_j D_j^-1, x_j's rows D_j'dy_j + L_j'dy_{j+1} = f_j give dy_j = P_j dy_m
-    + q_j, P_j = T_j' ... T_{m-1}', q_j = P_j sum_{i>=j} P_i^-1 D_i^-T f_i.
-    Weighting row block i by P_i' cancels every dx_j (P_j'D_j = -P_{j+1}'L_j)
-    and leaves the cone-only rows Abar = [P_{j+1}'C_j] on dy_m; row block i
-    then gives D_i dx_i = P_i^-T sum_{j<=i} P_j'(r_j - C_{j-1} W dxs_{j-1}).
-    P, D^-1 and Abar depend on A alone; a factorization is one QR of W Abar'."""
+class _StageElimination:
+    """The presolve of a StageMatrix program, built once per solve.  With
+    D_j = diag[j] and C_j lower[j]'s block on cone j, row block m less the
+    blocks before it cancels every state x_j exactly (the blocks telescope)
+    and leaves the cone-only program `reduced`: c's cone part, Abar = [-C_0,
+    ..., -C_{m-2}, C_{m-1}] and bbar = b_m - sum_{i<m} b_i.  lift maps its
+    answer back: D_j x_j = sum_{i<=j} b_i - sum_{i<j} C_i xc_i from row
+    blocks 0..j, and y = (-ybar, ..., -ybar, ybar), whose A'y is zero on the
+    states and Abar'ybar on the cones."""
 
-    reg_retries = 0
-    refine_rounds = 0
+    def __init__(self, problem: ConicProblem):
+        a = problem.A
+        m, s, _ = a.lower.shape
+        self.problem, self.diag, self.c = problem, a.diag, a.lower[:, :, s:]
+        abar = np.concatenate([-self.c[:-1], self.c[-1:]]).transpose(1, 0, 2).reshape(s, -1)
+        self.reduced = ConicProblem(problem.c[m * s:], abar, self.telescope(problem.b),
+                                    ConeSpec(0, problem.cones.soc_dims))
 
-    def __init__(self, layout: _ConeLayout, a: StageMatrix):
-        m, s, w = a.lower.shape
-        dinv = np.linalg.inv(a.diag)
-        self.c = a.lower[:, :, s:]
-        # P_j = T_j' P_{j+1}, P_m = I, as suffix products in log2(m) rounds
-        p = np.concatenate([-(a.lower[:, :, :s] @ dinv).swapaxes(1, 2), np.eye(s)[None]])
-        step = 1
-        while step < m:
-            p[:-step] = p[:-step] @ p[step:]
-            step *= 2
-        pinv = np.linalg.inv(p[:m])
-        self.p, self.pt = p, p.swapaxes(1, 2)
-        self.fwd, self.back = pinv @ dinv.swapaxes(1, 2), dinv @ pinv.swapaxes(1, 2)
-        # Abar's rows with its columns in the solver's order, (s, m c, 1)
-        self.abar = (self.pt[1:] @ self.c).transpose(1, 2, 0).reshape(s, -1, 1)
-        self.cones = _ConeLayout(ConeSpec(0, (w - s,) * m))
-        (self.independent,), self.first = _rank_test(self.abar.transpose(2, 1, 0))
-        self.a, self.layout = a, layout
+    def telescope(self, r: np.ndarray) -> np.ndarray:
+        """Row block m less the blocks before it, of (..., p) rows."""
+        r = r.reshape(r.shape[:-1] + (-1, self.c.shape[1]))
+        return r[..., -1, :] - np.sum(r[..., :-1, :], axis=-2)
 
-    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_StageKKT":
-        # W = I at the first factorization: take over the rank test's QR
-        self.qr = _ScaledQRKKT(wbar, eta, self.abar, self.cones, self.first)
-        self.first, self.singular = None, self.qr.singular
-        self.wbar, self.eta = wbar, eta
-        return self
-
-    def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
+    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, b: np.ndarray):
+        """The program's (k, n) x and z and (k, p) y from rows x, y and z of
+        the reduced program, the states solving row blocks 0..m-1 with
+        right-hand sides b (k, p)."""
+        k = len(x)
         m, s, c = self.c.shape
-        h = (wr1 + dl)[..., 0]
-        k = len(h)
-        r = r2[0].reshape(k, m + 1, s)
-        q = np.zeros((k, m + 1, s))
-        f = _bmv(self.fwd, h[:, :m * s].reshape(k, m, s))
-        q[:, :m] = _bmv(self.p[:m], np.cumsum(f[:, ::-1], axis=1)[:, ::-1])
-        # the cone rows less W C_j'q_{j+1}, in the solver's order, component by component
-        ctq = _bmv(self.c.swapaxes(1, 2), q[:, 1:]).transpose(0, 2, 1).reshape(k, -1, 1)
-        wr1 = h[:, m * s:, None] - self.cones.scale(self.wbar, self.eta, ctq)
-        _, dxs, dym = self.qr.solve(wr1, 0.0, np.sum(_bmv(self.pt, r), axis=1)[None])
-        dy = _bmv(self.p, dym[0, :, None]) + q
-        wdx = self.cones.scale(self.wbar, self.eta, dxs)[..., 0].reshape(k, c, m)
-        v = r[:, :m].copy()
-        v[:, 1:] -= _bmv(self.c[:-1], wdx[:, :, :-1].transpose(0, 2, 1))
-        dx = _bmv(self.back, np.cumsum(_bmv(self.pt[:m], v), axis=1))
-        dxs = np.concatenate([dx.reshape(k, -1), dxs[..., 0]], axis=1)
-        return dxs[None], dxs[:, :, None], dy.reshape(1, k, -1)
-
-    def gty(self, dy: np.ndarray) -> np.ndarray:
-        """G'dy = W A'dy, (n, 1)."""
-        return self.layout.scale(self.wbar, self.eta, (dy @ self.a)[:, self.layout.perm].T)
+        sums = np.cumsum(b.reshape(k, m + 1, s)[:, :-1], axis=1)
+        sums[:, 1:] -= np.cumsum(_bmv(self.c[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
+        states = np.linalg.solve(self.diag, sums[..., None])[..., 0]
+        return (np.concatenate([states.reshape(k, -1), x], axis=1),
+                np.concatenate([np.tile(-y, m), y], axis=1),
+                np.concatenate([np.zeros((k, m * s)), z], axis=1))
 
 
 # -- main solver ------------------------------------------------------------
@@ -598,9 +581,13 @@ def _solve_batch(
     settings: SolverSettings | None,
     trace: Optional[Callable[[dict], None]],
     first: Optional[list],
+    stages: Optional[_StageElimination] = None,
 ) -> list[ConicSolution]:
     """The interior-point loop over a scaled-QR family with its first factorization,
-    or one other program (first None); trace gets a family of one's records."""
+    or one other program (first None); trace gets a family of one's records.
+    With stages, the family is its reduced program alone, whose loop stops on
+    the StageMatrix program's norms and whose answer is lifted to that
+    program, with residuals() of what it returns."""
     st = settings or SolverSettings()
     scaled_qr = first is not None
     c, b = np.atleast_2d(problem.c), np.atleast_2d(problem.b)
@@ -615,10 +602,13 @@ def _solve_batch(
     # A x and c'x add in the program's order, as residuals() does, each row
     # contiguous so that its products add alike in any batch
     s.b, s.c_prog = b, c
-    s.norm_b1, s.norm_c1 = 1.0 + _norm(s.b), 1.0 + _norm(s.c_prog)
+    # the reduced program's residuals are its StageMatrix program's, and so
+    # are relative to that program's b and c
+    normed = problem if stages is None else stages.problem
+    s.norm_b1, s.norm_c1 = (1.0 + _norm(np.atleast_2d(v)) for v in (normed.b, normed.c))
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     if scaled_qr:
-        kkt_path = "scaled_qr"
+        kkt_path = "scaled_qr" if stages is None else "stage_qr"
         s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
         s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
 
@@ -628,10 +618,7 @@ def _solve_batch(
         def at_rows(y):
             return _bmv(s.at, y)
     else:
-        # the stage elimination of a StageMatrix whose rows pass, else the dense LU
-        lone = _StageKKT(layout, problem.A) if isinstance(problem.A, StageMatrix) else None
-        kkt_path, lone = (("stage_qr", lone) if lone is not None and lone.independent
-                          else ("dense_lu", _DenseKKT(layout, np.asarray(problem.A))))
+        kkt_path, lone = "dense_lu", _DenseKKT(layout, np.asarray(problem.A))
 
         # A x and A'y of each row, in the program's order
         def a_rows(x):
@@ -659,13 +646,16 @@ def _solve_batch(
         x = s.x_prog[stopped] / sk
         y = s.y[stopped] / sk
         z = s.v[1][:, stopped].T.take(unperm, axis=-1) / sk
+        objectives = _dot(s.c_prog[stopped], x).tolist()
+        res = [Residuals(*v) for v in zip(s.pres[stopped].tolist(), s.dres[stopped].tolist(),
+                                          s.gap[stopped].tolist())]
+        if stages is not None:
+            # a solution's states solve A x = b, a certificate's A x = 0
+            x, y, z = stages.lift(x, y, z, stages.problem.b[None] * (scale is None))
+            res = [residuals(stages.problem, *v) for v in zip(x, y, z)]
         solve_time = time.perf_counter() - t_start
-        rows = zip(s.ids[stopped].tolist(), x, y, z, s.pres[stopped].tolist(),
-                   s.dres[stopped].tolist(), s.gap[stopped].tolist(),
-                   _dot(s.c_prog[stopped], x).tolist())
-        for i, xk, yk, zk, primal, dual, gap, objective in rows:
-            res = Residuals(primal=primal, dual=dual, gap=gap)
-            out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, residuals=res,
+        for i, xk, yk, zk, rk, objective in zip(s.ids[stopped].tolist(), x, y, z, res, objectives):
+            out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, residuals=rk,
                                    iterations=it, solve_time=solve_time, objective=objective)
 
     def stop(stopped, reason):
@@ -870,11 +860,14 @@ def solve(
     given, receives the iteration records as dicts (fields in README.md).
     """
     _single(problem, "solve")
-    qr, first = _scaled_qr_path(problem)
-    if qr:
-        problem = ConicProblem(problem.c[None], problem.A[None], problem.b[None], problem.cones)
-    first = [v[None] for v in first] if qr else None
-    return _solve_batch(problem, settings, trace, first)[0]
+    stages = _StageElimination(problem) if isinstance(problem.A, StageMatrix) else None
+    loop = problem if stages is None else stages.reduced
+    loop = ConicProblem(loop.c[None], loop.A[None], loop.b[None], loop.cones)
+    (qr,), first = _scaled_qr_path(loop)
+    if not qr:
+        # free variables or dependent rows: the dense LU of the program's own K
+        return _solve_batch(problem, settings, trace, None)[0]
+    return _solve_batch(loop, settings, trace, first, stages)[0]
 
 
 def solve_batch(

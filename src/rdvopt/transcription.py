@@ -9,11 +9,13 @@ closed-form transition matrices.  Two equivalent formulations are built:
   and one terminal equality block.
 * full: one free state vector per node plus the node-to-node defect
   equalities of the discretized problem statement, each mapped to the
-  final anomaly by Phi(thetaf, theta_{j+1}), so that the equality
-  residuals sum to the plan's terminal miss.  Its A is a StageMatrix,
-  the O(m) stage blocks, whose states the solver eliminates stage by
-  stage: the weighted row blocks telescope to the condensed row, so a
-  Newton step costs one QR of the condensed form's size.
+  final anomaly, so that the equality residuals sum to the plan's
+  terminal miss.  Its A is a StageMatrix, the O(m) stage blocks, in
+  which both blocks of state x_j hold one array, the chained product
+  Phi(thetaf, theta_{j+1}) Phi(theta_{j+1}, theta_j) (I for the last
+  state): the row blocks telescope exactly to the condensed row, so the
+  solver eliminates the states once per solve, iterates on a program of
+  the condensed form's size and restores the states after.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales
@@ -233,18 +235,22 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         amat[..., dv_idx] = (phif @ bmat).swapaxes(-3, -2)
         bvec = xvf - phif[..., 0, :, :] @ xv0
     else:
-        # The stage blocks, every row block but the terminal one stated at thetaf:
-        #   row block 0:   Phi_f0 x_0 = Phi_f0 x0
-        #   row block j+1: Phi_f,j+1 (x_{j+1} - Phi_j x_j - Phi_j B dv_j) = 0
-        # so the terminal block minus all others is the condensed row, and
-        # the residual the solver bounds is the terminal miss of the plan
-        # rather than one that grows through Phi(thetaf, theta_j).
-        phis = phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1])
+        # The stage blocks, every row block but the terminal one stated at
+        # thetaf through D_j = Phi_f,j+1 Phi_j (D_{m-1} = I), the one array
+        # both blocks of x_j hold:
+        #   row block 0:   D_0 x_0 = D_0 x0
+        #   row block j+1: D_{j+1} x_{j+1} - D_j x_j - D_j B dv_j = 0
+        #   row block m:   x_{m-1} + B dv_{m-1} = xf
+        # so the terminal block minus all others cancels every state exactly
+        # and leaves the condensed row: the residual the solver bounds is the
+        # plan's terminal miss, not one that grows through Phi(thetaf, theta_j).
+        phis = np.concatenate([phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1]),
+                               np.eye(d)[None]])
+        sign = np.r_[-np.ones(m - 1), 1.0][:, None, None]
         lower = np.zeros((m, d, d + cone))
-        lower[:, :, :d] = np.concatenate([-phis, np.eye(d)[None]])
-        lower[:, :, d + 1:] = np.concatenate([-(phis @ bmat), bmat[None]])
-        amat = StageMatrix(diag=phif, lower=lower)
-        bvec = np.concatenate([phif[0] @ xv0, np.zeros(d * (m - 1)), xvf])
+        lower[:, :, :d], lower[:, :, d + 1:] = sign * phis, sign * (phis @ bmat)
+        amat = StageMatrix(diag=phis, lower=lower)
+        bvec = np.concatenate([phis[0] @ xv0, np.zeros(d * (m - 1)), xvf])
 
     var_map = {
         "form": form,

@@ -774,43 +774,52 @@ class TestSparseKKT:
         return assemble_socp(scenario, build_grid(scenario, m), form="full")
 
     def test_band_slot_map_built_once_per_solve(self, monkeypatch):
-        # the stage elimination (P, D^-1, Abar), which depends on A alone, is
-        # built once per solve; each factorization is one QR of its rows
-        built = []
+        # the stage elimination, which depends on A and b alone, is built and
+        # its answer lifted once per solve, whatever the iteration count
+        built, lifted = [], []
 
-        class CountingStage(conic_solver._StageKKT):
+        class CountingStages(conic_solver._StageElimination):
             def __init__(self, *args):
                 built.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(conic_solver, "_StageKKT", CountingStage)
+            def lift(self, *args):
+                lifted.append(1)
+                return super().lift(*args)
+
+        monkeypatch.setattr(conic_solver, "_StageElimination", CountingStages)
         prob = self._full(33)
         counts = []
         for cap in (3, 10):
             built.clear()
+            lifted.clear()
             assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
-            counts.append(len(built))
-        assert counts == [1, 1]
+            counts.append((len(built), len(lifted)))
+        assert counts == [(1, 1), (1, 1)]
 
     def test_band_storage_allocated_once_per_solve(self, monkeypatch):
-        # every factorization of a solve reads the same arrays of the stage
-        # elimination: none is rebuilt or copied per iteration
-        real, buffers = conic_solver._StageKKT.factor, []
+        # every factorization of a solve is one QR of the same reduced rows,
+        # the condensed form's shape: none is rebuilt or copied per iteration
+        real, rows = conic_solver._ScaledQRKKT.__init__, []
 
-        def recording(self, wbar, eta):
-            buffers.append(tuple(v.__array_interface__["data"][0]
-                                 for v in (self.p, self.fwd, self.back, self.abar, self.c)))
-            return real(self, wbar, eta)
+        def recording(self, wbar, eta, a, *args):
+            rows.append((a.__array_interface__["data"][0], a.shape))
+            return real(self, wbar, eta, a, *args)
 
-        monkeypatch.setattr(conic_solver._StageKKT, "factor", recording)
+        monkeypatch.setattr(conic_solver._ScaledQRKKT, "__init__", recording)
         prob = self._full(33)
         for cap in (3, 10):
-            buffers.clear()
+            rows.clear()
             assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
-            assert len(buffers) == cap and len(set(buffers)) == 1
+            assert len(rows) == cap and len(set(rows)) == 1
+            assert rows[0][1] == (4, 33 * 3, 1)
 
 
 class TestStageKKT:
+    """The full form's presolve: its states eliminated once per solve onto a
+    cone-only program, whose answer is lifted back; the name keeps these
+    tests' ids."""
+
     @staticmethod
     def _full(planar, m):
         scenario = replace(builtin("atv"), planar=planar)
@@ -818,49 +827,115 @@ class TestStageKKT:
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_matches_the_dense_lu_on_random_interior_scalings(self, rng, planar):
-        # at NT scalings of random interior points the step solves the scaled
-        # K to a backward error of rounding, so it agrees with the dense LU
-        # within K's condition number (3e10 at M=2); W'dy agrees to rounding
+        # at NT scalings of random interior points a Newton step through the
+        # reduced QR and the lift solves the full scaled K (its free rows'
+        # right-hand side zero, as the loop's is) to a backward error of
+        # rounding, so it agrees with the dense LU within K's condition
+        # number (3e10 at M=2)
         for m in (2, 9, 33):
             prob = self._full(planar, m)
-            n, p = prob.A.shape[1], prob.A.shape[0]
+            stages = conic_solver._StageElimination(prob)
+            reduced = stages.reduced
+            cones = conic_solver._ConeLayout(reduced.cones)
+            (p, n), nf = prob.A.shape, prob.cones.n_free
             for _ in range(3):
                 layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
-                stage = conic_solver._StageKKT(layout, prob.A)
-                # the path test's QR serves W = I only
-                stage.first = None
-                stage.factor(*nt)
+                qr = conic_solver._ScaledQRKKT(*nt, reduced.A[:, cones.perm, None], cones)
                 dense = conic_solver._DenseKKT(layout, np.asarray(prob.A)).factor(*nt)
                 wr1, dl = rng.normal(size=(2, 2, n, 1))
+                wr1[:, :nf] = dl[:, :nf] = 0.0
                 r2 = rng.normal(size=(1, 2, p))
-                got, want = stage.solve(wr1, dl, r2), dense.solve(wr1, dl, r2)
-                assert [v.shape for v in got] == [v.shape for v in want]
-                assert np.array_equal(got[0], got[1].transpose(2, 0, 1))
-                x, ref = (np.concatenate([v[1][..., 0], v[2][0]], axis=1) for v in (got, want))
+                _, dxs, dym = qr.solve(wr1[:, nf:], dl[:, nf:], stages.telescope(r2))
+                # the states solve A dx = r2 with dx = W dxs on the cones
+                dx = cones.scale(*nt, dxs)[..., 0].take(cones.unperm, axis=-1)
+                dx, dy, _ = stages.lift(dx, dym[0], dx, r2[0])
+                x = np.concatenate([dx[:, :nf], dxs[..., 0], dy], axis=1)
+                want = dense.solve(wr1, dl, r2)
+                ref = np.concatenate([want[1][..., 0], want[2][0]], axis=1)
                 rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], axis=1)
                 k = dense.k
                 backward = np.linalg.norm(rhs - x @ k, axis=1) / (
                     np.linalg.norm(k, 2) * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
                 assert np.all(backward <= 1e-14)
                 assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.cond(k) * np.linalg.norm(ref)
-                dy = rng.normal(size=(1, p))
-                gty = dense.gty(dy)
-                assert np.linalg.norm(stage.gty(dy) - gty) <= 1e-12 * np.linalg.norm(gty)
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_holds_only_o_m_arrays(self, planar):
-        # the elimination's arrays and its QR take a fixed size per stage
-        # whatever the grid: no array grows with the square of M
+        # the elimination's arrays, its reduced program's included, take a
+        # fixed size per stage whatever the grid: none grows with M squared
         per_stage = []
         for m in (33, 1025):
-            prob = self._full(planar, m)
-            layout = conic_solver._ConeLayout(prob.cones)
-            kkt = conic_solver._StageKKT(layout, prob.A)
-            kkt.factor(*_scaled_point(np.random.default_rng(m), prob.cones)[3])
-            arrays = [v for obj in (kkt, kkt.qr) for v in vars(obj).values()
+            stages = conic_solver._StageElimination(self._full(planar, m))
+            arrays = [v for obj in (stages, stages.reduced) for v in vars(obj).values()
                       if isinstance(v, np.ndarray)]
             per_stage.append(sum(v.nbytes for v in arrays) / m)
         assert per_stage[1] <= 1.1 * per_stage[0]
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    def test_lift_is_exact(self, rng, planar):
+        # for any cone point and reduced dual, the lifted y cancels on every
+        # state exactly, and the states close row blocks 0..m-1 to rounding
+        for m in (2, 9, 33):
+            prob = self._full(planar, m)
+            stages = conic_solver._StageElimination(prob)
+            nf, s = prob.cones.n_free, stages.reduced.A.shape[0]
+            for _ in range(5):
+                xc, zc = (_interior(rng, prob.cones.soc_dims)[None] for _ in range(2))
+                ybar = rng.normal(size=(1, s))
+                x, y, z = stages.lift(xc, ybar, zc, prob.b[None])
+                assert np.array_equal(x[:, nf:], xc) and np.array_equal(z[:, nf:], zc)
+                assert not np.any(z[:, :nf])
+                assert np.array_equal(y, np.concatenate([np.tile(-ybar, m), ybar], axis=1))
+                assert not np.any((y @ prob.A)[:, :nf])
+                rows = (prob.A @ x[0] - prob.b)[:-s]
+                scale = (np.abs(np.asarray(prob.A)) @ np.abs(x[0]) + np.abs(prob.b))[:-s]
+                assert np.all(np.abs(rows) <= 1e-14 * scale)
+
+    def test_state_blocks_must_telescope(self):
+        # exactness is checked, not assumed: one rounding off -diag[j] in a
+        # lower block, or a last state block other than I, raises
+        a = self._full(True, 9).A
+        lower, last = a.lower.copy(), a.lower.copy()
+        lower[3, 1, 2] = np.nextafter(lower[3, 1, 2], np.inf)
+        last[-1, 0, 0] = np.nextafter(1.0, 2.0)
+        # the last state's blocks agree, but are not I
+        diag = a.diag.copy()
+        diag[-1] = last[-1, :, :4]
+        for blocks in ((a.diag, lower), (a.diag, last), (diag, last)):
+            with pytest.raises(ValueError, match="telescope"):
+                conic_solver.StageMatrix(*blocks)
+
+    def test_the_loop_reads_the_full_programs_residuals(self):
+        # v added to row blocks 0 and m leaves the reduced program as it is
+        # but triples the full program's 1 + |b|: the loop's traced residuals
+        # are the full program's residuals() of the lifted answer, to the
+        # lift's rounding
+        prob = self._full(True, 33)
+        b = prob.b.copy()
+        b[:4] += 1.0
+        b[-4:] += 1.0
+        records = []
+        sol = solve(ConicProblem(prob.c, prob.A, b, prob.cones), trace=records.append)
+        last = [r for r in records if "pres" in r][-1]
+        assert sol.status == "optimal"
+        assert last["pres"] == pytest.approx(sol.residuals.primal, rel=0.05, abs=0.0)
+        assert last["dres"] == pytest.approx(sol.residuals.dual, rel=1e-3, abs=0.0)
+
+    def test_a_certificate_lifts_to_a_ray(self):
+        # min -(weighted sigmas) is unbounded: the lifted x is a ray of the
+        # full program, its states closing A x = 0 rather than A x = b
+        prob = self._full(True, 9)
+        sol = solve(ConicProblem(-prob.c, prob.A, prob.b, prob.cones))
+        assert sol.status == "dual_infeasible"
+        assert -prob.c @ sol.x == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(prob.A @ sol.x) <= 1e-12
+
+    def test_states_carry_no_cost(self):
+        prob = self._full(True, 9)
+        c = prob.c.copy()
+        c[5] = 1.0
+        with pytest.raises(ValueError, match="carry no cost"):
+            ConicProblem(c, prob.A, prob.b, prob.cones)
 
     def test_cones_must_match_the_stages(self):
         # the elimination reads stage j's free x_j and cone j off the blocks

@@ -31,6 +31,7 @@ from rdvopt import (
     verify_plan,
 )
 from rdvopt import postprocess, transcription
+from rdvopt.conic_solver import StageMatrix
 from rdvopt.postprocess import ImpulsePlan, PlanResult, TrajectorySample, _three_node_costs
 from rdvopt.transcription import expand_solution
 
@@ -589,6 +590,20 @@ class TestFullFormPlans:
         gain = max(1.0 / rho, orbit.k2 / orbit.n * (orbit.e * abs(math.sin(theta)) + rho))
         limit = SolverSettings().feas_tol * (1.0 + np.linalg.norm(res.problem.b)) * gain
         assert max(err.position_scaled, err.velocity_scaled) <= 0.1 * limit
+
+    @pytest.mark.parametrize("m", [33, 65])
+    def test_ill_conditioned_states_leave_the_plan_exact(self, m):
+        # e=0.761 in 3-D, where cond Phi(thetaf, theta_j) reaches 8.5e7: the
+        # states solved from it once, after the loop, still close every row
+        # block, and the plan costs what the condensed form's does
+        scen = load_scenario(DATA / "gen-912-1-11.json")
+        full = plan_rendezvous(scen, mesh_m=m, form="full")
+        condensed = plan_rendezvous(scen, mesh_m=m)
+        assert full.solution.status == "optimal"
+        prob, x = full.problem, full.solution.x
+        assert isinstance(prob.A, StageMatrix)
+        assert np.linalg.norm(prob.A @ x - prob.b) / (1.0 + np.linalg.norm(prob.b)) <= 1e-10
+        assert full.plan.total_dv == pytest.approx(condensed.plan.total_dv, rel=1e-8)
 
     def test_large_mesh_matches_condensed(self):
         for name in ("atv", "circle2circle", "simbolx"):

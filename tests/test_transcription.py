@@ -338,9 +338,9 @@ class TestGridWideMatrices:
             assert not np.any(prob.b[rows])
 
     def test_full_form_blocks_telescope_to_the_condensed_row(self, atv):
-        # terminal block minus every other block: the node states cancel and
-        # what is left is the condensed terminal row, so the blocks' residuals
-        # sum to the plan's terminal miss
+        # terminal block minus every other block: the node states cancel
+        # exactly and what is left is the condensed terminal row, so the
+        # blocks' residuals sum to the plan's terminal miss
         for scen in (atv, replace(atv, planar=False)):
             grid = build_grid(scen, 33)
             full = assemble_socp(scen, grid, form="full")
@@ -351,7 +351,7 @@ class TestGridWideMatrices:
             a_tel = a_blocks[m] - a_blocks[:m].sum(axis=0)
             b_tel = b_blocks[m] - b_blocks[:m].sum(axis=0)
             scale = np.max(np.abs(cond.A))
-            assert np.max(np.abs(a_tel[:, :d * m])) <= 1e-12 * scale
+            assert not np.any(a_tel[:, :d * m])
             assert np.max(np.abs(a_tel[:, full.var_map["dv"]] - cond.A[:, cond.var_map["dv"]])) \
                 <= 1e-12 * scale
             assert not np.any(a_tel[:, full.var_map["sigma"]])
@@ -439,6 +439,8 @@ class TestGridFamilies:
 # SHA-256 (first 32 hex digits) of c, A and b of single-grid programs as
 # assembled before grids had a family axis; numpy 2.4 on x86-64.  The pins
 # are bit-level, so another numpy or libm build may need them re-recorded.
+# A re-recorded pin keeps its first digest, which names its test, and its
+# current digest is in RERECORDED.
 RECORDED_ASSEMBLIES = [
     ("atv", "condensed", 9, "6842dc491296a92b95ce67688c09690c"),
     ("atv", "condensed", 257, "b05ac305eb0d29c224a76f69bd5e1b16"),
@@ -473,6 +475,25 @@ RECORDED_ASSEMBLIES = [
 ]
 
 
+# first digest -> current digest.  The full form's pins, re-recorded when
+# each state's diagonal block became the chained product that its lower
+# block holds, so that the stage blocks telescope exactly
+RERECORDED = {
+    "98e56e98bf40ebf77b8690a11b930b4d": "babd41764ccfbe5638779235711ba149",
+    "a7bad3e7ee6bf30e3e7d43137f06bee0": "88ae377936324cf502d1b1d3ee354af1",
+    "09a151216ad485b511225fa0038513ae": "8f27b1bb82661a1997ed278e525536a6",
+    "a1f1fcc04ac625815542c2d12ceaaae9": "a1868519976eca6f746cebdcc33a25f6",
+    "ccc10aeecec13175bcfdde4a157429d5": "146cbfe27cab4964b41918f79439935d",
+    "317fe73eb7be8315ce2c1eecbf3c1be5": "f89ca39b4492f319b08bc27d21ae7139",
+    "9bf23070bfee642941c65eedf0d7ee7a": "543f6312527103ddf5043cfff9cf2d56",
+    "717c6f279bccd8f5f655f7692068ec38": "057eb400a0aa92407c399f006030234a",
+    "19e2fb62afaf124437caf2fdbf7a6c47": "455e6ef4936701a69e547c67262927a7",
+    "79ee4551deed7d3d996b23d7ec811a9f": "134b66178e298e864ec74d8938c1fd5d",
+    "6c417c4839b45bed82edb13b272a85fd": "2dc845b27f8505dbb183a6a67e01514c",
+    "bc5dd34ee97e1c418feb1d88e7216d52": "20ba7fb29bf306be0229535f04794725",
+}
+
+
 @pytest.mark.parametrize("name, form, m, digest", RECORDED_ASSEMBLIES)
 def test_single_grid_assembly_is_unchanged(name, form, m, digest):
     scen = _scenario(name)
@@ -480,4 +501,4 @@ def test_single_grid_assembly_is_unchanged(name, form, m, digest):
     h = hashlib.sha256()
     for arr in (prob.c, prob.A, prob.b):
         h.update(np.ascontiguousarray(arr).tobytes())
-    assert h.hexdigest()[:32] == digest
+    assert h.hexdigest()[:32] == RERECORDED.get(digest, digest)
