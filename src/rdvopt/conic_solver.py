@@ -14,25 +14,26 @@ corrector; infeasibility is detected through Farkas certificates.
 Variables are ordered once per solve as the free block, then the cones
 component by component, so the cone block is one reshape view.
 
-Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.
-Cone-only programs with independent rows take a thin QR of G' = W A',
-linear in the number of cones, and solve with it without refinement;
-W = I at the start, so the path test factors the first iteration's
-G' = A' and reads dependent rows off its R.  A StageMatrix program (the
-full form) is presolved once: its states are eliminated to a cone-only
-program of the condensed form's shape, which takes the same QR under the
-same test, and restored after the loop (_StageElimination).  Any other
-program with free variables or dependent rows (only tests build them)
-takes numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]],
-E the identity on the cones, its diagonal shifted by a rounding;
-refinement runs only on a residual that misses its tolerance, and an
-exactly singular pivot refactors K under the next, larger shift
-(_SHIFTS).  The solver needs numpy alone.
+Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.  A
+StageMatrix program (the full form) is presolved once: its states are
+eliminated to a cone-only program of the condensed form's shape, and
+restored after the loop (_StageElimination), so the loop never sees a
+StageMatrix.  The loop's program then takes one KKT path for the whole
+solve.  A cone-only program with independent rows takes a thin QR of
+G' = W A', linear in the number of cones; W = I at the start, so the path
+test factors the first iteration's G' = A' and reads dependent rows off
+its R.  Any other program, with free variables or dependent rows, takes
+numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]], E the
+identity on the cones, its diagonal shifted by a rounding; an exactly
+singular pivot refactors K under the next, larger shift (_SHIFTS).  Neither
+path refines its solve.  The solver needs numpy alone.
 
-One loop serves a scaled-QR family (c, A and b with a leading program
-axis), stored variables x programs so the cone algebra makes one pass
-over it, each program's reductions on its own row with the calls of a
-program alone: solve_batch returns what each program returns alone.
+One loop serves every program as a family (c, A and b with a leading
+program axis): the scaled-QR programs of a solve_batch together, each
+other program as a family of one.  A family is stored variables x
+programs so the cone algebra makes one pass over it, each program's
+reductions on its own row with the calls of a program alone: solve_batch
+returns what each program returns alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from typing import Callable, Optional
 import numpy as np
 
 _FRACTION_TO_BOUNDARY = 0.99
-_REFINEMENT_ROUNDS = 4
 _MIN_STEP = 1e-11
 # the dense LU's diagonal shifts of K: a rounding of its unit cone diagonal,
 # then the two retries after an exactly singular pivot
@@ -98,61 +98,59 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class StageMatrix:
-    """Equality matrix of a staged program, held as its O(m) blocks: stage
-    j < m owns the free x_j (d variables) and cone j (w - d), x runs (x_0,
-    ..., x_{m-1}, cone 0, ..., cone m-1), and of the m + 1 row blocks of d,
-    block j holds diag[j] (d, d) on x_j and block j + 1 lower[j] (d, w) on
-    (x_j, cone j).  A @ v (a vector or (n, k) columns) and v @ A (a vector
-    or (k, p) rows) are batched block products; np.asarray(A) is dense.
-    The state blocks telescope exactly, else ValueError: lower[j]'s block on
-    x_j is -diag[j] bit for bit, but both blocks of x_{m-1} are I, so block
-    m less all the others cancels every x_j in floating point."""
+    """Equality matrix of a staged program, held as its O(m) blocks D_j =
+    diag[j] (d, d) and C_j = cones[j] (d, w).  Stage j < m owns the free x_j
+    (d variables) and cone j (w), x runs (x_0, ..., x_{m-1}, cone 0, ...,
+    cone m-1), and the m + 1 row blocks of d rows are D_0 x_0, then
+    D_{j+1} x_{j+1} - D_j x_j - C_j cone_j, then D_{m-1} x_{m-1} + C_{m-1}
+    cone_{m-1}: block m less all the others cancels every state by
+    construction.  A @ v (a vector or (n, k) columns) and v @ A (a vector or
+    (k, p) rows) are batched block products; np.asarray(A) is dense."""
 
     diag: np.ndarray
-    lower: np.ndarray
+    cones: np.ndarray
     ndim = 2
     # numpy defers v @ A to __rmatmul__ rather than densify A
     __array_ufunc__ = None
 
-    def __post_init__(self):
-        m, d, w = self.lower.shape
-        sign = np.r_[-np.ones(m - 1), 1.0][:, None, None]
-        if np.any(self.lower[:, :, :d] != sign * self.diag) or np.any(self.diag[-1] != np.eye(d)):
-            raise ValueError("the state blocks of a StageMatrix must telescope: lower[j]'s "
-                             "block on x_j is -diag[j], and the last state's blocks are I")
-        j, k = np.arange(m)[:, None], np.arange(w)
-        # x's index of each stage's variables, (m, w): x_j, then cone j
-        cols = np.where(k < d, d * j + k, m * d + (w - d) * j + k - d)
-        # row block j, (d, d + w), on x_j and stage j - 1, whose columns it
-        # gathers from x; a missing stage's are zero and read x's padding n
-        blocks = np.zeros((m + 1, d, d + w))
-        blocks[:m, :, :d], blocks[1:, :, d:] = self.diag, self.lower
-        gather = np.full((m + 1, d + w), m * w)
-        gather[:m, :d], gather[1:, d:] = cols[:, :d], cols
-        # uncols undoes the permutation cols of x's indices
-        self.__dict__.update(uncols=np.argsort(cols.reshape(-1)), blocks=blocks,
-                             gather=gather, shape=((m + 1) * d, m * w))
+    @property
+    def shape(self) -> tuple[int, int]:
+        m, d, w = self.cones.shape
+        return (m + 1) * d, m * (d + w)
 
     def __matmul__(self, v) -> np.ndarray:
-        x = np.asarray(v, dtype=float).T
-        x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1).take(self.gather, axis=-1)
-        return _bmv(self.blocks, x).reshape(x.shape[:-2] + (-1,)).T
+        m, d, w = self.cones.shape
+        v = np.asarray(v, dtype=float)
+        cols = v.reshape(len(v), -1)
+        states = self.diag @ cols[:m * d].reshape(m, d, -1)
+        cones = self.cones @ cols[m * d:].reshape(m, w, -1)
+        out = np.concatenate([states, states[-1:] + cones[-1:]])
+        out[1:m] -= states[:-1] + cones[:-1]
+        return out.reshape((-1,) + v.shape[1:])
 
     def __rmatmul__(self, v) -> np.ndarray:
-        m, d, _ = self.lower.shape
-        y = np.asarray(v, dtype=float).reshape(np.shape(v)[:-1] + (m + 1, 1, d))
-        g = np.matmul(y, self.blocks)[..., 0, :]
-        stages = g[..., 1:, d:]
-        stages[..., :d] += g[..., :m, :d]
-        return stages.reshape(y.shape[:-3] + (-1,)).take(self.uncols, axis=-1)
+        m, d, _ = self.cones.shape
+        y = np.asarray(v, dtype=float)
+        y = y.reshape(y.shape[:-1] + (m + 1, 1, d))
+        # x_j meets y_j - y_{j+1} (y_{m-1} + y_m for the last), cone j -y_{j+1} (y_m)
+        on_states = y[..., :-1, :, :] - y[..., 1:, :, :]
+        on_states[..., -1, :, :] = y[..., -2, :, :] + y[..., -1, :, :]
+        on_cones = -y[..., 1:, :, :]
+        on_cones[..., -1, :, :] = y[..., -1, :, :]
+        rows = (np.matmul(on_states, self.diag), np.matmul(on_cones, self.cones))
+        return np.concatenate([r.reshape(y.shape[:-3] + (-1,)) for r in rows], axis=-1)
 
     def __array__(self, dtype=None, copy=None):
+        m, d, w = self.cones.shape
         a = np.zeros(self.shape, dtype=dtype)
-        d = self.lower.shape[1]
-        rows = d * np.arange(len(self.blocks))[:, None, None] + np.arange(d)[:, None]
-        rows, cols = (np.broadcast_to(v, self.blocks.shape) for v in (rows, self.gather[:, None]))
-        real = cols < self.shape[1]
-        a[rows[real], cols[real]] = self.blocks[real]
+        states = a[:, :m * d].reshape(m + 1, d, m, d)
+        cones = a[:, m * d:].reshape(m + 1, d, m, w)
+        j = np.arange(m)
+        states[j, :, j] = self.diag
+        states[j[1:], :, j[:-1]] = -self.diag[:-1]
+        states[m, :, m - 1] = self.diag[-1]
+        cones[j[1:], :, j[:-1]] = -self.cones[:-1]
+        cones[m, :, m - 1] = self.cones[-1]
         return a
 
 
@@ -182,10 +180,10 @@ class ConicProblem:
         if self.cones.dim != a.shape[-1]:
             raise ValueError(f"dimension mismatch: cones dim {self.cones.dim}, n {a.shape[-1]}")
         if isinstance(a, StageMatrix):
-            m, d, w = a.lower.shape
-            if (self.cones.n_free, self.cones.soc_dims) != (m * d, (w - d,) * m):
+            m, d, w = a.cones.shape
+            if (self.cones.n_free, self.cones.soc_dims) != (m * d, (w,) * m):
                 raise ValueError(f"a StageMatrix of {m} stages needs {m * d} free variables "
-                                 f"and {m} cones of dimension {w - d}, got {self.cones}")
+                                 f"and {m} cones of dimension {w}, got {self.cones}")
             if np.any(c[:m * d]):
                 raise ValueError("the states of a StageMatrix program carry no cost")
         for name, value in (("c", c), ("A", a), ("b", b)):
@@ -394,61 +392,36 @@ def dense_lu(k: np.ndarray):
 
 
 class _DenseKKT:
-    """Dense LU of one program's scaled KKT matrix K in the solver's order,
-    its diagonal shifted by the first of _SHIFTS (raised on an exactly
-    singular pivot), refined against the unshifted K while a residual misses
-    its tolerance.  eps, the shift that moves the cone diagonal -1 to its next
-    float, keeps the zero pivots of dependent rows off zero and stays within
-    the LU's own rounding, so a solve mostly needs no refinement."""
+    """Dense LU of one program's scaled KKT matrix K = [[-E, G'], [G, 0]] in
+    the solver's order, E the identity on the cones, its diagonal shifted by
+    the first of _SHIFTS that leaves no exactly singular pivot.  eps, the
+    shift that moves the cone diagonal -1 to its next float, keeps the zero
+    pivots of dependent rows off zero and stays within the LU's own rounding.
+    Its interface is _ScaledQRKKT's, for a family of one (first unused)."""
 
     # a factorization that fails raises instead
     singular = np.zeros(1, dtype=bool)
 
-    def __init__(self, layout: _ConeLayout, a: np.ndarray):
-        p, n = a.shape
-        self.a, self.layout, self.n = a[:, layout.perm], layout, n
-        self.k = np.diag(np.r_[np.zeros(layout.n_free), -np.ones(n - layout.n_free), np.zeros(p)])
-        self.shift_sign = np.concatenate([-np.ones(n), np.ones(p)])
-
-    def factor(self, wbar: np.ndarray, eta: np.ndarray) -> "_DenseKKT":
-        n = self.n
+    def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout,
+                 first: Optional[list] = None):
         # the rows of G = A W are W times the rows of A
-        self.g = self.layout.scale(wbar, eta, self.a[:, :, None])[:, :, 0]
-        self.k[n:, :n], self.k[:n, n:] = self.g, self.g.T
-        for attempt, shift in enumerate(_SHIFTS):
-            self._k_solve = dense_lu(self.k + np.diag(shift * self.shift_sign))
+        self.g = layout.scale(wbar, eta, a)[:, :, 0]
+        (p, n), nf = self.g.shape, layout.n_free
+        k = np.diag(np.r_[np.zeros(nf), -np.ones(n - nf), np.zeros(p)])
+        k[n:, :n], k[:n, n:] = self.g, self.g.T
+        shift_sign = np.concatenate([-np.ones(n), np.ones(p)])
+        for self.reg_retries, shift in enumerate(_SHIFTS):
+            self._k_solve = dense_lu(k + np.diag(shift * shift_sign))
             if self._k_solve is not None:
                 break
         else:
             raise np.linalg.LinAlgError("KKT factorization failed")
-        self.reg_retries, self.refine_rounds = attempt, 0
-        return self
 
     def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
-        n = self.n
-        rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], -1)
-        sol = self._k_solve(rhs)
-        resid = rhs - sol @ self.k
-        rnorm = np.max(np.abs(resid), axis=1)
-        # each right-hand side refines while a round lowers its residual, and
-        # returns its best iterate: against the shifted LU a round can
-        # contract by less than dgerfs's half and still help
-        tol = 1e-14 * (1.0 + np.max(np.abs(rhs), axis=1))
-        best = sol.copy()
-        live = rnorm > tol
-        rounds = 0
-        while rounds < _REFINEMENT_ROUNDS and live.any():
-            sol[live] += self._k_solve(resid[live])
-            rounds += 1
-            resid = rhs - sol @ self.k
-            new = np.max(np.abs(resid), axis=1)
-            better = live & (new < rnorm)
-            best[better] = sol[better]
-            live = better & (new > tol)
-            rnorm = np.where(better, new, rnorm)
-        self.refine_rounds = max(self.refine_rounds, rounds)
-        dxs = best[:, :n]
-        return dxs[None], dxs[:, :, None], best[None, :, n:]
+        n = self.g.shape[1]
+        sol = self._k_solve(np.concatenate([(wr1 + dl)[..., 0], r2[0]], -1))
+        dxs = sol[:, :n]
+        return dxs[None], dxs[:, :, None], sol[None, :, n:]
 
     def gty(self, dy: np.ndarray) -> np.ndarray:
         """G'dy, (n, 1)."""
@@ -463,7 +436,6 @@ class _ScaledQRKKT:
     each whose R has an exactly zero pivot."""
 
     reg_retries = 0
-    refine_rounds = 0
 
     def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout,
                  first: Optional[list] = None):
@@ -494,20 +466,19 @@ class _ScaledQRKKT:
 
 
 class _StageElimination:
-    """The presolve of a StageMatrix program, built once per solve.  With
-    D_j = diag[j] and C_j lower[j]'s block on cone j, row block m less the
-    blocks before it cancels every state x_j exactly (the blocks telescope)
-    and leaves the cone-only program `reduced`: c's cone part, Abar = [-C_0,
-    ..., -C_{m-2}, C_{m-1}] and bbar = b_m - sum_{i<m} b_i.  lift maps its
-    answer back: D_j x_j = sum_{i<=j} b_i - sum_{i<j} C_i xc_i from row
-    blocks 0..j, and y = (-ybar, ..., -ybar, ybar), whose A'y is zero on the
-    states and Abar'ybar on the cones."""
+    """The presolve of a StageMatrix program, built once per solve.  Row
+    block m less the blocks before it cancels every state x_j and leaves the
+    cone-only program `reduced`: c's cone part, Abar = [C_0, ..., C_{m-1}]
+    and bbar = b_m - sum_{i<m} b_i.  lift maps its answer back: D_j x_j =
+    sum_{i<=j} b_i + sum_{i<j} C_i xc_i from row blocks 0..j, and y = (-ybar,
+    ..., -ybar, ybar), whose A'y is zero on the states and Abar'ybar on the
+    cones."""
 
     def __init__(self, problem: ConicProblem):
         a = problem.A
-        m, s, _ = a.lower.shape
-        self.problem, self.diag, self.c = problem, a.diag, a.lower[:, :, s:]
-        abar = np.concatenate([-self.c[:-1], self.c[-1:]]).transpose(1, 0, 2).reshape(s, -1)
+        m, s, _ = a.cones.shape
+        self.problem, self.diag, self.c = problem, a.diag, a.cones
+        abar = self.c.transpose(1, 0, 2).reshape(s, -1)
         self.reduced = ConicProblem(problem.c[m * s:], abar, self.telescope(problem.b),
                                     ConeSpec(0, problem.cones.soc_dims))
 
@@ -523,7 +494,7 @@ class _StageElimination:
         k = len(x)
         m, s, c = self.c.shape
         sums = np.cumsum(b.reshape(k, m + 1, s)[:, :-1], axis=1)
-        sums[:, 1:] -= np.cumsum(_bmv(self.c[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
+        sums[:, 1:] += np.cumsum(_bmv(self.c[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
         states = np.linalg.solve(self.diag, sums[..., None])[..., 0]
         return (np.concatenate([states.reshape(k, -1), x], axis=1),
                 np.concatenate([np.tile(-y, m), y], axis=1),
@@ -533,24 +504,21 @@ class _StageElimination:
 # -- main solver ------------------------------------------------------------
 
 
-def _rank_test(gt: np.ndarray):
-    """Whether A's rows are independent, and the QR [G', Q, R] of (..., n, p)
-    G' = A' that tells: more rows than columns, or a pivot of R within
-    rounding of zero (as matrix_rank's tolerance), marks dependent rows."""
+def _scaled_qr_path(problem: ConicProblem):
+    """Whether each program takes the scaled QR, and the family's first
+    factorization [G', Q, R], or None.  A program takes it when it is
+    cone-only and its rows are independent, which the QR of (..., n, p)
+    G' = A' in the solver's order tells (W = I at the start): more rows than
+    columns, or a pivot of R within rounding of zero (as matrix_rank's
+    tolerance), marks dependent rows."""
+    if problem.cones.n_free or not problem.cones.n_cones:
+        return np.zeros(problem.A.shape[:-2], dtype=bool), None
+    gt = np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2)
     n, p = gt.shape[-2:]
     q, r = np.linalg.qr(gt)
     pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
     return (p <= n) & (np.min(pivots, axis=-1, initial=np.inf) > tol), [gt, q, r]
-
-
-def _scaled_qr_path(problem: ConicProblem):
-    """Whether each program takes the scaled QR (cone-only, independent rows),
-    and the family's first factorization [G', Q, R], or None.  W = I at the
-    start, so G' is A' in the solver's order."""
-    if problem.cones.n_free or not problem.cones.n_cones:
-        return np.zeros(problem.A.shape[:-2], dtype=bool), None
-    return _rank_test(np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2))
 
 
 class _Active:
@@ -580,21 +548,23 @@ def _solve_batch(
     problem: ConicProblem,
     settings: SolverSettings | None,
     trace: Optional[Callable[[dict], None]],
+    kkt_type: type,
     first: Optional[list],
-    stages: Optional[_StageElimination] = None,
+    stages: Optional[_StageElimination],
 ) -> list[ConicSolution]:
-    """The interior-point loop over a scaled-QR family with its first factorization,
-    or one other program (first None); trace gets a family of one's records.
-    With stages, the family is its reduced program alone, whose loop stops on
-    the StageMatrix program's norms and whose answer is lifted to that
-    program, with residuals() of what it returns."""
+    """The interior-point loop over a family whose Newton systems kkt_type
+    solves, with the path test's first factorization or None; trace gets a
+    family of one's records.  With stages, the family is its reduced program
+    alone, whose loop stops on the StageMatrix program's norms and whose
+    answer is lifted to that program, with residuals() of what it returns."""
     st = settings or SolverSettings()
-    scaled_qr = first is not None
-    c, b = np.atleast_2d(problem.c), np.atleast_2d(problem.b)
+    c, b = problem.c, problem.b
     (nb, n), p = c.shape, b.shape[1]
     layout = _ConeLayout(problem.cones)
     nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
     nu = problem.cones.n_cones + 1
+    kkt_path = ("dense_lu" if kkt_type is _DenseKKT else
+                "scaled_qr" if stages is None else "stage_qr")
 
     t_start = time.perf_counter()
     s = _Active()
@@ -602,30 +572,13 @@ def _solve_batch(
     # A x and c'x add in the program's order, as residuals() does, each row
     # contiguous so that its products add alike in any batch
     s.b, s.c_prog = b, c
+    s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
+    s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
     # the reduced program's residuals are its StageMatrix program's, and so
     # are relative to that program's b and c
     normed = problem if stages is None else stages.problem
     s.norm_b1, s.norm_c1 = (1.0 + _norm(np.atleast_2d(v)) for v in (normed.b, normed.c))
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
-    if scaled_qr:
-        kkt_path = "scaled_qr" if stages is None else "stage_qr"
-        s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
-        s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
-
-        def a_rows(x):
-            return _bmv(s.a, x)
-
-        def at_rows(y):
-            return _bmv(s.at, y)
-    else:
-        kkt_path, lone = "dense_lu", _DenseKKT(layout, np.asarray(problem.A))
-
-        # A x and A'y of each row, in the program's order
-        def a_rows(x):
-            return (problem.A @ x.T).T
-
-        def at_rows(y):
-            return y @ problem.A
     # x, z, c and r_d stacked, variables x programs: one W product gives
     # lambda = W z, W c and W r_d, and one transposed copy the rows of x and z
     s.v = np.zeros((4, n, nb))
@@ -667,8 +620,7 @@ def _solve_batch(
     def factor(start=None):
         """The KKT factorization of the active programs, and which broke down."""
         try:
-            kkt = (_ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout, start) if scaled_qr
-                   else lone.factor(s.wbar, s.eta))
+            kkt = kkt_type(s.wbar, s.eta, s.a_perm, layout, start)
         except np.linalg.LinAlgError:
             # a breakdown with finite iterates returns the best effort
             return None, np.ones(s.ids.size, dtype=bool)
@@ -678,8 +630,8 @@ def _solve_batch(
         # each program's row of x and z in the solver's order, and of x in its own
         x_rows, z_rows = s.v[:2].transpose(0, 2, 1).copy()
         s.x_prog = x_rows.take(unperm, axis=-1)
-        ax = a_rows(s.x_prog)
-        atyz = at_rows(s.y).take(perm, axis=-1) + z_rows
+        ax = _bmv(s.a, s.x_prog)
+        atyz = _bmv(s.at, s.y).take(perm, axis=-1) + z_rows
         cx = _dot(s.c_prog, s.x_prog)
         by = _dot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
@@ -814,7 +766,7 @@ def _solve_batch(
         dxs, dy, dtau, dkappa = direction(sigma, d_tk, dxs1[0], _bmv(dxs1_rows, wc_rows)[:, 0],
                                           _bmv(dy1, s.b)[:, 0], dy1[:, 0])
         # dz from the linear dual equation, which the step then reduces exactly
-        dz = s.v[2] * dtau - at_rows(dy).T.take(perm, axis=0) + rs * s.v[3]
+        dz = s.v[2] * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + rs * s.v[3]
         # one W product gives W dxs (the x update's dx) and the scaled dual step
         steps = np.concatenate([dxs[None], dz[None]])
         wsteps = layout.scale(s.wbar, s.eta, steps)
@@ -824,7 +776,7 @@ def _solve_batch(
         if trace is not None:
             trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
                    "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
-                   "refine_rounds": kkt.refine_rounds, "reg_retries": kkt.reg_retries})
+                   "reg_retries": kkt.reg_retries})
         small = alpha <= _MIN_STEP
         stalled = small & s.small
         s.small = small
@@ -841,6 +793,28 @@ def _solve_batch(
             if not s.ids.size:
                 break
 
+    return out
+
+
+def _dispatch(
+    family: ConicProblem,
+    settings: SolverSettings | None,
+    trace: Optional[Callable[[dict], None]] = None,
+    stages: Optional[_StageElimination] = None,
+) -> list[ConicSolution]:
+    """Solve each program of a family, in order: those that take the scaled
+    QR (cone-only, independent rows) advance together in one loop, and each
+    other one runs alone on the dense LU; trace and stages serve a family of
+    one, as _solve_batch takes them."""
+    qr, first = _scaled_qr_path(family)
+    ids = np.arange(qr.size)
+    groups = [(_ScaledQRKKT, ids[qr], [v[qr] for v in first])] if qr.any() else []
+    groups += [(_DenseKKT, ids[k:k + 1], None) for k in ids[~qr]]
+    out: list[Optional[ConicSolution]] = [None] * qr.size
+    for kkt_type, rows, start in groups:
+        part = ConicProblem(family.c[rows], family.A[rows], family.b[rows], family.cones)
+        for k, sol in zip(rows, _solve_batch(part, settings, trace, kkt_type, start, stages)):
+            out[k] = sol
     return out
 
 
@@ -863,11 +837,7 @@ def solve(
     stages = _StageElimination(problem) if isinstance(problem.A, StageMatrix) else None
     loop = problem if stages is None else stages.reduced
     loop = ConicProblem(loop.c[None], loop.A[None], loop.b[None], loop.cones)
-    (qr,), first = _scaled_qr_path(loop)
-    if not qr:
-        # free variables or dependent rows: the dense LU of the program's own K
-        return _solve_batch(problem, settings, trace, None)[0]
-    return _solve_batch(loop, settings, trace, first, stages)[0]
+    return _dispatch(loop, settings, trace, stages)[0]
 
 
 def solve_batch(
@@ -879,20 +849,8 @@ def solve_batch(
     Returns, in order, what solve returns for each program alone, except
     that solve_time is the family's wall time until the program stopped.
     The programs that take the scaled QR advance together in one loop;
-    each one that needs another KKT path runs by itself.
+    each one that needs the dense LU runs by itself.
     """
     if problem.A.ndim != 3:
         raise ValueError("solve_batch takes a family: c, A and b with a program axis")
-    qr, first = _scaled_qr_path(problem)
-    out: list[Optional[ConicSolution]] = [None] * qr.size
-    ids = np.arange(qr.size)
-    if qr.any():
-        rows = ids[qr]
-        part = ConicProblem(problem.c[rows], problem.A[rows], problem.b[rows], problem.cones)
-        part_first = first if qr.all() else [v[rows] for v in first]
-        for k, sol in zip(rows, _solve_batch(part, settings, None, part_first)):
-            out[k] = sol
-    for k in ids[~qr]:
-        part = ConicProblem(problem.c[k], problem.A[k], problem.b[k], problem.cones)
-        out[k] = _solve_batch(part, settings, None, None)[0]
-    return out
+    return _dispatch(problem, settings)

@@ -10,12 +10,13 @@ closed-form transition matrices.  Two equivalent formulations are built:
 * full: one free state vector per node plus the node-to-node defect
   equalities of the discretized problem statement, each mapped to the
   final anomaly, so that the equality residuals sum to the plan's
-  terminal miss.  Its A is a StageMatrix, the O(m) stage blocks, in
-  which both blocks of state x_j hold one array, the chained product
-  Phi(thetaf, theta_{j+1}) Phi(theta_{j+1}, theta_j) (I for the last
-  state): the row blocks telescope exactly to the condensed row, so the
-  solver eliminates the states once per solve, iterates on a program of
-  the condensed form's size and restores the states after.
+  terminal miss.  Its A is a StageMatrix of the O(m) stage blocks
+  (diag, cones): D_j, the chained product Phi(thetaf, theta_{j+1})
+  Phi(theta_{j+1}, theta_j) (I for the last state), and C_j = D_j [0 | B]
+  on node j's cone.  The row blocks telescope to the condensed row by
+  construction, so the solver eliminates the states once per solve,
+  iterates on a program of the condensed form's size and restores the
+  states after.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales
@@ -236,20 +237,19 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
         bvec = xvf - phif[..., 0, :, :] @ xv0
     else:
         # The stage blocks, every row block but the terminal one stated at
-        # thetaf through D_j = Phi_f,j+1 Phi_j (D_{m-1} = I), the one array
-        # both blocks of x_j hold:
+        # thetaf through D_j = Phi_f,j+1 Phi_j (D_{m-1} = I) and, on node j's
+        # cone (sigma_j, dv_j), C_j = D_j [0 | B]:
         #   row block 0:   D_0 x_0 = D_0 x0
-        #   row block j+1: D_{j+1} x_{j+1} - D_j x_j - D_j B dv_j = 0
-        #   row block m:   x_{m-1} + B dv_{m-1} = xf
+        #   row block j+1: D_{j+1} x_{j+1} - D_j x_j - C_j (sigma_j, dv_j) = 0
+        #   row block m:   x_{m-1} + C_{m-1} (sigma_{m-1}, dv_{m-1}) = xf
         # so the terminal block minus all others cancels every state exactly
         # and leaves the condensed row: the residual the solver bounds is the
         # plan's terminal miss, not one that grows through Phi(thetaf, theta_j).
         phis = np.concatenate([phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1]),
                                np.eye(d)[None]])
-        sign = np.r_[-np.ones(m - 1), 1.0][:, None, None]
-        lower = np.zeros((m, d, d + cone))
-        lower[:, :, :d], lower[:, :, d + 1:] = sign * phis, sign * (phis @ bmat)
-        amat = StageMatrix(diag=phis, lower=lower)
+        blocks = np.zeros((m, d, cone))
+        blocks[:, :, 1:] = phis @ bmat
+        amat = StageMatrix(diag=phis, cones=blocks)
         bvec = np.concatenate([phis[0] @ xv0, np.zeros(d * (m - 1)), xvf])
 
     var_map = {

@@ -292,10 +292,8 @@ class TestSolverProperties:
             steps = [r for r in records if "alpha" in r]
             assert steps and all(r["kkt"] == path for r in steps)
             assert all(r["factor_s"] >= 0.0 and r["reg_retries"] == 0 for r in steps)
-            rounds = [r["refine_rounds"] for r in steps]
-            assert all(0 <= k <= conic_solver._REFINEMENT_ROUNDS for k in rounds)
-            if path != "dense_lu":
-                assert not any(rounds)
+            # no path refines its solve, so no record counts refinement rounds
+            assert not any("refine_rounds" in r for r in records)
 
     def test_trace_counts_regularization_retries(self, rng, monkeypatch):
         real_dense_lu = conic_solver.dense_lu
@@ -684,7 +682,7 @@ class TestSparseKKT:
     def _check(rng, prob):
         layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
         a = prob.A[:, layout.perm]
-        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
+        kkt = conic_solver._DenseKKT(*nt, a[:, :, None], layout)
         k = _scaled_kkt(a, layout, nt, nt_inv)
         n = prob.c.size
         # K is singular with dependent rows, or with a free direction in the
@@ -724,29 +722,6 @@ class TestSparseKKT:
                                      b=np.concatenate([prob.b, mix @ prob.b]), cones=prob.cones)
             assert not self._check(rng, dependent)
 
-    def test_refinement_returns_the_best_iterate(self, rng):
-        # a first solve 1e-6 off, a correction that halves the residual, then
-        # one that makes it 11 times worse: refinement stops there and
-        # returns the iterate of the smallest residual
-        prob, *_ = make_kkt_certified_problem(rng, n_free=2, strict=True)
-        layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
-        real, seen = kkt._k_solve, []
-
-        def worse_later(r):
-            seen.append(np.max(np.abs(r)))
-            return real(r) * (1.0 + 1e-6, 0.5, -10.0)[min(len(seen), 3) - 1]
-        kkt._k_solve = worse_later
-        n = prob.c.size
-        r1, r2 = rng.normal(size=(1, n, 1)), rng.normal(size=(1, 1, prob.b.size))
-        _, dxs, dy = kkt.solve(r1, np.zeros((1, n, 1)), r2)
-        k = _scaled_kkt(prob.A[:, layout.perm], layout, nt, nt_inv)
-        resid = np.concatenate([r1[0, :, 0], r2[0, 0]]) - k @ np.concatenate([dxs[0, :, 0],
-                                                                              dy[0, 0]])
-        # the solve, then two corrections, whose residuals halve and then grow
-        assert len(seen) == 3 and seen[2] < 0.6 * seen[1]
-        assert np.max(np.abs(resid)) == pytest.approx(seen[2], rel=1e-6)
-
     def test_singular_pivot_retries_at_the_old_strengths(self, rng, monkeypatch):
         # the first factorization shifts K's diagonal by a rounding; each
         # exactly singular pivot retries at 1e-10 + 1e-8, then + 1e-6.  The
@@ -761,7 +736,7 @@ class TestSparseKKT:
         prob, *_ = make_kkt_certified_problem(rng, n_free=2)
         n = prob.c.size
         layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._DenseKKT(layout, prob.A).factor(*nt)
+        kkt = conic_solver._DenseKKT(*nt, prob.A[:, layout.perm, None], layout)
         assert kkt.reg_retries == 2
         first, retry, last = shifts
         assert np.all(first == np.finfo(float).eps)
@@ -841,7 +816,8 @@ class TestStageKKT:
             for _ in range(3):
                 layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
                 qr = conic_solver._ScaledQRKKT(*nt, reduced.A[:, cones.perm, None], cones)
-                dense = conic_solver._DenseKKT(layout, np.asarray(prob.A)).factor(*nt)
+                dense = conic_solver._DenseKKT(*nt, np.asarray(prob.A)[:, layout.perm, None],
+                                               layout)
                 wr1, dl = rng.normal(size=(2, 2, n, 1))
                 wr1[:, :nf] = dl[:, :nf] = 0.0
                 r2 = rng.normal(size=(1, 2, p))
@@ -853,7 +829,9 @@ class TestStageKKT:
                 want = dense.solve(wr1, dl, r2)
                 ref = np.concatenate([want[1][..., 0], want[2][0]], axis=1)
                 rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], axis=1)
-                k = dense.k
+                # the unshifted K = [[-E, G'], [G, 0]] that the dense LU factors
+                k = np.diag(np.r_[np.zeros(nf), -np.ones(n - nf), np.zeros(p)])
+                k[n:, :n], k[:n, n:] = dense.g, dense.g.T
                 backward = np.linalg.norm(rhs - x @ k, axis=1) / (
                     np.linalg.norm(k, 2) * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
                 assert np.all(backward <= 1e-14)
@@ -890,20 +868,6 @@ class TestStageKKT:
                 rows = (prob.A @ x[0] - prob.b)[:-s]
                 scale = (np.abs(np.asarray(prob.A)) @ np.abs(x[0]) + np.abs(prob.b))[:-s]
                 assert np.all(np.abs(rows) <= 1e-14 * scale)
-
-    def test_state_blocks_must_telescope(self):
-        # exactness is checked, not assumed: one rounding off -diag[j] in a
-        # lower block, or a last state block other than I, raises
-        a = self._full(True, 9).A
-        lower, last = a.lower.copy(), a.lower.copy()
-        lower[3, 1, 2] = np.nextafter(lower[3, 1, 2], np.inf)
-        last[-1, 0, 0] = np.nextafter(1.0, 2.0)
-        # the last state's blocks agree, but are not I
-        diag = a.diag.copy()
-        diag[-1] = last[-1, :, :4]
-        for blocks in ((a.diag, lower), (a.diag, last), (diag, last)):
-            with pytest.raises(ValueError, match="telescope"):
-                conic_solver.StageMatrix(*blocks)
 
     def test_the_loop_reads_the_full_programs_residuals(self):
         # v added to row blocks 0 and m leaves the reduced program as it is
@@ -948,10 +912,26 @@ class TestStageKKT:
         ((2e-4, 1e-4), "primal_infeasible", 2.0 / 3.0),
         ((0.0, 0.0), "optimal", 5.0e-4),
     ], ids=["infeasible", "optimal"])
-    def test_dependent_eliminated_rows_take_the_dense_lu(self, out_of_plane, status, objective):
+    def test_dependent_eliminated_rows_take_the_dense_lu(self, out_of_plane, status, objective,
+                                                          monkeypatch):
         # half a period in 3-D: both impulses leave the final out-of-plane
         # position alone, so that row of Abar (and of the condensed A) is
-        # zero, and both forms take the dense LU and agree
+        # zero, and both forms take the dense LU and agree.  The full form is
+        # presolved first: the loop gets the reduced program's ndarray A and
+        # the LU factors its 14 x 14 K, not the full program's 38 x 38
+        real_loop, real_lu = conic_solver._solve_batch, conic_solver.dense_lu
+        loops, factored = [], []
+
+        def recording_loop(problem, *args):
+            loops.append(type(problem.A))
+            return real_loop(problem, *args)
+
+        def recording_lu(k):
+            factored.append(k.shape)
+            return real_lu(k)
+
+        monkeypatch.setattr(conic_solver, "_solve_batch", recording_loop)
+        monkeypatch.setattr(conic_solver, "dense_lu", recording_lu)
         c2c = builtin("circle2circle")
         scenario = replace(c2c, planar=False, thetaf=c2c.theta0 + np.pi,
                            x0=RelativeState(r=[1e-3, out_of_plane[0], 0.0],
@@ -959,9 +939,13 @@ class TestStageKKT:
         sols = {}
         for form in ("condensed", "full"):
             records = []
+            loops.clear()
+            factored.clear()
             sols[form] = solve(assemble_socp(scenario, build_grid(scenario, 2), form=form),
                                trace=records.append)
             assert {r["kkt"] for r in records if "kkt" in r} == {"dense_lu"}
+            assert loops == [np.ndarray]
+            assert factored and set(factored) == {(14, 14)}
         condensed, full = sols["condensed"], sols["full"]
         assert (full.status, full.iterations) == (condensed.status, condensed.iterations)
         assert full.status == status

@@ -139,26 +139,31 @@ class TestAssembleSocp:
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_full_form_block_products_match_the_dense_matrix(self, atv, planar):
-        # A @ x and y @ A against the dense A laid out from the same blocks
+        # A @ v and v @ A against the dense A laid out from the blocks D_j and
+        # C_j = D_j [0 | B]: D_0 x_0, then D_{j+1} x_{j+1} - D_j x_j - C_j cone_j,
+        # then D_{m-1} x_{m-1} + C_{m-1} cone_{m-1}
         scen = replace(atv, planar=planar)
-        a = assemble_socp(scen, build_grid(scen, 9), form="full").A
-        m, d, w = a.lower.shape
-        dense = np.zeros(a.shape)
-        for j in range(m):
-            dense[d * j:d * (j + 1), d * j:d * (j + 1)] = a.diag[j]
-            rows = slice(d * (j + 1), d * (j + 2))
-            dense[rows, d * j:d * (j + 1)] = a.lower[j, :, :d]
-            dense[rows, m * d + (w - d) * j:m * d + (w - d) * (j + 1)] = a.lower[j, :, d:]
-        assert np.array_equal(np.asarray(a), dense)
         rng = np.random.default_rng(9)
-        (p, n), products = a.shape, []
-        for x in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            products.append((a @ x, dense @ x))
-        for y in (rng.normal(size=p), rng.normal(size=(3, p))):
-            products.append((y @ a, y @ dense))
-        for got, want in products:
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for m in (2, 9, 33):
+            a = assemble_socp(scen, build_grid(scen, m), form="full").A
+            _, d, w = a.cones.shape
+            assert a.cones.shape == (m, d, w) and a.diag.shape == (m, d, d)
+            dense = np.zeros(a.shape)
+            for j in range(m):
+                states, cone = slice(d * j, d * (j + 1)), slice(m * d + w * j, m * d + w * (j + 1))
+                sign = 1.0 if j == m - 1 else -1.0
+                dense[d * j:d * (j + 1), states] = a.diag[j]
+                dense[d * (j + 1):d * (j + 2), states] += sign * a.diag[j]
+                dense[d * (j + 1):d * (j + 2), cone] = sign * a.cones[j]
+            assert np.array_equal(np.asarray(a), dense)
+            (p, n), products = a.shape, []
+            for v in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                products.append((a @ v, dense @ v))
+            for v in (rng.normal(size=p), rng.normal(size=(3, p))):
+                products.append((v @ a, v @ dense))
+            for got, want in products:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_unknown_form_rejected(self, c2c):
         with pytest.raises(ValueError, match="form"):
@@ -477,20 +482,22 @@ RECORDED_ASSEMBLIES = [
 
 # first digest -> current digest.  The full form's pins, re-recorded when
 # each state's diagonal block became the chained product that its lower
-# block holds, so that the stage blocks telescope exactly
+# block holds, so that the stage blocks telescope exactly, and again when
+# the blocks became (diag, cones): the dense sigma column of -C_j now holds
+# -0.0 where it held +0.0, and the matrices, c and b are otherwise the same
 RERECORDED = {
-    "98e56e98bf40ebf77b8690a11b930b4d": "babd41764ccfbe5638779235711ba149",
-    "a7bad3e7ee6bf30e3e7d43137f06bee0": "88ae377936324cf502d1b1d3ee354af1",
-    "09a151216ad485b511225fa0038513ae": "8f27b1bb82661a1997ed278e525536a6",
-    "a1f1fcc04ac625815542c2d12ceaaae9": "a1868519976eca6f746cebdcc33a25f6",
-    "ccc10aeecec13175bcfdde4a157429d5": "146cbfe27cab4964b41918f79439935d",
-    "317fe73eb7be8315ce2c1eecbf3c1be5": "f89ca39b4492f319b08bc27d21ae7139",
-    "9bf23070bfee642941c65eedf0d7ee7a": "543f6312527103ddf5043cfff9cf2d56",
-    "717c6f279bccd8f5f655f7692068ec38": "057eb400a0aa92407c399f006030234a",
-    "19e2fb62afaf124437caf2fdbf7a6c47": "455e6ef4936701a69e547c67262927a7",
-    "79ee4551deed7d3d996b23d7ec811a9f": "134b66178e298e864ec74d8938c1fd5d",
-    "6c417c4839b45bed82edb13b272a85fd": "2dc845b27f8505dbb183a6a67e01514c",
-    "bc5dd34ee97e1c418feb1d88e7216d52": "20ba7fb29bf306be0229535f04794725",
+    "98e56e98bf40ebf77b8690a11b930b4d": "84d6b39628564e48ea23707333e3906f",
+    "a7bad3e7ee6bf30e3e7d43137f06bee0": "c170de5b94db8dca953cc90de1621ab2",
+    "09a151216ad485b511225fa0038513ae": "5b13cb6a6731c43c95c774d5636b9654",
+    "a1f1fcc04ac625815542c2d12ceaaae9": "9f4397e1518e0230f4933e202730cd67",
+    "ccc10aeecec13175bcfdde4a157429d5": "1214e5879991bb94cd9b29ac6c193042",
+    "317fe73eb7be8315ce2c1eecbf3c1be5": "71ae79ef5f862aee8c5aa67c39acd612",
+    "9bf23070bfee642941c65eedf0d7ee7a": "4ef1af1e3cdd3e4e537686c2b8827248",
+    "717c6f279bccd8f5f655f7692068ec38": "54faf63988d886a1217f33c13bff8535",
+    "19e2fb62afaf124437caf2fdbf7a6c47": "58ba2535251b48028a81031e8499712c",
+    "79ee4551deed7d3d996b23d7ec811a9f": "0b785af8f5ac6b662313f926eea38475",
+    "6c417c4839b45bed82edb13b272a85fd": "5a713387ea3ef91686b015468afe3d0d",
+    "bc5dd34ee97e1c418feb1d88e7216d52": "cee53ee9f15b555d437f422f6caaab97",
 }
 
 
