@@ -472,7 +472,8 @@ class _StageElimination:
     and bbar = b_m - sum_{i<m} b_i.  lift maps its answer back: D_j x_j =
     sum_{i<=j} b_i + sum_{i<j} C_i xc_i from row blocks 0..j, and y = (-ybar,
     ..., -ybar, ybar), whose A'y is zero on the states and Abar'ybar on the
-    cones."""
+    cones.  The transcription's full form holds D_0 x0 in b_0 and zeros in
+    b_1..b_{m-1}, so `reduced` is its condensed program itself, bit for bit."""
 
     def __init__(self, problem: ConicProblem):
         a = problem.A

@@ -11,12 +11,12 @@ closed-form transition matrices.  Two equivalent formulations are built:
   equalities of the discretized problem statement, each mapped to the
   final anomaly, so that the equality residuals sum to the plan's
   terminal miss.  Its A is a StageMatrix of the O(m) stage blocks
-  (diag, cones): D_j, the chained product Phi(thetaf, theta_{j+1})
-  Phi(theta_{j+1}, theta_j) (I for the last state), and C_j = D_j [0 | B]
-  on node j's cone.  The row blocks telescope to the condensed row by
-  construction, so the solver eliminates the states once per solve,
-  iterates on a program of the condensed form's size and restores the
-  states after.
+  (diag, cones): D_j = Phi(thetaf, theta_j) for every node, the last one
+  included, and C_j = [0 | Phi(thetaf, theta_j) B], the condensed A's
+  columns of node j: one array serves both forms, with no chained
+  product and no identity block.  The solver's presolve of the full
+  form is thus the condensed program itself, bit for bit; it iterates on
+  that and restores the states after.
 
 Internally everything is nondimensionalized by the semilatus rectum and
 the inverse mean motion; for an already normalized scenario those scales
@@ -221,8 +221,11 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     xv0 = _reduce(x0t.vector, scenario.planar) / lscale
     xvf = _reduce(xft.vector, scenario.planar) / lscale
     w = _node_weights(scenario, grid)
-    # Phi(thetaf, theta_j) for every node
+    # Phi(thetaf, theta_j) for every node, and cols[..., :, j, :] = C_j =
+    # [0 | Phi(thetaf, theta_j) B] on node j's cone (sigma_j, dv_j) for both forms
     phif = _stm(scenario, scenario.theta_f, grid.nodes)
+    cols = np.zeros(family + (d, m, cone))
+    cols[..., 1:] = (phif @ bmat).swapaxes(-3, -2)
 
     n_free = 0 if form == "condensed" else m * d
     sigma_idx = n_free + np.arange(m) * cone
@@ -231,26 +234,19 @@ def assemble_socp(scenario: Scenario, grid: Grid, form: str = "condensed") -> Co
     cvec[..., sigma_idx] = w
     cones = ConeSpec(n_free=n_free, soc_dims=(cone,) * m)
     if form == "condensed":
-        amat = np.zeros(family + (d, m * cone))
-        # amat[..., dv_idx] is (..., d, m, q), phif @ bmat is (..., m, d, q)
-        amat[..., dv_idx] = (phif @ bmat).swapaxes(-3, -2)
+        amat = cols.reshape(family + (d, m * cone))
         bvec = xvf - phif[..., 0, :, :] @ xv0
     else:
-        # The stage blocks, every row block but the terminal one stated at
-        # thetaf through D_j = Phi_f,j+1 Phi_j (D_{m-1} = I) and, on node j's
-        # cone (sigma_j, dv_j), C_j = D_j [0 | B]:
+        # Every row block stated at thetaf through D_j = Phi(thetaf, theta_j),
+        # the computed Phi(thetaf, thetaf) (not I) for the last state:
         #   row block 0:   D_0 x_0 = D_0 x0
         #   row block j+1: D_{j+1} x_{j+1} - D_j x_j - C_j (sigma_j, dv_j) = 0
-        #   row block m:   x_{m-1} + C_{m-1} (sigma_{m-1}, dv_{m-1}) = xf
-        # so the terminal block minus all others cancels every state exactly
-        # and leaves the condensed row: the residual the solver bounds is the
-        # plan's terminal miss, not one that grows through Phi(thetaf, theta_j).
-        phis = np.concatenate([phif[1:] @ _stm(scenario, grid.nodes[1:], grid.nodes[:-1]),
-                               np.eye(d)[None]])
-        blocks = np.zeros((m, d, cone))
-        blocks[:, :, 1:] = phis @ bmat
-        amat = StageMatrix(diag=phis, cones=blocks)
-        bvec = np.concatenate([phis[0] @ xv0, np.zeros(d * (m - 1)), xvf])
+        #   row block m:   D_{m-1} x_{m-1} + C_{m-1} (sigma_{m-1}, dv_{m-1}) = xf
+        # so the terminal block minus all others cancels every state and leaves
+        # the condensed row bit for bit: the residual the solver bounds is
+        # the plan's terminal miss, not one that grows through Phi(thetaf, theta_j).
+        amat = StageMatrix(diag=phif, cones=cols.swapaxes(0, 1))
+        bvec = np.concatenate([phif[0] @ xv0, np.zeros(d * (m - 1)), xvf])
 
     var_map = {
         "form": form,

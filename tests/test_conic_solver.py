@@ -952,6 +952,29 @@ class TestStageKKT:
         assert full.objective == pytest.approx(objective, rel=1e-6)
         assert full.objective == pytest.approx(condensed.objective, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8, 1e-12])
+    def test_near_singular_reduced_rows(self, delta):
+        # half a period plus delta in 3-D: the final out-of-plane position row
+        # of Abar is of order delta, so it passes the rank test by a small
+        # margin and both forms take the QR.  The full form presolves to the
+        # condensed program, so the two report the same answer bit for bit
+        c2c = builtin("circle2circle")
+        scenario = replace(c2c, planar=False, thetaf=c2c.theta0 + np.pi + delta,
+                           x0=RelativeState(r=[1e-3, 2e-4, 0.0], v=[0.0, 1e-4, 0.0]))
+        sols = {}
+        for form, path in (("condensed", "scaled_qr"), ("full", "stage_qr")):
+            records = []
+            sol = solve(assemble_socp(scenario, build_grid(scenario, 2), form=form),
+                        trace=records.append)
+            assert {r["kkt"] for r in records if "kkt" in r} == {path}
+            assert sol.status not in ("max_iters", "numerical_failure")
+            if sol.status == "optimal":
+                assert sol.residuals.primal <= SolverSettings().feas_tol
+            sols[form] = sol
+        condensed, full = sols["condensed"], sols["full"]
+        assert (full.status, full.iterations, full.objective) == \
+            (condensed.status, condensed.iterations, condensed.objective)
+
 
 # IPM iterations of the built-in scenarios, as measured on the solver
 # before its Newton step moved to NT-scaled variables: a change to the
