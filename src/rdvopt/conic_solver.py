@@ -16,17 +16,17 @@ component by component, so the cone block is one reshape view.
 
 Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.  A
 StageMatrix program (the full form) is presolved once: its states are
-eliminated to a cone-only program of the condensed form's shape, and
-restored after the loop (_StageElimination), so the loop never sees a
-StageMatrix.  The loop's program then takes one KKT path for the whole
-solve.  A cone-only program with independent rows takes a thin QR of
-G' = W A', linear in the number of cones; W = I at the start, so the path
-test factors the first iteration's G' = A' and reads dependent rows off
-its R.  Any other program, with free variables or dependent rows, takes
-numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]], E the
-identity on the cones, its diagonal shifted by a rounding; an exactly
-singular pivot refactors K under the next, larger shift (_SHIFTS).  Neither
-path refines its solve.  The solver needs numpy alone.
+eliminated to a cone-only program of the condensed form's shape
+(StageMatrix.presolve), and restored after the loop (StageMatrix.lift), so
+the loop never sees a StageMatrix.  The loop's program then takes one KKT
+path for the whole solve.  A cone-only program with independent rows takes
+a thin QR of G' = W A', linear in the number of cones; W = I at the start,
+so the path test factors the first iteration's G' = A' and reads dependent
+rows off its R.  Any other program, with free variables or dependent rows,
+takes numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]], E
+the identity on the cones, its diagonal shifted by a rounding; an exactly
+singular pivot refactors K under the next, larger shift (_SHIFTS).
+Neither path refines its solve.  The solver needs numpy alone.
 
 One loop serves every program as a family (c, A and b with a leading
 program axis): the scaled-QR programs of a solve_batch together, each
@@ -105,7 +105,8 @@ class StageMatrix:
     D_{j+1} x_{j+1} - D_j x_j - C_j cone_j, then D_{m-1} x_{m-1} + C_{m-1}
     cone_{m-1}: block m less all the others cancels every state by
     construction.  A @ v (a vector or (n, k) columns) and v @ A (a vector or
-    (k, p) rows) are batched block products; np.asarray(A) is dense."""
+    (k, p) rows) are batched block products; np.asarray(A) is dense.  The
+    solver presolves such a program once per solve and lifts its answer."""
 
     diag: np.ndarray
     cones: np.ndarray
@@ -152,6 +153,37 @@ class StageMatrix:
         cones[j[1:], :, j[:-1]] = -self.cones[:-1]
         cones[m, :, m - 1] = self.cones[-1]
         return a
+
+    def presolve(self, problem: ConicProblem) -> ConicProblem:
+        """The cone-only program of problem, whose A this is: row block m
+        less the blocks before it cancels every state x_j and leaves c's
+        cone part, Abar = [C_0, ..., C_{m-1}] and bbar = telescope(b).  The
+        transcription's full form holds D_0 x0 in b_0 and zeros in
+        b_1..b_{m-1}, so this is its condensed program itself, bit for bit."""
+        m, s, _ = self.cones.shape
+        abar = self.cones.transpose(1, 0, 2).reshape(s, -1)
+        return ConicProblem(problem.c[m * s:], abar, self.telescope(problem.b),
+                            ConeSpec(0, problem.cones.soc_dims))
+
+    def telescope(self, r: np.ndarray) -> np.ndarray:
+        """Row block m less the blocks before it, of (..., p) rows."""
+        r = r.reshape(r.shape[:-1] + (-1, self.cones.shape[1]))
+        return r[..., -1, :] - np.sum(r[..., :-1, :], axis=-2)
+
+    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, b: np.ndarray):
+        """The program's (k, n) x and z and (k, p) y from rows x, y and z of
+        the presolved program, the states solving row blocks 0..m-1 with
+        right-hand sides b (k, p): D_j x_j = sum_{i<=j} b_i + sum_{i<j} C_i
+        xc_i, and y = (-ybar, ..., -ybar, ybar), whose A'y is zero on the
+        states and Abar'ybar on the cones."""
+        k = len(x)
+        m, s, c = self.cones.shape
+        sums = np.cumsum(b.reshape(k, m + 1, s)[:, :-1], axis=1)
+        sums[:, 1:] += np.cumsum(_bmv(self.cones[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
+        states = np.linalg.solve(self.diag, sums[..., None])[..., 0]
+        return (np.concatenate([states.reshape(k, -1), x], axis=1),
+                np.concatenate([np.tile(-y, m), y], axis=1),
+                np.concatenate([np.zeros((k, m * s)), z], axis=1))
 
 
 @dataclass(frozen=True)
@@ -465,43 +497,6 @@ class _ScaledQRKKT:
         return _bmv(self.gt, dy).T
 
 
-class _StageElimination:
-    """The presolve of a StageMatrix program, built once per solve.  Row
-    block m less the blocks before it cancels every state x_j and leaves the
-    cone-only program `reduced`: c's cone part, Abar = [C_0, ..., C_{m-1}]
-    and bbar = b_m - sum_{i<m} b_i.  lift maps its answer back: D_j x_j =
-    sum_{i<=j} b_i + sum_{i<j} C_i xc_i from row blocks 0..j, and y = (-ybar,
-    ..., -ybar, ybar), whose A'y is zero on the states and Abar'ybar on the
-    cones.  The transcription's full form holds D_0 x0 in b_0 and zeros in
-    b_1..b_{m-1}, so `reduced` is its condensed program itself, bit for bit."""
-
-    def __init__(self, problem: ConicProblem):
-        a = problem.A
-        m, s, _ = a.cones.shape
-        self.problem, self.diag, self.c = problem, a.diag, a.cones
-        abar = self.c.transpose(1, 0, 2).reshape(s, -1)
-        self.reduced = ConicProblem(problem.c[m * s:], abar, self.telescope(problem.b),
-                                    ConeSpec(0, problem.cones.soc_dims))
-
-    def telescope(self, r: np.ndarray) -> np.ndarray:
-        """Row block m less the blocks before it, of (..., p) rows."""
-        r = r.reshape(r.shape[:-1] + (-1, self.c.shape[1]))
-        return r[..., -1, :] - np.sum(r[..., :-1, :], axis=-2)
-
-    def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, b: np.ndarray):
-        """The program's (k, n) x and z and (k, p) y from rows x, y and z of
-        the reduced program, the states solving row blocks 0..m-1 with
-        right-hand sides b (k, p)."""
-        k = len(x)
-        m, s, c = self.c.shape
-        sums = np.cumsum(b.reshape(k, m + 1, s)[:, :-1], axis=1)
-        sums[:, 1:] += np.cumsum(_bmv(self.c[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
-        states = np.linalg.solve(self.diag, sums[..., None])[..., 0]
-        return (np.concatenate([states.reshape(k, -1), x], axis=1),
-                np.concatenate([np.tile(-y, m), y], axis=1),
-                np.concatenate([np.zeros((k, m * s)), z], axis=1))
-
-
 # -- main solver ------------------------------------------------------------
 
 
@@ -551,13 +546,13 @@ def _solve_batch(
     trace: Optional[Callable[[dict], None]],
     kkt_type: type,
     first: Optional[list],
-    stages: Optional[_StageElimination],
+    staged: Optional[ConicProblem],
 ) -> list[ConicSolution]:
     """The interior-point loop over a family whose Newton systems kkt_type
     solves, with the path test's first factorization or None; trace gets a
-    family of one's records.  With stages, the family is its reduced program
-    alone, whose loop stops on the StageMatrix program's norms and whose
-    answer is lifted to that program, with residuals() of what it returns."""
+    family of one's records.  With staged, a StageMatrix program, the family
+    is its presolved program alone, whose loop stops on staged's norms and
+    whose answer is lifted to staged, with residuals() of what it returns."""
     st = settings or SolverSettings()
     c, b = problem.c, problem.b
     (nb, n), p = c.shape, b.shape[1]
@@ -565,7 +560,7 @@ def _solve_batch(
     nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
     nu = problem.cones.n_cones + 1
     kkt_path = ("dense_lu" if kkt_type is _DenseKKT else
-                "scaled_qr" if stages is None else "stage_qr")
+                "scaled_qr" if staged is None else "stage_qr")
 
     t_start = time.perf_counter()
     s = _Active()
@@ -575,9 +570,9 @@ def _solve_batch(
     s.b, s.c_prog = b, c
     s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
     s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
-    # the reduced program's residuals are its StageMatrix program's, and so
-    # are relative to that program's b and c
-    normed = problem if stages is None else stages.problem
+    # the presolved program's residuals are staged's, and so are relative
+    # to staged's b and c
+    normed = problem if staged is None else staged
     s.norm_b1, s.norm_c1 = (1.0 + _norm(np.atleast_2d(v)) for v in (normed.b, normed.c))
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     # x, z, c and r_d stacked, variables x programs: one W product gives
@@ -603,10 +598,10 @@ def _solve_batch(
         objectives = _dot(s.c_prog[stopped], x).tolist()
         res = [Residuals(*v) for v in zip(s.pres[stopped].tolist(), s.dres[stopped].tolist(),
                                           s.gap[stopped].tolist())]
-        if stages is not None:
+        if staged is not None:
             # a solution's states solve A x = b, a certificate's A x = 0
-            x, y, z = stages.lift(x, y, z, stages.problem.b[None] * (scale is None))
-            res = [residuals(stages.problem, *v) for v in zip(x, y, z)]
+            x, y, z = staged.A.lift(x, y, z, staged.b[None] * (scale is None))
+            res = [residuals(staged, *v) for v in zip(x, y, z)]
         solve_time = time.perf_counter() - t_start
         for i, xk, yk, zk, rk, objective in zip(s.ids[stopped].tolist(), x, y, z, res, objectives):
             out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, residuals=rk,
@@ -692,11 +687,8 @@ def _solve_batch(
         s.wbar, s.eta = _nt_scaling(xzb[0], xzb[1], s.det[0], s.det[1])
 
         t_factor = time.perf_counter()
-        # W = I at the start: take over the path test's G', Q and R, emptying its list
-        start = [v if s.ids.size == nb else v[s.ids] for v in first or ()] or None
-        if first:
-            first.clear()
-        kkt, broken = factor(start)
+        # W = I at the start: iteration 0 takes over the path test's G', Q and R
+        kkt, broken = factor([v[s.ids] for v in first] if first and it == 0 else None)
         while broken.any():
             # each program factors alone, so the others factor as before
             stop(broken, "kkt_breakdown")
@@ -801,11 +793,11 @@ def _dispatch(
     family: ConicProblem,
     settings: SolverSettings | None,
     trace: Optional[Callable[[dict], None]] = None,
-    stages: Optional[_StageElimination] = None,
+    staged: Optional[ConicProblem] = None,
 ) -> list[ConicSolution]:
     """Solve each program of a family, in order: those that take the scaled
     QR (cone-only, independent rows) advance together in one loop, and each
-    other one runs alone on the dense LU; trace and stages serve a family of
+    other one runs alone on the dense LU; trace and staged serve a family of
     one, as _solve_batch takes them."""
     qr, first = _scaled_qr_path(family)
     ids = np.arange(qr.size)
@@ -814,7 +806,7 @@ def _dispatch(
     out: list[Optional[ConicSolution]] = [None] * qr.size
     for kkt_type, rows, start in groups:
         part = ConicProblem(family.c[rows], family.A[rows], family.b[rows], family.cones)
-        for k, sol in zip(rows, _solve_batch(part, settings, trace, kkt_type, start, stages)):
+        for k, sol in zip(rows, _solve_batch(part, settings, trace, kkt_type, start, staged)):
             out[k] = sol
     return out
 
@@ -835,10 +827,10 @@ def solve(
     given, receives the iteration records as dicts (fields in README.md).
     """
     _single(problem, "solve")
-    stages = _StageElimination(problem) if isinstance(problem.A, StageMatrix) else None
-    loop = problem if stages is None else stages.reduced
+    staged = problem if isinstance(problem.A, StageMatrix) else None
+    loop = problem if staged is None else problem.A.presolve(problem)
     loop = ConicProblem(loop.c[None], loop.A[None], loop.b[None], loop.cones)
-    return _dispatch(loop, settings, trace, stages)[0]
+    return _dispatch(loop, settings, trace, staged)[0]
 
 
 def solve_batch(

@@ -31,6 +31,7 @@ from .transcription import (
     ExpandedSolution,
     Grid,
     Scenario,
+    _check_mesh_size,
     assemble_socp,
     build_grid,
     expand_solution,
@@ -415,12 +416,12 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     """Independent solves over a list of mesh sizes, sorted by size.
 
     Failed meshes are reported with their status and NaN cost; the sweep
-    continues.  A bad extraction tolerance or a size that is not an integer
-    raises ValueError at once.
+    continues.  A bad extraction tolerance or a mesh size that is not an
+    integer of at least 2 raises ValueError before any solve.
     """
     _extraction_tol(tol, scenario)
-    if not all(_integer(m) for m in m_list):
-        raise ValueError(f"mesh sizes must be integers, got {list(m_list)!r}")
+    for m in m_list:
+        _check_mesh_size(m)
     rows = []
     for m in sorted(int(m) for m in m_list):
         point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan)

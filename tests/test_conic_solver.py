@@ -749,20 +749,21 @@ class TestSparseKKT:
         return assemble_socp(scenario, build_grid(scenario, m), form="full")
 
     def test_band_slot_map_built_once_per_solve(self, monkeypatch):
-        # the stage elimination, which depends on A and b alone, is built and
-        # its answer lifted once per solve, whatever the iteration count
+        # the presolve, which depends on A and b alone, runs and its answer is
+        # lifted once per solve, whatever the iteration count
         built, lifted = [], []
+        presolve, lift = conic_solver.StageMatrix.presolve, conic_solver.StageMatrix.lift
 
-        class CountingStages(conic_solver._StageElimination):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+        def counting_presolve(self, *args):
+            built.append(1)
+            return presolve(self, *args)
 
-            def lift(self, *args):
-                lifted.append(1)
-                return super().lift(*args)
+        def counting_lift(self, *args):
+            lifted.append(1)
+            return lift(self, *args)
 
-        monkeypatch.setattr(conic_solver, "_StageElimination", CountingStages)
+        monkeypatch.setattr(conic_solver.StageMatrix, "presolve", counting_presolve)
+        monkeypatch.setattr(conic_solver.StageMatrix, "lift", counting_lift)
         prob = self._full(33)
         counts = []
         for cap in (3, 10):
@@ -809,8 +810,7 @@ class TestStageKKT:
         # number (3e10 at M=2)
         for m in (2, 9, 33):
             prob = self._full(planar, m)
-            stages = conic_solver._StageElimination(prob)
-            reduced = stages.reduced
+            reduced = prob.A.presolve(prob)
             cones = conic_solver._ConeLayout(reduced.cones)
             (p, n), nf = prob.A.shape, prob.cones.n_free
             for _ in range(3):
@@ -821,10 +821,10 @@ class TestStageKKT:
                 wr1, dl = rng.normal(size=(2, 2, n, 1))
                 wr1[:, :nf] = dl[:, :nf] = 0.0
                 r2 = rng.normal(size=(1, 2, p))
-                _, dxs, dym = qr.solve(wr1[:, nf:], dl[:, nf:], stages.telescope(r2))
+                _, dxs, dym = qr.solve(wr1[:, nf:], dl[:, nf:], prob.A.telescope(r2))
                 # the states solve A dx = r2 with dx = W dxs on the cones
                 dx = cones.scale(*nt, dxs)[..., 0].take(cones.unperm, axis=-1)
-                dx, dy, _ = stages.lift(dx, dym[0], dx, r2[0])
+                dx, dy, _ = prob.A.lift(dx, dym[0], dx, r2[0])
                 x = np.concatenate([dx[:, :nf], dxs[..., 0], dy], axis=1)
                 want = dense.solve(wr1, dl, r2)
                 ref = np.concatenate([want[1][..., 0], want[2][0]], axis=1)
@@ -839,12 +839,12 @@ class TestStageKKT:
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_holds_only_o_m_arrays(self, planar):
-        # the elimination's arrays, its reduced program's included, take a
-        # fixed size per stage whatever the grid: none grows with M squared
+        # the stage blocks and their presolved program take a fixed size per
+        # stage whatever the grid: none grows with M squared
         per_stage = []
         for m in (33, 1025):
-            stages = conic_solver._StageElimination(self._full(planar, m))
-            arrays = [v for obj in (stages, stages.reduced) for v in vars(obj).values()
+            prob = self._full(planar, m)
+            arrays = [v for obj in (prob.A, prob.A.presolve(prob)) for v in vars(obj).values()
                       if isinstance(v, np.ndarray)]
             per_stage.append(sum(v.nbytes for v in arrays) / m)
         assert per_stage[1] <= 1.1 * per_stage[0]
@@ -855,12 +855,11 @@ class TestStageKKT:
         # state exactly, and the states close row blocks 0..m-1 to rounding
         for m in (2, 9, 33):
             prob = self._full(planar, m)
-            stages = conic_solver._StageElimination(prob)
-            nf, s = prob.cones.n_free, stages.reduced.A.shape[0]
+            nf, s = prob.cones.n_free, prob.A.presolve(prob).A.shape[0]
             for _ in range(5):
                 xc, zc = (_interior(rng, prob.cones.soc_dims)[None] for _ in range(2))
                 ybar = rng.normal(size=(1, s))
-                x, y, z = stages.lift(xc, ybar, zc, prob.b[None])
+                x, y, z = prob.A.lift(xc, ybar, zc, prob.b[None])
                 assert np.array_equal(x[:, nf:], xc) and np.array_equal(z[:, nf:], zc)
                 assert not np.any(z[:, :nf])
                 assert np.array_equal(y, np.concatenate([np.tile(-ybar, m), ybar], axis=1))

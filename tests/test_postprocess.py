@@ -26,6 +26,7 @@ from rdvopt import (
     plan_rendezvous,
     reconstruct_trajectory,
     stm_full,
+    stm_in_plane,
     to_inertial,
     to_transformed,
     verify_plan,
@@ -33,6 +34,7 @@ from rdvopt import (
 from rdvopt import postprocess, transcription
 from rdvopt.conic_solver import StageMatrix
 from rdvopt.postprocess import ImpulsePlan, PlanResult, TrajectorySample, _three_node_costs
+from rdvopt.relative_dynamics import IN_PLANE_IDX, rho
 from rdvopt.transcription import expand_solution
 
 DATA = Path(__file__).parent / "data"
@@ -332,21 +334,72 @@ class TestMeshSweep:
         rows = mesh_sweep(builtin("circle2circle"), [2, 33])
         assert rows[0].total_dv >= rows[1].total_dv - 1e-9
 
-    @pytest.mark.parametrize("sizes", [[3.5, 9.9], [9, 9.9], [True, 9]])
+    @pytest.mark.parametrize("sizes", [[3.5, 9.9], [9, 9.9], [True, 9], [9, 1]])
     def test_non_integer_mesh_sizes_raise_before_solving(self, sizes, monkeypatch):
-        # 3.5 and 9.9 used to be truncated to M=3 and M=9
+        # 3.5 and 9.9 used to be truncated to M=3 and M=9, and M=1 reported
+        # as an error row after M=9 was solved
         def no_plan(*args, **kwargs):
             raise AssertionError("a sweep with a bad size must not solve")
         monkeypatch.setattr(postprocess, "plan_rendezvous", no_plan)
-        with pytest.raises(ValueError, match="mesh sizes must be integers"):
+        with pytest.raises(ValueError, match="mesh size must be an integer"):
             mesh_sweep(builtin("circle2circle"), sizes)
 
-    def test_failed_mesh_marked_and_sweep_continues(self):
-        rows = mesh_sweep(builtin("circle2circle"), [1, 9])
+    def test_failed_mesh_marked_and_sweep_continues(self, monkeypatch):
+        real_plan = postprocess.plan_rendezvous
+
+        def plan(scenario, mesh_m=None, **kwargs):
+            if mesh_m == 9:
+                raise np.linalg.LinAlgError("KKT factorization failed, 3 retries")
+            return real_plan(scenario, mesh_m=mesh_m, **kwargs)
+
+        monkeypatch.setattr(postprocess, "plan_rendezvous", plan)
+        rows = mesh_sweep(builtin("circle2circle"), [17, 9])
         assert len(rows) == 2
         assert rows[0].status != "optimal"
         assert math.isnan(rows[0].total_dv)
         assert rows[1].status == "optimal"
+
+
+def _two_impulse_cost(scen) -> float:
+    """Cost of the plan that burns at theta0 and thetaf alone, with no solver:
+    one square solve of [Phi(thetaf, theta0) B, B] u = xf - Phi(thetaf,
+    theta0) x0 in transformed coordinates, each burn costing k2 rho |u|."""
+    orbit, theta0, thetaf = scen.orbit, scen.theta0, scen.theta_f
+    idx = list(IN_PLANE_IDX) if scen.planar else list(range(6))
+    phi = (stm_in_plane if scen.planar else stm_full)(thetaf, theta0, orbit)
+    x0, xf = (to_transformed(x, t, orbit).vector[idx]
+              for x, t in ((scen.x0, theta0), (scen.xf, thetaf)))
+    q = len(idx) // 2
+    b = np.vstack([np.zeros((q, q)), np.eye(q)])
+    u = np.linalg.solve(np.hstack([phi @ b, b]), xf - phi @ x0)
+    return orbit.k2 * (rho(theta0, orbit.e) * np.linalg.norm(u[:q])
+                       + rho(thetaf, orbit.e) * np.linalg.norm(u[q:]))
+
+
+class TestTwoImpulseOracle:
+    """Every uniform grid holds both end nodes, so it can fly the two-impulse
+    plan: the grid optimum costs at most that plan, and at M=2, where the plan
+    is the only feasible one, exactly as much."""
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    @pytest.mark.parametrize("name", ["atv", "circle2circle", "simbolx"])
+    def test_grid_optimum_is_bounded_by_the_two_impulse_plan(self, name, planar):
+        scen = replace(builtin(name), planar=planar)
+        oracle = _two_impulse_cost(scen)
+        total = plan_rendezvous(scen, mesh_m=2).plan.total_dv
+        assert abs(total - oracle) <= 1e-9 * oracle
+        for m in (9, 65, 257):
+            assert plan_rendezvous(scen, mesh_m=m).plan.total_dv <= oracle * (1 + 1e-6), m
+
+    @pytest.mark.parametrize("form", ["condensed", "full"])
+    def test_simbolx_grid_optimum_is_the_two_impulse_plan(self, form):
+        # simbolx's primer peaks at 1.0 at both ends, so the two-impulse plan
+        # is its continuous-time optimum, which every grid reaches
+        scen = builtin("simbolx")
+        oracle = _two_impulse_cost(scen)
+        for m in (2, 9, 33, 65, 257, 1025):
+            total = plan_rendezvous(scen, mesh_m=m, form=form).plan.total_dv
+            assert abs(total - oracle) <= 1e-6 * oracle, m
 
 
 class TestInnerNodeSearch:
