@@ -11,29 +11,19 @@ where K is a product of one free block and second-order cones
 path-following on the homogeneous self-dual embedding with Nesterov-Todd
 scaling W, applied in closed form per cone, and a Mehrotra predictor-
 corrector; infeasibility is detected through Farkas certificates.
-Variables are ordered once per solve as the free block, then the cones
-component by component, so the cone block is one reshape view.
 
-Each Newton system is solved in NT-scaled variables, dxs = W^-1 dx.  A
-StageMatrix program (the full form) is presolved once: its states are
-eliminated to a cone-only program of the condensed form's shape
-(StageMatrix.presolve), and restored after the loop (StageMatrix.lift), so
-the loop never sees a StageMatrix.  The loop's program then takes one KKT
-path for the whole solve.  A cone-only program with independent rows takes
-a thin QR of G' = W A', linear in the number of cones; W = I at the start,
-so the path test factors the first iteration's G' = A' and reads dependent
-rows off its R.  Any other program, with free variables or dependent rows,
-takes numpy's dense LU of the scaled KKT matrix K = [[-E, G'], [G, 0]], E
-the identity on the cones, its diagonal shifted by a rounding; an exactly
-singular pivot refactors K under the next, larger shift (_SHIFTS).
-Neither path refines its solve.  The solver needs numpy alone.
+The loop takes cone-only programs with independent rows and solves each
+Newton system in NT-scaled variables, dxs = W^-1 dx, by a thin QR of
+G' = W A'; W = I at the start, so the path test's QR of A' serves the first
+iteration.  Any other program is presolved once (StageMatrix.presolve,
+_presolve) and its answer lifted after the loop.  It needs numpy alone.
 
 One loop serves every program as a family (c, A and b with a leading
-program axis): the scaled-QR programs of a solve_batch together, each
-other program as a family of one.  A family is stored variables x
-programs so the cone algebra makes one pass over it, each program's
-reductions on its own row with the calls of a program alone: solve_batch
-returns what each program returns alone.
+program axis), the programs of a solve_batch of one presolved shape
+together.  A family is stored variables x programs so the cone algebra
+makes one pass over it, each program's reductions on its own row with the
+calls of a program alone: solve_batch returns what each program returns
+alone.
 """
 
 from __future__ import annotations
@@ -48,9 +38,6 @@ import numpy as np
 
 _FRACTION_TO_BOUNDARY = 0.99
 _MIN_STEP = 1e-11
-# the dense LU's diagonal shifts of K: a rounding of its unit cone diagonal,
-# then the two retries after an exactly singular pivot
-_SHIFTS = (np.finfo(float).eps, 1e-10 + 1e-8, 1e-10 + 1e-8 + 1e-6)
 # the first solve's dl: lambda in the predictor's column, none in the tau direction's
 _SECOND_COLUMN = np.array([0.0, 1.0])[:, None, None]
 
@@ -157,18 +144,13 @@ class StageMatrix:
     def presolve(self, problem: ConicProblem) -> ConicProblem:
         """The cone-only program of problem, whose A this is: row block m
         less the blocks before it cancels every state x_j and leaves c's
-        cone part, Abar = [C_0, ..., C_{m-1}] and bbar = telescope(b).  The
-        transcription's full form holds D_0 x0 in b_0 and zeros in
+        cone part, Abar = [C_0, ..., C_{m-1}] and bbar = b_m - sum of b_j.
+        The transcription's full form holds D_0 x0 in b_0 and zeros in
         b_1..b_{m-1}, so this is its condensed program itself, bit for bit."""
         m, s, _ = self.cones.shape
-        abar = self.cones.transpose(1, 0, 2).reshape(s, -1)
-        return ConicProblem(problem.c[m * s:], abar, self.telescope(problem.b),
+        abar, b = self.cones.transpose(1, 0, 2).reshape(s, -1), problem.b.reshape(-1, s)
+        return ConicProblem(problem.c[m * s:], abar, b[-1] - np.sum(b[:-1], axis=0),
                             ConeSpec(0, problem.cones.soc_dims))
-
-    def telescope(self, r: np.ndarray) -> np.ndarray:
-        """Row block m less the blocks before it, of (..., p) rows."""
-        r = r.reshape(r.shape[:-1] + (-1, self.cones.shape[1]))
-        return r[..., -1, :] - np.sum(r[..., :-1, :], axis=-2)
 
     def lift(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, b: np.ndarray):
         """The program's (k, n) x and z and (k, p) y from rows x, y and z of
@@ -269,15 +251,11 @@ def _single(problem: ConicProblem, caller: str):
 def residuals(problem: ConicProblem, x, y, z) -> Residuals:
     """Relative primal/dual residuals and duality gap of a candidate triple."""
     _single(problem, "residuals")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    z = np.asarray(z, dtype=float).reshape(-1)
+    x, y, z = (np.asarray(v, dtype=float).reshape(-1) for v in (x, y, z))
     n, p = problem.c.size, problem.b.size
     if x.size != n or z.size != n or y.size != p:
-        raise ValueError(
-            f"dimension mismatch: expected x,z of size {n} and y of size {p}, "
-            f"got {x.size}, {z.size}, {y.size}"
-        )
+        raise ValueError(f"dimension mismatch: expected x,z of size {n} and y of size {p}, "
+                         f"got {x.size}, {z.size}, {y.size}")
     pcost = float(problem.c @ x)
     primal = np.linalg.norm(problem.A @ x - problem.b) / (1.0 + np.linalg.norm(problem.b))
     dual = np.linalg.norm(y @ problem.A + z - problem.c) / (1.0 + np.linalg.norm(problem.c))
@@ -292,31 +270,26 @@ def residuals(problem: ConicProblem, x, y, z) -> Residuals:
 
 
 class _ConeLayout:
-    """The solver's variable order, perm (undone by unperm): the free block,
-    then the heads of the g cones of dimension d, their first tail
+    """The solver's variable order of a cone-only program, perm (undone by
+    unperm): the heads of the g cones of dimension d, their first tail
     components, and so on.  An iterate is stored variables x programs, so
-    its cone block is one (d, g K) view over the whole family, whose last
-    axis runs over the cones and, within each cone, the programs."""
+    it is one (d, g K) view over the whole family, whose last axis runs
+    over the cones and, within each cone, the programs."""
 
     def __init__(self, spec: ConeSpec):
-        self.n_free, self.g = spec.n_free, spec.n_cones
+        self.g = spec.n_cones
         # any dimension serves the empty block of a program without cones
         self.d = spec.soc_dims[0] if spec.soc_dims else 2
-        heads = self.n_free + self.d * np.arange(self.g)
-        self.perm = np.concatenate([np.arange(self.n_free),
-                                    (np.arange(self.d)[:, None] + heads).reshape(-1)])
+        self.perm = (np.arange(self.d)[:, None] + self.d * np.arange(self.g)).reshape(-1)
         self.unperm = np.argsort(self.perm)
 
     def blocks(self, v: np.ndarray) -> np.ndarray:
-        """(..., d, g K) view of the cone block of v, whose last two axes are
-        the variables and the K programs."""
-        return v[..., self.n_free:, :].reshape(v.shape[:-2] + (self.d, self.g * v.shape[-1]))
+        """(..., d, g K) view of v, whose last two axes are variables x programs."""
+        return v.reshape(v.shape[:-2] + (self.d, self.g * v.shape[-1]))
 
     def scale(self, wbar: np.ndarray, eta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """W v for the NT scaling W = eta Wbar(wbar) of each cone, the free block as is."""
+        """W v for the NT scaling W = eta Wbar(wbar) of each cone."""
         out = np.empty(v.shape)
-        if self.n_free:
-            out[..., :self.n_free, :] = v[..., :self.n_free, :]
         _nt_apply(wbar, eta, self.blocks(v), self.blocks(out))
         return out
 
@@ -406,72 +379,22 @@ def _max_step(lbar: np.ndarray, rdet: np.ndarray, du: np.ndarray, programs: int)
     return 1.0 / np.maximum.reduce(t.reshape(-1, programs), axis=0, initial=1e-300)
 
 
-# -- KKT systems -------------------------------------------------------------
-#
-# With H = W^-2 and dxs = W^-1 dx, -H dx + A'dy = r1 + W^-1 dl, A dx = r2
-# reads -E dxs + G'dy = W r1 + dl, G dxs = r2.  solve takes W r1 (columns,
-# n, programs), dl stacked alike or broadcasting, and r2 (programs, columns,
-# p); it returns dxs as (programs, columns, n) rows and as (columns, n,
-# programs), and dy (programs, columns, p).  gty gives G'dy.
-
-
-def dense_lu(k: np.ndarray):
-    """The solve of (rows, size) right-hand sides by numpy's LU (gesv) of a square
-    K; None at an exactly singular pivot, whose LU slogdet reads as sign 0."""
-    if np.linalg.slogdet(k)[0] == 0.0:
-        return None
-    return lambda r: np.linalg.solve(k, r.T).T
-
-
-class _DenseKKT:
-    """Dense LU of one program's scaled KKT matrix K = [[-E, G'], [G, 0]] in
-    the solver's order, E the identity on the cones, its diagonal shifted by
-    the first of _SHIFTS that leaves no exactly singular pivot.  eps, the
-    shift that moves the cone diagonal -1 to its next float, keeps the zero
-    pivots of dependent rows off zero and stays within the LU's own rounding.
-    Its interface is _ScaledQRKKT's, for a family of one (first unused)."""
-
-    # a factorization that fails raises instead
-    singular = np.zeros(1, dtype=bool)
-
-    def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout,
-                 first: Optional[list] = None):
-        # the rows of G = A W are W times the rows of A
-        self.g = layout.scale(wbar, eta, a)[:, :, 0]
-        (p, n), nf = self.g.shape, layout.n_free
-        k = np.diag(np.r_[np.zeros(nf), -np.ones(n - nf), np.zeros(p)])
-        k[n:, :n], k[:n, n:] = self.g, self.g.T
-        shift_sign = np.concatenate([-np.ones(n), np.ones(p)])
-        for self.reg_retries, shift in enumerate(_SHIFTS):
-            self._k_solve = dense_lu(k + np.diag(shift * shift_sign))
-            if self._k_solve is not None:
-                break
-        else:
-            raise np.linalg.LinAlgError("KKT factorization failed")
-
-    def solve(self, wr1: np.ndarray, dl: np.ndarray, r2: np.ndarray):
-        n = self.g.shape[1]
-        sol = self._k_solve(np.concatenate([(wr1 + dl)[..., 0], r2[0]], -1))
-        dxs = sol[:, :n]
-        return dxs[None], dxs[:, :, None], sol[None, :, n:]
-
-    def gty(self, dy: np.ndarray) -> np.ndarray:
-        """G'dy, (n, 1)."""
-        return (dy @ self.g).T
+# -- the KKT system ----------------------------------------------------------
 
 
 class _ScaledQRKKT:
-    """KKT solver for cone-only programs with independent equality rows: a
-    thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
+    """The loop's Newton system.  With H = W^-2 and dxs = W^-1 dx, -H dx +
+    A'dy = r1 + W^-1 dl, A dx = r2 reads -dxs + G'dy = W r1 + dl, G dxs = r2.
+    A thin QR G' = QR (n x p) gives u = R^-T r2 + Q'W r1, dy = R^-1 u and
     dxs = Q u - W r1 on each program's rows, at O(n p^2).  One stacked QR
     factors all programs, unless first hands over (G', Q, R); singular flags
-    each whose R has an exactly zero pivot."""
-
-    reg_retries = 0
+    each whose R has an exactly zero pivot.  solve takes W r1 (columns, n,
+    programs), dl stacked alike or broadcasting, and r2 (programs, columns,
+    p); it returns dxs as (programs, columns, n) rows and as (columns, n,
+    programs), and dy (programs, columns, p).  gty gives G'dy."""
 
     def __init__(self, wbar: np.ndarray, eta: np.ndarray, a: np.ndarray, layout: _ConeLayout,
                  first: Optional[list] = None):
-        self.wbar, self.eta, self.layout = wbar, eta, layout
         if first is None:
             # the rows of G = A W are W times the rows of A, (p, n, programs);
             # G' is kept as each program's contiguous (n, p) block for its products
@@ -497,24 +420,86 @@ class _ScaledQRKKT:
         return _bmv(self.gt, dy).T
 
 
-# -- main solver ------------------------------------------------------------
+# -- presolve and dispatch ---------------------------------------------------
 
 
 def _scaled_qr_path(problem: ConicProblem):
-    """Whether each program takes the scaled QR, and the family's first
-    factorization [G', Q, R], or None.  A program takes it when it is
-    cone-only and its rows are independent, which the QR of (..., n, p)
-    G' = A' in the solver's order tells (W = I at the start): more rows than
-    columns, or a pivot of R within rounding of zero (as matrix_rank's
-    tolerance), marks dependent rows."""
-    if problem.cones.n_free or not problem.cones.n_cones:
-        return np.zeros(problem.A.shape[:-2], dtype=bool), None
+    """Whether each program of a cone-only family has independent rows, and
+    the family's QR [G', Q, R] of (..., n, p) G' = A' in the solver's order:
+    no rows, more rows than columns or a pivot within rounding of zero (as
+    matrix_rank's tolerance) sends a program to _presolve."""
     gt = np.swapaxes(problem.A, -1, -2).take(_ConeLayout(problem.cones).perm, axis=-2)
     n, p = gt.shape[-2:]
     q, r = np.linalg.qr(gt)
     pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     tol = np.max(pivots, axis=-1, initial=0.0) * n * np.finfo(float).eps
-    return (p <= n) & (np.min(pivots, axis=-1, initial=np.inf) > tol), [gt, q, r]
+    return (0 < p <= n) & (np.min(pivots, axis=-1, initial=np.inf) > tol), [gt, q, r]
+
+
+def _split(m: np.ndarray, rhs: np.ndarray, tol: float, sign: float):
+    """The columns of m that each add, in order, a pivot above the path
+    test's rounding tolerance to the QR of those kept before it; or, when a
+    dropped one's rhs misfits the kept ones' by more than tol, v with m v = 0
+    to rounding and rhs'v = sign: a Farkas vector or a ray."""
+    pivots = np.abs(np.diagonal(np.linalg.qr(m, mode="r")))
+    eps = np.max(pivots, initial=0.0) * m.shape[0] * np.finfo(float).eps
+    if m.shape[1] <= m.shape[0] and np.all(pivots > eps):
+        return list(range(m.shape[1]))
+    keep = []
+    for j in range(m.shape[1]):
+        if len(keep) < m.shape[0] and abs(np.linalg.qr(m[:, keep + [j]], mode="r")[-1, -1]) > eps:
+            keep.append(j)
+    drop = np.setdiff1d(np.arange(m.shape[1]), keep)
+    w = np.linalg.lstsq(m[:, keep], m[:, drop], rcond=None)[0]
+    misfit = rhs[drop] - rhs[keep] @ w
+    if np.all(np.abs(misfit) <= tol):
+        return keep
+    j = np.argmax(np.abs(misfit))
+    v = np.zeros(m.shape[1])
+    v[drop[j]], v[keep] = 1.0, -w[:, j]
+    return v / (sign * misfit[j])
+
+
+def _presolve(problem: ConicProblem, gt: np.ndarray, st: SolverSettings, norms):
+    """One program as (cone-only program with independent rows, objective
+    offset, lift) or as its answer (x, y, z, status).  _split keeps rows (gt = A'), then free
+    columns F, within feas_tol of norms (1 + |b|, 1 + |c|).  F_k = [Q1 Q2] R1
+    leaves Q2'A_c x_c = Q2'b at cost cbar = c_c - A_c'y0, y0 = Q1 R1^-T c_k;
+    the lift restores x_k = R1^-1 Q1'(b - A_c x_c) and y = y0 + Q2 ybar.
+    Without rows, x = 0 is optimal if cbar is in K* = K, else the cone
+    cbar = (s, u) leaves most gives the ray (1, -u/|u|)."""
+    b, c, nf = problem.b, problem.c, problem.cones.n_free
+    zeros, rows = np.zeros(c.size), _split(gt, b, st.feas_tol * norms[0], 1.0)
+    if isinstance(rows, np.ndarray):
+        return zeros, rows, zeros, "primal_infeasible"
+    f, ac, bk = problem.A[rows, :nf], problem.A[rows, nf:], b[rows]
+    keep = _split(f, c[:nf], st.feas_tol * norms[1], -1.0)
+    if isinstance(keep, np.ndarray):
+        return np.concatenate([keep, zeros[nf:]]), np.zeros(b.size), zeros, "dual_infeasible"
+    q, r = np.linalg.qr(f[:, keep], mode="complete")
+    q1, q2, r1 = q[:, :len(keep)], q[:, len(keep):], r[:len(keep)]
+    y0 = q1 @ np.linalg.solve(r1.T, c[keep])
+
+    def lift(x, y, z, sol):
+        xf, yp = np.zeros(nf), np.zeros(b.size)
+        xf[keep] = np.linalg.solve(r1, (bk * sol - ac @ x) @ q1)
+        yp[rows] = y0 * sol + q2 @ y
+        return np.concatenate([xf, x]), yp, np.concatenate([zeros[:nf], z])
+
+    cbar, cones = c[nf:] - y0 @ ac, ConeSpec(0, problem.cones.soc_dims)
+    if len(rows) > len(keep):
+        return ConicProblem(cbar, q2.T @ ac, q2.T @ bk, cones), float(y0 @ bk), lift
+    cbar = cbar.reshape(-1, _ConeLayout(cones).d)
+    tail = np.linalg.norm(cbar[:, 1:], axis=1)
+    excess = np.maximum(tail - cbar[:, 0], 0.0)
+    x, z = np.zeros_like(cbar), cbar.copy()
+    if np.linalg.norm(excess) <= st.feas_tol * norms[1]:
+        z[:, 0] = np.maximum(cbar[:, 0], tail)  # each head raised to its tail's norm
+        return (*lift(x.reshape(-1), np.zeros(0), z.reshape(-1), True), "optimal")
+    j = np.argmax(excess)
+    x[j, 0], x[j, 1:] = 1.0, -cbar[j, 1:] / (tail[j] or 1.0)
+    x = x.reshape(-1) / excess[j]
+    return (*lift(x, np.zeros(0), np.zeros(x.size), False), "dual_infeasible")
 
 
 class _Active:
@@ -540,27 +525,18 @@ class _Active:
             setattr(self, name, value)
 
 
-def _solve_batch(
-    problem: ConicProblem,
-    settings: SolverSettings | None,
-    trace: Optional[Callable[[dict], None]],
-    kkt_type: type,
-    first: Optional[list],
-    staged: Optional[ConicProblem],
-) -> list[ConicSolution]:
-    """The interior-point loop over a family whose Newton systems kkt_type
-    solves, with the path test's first factorization or None; trace gets a
-    family of one's records.  With staged, a StageMatrix program, the family
-    is its presolved program alone, whose loop stops on staged's norms and
-    whose answer is lifted to staged, with residuals() of what it returns."""
-    st = settings or SolverSettings()
+def _solve_batch(problem: ConicProblem, st: SolverSettings,
+                 trace: Optional[Callable[[dict], None]], first: Optional[list], path: str,
+                 norms: list) -> list[ConicSolution]:
+    """The interior-point loop over a cone-only family with independent
+    rows, with the path test's QR or None; trace gets a family of one's
+    records.  It stops on the residuals of the programs they stand for, of
+    norms 1 + |b|, 1 + |c| and objective offset."""
     c, b = problem.c, problem.b
     (nb, n), p = c.shape, b.shape[1]
     layout = _ConeLayout(problem.cones)
-    nf, perm, unperm = layout.n_free, layout.perm, layout.unperm
+    perm, unperm = layout.perm, layout.unperm
     nu = problem.cones.n_cones + 1
-    kkt_path = ("dense_lu" if kkt_type is _DenseKKT else
-                "scaled_qr" if staged is None else "stage_qr")
 
     t_start = time.perf_counter()
     s = _Active()
@@ -570,10 +546,7 @@ def _solve_batch(
     s.b, s.c_prog = b, c
     s.a, s.at = problem.A, np.swapaxes(problem.A, 1, 2)
     s.a_perm = problem.A.transpose(1, 2, 0).take(perm, axis=1)
-    # the presolved program's residuals are staged's, and so are relative
-    # to staged's b and c
-    normed = problem if staged is None else staged
-    s.norm_b1, s.norm_c1 = (1.0 + _norm(np.atleast_2d(v)) for v in (normed.b, normed.c))
+    s.norm_b1, s.norm_c1, s.offset = norms
     s.feas_b, s.feas_c = st.feas_tol * s.norm_b1, st.feas_tol * s.norm_c1
     # x, z, c and r_d stacked, variables x programs: one W product gives
     # lambda = W z, W c and W r_d, and one transposed copy the rows of x and z
@@ -598,10 +571,6 @@ def _solve_batch(
         objectives = _dot(s.c_prog[stopped], x).tolist()
         res = [Residuals(*v) for v in zip(s.pres[stopped].tolist(), s.dres[stopped].tolist(),
                                           s.gap[stopped].tolist())]
-        if staged is not None:
-            # a solution's states solve A x = b, a certificate's A x = 0
-            x, y, z = staged.A.lift(x, y, z, staged.b[None] * (scale is None))
-            res = [residuals(staged, *v) for v in zip(x, y, z)]
         solve_time = time.perf_counter() - t_start
         for i, xk, yk, zk, rk, objective in zip(s.ids[stopped].tolist(), x, y, z, res, objectives):
             out[i] = ConicSolution(x=xk, y=yk, z=zk, status=status, residuals=rk,
@@ -616,7 +585,7 @@ def _solve_batch(
     def factor(start=None):
         """The KKT factorization of the active programs, and which broke down."""
         try:
-            kkt = kkt_type(s.wbar, s.eta, s.a_perm, layout, start)
+            kkt = _ScaledQRKKT(s.wbar, s.eta, s.a_perm, layout, start)
         except np.linalg.LinAlgError:
             # a breakdown with finite iterates returns the best effort
             return None, np.ones(s.ids.size, dtype=bool)
@@ -634,14 +603,15 @@ def _solve_batch(
         r_d_rows = s.v[2].T * s.tau[:, None] - atyz
         s.v[3] = r_d_rows.T
         s.r_g = by - cx - s.kappa
-        s.mu = (_dot(x_rows[:, nf:], z_rows[:, nf:]) + s.tau * s.kappa) / nu
+        s.mu = (_dot(x_rows, z_rows) + s.tau * s.kappa) / nu
 
         # residuals of the scaled point (x, y, z) / tau; the gap is
         # residuals()'s of the x / tau and y / tau that finish returns
         s.pres = _norm(s.r_p) / (s.tau * s.norm_b1)
         s.dres = _norm(r_d_rows) / (s.tau * s.norm_c1)
         cx_tau = _dot(s.c_prog, s.x_prog / s.tau[:, None])
-        s.gap = np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None])) / (1.0 + np.abs(cx_tau))
+        s.gap = (np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None]))
+                 / (1.0 + np.abs(cx_tau + s.offset)))
         if trace is not None:
             trace({"iter": it, "mu": float(s.mu[0]), "pres": float(s.pres[0]),
                    "dres": float(s.dres[0]), "gap": float(s.gap[0]),
@@ -768,8 +738,7 @@ def _solve_batch(
         alpha = step_limit(steps, dtau, dkappa, _FRACTION_TO_BOUNDARY)
         if trace is not None:
             trace({"iter": it, "sigma": float(sigma[0]), "alpha_aff": float(alpha_aff[0]),
-                   "alpha": float(alpha[0]), "kkt": kkt_path, "factor_s": factor_s,
-                   "reg_retries": kkt.reg_retries})
+                   "alpha": float(alpha[0]), "kkt": path, "factor_s": factor_s})
         small = alpha <= _MIN_STEP
         stalled = small & s.small
         s.small = small
@@ -779,7 +748,7 @@ def _solve_batch(
 
         s.v[0] += alpha * wsteps[0]
         s.y += alpha[:, None] * dy
-        s.v[1, nf:] += alpha * dz[nf:]
+        s.v[1] += alpha * dz
         s.tau, s.kappa = s.tau + alpha * dtau, s.kappa + alpha * dkappa
         if any_stalled:
             s.take(~stalled)
@@ -789,40 +758,66 @@ def _solve_batch(
     return out
 
 
-def _dispatch(
-    family: ConicProblem,
-    settings: SolverSettings | None,
-    trace: Optional[Callable[[dict], None]] = None,
-    staged: Optional[ConicProblem] = None,
-) -> list[ConicSolution]:
-    """Solve each program of a family, in order: those that take the scaled
-    QR (cone-only, independent rows) advance together in one loop, and each
-    other one runs alone on the dense LU; trace and staged serve a family of
-    one, as _solve_batch takes them."""
-    qr, first = _scaled_qr_path(family)
-    ids = np.arange(qr.size)
-    groups = [(_ScaledQRKKT, ids[qr], [v[qr] for v in first])] if qr.any() else []
-    groups += [(_DenseKKT, ids[k:k + 1], None) for k in ids[~qr]]
-    out: list[Optional[ConicSolution]] = [None] * qr.size
-    for kkt_type, rows, start in groups:
-        part = ConicProblem(family.c[rows], family.A[rows], family.b[rows], family.cones)
-        for k, sol in zip(rows, _solve_batch(part, settings, trace, kkt_type, start, staged)):
+def _dispatch(family: ConicProblem, settings: SolverSettings | None,
+              trace: Optional[Callable[[dict], None]] = None,
+              staged: Optional[ConicProblem] = None) -> list[ConicSolution]:
+    """Solve each program of a family, in order: those that the path test
+    passes in one loop, which takes over its QR, and the others that
+    _presolve leaves in one loop per shape, their answers lifted.  trace and
+    staged, a StageMatrix program that it stands for, serve a family of one."""
+    st, t_start = settings or SolverSettings(), time.perf_counter()
+    path, normed = ("scaled_qr", family) if staged is None else ("stage_qr", staged)
+    norms = [1.0 + _norm(np.atleast_2d(v)) for v in (normed.b, normed.c)]
+    ids = np.arange(len(family.c))
+    if family.cones.n_free:
+        # rows are judged on A, as the rotation that eliminates F rounds
+        loop, first = np.zeros(ids.size, dtype=bool), [np.swapaxes(family.A, 1, 2)]
+    else:
+        loop, first = _scaled_qr_path(family)
+    out: list[Optional[ConicSolution]] = [None] * ids.size
+    if loop.any():
+        part = ConicProblem(family.c[loop], family.A[loop], family.b[loop], family.cones)
+        sols = _solve_batch(part, st, trace, [v[loop] for v in first], path,
+                            [v[loop] for v in norms] + [np.zeros(loop.sum())])
+        for k, sol in zip(ids[loop], sols):
+            out[k] = sol
+    groups: dict = {}
+    for k in ids[~loop]:
+        member = ConicProblem(family.c[k], family.A[k], family.b[k], family.cones)
+        presolved = _presolve(member, first[0][k], st, [v[k] for v in norms])
+        if trace is not None:
+            trace({"iter": 0, "presolve": presolved[-1] if len(presolved) == 4 else "reduced"})
+        if len(presolved) == 3:
+            groups.setdefault(presolved[0].A.shape, []).append((k, member, *presolved))
+            continue
+        x, y, z, status = presolved
+        out[k] = ConicSolution(x, y, z, status, residuals(member, x, y, z), 0,
+                               time.perf_counter() - t_start, float(member.c @ x))
+    for group in groups.values():
+        ks, members, reduced, offsets, lifts = zip(*group)
+        stack = ConicProblem(*(np.stack([getattr(r, v) for r in reduced]) for v in "cAb"),
+                             reduced[0].cones)
+        sols = _solve_batch(stack, st, trace, None, path,
+                            [v[list(ks)] for v in norms] + [np.array(offsets)])
+        for k, member, sol, offset, lift in zip(ks, members, sols, offsets, lifts):
+            # a certificate solves the program with b or c zero
+            solution = sol.status not in ("primal_infeasible", "dual_infeasible")
+            sol.x, sol.y, sol.z = lift(sol.x, sol.y, sol.z, solution)
+            sol.residuals = residuals(member, sol.x, sol.y, sol.z)
+            sol.objective += offset * solution
             out[k] = sol
     return out
 
 
-def solve(
-    problem: ConicProblem,
-    settings: SolverSettings | None = None,
-    trace: Optional[Callable[[dict], None]] = None,
-) -> ConicSolution:
+def solve(problem: ConicProblem, settings: SolverSettings | None = None,
+          trace: Optional[Callable[[dict], None]] = None) -> ConicSolution:
     """Solve a conic program; deterministic for identical inputs.
 
     On status "optimal", (x, y, z) is the scaled primal-dual solution.
     On "primal_infeasible", (y, z) is a Farkas certificate normalized to
     b'y = 1; on "dual_infeasible", x is a ray normalized to c'x = -1.
     A status in BEST_EFFORT returns the last iterate; "numerical_failure"
-    means it was no longer finite.
+    means it was no longer finite.  A presolved answer has iteration 0.
     A family raises ValueError; solve it with solve_batch.  trace, if
     given, receives the iteration records as dicts (fields in README.md).
     """
@@ -830,19 +825,23 @@ def solve(
     staged = problem if isinstance(problem.A, StageMatrix) else None
     loop = problem if staged is None else problem.A.presolve(problem)
     loop = ConicProblem(loop.c[None], loop.A[None], loop.b[None], loop.cones)
-    return _dispatch(loop, settings, trace, staged)[0]
+    sol = _dispatch(loop, settings, trace, staged)[0]
+    if staged is not None:
+        # a solution's states solve A x = b, a certificate's A x = 0
+        solution = sol.status not in ("primal_infeasible", "dual_infeasible")
+        lifted = problem.A.lift(sol.x[None], sol.y[None], sol.z[None], problem.b[None] * solution)
+        sol.x, sol.y, sol.z = (v[0] for v in lifted)
+        sol.residuals = residuals(problem, sol.x, sol.y, sol.z)
+    return sol
 
 
-def solve_batch(
-    problem: ConicProblem,
-    settings: SolverSettings | None = None,
-) -> list[ConicSolution]:
+def solve_batch(problem: ConicProblem,
+                settings: SolverSettings | None = None) -> list[ConicSolution]:
     """Solve each program of a family (c, A and b with a program axis).
 
     Returns, in order, what solve returns for each program alone, except
     that solve_time is the family's wall time until the program stopped.
-    The programs that take the scaled QR advance together in one loop;
-    each one that needs the dense LU runs by itself.
+    The programs of one presolved shape advance together in one loop.
     """
     if problem.A.ndim != 3:
         raise ValueError("solve_batch takes a family: c, A and b with a program axis")

@@ -420,6 +420,7 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     integer of at least 2 raises ValueError before any solve.
     """
     _extraction_tol(tol, scenario)
+    m_list = list(m_list)  # a generator is read once
     for m in m_list:
         _check_mesh_size(m)
     rows = []

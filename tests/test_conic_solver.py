@@ -64,10 +64,6 @@ def _failing_factorization(*args):
     raise np.linalg.LinAlgError("forced breakdown")
 
 
-def _singular_factorization(*args):
-    return None  # dense_lu's answer to an exactly singular pivot
-
-
 class TestTrivialPrograms:
     def test_cone_projection_of_pinned_point(self):
         # min sigma s.t. v = 3, (sigma, v) in a 2-cone
@@ -113,9 +109,8 @@ class TestTrivialPrograms:
         assert sol.objective == pytest.approx(value, abs=1e-8)
 
     def test_free_variables_with_a_consistent_dependent_row(self, rng):
-        # free variables take the dense LU, whose diagonal shift is what keeps
-        # a dependent row's zero pivot off zero: the appended row changes
-        # neither the status nor the objective
+        # the presolve drops the appended row before it eliminates the free
+        # variables: it changes neither the status nor the objective
         for _ in range(20):
             prob, *_ = make_kkt_certified_problem(rng, n_free=int(rng.integers(1, 4)))
             mix = rng.normal(size=prob.b.size)
@@ -131,10 +126,11 @@ class TestTrivialPrograms:
         ([1.0, 2.0, 0.0], "dual_infeasible", -1.0),
     ])
     def test_cone_only_program_without_rows(self, c, status, objective):
-        # min c'x over the 3-cone alone: no equality rows for the scaled QR
+        # min c'x over the 3-cone alone: no equality rows, so the presolve
+        # decides it at iteration 0
         prob = ConicProblem(c=c, A=np.zeros((0, 3)), b=np.zeros(0), cones=ConeSpec(0, (3,)))
         sol = solve(prob)
-        assert (sol.status, sol.y.shape) == (status, (0,))
+        assert (sol.status, sol.y.shape, sol.iterations) == (status, (0,), 0)
         assert sol.objective == pytest.approx(objective, abs=1e-8)
         family = ConicProblem(c=[c, c], A=np.zeros((2, 0, 3)), b=np.zeros((2, 0)),
                               cones=prob.cones)
@@ -282,55 +278,46 @@ class TestSolverProperties:
         assert spec.dim == 8 and spec.soc_dims == (3, 3)
 
     def test_trace_names_the_kkt_path(self, rng):
+        # free variables are presolved onto the scaled QR, and the full form
+        # onto its stage QR
         scenario = builtin("atv")
-        programs = {"scaled_qr": make_kkt_certified_problem(rng, n_free=0)[0],
-                    "dense_lu": make_kkt_certified_problem(rng, n_free=2)[0],
-                    "stage_qr": assemble_socp(scenario, build_grid(scenario, 9), form="full")}
-        for path, prob in programs.items():
+        programs = [("scaled_qr", make_kkt_certified_problem(rng, n_free=0)[0]),
+                    ("scaled_qr", make_kkt_certified_problem(rng, n_free=2, ncones=3)[0]),
+                    ("stage_qr", assemble_socp(scenario, build_grid(scenario, 9), form="full"))]
+        for path, prob in programs:
             records = []
             solve(prob, trace=records.append)
             steps = [r for r in records if "alpha" in r]
             assert steps and all(r["kkt"] == path for r in steps)
-            assert all(r["factor_s"] >= 0.0 and r["reg_retries"] == 0 for r in steps)
-            # no path refines its solve, so no record counts refinement rounds
-            assert not any("refine_rounds" in r for r in records)
-
-    def test_trace_counts_regularization_retries(self, rng, monkeypatch):
-        real_dense_lu = conic_solver.dense_lu
-        calls = []
-
-        def dense_lu_singular_once(k):
-            calls.append(1)
-            if len(calls) == 1:
-                return None
-            return real_dense_lu(k)
-
-        monkeypatch.setattr(conic_solver, "dense_lu", dense_lu_singular_once)
-        prob, *_ = make_kkt_certified_problem(rng, n_free=2)
-        records = []
-        solve(prob, trace=records.append)
-        retries = [r["reg_retries"] for r in records if "alpha" in r]
-        assert retries[0] == 1 and not any(retries[1:])
+            assert all(r["factor_s"] >= 0.0 for r in steps)
+            # no path refines its solve or retries a factorization
+            assert not any("refine_rounds" in r or "reg_retries" in r for r in records)
 
     @pytest.mark.parametrize("stop, name, fake", [
         ("kkt_breakdown", "_ScaledQRKKT", _failing_factorization),
         ("cone_boundary", "_jdot", lambda u, v: np.zeros(u.shape[:-2] + u.shape[-1:])),
         ("step_stall", "_max_step", lambda u, det_u, du, programs: 0.0),
-        pytest.param("kkt_breakdown", "dense_lu", _singular_factorization,
-                     id="kkt_breakdown-dense_lu"),
     ])
     def test_hidden_stops_are_named_in_the_trace(self, monkeypatch, stop, name, fake):
         monkeypatch.setattr(conic_solver, name, fake)
-        if name == "dense_lu":
-            # the dense path: min sigma s.t. f = 0, v - f = 3 with f free
-            prob = ConicProblem(c=[0.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
-                                b=[0.0, 3.0], cones=ConeSpec(1, (2,)))
-        else:
-            prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
+        prob = ConicProblem(c=[1.0, 0.0], A=[[0.0, 1.0]], b=[3.0], cones=ConeSpec(0, (2,)))
         records = []
         sol = solve(prob, trace=records.append)
         assert sol.status == stop
         assert records[-1] == {"iter": sol.iterations, "stop": stop}
+        assert sum("stop" in r for r in records) == 1
+
+    def test_a_presolved_programs_breakdown_is_named_in_the_trace(self, monkeypatch):
+        # min sigma s.t. f = 0, v - f = 3 with f free: the presolve eliminates
+        # f, and the loop over the rest breaks down at its first factorization
+        monkeypatch.setattr(conic_solver, "_ScaledQRKKT", _failing_factorization)
+        prob = ConicProblem(c=[0.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
+                            b=[0.0, 3.0], cones=ConeSpec(1, (2,)))
+        records = []
+        sol = solve(prob, trace=records.append)
+        assert (sol.status, sol.iterations) == ("kkt_breakdown", 0)
+        assert records[0] == {"iter": 0, "presolve": "reduced"}
+        assert records[-1] == {"iter": 0, "stop": "kkt_breakdown"}
         assert sum("stop" in r for r in records) == 1
 
 
@@ -399,7 +386,7 @@ class TestSolveBatch:
         for dims in (None, None, None, None, [3] * 5):
             family = self._family(rng, 8, dims=dims, min_rows=3)
             family.append(_infeasible_like(rng, family[0]))
-            # dependent rows: this member needs the dense LU and runs alone
+            # dependent rows: the presolve drops one, and this member runs alone
             dep = family[1]
             a = dep.A.copy()
             a[-1] = a[0] + a[1]
@@ -441,8 +428,20 @@ class TestSolveBatch:
         # contiguous axis, which np.add.reduce would sum pairwise
         self._matches_solo(_stack(self._family(rng, 6, dims=[9])))
 
-    def test_free_variables_run_one_at_a_time(self, rng):
-        self._matches_solo(_stack(self._family(rng, 3, n_free=2)))
+    def test_a_family_with_free_variables_advances_in_one_loop(self, rng, monkeypatch):
+        # its members presolve to one shape: one loop, each member's answer
+        # bit for bit its answer alone
+        family = _stack(self._family(rng, 3, n_free=2))
+        real, loops = conic_solver._solve_batch, []
+
+        def recording(problem, *args):
+            loops.append(problem.A.shape)
+            return real(problem, *args)
+
+        monkeypatch.setattr(conic_solver, "_solve_batch", recording)
+        self._matches_solo(family)
+        p, n = family.A.shape[1:]
+        assert loops == [(3, p - 2, n - 2)] + [(1, p - 2, n - 2)] * 3
 
     def test_mismatched_programs_raise(self, rng):
         family = _stack(self._family(rng, 3))
@@ -522,13 +521,11 @@ class TestNTScaling:
 
 
 def _scaled_point(rng, cones):
-    """A random interior primal-dual pair (u, v) in the solver's variable
-    order, with its NT scaling and the inverse scaling, each as the
-    (wbar, eta) arrays that _ConeLayout.scale takes."""
+    """A random interior primal-dual pair (u, v) of cone-only cones in the
+    solver's variable order, with its NT scaling and the inverse scaling,
+    each as the (wbar, eta) arrays that _ConeLayout.scale takes."""
     layout = conic_solver._ConeLayout(cones)
-    free = np.zeros(cones.n_free)
-    u, v = (np.concatenate([free, _interior(rng, cones.soc_dims)])[layout.perm, None]
-            for _ in range(2))
+    u, v = (_interior(rng, cones.soc_dims)[layout.perm, None] for _ in range(2))
     ub, vb = layout.blocks(u), layout.blocks(v)
     wbar, eta = conic_solver._nt_scaling(ub, vb, conic_solver._jdot(ub, ub),
                                          conic_solver._jdot(vb, vb))
@@ -546,12 +543,13 @@ def _dense(wbar, eta):
     return cols.transpose(2, 1, 0)
 
 
-def _dense_kkt(a, layout, winv):
-    """Reference K = [[-H, A'], [A, 0]] with H = W^-1 W^-1, built densely in the
-    solver's variable order (a is A with its columns in that order)."""
+def _dense_kkt(a, layout, winv, n_free=0):
+    """Reference K = [[-H, A'], [A, 0]] with H = W^-1 W^-1 on the cones and
+    zero on the n_free free variables first, built densely in the solver's
+    variable order of the cones (a is A with its columns in that order)."""
     p, n = a.shape
     k = np.zeros((n + p, n + p))
-    idx = layout.n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
+    idx = n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
     k[idx[:, :, None], idx[:, None, :]] = -np.matmul(winv, winv)
     k[n:, :n] = a
     k[:n, n:] = a.T
@@ -560,33 +558,33 @@ def _dense_kkt(a, layout, winv):
 
 class TestConeLayout:
     def test_permutation_groups_cones_by_dimension_component_by_component(self):
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3)))
-        # free block; the heads, first tails and second tails of the 3-cones
-        # at 2, 5 and 8
-        assert layout.perm.tolist() == [0, 1, 2, 5, 8, 3, 6, 9, 4, 7, 10]
-        assert (layout.n_free, layout.d, layout.g) == (2, 3, 3)
-        assert layout.perm[layout.unperm].tolist() == list(range(11))
-        v = np.arange(11.0)[:, None]
+        # the loop's programs are cone-only: the heads, first tails and second
+        # tails of the 3-cones at 0, 3 and 6
+        layout = conic_solver._ConeLayout(ConeSpec(0, (3, 3, 3)))
+        assert layout.perm.tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+        assert (layout.d, layout.g) == (3, 3)
+        assert layout.perm[layout.unperm].tolist() == list(range(9))
+        v = np.arange(9.0)[:, None]
         block = layout.blocks(v)
         assert block.shape == (3, 3) and np.shares_memory(block, v)
-        # column 1 holds the cone at 5, component by component
-        assert block[:, 1].tolist() == [3.0, 6.0, 9.0]
-        assert layout.perm[[3, 6, 9]].tolist() == [5, 6, 7]
+        # column 1 holds the cone at 3, component by component
+        assert block[:, 1].tolist() == [1.0, 4.0, 7.0]
+        assert layout.perm[[1, 4, 7]].tolist() == [3, 4, 5]
         # a program without cones has an empty block
-        empty = conic_solver._ConeLayout(ConeSpec(1, ()))
-        assert empty.perm.tolist() == [0] and empty.blocks(np.ones((1, 4))).size == 0
+        empty = conic_solver._ConeLayout(ConeSpec(0, ()))
+        assert empty.perm.tolist() == [] and empty.blocks(np.ones((0, 4))).size == 0
 
     def test_a_family_pools_each_dimension_into_one_contiguous_view(self):
         # variables x programs: component i of cone j of program k sits at
         # [i, j K + k] of the (d, g K) view
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3, 3)))
+        layout = conic_solver._ConeLayout(ConeSpec(0, (3, 3, 3, 3)))
         d, g, count = 3, 4, 5
-        v = np.arange(14.0 * count).reshape(14, count)
+        v = np.arange(12.0 * count).reshape(12, count)
         block = layout.blocks(v)
         assert block.shape == (d, g * count) and block.flags.c_contiguous
         assert np.shares_memory(block, v)
         i, j, k = np.meshgrid(range(d), range(g), range(count), indexing="ij")
-        assert np.array_equal(block[i, j * count + k], v[2 + i * g + j, k])
+        assert np.array_equal(block[i, j * count + k], v[i * g + j, k])
         # a stack of iterates, (columns, n, programs), pools alike
         stacked = layout.blocks(np.stack([v, -v]))
         assert stacked.shape == (2, d, g * count)
@@ -595,13 +593,13 @@ class TestConeLayout:
     def test_a_solo_program_keeps_its_row_order(self):
         # a family of one stores one program's variables in the solver's
         # order, contiguously, and its block is the (d, g) view of that row
-        layout = conic_solver._ConeLayout(ConeSpec(2, (3, 3, 3, 3)))
-        row = np.arange(14.0)
+        layout = conic_solver._ConeLayout(ConeSpec(0, (3, 3, 3, 3)))
+        row = np.arange(12.0)
         v = row[:, None].copy()
         assert np.array_equal(v.reshape(-1), row) and v.flags.c_contiguous
         block = layout.blocks(v)
         assert block.strides == (8 * 4, 8)
-        assert np.array_equal(block, row[2:].reshape(3, 4))
+        assert np.array_equal(block, row.reshape(3, 4))
 
 
 def _check_gty(rng, kkt, a, layout, nt):
@@ -612,14 +610,15 @@ def _check_gty(rng, kkt, a, layout, nt):
     assert np.linalg.norm(kkt.gty(dy) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _scaled_kkt(a, layout, nt, nt_inv):
+def _scaled_kkt(a, layout, nt, nt_inv, n_free=0):
     """Reference scaled K = [[-E, G'], [G, 0]], G = A W, as S K S for the
-    unscaled K and S = diag(W, I) (H = 0 on the free block, W H W = I on the cones)."""
+    unscaled K and S = diag(I, W, I) (H = 0 on the n_free free variables
+    first, W H W = I on the cones)."""
     p, n = a.shape
     s = np.eye(n + p)
-    idx = layout.n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
+    idx = n_free + np.arange(layout.d) * layout.g + np.arange(layout.g)[:, None]
     s[idx[:, :, None], idx[:, None, :]] = _dense(*nt)
-    return s @ _dense_kkt(a, layout, _dense(*nt_inv)) @ s
+    return s @ _dense_kkt(a, layout, _dense(*nt_inv), n_free) @ s
 
 
 class TestScaledQRKKT:
@@ -643,25 +642,25 @@ class TestScaledQRKKT:
             assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
             _check_gty(rng, qr, a, layout, nt)
 
-    def test_sparse_factorization_not_built_for_full_rank_cone_programs(self, rng, monkeypatch):
-        built = []
+    def test_full_rank_cone_programs_are_not_presolved(self, rng, monkeypatch):
+        real, presolved = conic_solver._presolve, []
 
-        class CountingDenseKKT(conic_solver._DenseKKT):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+        def counting(*args):
+            presolved.append(1)
+            return real(*args)
 
-        monkeypatch.setattr(conic_solver, "_DenseKKT", CountingDenseKKT)
+        monkeypatch.setattr(conic_solver, "_presolve", counting)
         scenario = builtin("circle2circle")
         programs = [make_kkt_certified_problem(rng, n_free=0)[0] for _ in range(10)]
-        # the full form's free states are eliminated onto the scaled QR
+        # the full form's states are eliminated onto the condensed program,
+        # which the path test passes
         programs += [assemble_socp(scenario, build_grid(scenario, 33), form=form)
                      for form in ("condensed", "full")]
         for prob in programs:
             solve(prob)
-        assert not built
+        assert not presolved
         solve(make_kkt_certified_problem(rng, n_free=2)[0])
-        assert built
+        assert presolved
 
     def test_condensed_endgame_at_large_mesh(self):
         # the near-boundary endgame where a Schur-complement Cholesky or a
@@ -673,82 +672,218 @@ class TestScaledQRKKT:
         assert sol.residuals.dual <= 1e-12
 
 
-class TestSparseKKT:
-    """The dense LU's KKT system, which programs outside the scaled QR and
-    the stage elimination take, and the full form's once-per-solve set-up;
-    the name keeps these tests' ids."""
+def _presolved(problem, settings=SolverSettings()):
+    """_presolve of one program, with its rows' test on A' and its own norms."""
+    norms = [1.0 + np.linalg.norm(v) for v in (problem.b, problem.c)]
+    return conic_solver._presolve(problem, problem.A.T, settings, norms)
+
+
+def _in_cones(v, cones, tol=0.0):
+    """Whether v lies in the free block's space times the second-order cones."""
+    heads = cones.n_free + np.cumsum((0,) + cones.soc_dims[:-1])
+    return all(v[h] >= np.linalg.norm(v[h + 1:h + d]) - tol for h, d in zip(heads, cones.soc_dims))
+
+
+class TestPresolve:
+    """The presolve of every program that the path test does not pass: free
+    variables eliminated through a QR of their columns, dependent rows
+    dropped or certifying infeasibility, and programs with no rows left
+    decided without the loop."""
 
     @staticmethod
-    def _check(rng, prob):
-        layout, _, _, nt, nt_inv = _scaled_point(rng, prob.cones)
-        a = prob.A[:, layout.perm]
-        kkt = conic_solver._DenseKKT(*nt, a[:, :, None], layout)
-        k = _scaled_kkt(a, layout, nt, nt_inv)
-        n = prob.c.size
-        # K is singular with dependent rows, or with a free direction in the
-        # null space of A.  For a consistent right-hand side the solution is
-        # then determined up to null(K); compare its part in range(K), which
-        # for the minimum-norm least-squares solution is all of it.  The
-        # null-space part of a regularized solve is rounding amplified by the
-        # inverse regularization and does not enter the Newton step: A'dy and
-        # the objective see no null(A') direction of dy, and a free direction
-        # with A dx = 0 and zero cost is a free direction of the program.
-        rhs = k @ rng.normal(size=k.shape[0])
-        want = np.linalg.lstsq(k, rhs, rcond=None)[0]
-        # the solver's interface: W r1 + dl in, dxs = W^-1 dx out, as rows
-        # and as cone columns
-        dl = rng.normal(size=(1, n, 1))
-        dxs_rows, dxs, dy = kkt.solve(rhs[None, :n, None] - dl, dl, rhs[None, None, n:])
-        assert np.array_equal(dxs_rows, dxs.transpose(2, 0, 1))
-        got = np.concatenate([dxs[0, :, 0], dy[0, 0]])
-        determined = np.linalg.pinv(k) @ (k @ got)
-        assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
-        assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
-        _check_gty(rng, kkt, a, layout, nt)
-        return np.linalg.matrix_rank(k) == k.shape[0]
+    def _newton_step(rng, prob, r2):
+        """A Newton step of prob (right-hand sides W r1 + dl on the cones, zero
+        on the free rows as the loop's are after the presolve, and r2) through
+        its presolved program's scaled QR and the lift, with the test-built
+        scaled K of prob and its right-hand side."""
+        nf, n = prob.cones.n_free, prob.c.size
+        layout, _, _, nt, nt_inv = _scaled_point(rng, ConeSpec(0, prob.cones.soc_dims))
+        step = ConicProblem(c=np.zeros(n), A=prob.A, b=r2, cones=prob.cones)
+        reduced, offset, lift = _presolved(step)
+        assert offset == 0.0 and reduced.cones.n_free == 0
+        abar = reduced.A[:, layout.perm]
+        kkt = conic_solver._ScaledQRKKT(*nt, abar[:, :, None], layout)
+        _check_gty(rng, kkt, abar, layout, nt)
+        wr1, dl = rng.normal(size=(2, 1, n - nf, 1))
+        _, dxs, dy = kkt.solve(wr1, dl, reduced.b[None, None])
+        dx = layout.scale(*nt, dxs[0])[:, 0].take(layout.unperm)
+        dx, dy, _ = lift(dx, dy[0, 0], dx, True)
+        a = np.concatenate([prob.A[:, :nf], prob.A[:, nf:][:, layout.perm]], axis=1)
+        k = _scaled_kkt(a, layout, nt, nt_inv, nf)
+        rhs = np.concatenate([np.zeros(nf), (wr1 + dl)[0, :, 0], r2])
+        return k, np.concatenate([dx[:nf], dxs[0, :, 0], dy]), rhs
 
     def test_matches_dense_least_squares_with_free_variables(self, rng):
-        nonsingular = [self._check(rng, make_kkt_certified_problem(rng, n_free=int(n))[0])
-                       for n in rng.integers(1, 4, size=20)]
-        # most draws have a nonsingular K, where the whole solution is compared
-        assert sum(nonsingular) >= 10
+        # with more rows than free variables and independent ones, K is
+        # nonsingular, and the presolved step is its solution
+        for nf in rng.integers(1, 4, size=20):
+            p = int(rng.integers(nf + 1, nf + 10))
+            prob, *_ = make_kkt_certified_problem(rng, n_free=int(nf), dims=[3] * 3, p=p)
+            k, got, rhs = self._newton_step(rng, prob, rng.normal(size=p))
+            want = np.linalg.solve(k, rhs)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+            assert np.linalg.norm(k @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_matches_dense_least_squares_with_dependent_rows(self, rng):
         for _ in range(20):
             prob, *_ = make_kkt_certified_problem(rng, n_free=0, ncones=int(rng.integers(2, 5)))
-            # append consistent combinations of the rows
+            # append consistent combinations of the rows, which the presolve drops
             mix = rng.normal(size=(int(rng.integers(1, 4)), prob.b.size))
             dependent = ConicProblem(c=prob.c, A=np.vstack([prob.A, mix @ prob.A]),
                                      b=np.concatenate([prob.b, mix @ prob.b]), cones=prob.cones)
-            assert not self._check(rng, dependent)
+            assert _presolved(dependent)[0].b.size == prob.b.size
+            r2 = rng.normal(size=prob.b.size)
+            k, got, rhs = self._newton_step(rng, dependent, np.concatenate([r2, mix @ r2]))
+            # K is singular: for a consistent right-hand side the solution is
+            # determined up to null(K), so compare its part in range(K), which
+            # for the minimum-norm least-squares solution is all of it.  The
+            # dropped rows' dy is zero, and A'dy sees no null(A') direction
+            assert np.linalg.matrix_rank(k) < k.shape[0]
+            want = np.linalg.lstsq(k, rhs, rcond=None)[0]
+            determined = np.linalg.pinv(k) @ (k @ got)
+            assert np.linalg.norm(determined - want) <= 1e-9 * np.linalg.norm(want)
+            assert np.linalg.norm(k @ got - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
-    def test_singular_pivot_retries_at_the_old_strengths(self, rng, monkeypatch):
-        # the first factorization shifts K's diagonal by a rounding; each
-        # exactly singular pivot retries at 1e-10 + 1e-8, then + 1e-6.  The
-        # row block's diagonal holds the shift alone
-        real, shifts = conic_solver.dense_lu, []
+    def test_lift_is_exact_with_free_variables(self, rng):
+        # for any cone point and presolved dual, the lifted x closes the rows
+        # that Q1 spans and the lifted y meets every free column in its cost,
+        # to rounding; the rest is the presolved program's, rotated by Q2
+        for nf in rng.integers(1, 4, size=20):
+            p = int(rng.integers(nf + 1, nf + 10))
+            prob, *_ = make_kkt_certified_problem(rng, n_free=int(nf), dims=[3] * 3, p=p)
+            reduced, offset, lift = _presolved(prob)
+            xc, zc = (_interior(rng, prob.cones.soc_dims) for _ in range(2))
+            ybar = rng.normal(size=reduced.b.size)
+            scale = 1.0 + np.abs(prob.A).sum() * (np.abs(xc).sum() + np.abs(ybar).sum())
+            for sol in (True, False):
+                x, y, z = lift(xc, ybar, zc, sol)
+                assert np.array_equal(x[nf:], xc) and np.array_equal(z[nf:], zc)
+                assert not np.any(z[:nf])
+                b, c = prob.b * sol, prob.c * np.r_[np.full(nf, float(sol)), np.ones(xc.size)]
+                primal = np.linalg.norm(reduced.A @ xc - reduced.b * sol)
+                assert abs(np.linalg.norm(prob.A @ x - b) - primal) <= 1e-12 * scale
+                dual = y @ prob.A + z - c
+                assert np.all(np.abs(dual[:nf]) <= 1e-12 * scale)
+                if sol:
+                    assert np.allclose(dual[nf:], ybar @ reduced.A + zc - reduced.c, rtol=0.0,
+                                       atol=1e-12 * scale)
+                    assert prob.c @ x == pytest.approx(reduced.c @ xc + offset,
+                                                       abs=1e-12 * scale)
+                    assert prob.b @ y == pytest.approx(reduced.b @ ybar + offset,
+                                                       abs=1e-12 * scale)
+                else:
+                    # a certificate: b and the free costs do not enter
+                    assert prob.b @ y == pytest.approx(reduced.b @ ybar, abs=1e-12 * scale)
 
-        def singular_twice(k):
-            shifts.append(np.diagonal(k)[n:].copy())
-            return None if len(shifts) <= 2 else real(k)
+    def test_the_loop_reads_the_programs_gap(self, rng):
+        # b moved along a free column moves the optimum's free part and its
+        # cost, not the presolved program: the loop's traced gap is still the
+        # program's residuals() gap, relative to the program's own objective
+        for _ in range(5):
+            prob, *_ = make_kkt_certified_problem(rng, n_free=2, dims=[3] * 3, p=6)
+            moved = ConicProblem(prob.c, prob.A, prob.b + 100.0 * prob.A[:, 0], prob.cones)
+            records = []
+            sol = solve(moved, trace=records.append)
+            last = [r for r in records if "gap" in r][-1]
+            assert sol.status == "optimal"
+            assert last["gap"] == pytest.approx(sol.residuals.gap, rel=1e-3)
 
-        monkeypatch.setattr(conic_solver, "dense_lu", singular_twice)
-        prob, *_ = make_kkt_certified_problem(rng, n_free=2)
-        n = prob.c.size
-        layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
-        kkt = conic_solver._DenseKKT(*nt, prob.A[:, layout.perm, None], layout)
-        assert kkt.reg_retries == 2
-        first, retry, last = shifts
-        assert np.all(first == np.finfo(float).eps)
-        assert retry == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8), rel=1e-12)
-        assert last == pytest.approx(np.full(prob.b.size, 1e-10 + 1e-8 + 1e-6), rel=1e-12)
+    @pytest.mark.parametrize("n_free", [0, 2])
+    def test_an_inconsistent_dependent_row_is_a_farkas_vector(self, rng, n_free, monkeypatch):
+        # a dependent row whose b disagrees: primal_infeasible at iteration 0,
+        # without the loop, with the exact Farkas vector
+        monkeypatch.setattr(conic_solver, "_solve_batch", _no_loop)
+        settings = SolverSettings()
+        for _ in range(10):
+            prob, *_ = make_kkt_certified_problem(rng, n_free=n_free, dims=[3] * 3, p=4)
+            mix = rng.normal(size=4)
+            bad = ConicProblem(c=prob.c, A=np.vstack([prob.A, mix @ prob.A]),
+                               b=np.append(prob.b, mix @ prob.b + 1e-3), cones=prob.cones)
+            sol = solve(bad)
+            assert (sol.status, sol.iterations) == ("primal_infeasible", 0)
+            # b'y = 1 up to the rounding of a 1e-3 misfit of O(1) terms
+            assert bad.b @ sol.y == pytest.approx(1.0, abs=1e-9)
+            tol = settings.feas_tol * (1.0 + np.linalg.norm(bad.c))
+            assert np.linalg.norm(bad.A.T @ sol.y + sol.z) <= tol
+            assert _in_cones(sol.z, bad.cones) and not np.any(sol.z[:n_free])
+
+    @pytest.mark.parametrize("n_free, p", [(1, 1), (2, 2), (3, 2), (3, 1)])
+    def test_a_program_with_no_rows_left_is_decided_without_the_loop(self, rng, n_free, p,
+                                                                      monkeypatch):
+        # as many free variables as rows or more: the free columns take every
+        # row, and the cones alone decide the program
+        monkeypatch.setattr(conic_solver, "_solve_batch", _no_loop)
+        for _ in range(10):
+            prob, x_star, *_ = make_kkt_certified_problem(rng, n_free=n_free, dims=[3] * 2, p=p)
+            sol = solve(prob)
+            ref = prob.c @ x_star
+            assert (sol.status, sol.iterations) == ("optimal", 0)
+            assert sol.objective == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
+            assert max(vars(sol.residuals).values()) <= 1e-9
+            assert _in_cones(sol.x, prob.cones) and _in_cones(sol.z, prob.cones)
+            # a cost that leaves K* on the cones, or one with a part in null(F)
+            # (which more free variables than rows leave), is a ray's
+            costs = [prob.c - np.r_[np.zeros(n_free), 10.0 + np.abs(prob.c[n_free:]).sum(),
+                                    np.zeros(5)]]
+            if n_free > p:
+                f = prob.A[:, :n_free]
+                null = np.linalg.svd(f)[2][p:].T @ rng.normal(size=n_free - p)
+                costs.append(prob.c + np.r_[null, np.zeros(6)])
+            for c in costs:
+                ray = solve(ConicProblem(c=c, A=prob.A, b=prob.b, cones=prob.cones))
+                assert (ray.status, ray.iterations) == ("dual_infeasible", 0)
+                assert c @ ray.x == pytest.approx(-1.0, abs=1e-12)
+                assert np.linalg.norm(prob.A @ ray.x) <= 1e-12 * (1.0 + np.abs(ray.x).sum())
+                assert _in_cones(ray.x, prob.cones, tol=1e-12)
+
+
+def _no_loop(*args):
+    raise AssertionError("the presolve decides this program without the loop")
+
+
+class TestStagePresolve:
+    """The full form's presolve: its states eliminated once per solve onto a
+    cone-only program, whose answer is lifted back."""
 
     @staticmethod
-    def _full(m):
-        scenario = builtin("atv")
+    def _full(planar, m):
+        scenario = replace(builtin("atv"), planar=planar)
         return assemble_socp(scenario, build_grid(scenario, m), form="full")
 
-    def test_band_slot_map_built_once_per_solve(self, monkeypatch):
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
+    def test_matches_a_dense_solve_on_random_interior_scalings(self, rng, planar):
+        # at NT scalings of random interior points a Newton step through the
+        # reduced QR and the lift solves the test-built full scaled K (its
+        # free rows' right-hand side zero, as the loop's is) to a backward
+        # error of rounding, so it agrees with a dense solve of K within K's
+        # condition number (3e10 at M=2)
+        for m in (2, 9, 33):
+            prob = self._full(planar, m)
+            reduced = prob.A.presolve(prob)
+            (p, n), nf, s = prob.A.shape, prob.cones.n_free, reduced.b.size
+            a = np.asarray(prob.A)
+            for _ in range(3):
+                cones, _, _, nt, nt_inv = _scaled_point(rng, reduced.cones)
+                qr = conic_solver._ScaledQRKKT(*nt, reduced.A[:, cones.perm, None], cones)
+                wr1, dl = rng.normal(size=(2, 2, n - nf, 1))
+                r2 = rng.normal(size=(1, 2, p))
+                # row block m less the blocks before it
+                blocks = r2.reshape(1, 2, -1, s)
+                _, dxs, dym = qr.solve(wr1, dl, blocks[..., -1, :] - blocks[..., :-1, :].sum(-2))
+                # the states solve A dx = r2 with dx = W dxs on the cones
+                dx = cones.scale(*nt, dxs)[..., 0].take(cones.unperm, axis=-1)
+                dx, dy, _ = prob.A.lift(dx, dym[0], dx, r2[0])
+                x = np.concatenate([dx[:, :nf], dxs[..., 0], dy], axis=1)
+                rhs = np.concatenate([np.zeros((2, nf)), (wr1 + dl)[..., 0], r2[0]], axis=1)
+                k = _scaled_kkt(np.concatenate([a[:, :nf], a[:, nf:][:, cones.perm]], axis=1),
+                                cones, nt, nt_inv, nf)
+                backward = np.linalg.norm(rhs - x @ k, axis=1) / (
+                    np.linalg.norm(k, 2) * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
+                assert np.all(backward <= 1e-14)
+                ref = np.linalg.solve(k, rhs.T).T
+                assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.cond(k) * np.linalg.norm(ref)
+
+    def test_presolve_and_lift_run_once_per_solve(self, monkeypatch):
         # the presolve, which depends on A and b alone, runs and its answer is
         # lifted once per solve, whatever the iteration count
         built, lifted = [], []
@@ -764,7 +899,7 @@ class TestSparseKKT:
 
         monkeypatch.setattr(conic_solver.StageMatrix, "presolve", counting_presolve)
         monkeypatch.setattr(conic_solver.StageMatrix, "lift", counting_lift)
-        prob = self._full(33)
+        prob = self._full(True, 33)
         counts = []
         for cap in (3, 10):
             built.clear()
@@ -773,7 +908,7 @@ class TestSparseKKT:
             counts.append((len(built), len(lifted)))
         assert counts == [(1, 1), (1, 1)]
 
-    def test_band_storage_allocated_once_per_solve(self, monkeypatch):
+    def test_every_iteration_factors_the_same_presolved_rows(self, monkeypatch):
         # every factorization of a solve is one QR of the same reduced rows,
         # the condensed form's shape: none is rebuilt or copied per iteration
         real, rows = conic_solver._ScaledQRKKT.__init__, []
@@ -783,59 +918,12 @@ class TestSparseKKT:
             return real(self, wbar, eta, a, *args)
 
         monkeypatch.setattr(conic_solver._ScaledQRKKT, "__init__", recording)
-        prob = self._full(33)
+        prob = self._full(True, 33)
         for cap in (3, 10):
             rows.clear()
             assert solve(prob, SolverSettings(max_iters=cap)).iterations == cap
             assert len(rows) == cap and len(set(rows)) == 1
             assert rows[0][1] == (4, 33 * 3, 1)
-
-
-class TestStageKKT:
-    """The full form's presolve: its states eliminated once per solve onto a
-    cone-only program, whose answer is lifted back; the name keeps these
-    tests' ids."""
-
-    @staticmethod
-    def _full(planar, m):
-        scenario = replace(builtin("atv"), planar=planar)
-        return assemble_socp(scenario, build_grid(scenario, m), form="full")
-
-    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
-    def test_matches_the_dense_lu_on_random_interior_scalings(self, rng, planar):
-        # at NT scalings of random interior points a Newton step through the
-        # reduced QR and the lift solves the full scaled K (its free rows'
-        # right-hand side zero, as the loop's is) to a backward error of
-        # rounding, so it agrees with the dense LU within K's condition
-        # number (3e10 at M=2)
-        for m in (2, 9, 33):
-            prob = self._full(planar, m)
-            reduced = prob.A.presolve(prob)
-            cones = conic_solver._ConeLayout(reduced.cones)
-            (p, n), nf = prob.A.shape, prob.cones.n_free
-            for _ in range(3):
-                layout, _, _, nt, _ = _scaled_point(rng, prob.cones)
-                qr = conic_solver._ScaledQRKKT(*nt, reduced.A[:, cones.perm, None], cones)
-                dense = conic_solver._DenseKKT(*nt, np.asarray(prob.A)[:, layout.perm, None],
-                                               layout)
-                wr1, dl = rng.normal(size=(2, 2, n, 1))
-                wr1[:, :nf] = dl[:, :nf] = 0.0
-                r2 = rng.normal(size=(1, 2, p))
-                _, dxs, dym = qr.solve(wr1[:, nf:], dl[:, nf:], prob.A.telescope(r2))
-                # the states solve A dx = r2 with dx = W dxs on the cones
-                dx = cones.scale(*nt, dxs)[..., 0].take(cones.unperm, axis=-1)
-                dx, dy, _ = prob.A.lift(dx, dym[0], dx, r2[0])
-                x = np.concatenate([dx[:, :nf], dxs[..., 0], dy], axis=1)
-                want = dense.solve(wr1, dl, r2)
-                ref = np.concatenate([want[1][..., 0], want[2][0]], axis=1)
-                rhs = np.concatenate([(wr1 + dl)[..., 0], r2[0]], axis=1)
-                # the unshifted K = [[-E, G'], [G, 0]] that the dense LU factors
-                k = np.diag(np.r_[np.zeros(nf), -np.ones(n - nf), np.zeros(p)])
-                k[n:, :n], k[:n, n:] = dense.g, dense.g.T
-                backward = np.linalg.norm(rhs - x @ k, axis=1) / (
-                    np.linalg.norm(k, 2) * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
-                assert np.all(backward <= 1e-14)
-                assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.cond(k) * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("planar", [True, False], ids=["planar", "3d"])
     def test_holds_only_o_m_arrays(self, planar):
@@ -907,47 +995,56 @@ class TestStageKKT:
         with pytest.raises(ValueError, match="StageMatrix of 9 stages needs 36 free"):
             ConicProblem(prob.c, prob.A, prob.b, ConeSpec(39, (3,) * 8))
 
-    @pytest.mark.parametrize("out_of_plane, status, objective", [
-        ((2e-4, 1e-4), "primal_infeasible", 2.0 / 3.0),
-        ((0.0, 0.0), "optimal", 5.0e-4),
+    @pytest.mark.parametrize("out_of_plane, status, iterations, objective", [
+        ((2e-4, 1e-4), "primal_infeasible", 0, 0.0),
+        ((0.0, 0.0), "optimal", 6, 5.0e-4),
     ], ids=["infeasible", "optimal"])
-    def test_dependent_eliminated_rows_take_the_dense_lu(self, out_of_plane, status, objective,
-                                                          monkeypatch):
+    def test_dependent_eliminated_rows_are_presolved(self, out_of_plane, status, iterations,
+                                                      objective, monkeypatch):
         # half a period in 3-D: both impulses leave the final out-of-plane
         # position alone, so that row of Abar (and of the condensed A) is
-        # zero, and both forms take the dense LU and agree.  The full form is
-        # presolved first: the loop gets the reduced program's ndarray A and
-        # the LU factors its 14 x 14 K, not the full program's 38 x 38
-        real_loop, real_lu = conic_solver._solve_batch, conic_solver.dense_lu
+        # zero, and both forms presolve it and agree.  The full form is
+        # presolved first: the loop gets the reduced program's ndarray A with
+        # the zero row dropped, and the QR factors its 8 x 5 G', not the full
+        # program's.  Where the row's b is not zero, it is the Farkas vector
+        real_loop, real_qr = conic_solver._solve_batch, conic_solver._ScaledQRKKT.__init__
         loops, factored = [], []
 
         def recording_loop(problem, *args):
             loops.append(type(problem.A))
             return real_loop(problem, *args)
 
-        def recording_lu(k):
-            factored.append(k.shape)
-            return real_lu(k)
+        def recording_qr(self, wbar, eta, a, *args):
+            factored.append(a.shape)
+            return real_qr(self, wbar, eta, a, *args)
 
         monkeypatch.setattr(conic_solver, "_solve_batch", recording_loop)
-        monkeypatch.setattr(conic_solver, "dense_lu", recording_lu)
+        monkeypatch.setattr(conic_solver._ScaledQRKKT, "__init__", recording_qr)
         c2c = builtin("circle2circle")
         scenario = replace(c2c, planar=False, thetaf=c2c.theta0 + np.pi,
                            x0=RelativeState(r=[1e-3, out_of_plane[0], 0.0],
                                             v=[0.0, out_of_plane[1], 0.0]))
         sols = {}
-        for form in ("condensed", "full"):
+        for form, path in (("condensed", "scaled_qr"), ("full", "stage_qr")):
             records = []
             loops.clear()
             factored.clear()
-            sols[form] = solve(assemble_socp(scenario, build_grid(scenario, 2), form=form),
-                               trace=records.append)
-            assert {r["kkt"] for r in records if "kkt" in r} == {"dense_lu"}
-            assert loops == [np.ndarray]
-            assert factored and set(factored) == {(14, 14)}
+            prob = assemble_socp(scenario, build_grid(scenario, 2), form=form)
+            sols[form] = sol = solve(prob, trace=records.append)
+            assert records[0] == {"iter": 0, "presolve": "reduced" if iterations else status}
+            if iterations:
+                assert {r["kkt"] for r in records if "kkt" in r} == {path}
+                assert loops == [np.ndarray]
+                assert factored and set(factored) == {(5, 8, 1)}
+            else:
+                assert not loops and not factored
+                # the exact Farkas vector: b'y = 1, A'y + z = 0 and z in K*
+                assert prob.b @ sol.y == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(sol.y @ prob.A + sol.z) <= 1e-12
+                assert _in_cones(sol.z, prob.cones)
         condensed, full = sols["condensed"], sols["full"]
         assert (full.status, full.iterations) == (condensed.status, condensed.iterations)
-        assert full.status == status
+        assert (full.status, full.iterations) == (status, iterations)
         assert full.objective == pytest.approx(objective, rel=1e-6)
         assert full.objective == pytest.approx(condensed.objective, rel=1e-12)
 

@@ -330,6 +330,11 @@ class TestMeshSweep:
         for a, b in zip(rows, rows[1:]):
             assert b.total_dv <= a.total_dv + 1e-9
 
+    def test_a_generator_of_sizes_is_read_once(self):
+        # the size check used to use the generator up, and the sweep returned []
+        rows = mesh_sweep(builtin("circle2circle"), iter([17, 9]))
+        assert [(r.m, r.status) for r in rows] == [(9, "optimal"), (17, "optimal")]
+
     def test_two_node_solve_is_upper_bound(self):
         rows = mesh_sweep(builtin("circle2circle"), [2, 33])
         assert rows[0].total_dv >= rows[1].total_dv - 1e-9
