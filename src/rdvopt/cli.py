@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .conic_solver import _check_integer, _check_real
 from .postprocess import (
     Impulse,
     ImpulsePlan,
@@ -143,10 +144,9 @@ def _write_trajectory(path: str, plan: ImpulsePlan, scenario: Scenario, samples:
 
 
 def _cmd_solve(args) -> int:
-    if args.samples < 1:
-        return _err(f"--samples must be at least 1, got {args.samples}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        return _err(f"--tol must be finite and nonnegative, got {args.tol}")
+    _check_integer("--samples", args.samples, 1)
+    if args.tol is not None:
+        _check_real("--tol", args.tol, "nonnegative")
     scenario = _load_scenario_arg(args.scenario)
     result = plan_rendezvous(
         scenario,
@@ -155,13 +155,13 @@ def _cmd_solve(args) -> int:
         tol=args.tol,
         trace=_trace_sink(),
     )
-    doc = solution_document(scenario, result, args.tol)
-    _write_json(doc, args.out)
+    # the trajectory can fail, so it is written first: an input error leaves no document
+    if result.plan is not None and args.trajectory:
+        _write_trajectory(args.trajectory, result.plan, scenario, args.samples)
+    _write_json(solution_document(scenario, result, args.tol), args.out)
     if result.plan is None:
         print(f"solver status: {result.solution.status}", file=sys.stderr)
         return 2
-    if args.trajectory:
-        _write_trajectory(args.trajectory, result.plan, scenario, args.samples)
     return 0
 
 
@@ -173,8 +173,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError(f"bad --mesh-list {args.mesh_list!r}; expected e.g. 9,17,33")
     if not m_list:
         raise ScenarioError("--mesh-list is empty")
-    if min(m_list) < 2:
-        raise ScenarioError(f"--mesh-list sizes must be at least 2, got {min(m_list)}")
+    _check_integer("--mesh-list entry", min(m_list), 2)
     rows = mesh_sweep(scenario, m_list, form=args.form)
     buf = io.StringIO()
     table = csv.writer(buf, lineterminator="\n")
@@ -241,8 +240,7 @@ def _document_impulses(doc: dict, source: str, scenario: Scenario) -> list[Impul
 
 
 def _cmd_validate(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        return _err(f"--tol must be finite and positive, got {args.tol}")
+    _check_real("--tol", args.tol)
     scenario = _load_scenario_arg(args.scenario)
     try:
         doc = json.loads(Path(args.document).read_text())

@@ -52,6 +52,24 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """README's integer rule: ValueError naming name unless value is an integer >= least."""
+    if not _integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_real(name: str, value, sign: str = "positive") -> None:
+    """README's real rule: ValueError naming name unless value is a finite real of
+    the sign, "positive" or "nonnegative".  A bool or a string is no real."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (finite and (0 <= value if sign == "nonnegative" else 0 < value)):
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Ordered cone structure of the variable vector: free block, then SOCs,
@@ -211,13 +229,9 @@ class SolverSettings:
     max_iters: int = 100
 
     def __post_init__(self):
-        for name in ("gap_tol", "feas_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-        it = self.max_iters
-        if not _integer(it) or it < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {it!r}")
+        _check_real("gap_tol", self.gap_tol)
+        _check_real("feas_tol", self.feas_tol)
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from .conic_solver import (
     ConicProblem,
     ConicSolution,
     SolverSettings,
-    _integer,
+    _check_integer,
+    _check_real,
     solve,
     solve_batch,
 )
@@ -31,7 +32,6 @@ from .transcription import (
     ExpandedSolution,
     Grid,
     Scenario,
-    _check_mesh_size,
     assemble_socp,
     build_grid,
     expand_solution,
@@ -107,11 +107,10 @@ def _physical_dv(dv_scaled: np.ndarray, grid: Grid, scenario: Scenario) -> np.nd
 
 
 def _extraction_tol(tol: Optional[float], scenario: Scenario) -> float:
-    """The extraction tolerance to use; a negative or non-finite one raises ValueError."""
+    """The extraction tolerance to use: tol, or the scenario's if tol is None."""
     if tol is None:
         return scenario.extraction_tol
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"extraction tolerance must be finite and nonnegative, got {tol}")
+    _check_real("extraction tolerance tol", tol, "nonnegative")
     return tol
 
 
@@ -125,7 +124,7 @@ def extract_impulses(
 
     tol is expressed in the problem's normalized velocity unit; nodes at
     or below it are dropped from the plan but still counted in total_dv.
-    A negative or non-finite tol raises ValueError.
+    A tol that is not a finite nonnegative real raises ValueError.
     """
     tol = _extraction_tol(tol, scenario)
     dv = _physical_dv(expanded.dv, grid, scenario)
@@ -146,10 +145,6 @@ def extract_impulses(
     )
 
 
-def _transformed_jump(dv_phys: np.ndarray, theta: float, orbit: TargetOrbit) -> np.ndarray:
-    return dv_phys / (orbit.k2 * rd.rho(theta, orbit.e))
-
-
 def _propagate(plan: ImpulsePlan, scenario: Scenario,
                samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Anomalies and transformed states of reconstruct_trajectory's pass.
@@ -160,8 +155,7 @@ def _propagate(plan: ImpulsePlan, scenario: Scenario,
     outside the horizon (by more than the 1e-12 that groups burns) raises
     ValueError.
     """
-    if not _integer(samples) or samples < 1:
-        raise ValueError(f"samples_per_segment must be an integer of at least 1, got {samples!r}")
+    _check_integer("samples_per_segment", samples, 1)
     orbit = scenario.orbit
     eps = 1e-12 * max(1.0, abs(scenario.theta_f))
     if not all(scenario.theta0 - eps <= imp.theta <= scenario.theta_f + eps
@@ -194,7 +188,7 @@ def _propagate(plan: ImpulsePlan, scenario: Scenario,
         if group:
             state = state.copy()
             for imp in group:
-                state[3:] += _transformed_jump(imp.dv, imp.theta, orbit)
+                state[3:] += imp.dv / (orbit.k2 * rd.rho(imp.theta, orbit.e))
             thetas.append(ends[k:k + 1])
             states.append(state[None, :])
     return np.concatenate(thetas), np.concatenate(states)
@@ -422,7 +416,7 @@ def mesh_sweep(scenario: Scenario, m_list, form: str = "condensed",
     _extraction_tol(tol, scenario)
     m_list = list(m_list)  # a generator is read once
     for m in m_list:
-        _check_mesh_size(m)
+        _check_integer("mesh size", m, 2)
     rows = []
     for m in sorted(int(m) for m in m_list):
         point = dict(total_dv=math.nan, n_impulses=0, solve_time=math.nan)
@@ -584,8 +578,7 @@ def inner_node_search(scenario: Scenario, resolution: int = 100,
     planned, and its PlanResult is returned with the scan and one
     BracketRound per round.
     """
-    if not _integer(resolution) or resolution < 10:
-        raise ValueError(f"resolution must be an integer of at least 10, got {resolution!r}")
+    _check_integer("resolution", resolution, 10)
     th0, thf = scenario.theta0, scenario.theta_f
     span = thf - th0
     cands = th0 + span * (np.arange(1, resolution + 1) / (resolution + 1))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conic_solver import _check_integer, _check_real
 from .kepler import MU_EARTH_KM3_S2, TargetOrbit
 from .relative_dynamics import RelativeState
 from .transcription import Scenario
@@ -126,12 +127,11 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
     if not isinstance(planar, bool):
         _fail(f"{source}.options.planar", "must be a boolean")
     mesh_m = opts.get("mesh_M", Scenario.mesh_m)
-    if not isinstance(mesh_m, int) or mesh_m < 2:
-        _fail(f"{source}.options.mesh_M", f"must be an integer >= 2, got {mesh_m!r}")
-    tol = _number(opts.get("extraction_tol", Scenario.extraction_tol),
-                  f"{source}.options.extraction_tol")
+    tol = opts.get("extraction_tol", Scenario.extraction_tol)
 
     try:
+        _check_integer("options.mesh_M", mesh_m, 2)
+        _check_real("options.extraction_tol", tol, "nonnegative")
         return Scenario(
             name=doc["name"],
             orbit=orbit,
@@ -142,7 +142,7 @@ def _scenario_from_dict(doc: dict, source: str) -> Scenario:
             planar=planar,
             unit_label="normalized" if is_normalized else "km-s",
             mesh_m=mesh_m,
-            extraction_tol=tol,
+            extraction_tol=float(tol),
         )
     except ValueError as exc:
         _fail(source, str(exc))

@@ -38,15 +38,11 @@ from .conic_solver import (
     ConicProblem,
     ConicSolution,
     StageMatrix,
-    _integer,
+    _check_integer,
+    _check_real,
 )
 from .kepler import TargetOrbit, time_from_true, true_from_time
 from .relative_dynamics import RelativeState
-
-
-def _check_mesh_size(m) -> None:
-    if not _integer(m) or m < 2:
-        raise ValueError(f"mesh size must be an integer of at least 2, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,8 @@ class Scenario:
             raise ValueError("thetaf must exceed the orbit's initial anomaly")
         if not (np.all(np.isfinite(self.x0.vector)) and np.all(np.isfinite(self.xf.vector))):
             raise ValueError("boundary states must be finite")
-        _check_mesh_size(self.mesh_m)
-        if not (np.isfinite(self.extraction_tol) and self.extraction_tol >= 0.0):
-            raise ValueError("extraction tolerance must be finite and nonnegative, "
-                             f"got {self.extraction_tol}")
+        _check_integer("mesh_m", self.mesh_m, 2)
+        _check_real("extraction_tol", self.extraction_tol, "nonnegative")
 
     @property
     def theta0(self) -> float:
@@ -158,7 +152,7 @@ def grid_from_nodes(scenario: Scenario, nodes) -> Grid:
 
 def build_grid(scenario: Scenario, m: int) -> Grid:
     """Uniform anomaly grid with m nodes from theta0 to thetaf inclusive."""
-    _check_mesh_size(m)
+    _check_integer("mesh size", m, 2)
     return grid_from_nodes(scenario, np.linspace(scenario.theta0, scenario.theta_f, m))
 
 

@@ -92,6 +92,18 @@ def test_unreadable_or_unwritable_path_is_input_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("out", [[], ["--out", "{dir}/plan.json"]], ids=["stdout", "out"])
+def test_unwritable_trajectory_leaves_no_document(tmp_path, out):
+    # the trajectory is written before the document, so its failure leaves none
+    args = UNREADABLE_OR_UNWRITABLE["solve-trajectory"] + out
+    proc = run_cli(*(arg.format(dir=tmp_path) for arg in args))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not (tmp_path / "plan.json").exists()
+
+
 @pytest.mark.parametrize("args", [["solve", "circle2circle", "--mesh", "3.5"], ["solve"]],
                          ids=["non-integer-mesh", "no-scenario"])
 def test_malformed_command_line_is_input_error(capsys, args):
@@ -165,7 +177,8 @@ class TestSolveCommand:
                        "--trajectory", str(traj), "--samples", samples)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [f"error: --samples must be at least 1, got {samples}"]
+        assert proc.stderr.splitlines() == [
+            f"error: --samples must be an integer of at least 1, got {samples}"]
         assert not traj.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -255,7 +268,8 @@ class TestSweepCommand:
         proc = run_cli("sweep", "circle2circle", "--mesh-list", "1,9", "--out", str(out))
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: --mesh-list sizes must be at least 2, got 1"]
+        assert proc.stderr.splitlines() == [
+            "error: --mesh-list entry must be an integer of at least 2, got 1"]
         assert not out.exists()
 
 

@@ -160,7 +160,7 @@ class TestStrictValidation:
     @pytest.mark.parametrize("tol", [-1.0, -1e-300])
     def test_negative_extraction_tol_rejected(self, tmp_path, valid_doc, tol):
         valid_doc["options"]["extraction_tol"] = tol
-        with pytest.raises(ScenarioError, match="extraction tolerance"):
+        with pytest.raises(ScenarioError, match="options.extraction_tol must be finite"):
             load_scenario(_write(tmp_path, valid_doc))
 
     def test_zero_extraction_tol_accepted(self, tmp_path, valid_doc):
@@ -169,7 +169,7 @@ class TestStrictValidation:
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_scenario_rejects_bad_extraction_tol(self, tol):
-        with pytest.raises(ValueError, match="extraction tolerance"):
+        with pytest.raises(ValueError, match="extraction_tol must be finite and nonnegative"):
             dataclasses.replace(builtin("atv"), extraction_tol=tol)
 
     @pytest.mark.parametrize("section, key, value", [

@@ -80,7 +80,7 @@ class TestBuildGrid:
 
     def test_non_integer_scenario_mesh_rejected(self, c2c):
         # the scenario's default size is checked when it is built, not at the solve
-        with pytest.raises(ValueError, match="mesh size must be an integer"):
+        with pytest.raises(ValueError, match="mesh_m must be an integer of at least 2"):
             replace(c2c, mesh_m=3.5)
 
     def test_mesh_size_and_grid_together_rejected(self, c2c):
@@ -471,74 +471,50 @@ class TestGridFamilies:
             plan_rendezvous(atv, grid=grid)
 
 
-# SHA-256 (first 32 hex digits) of c, A and b of single-grid programs as
-# assembled before grids had a family axis; numpy 2.4 on x86-64.  The pins
-# are bit-level, so another numpy or libm build may need them re-recorded.
-# A re-recorded pin keeps its first digest, which names its test, and its
-# current digest is in RERECORDED.
+# SHA-256 (first 32 hex digits) of c, A and b of single-grid programs;
+# numpy 2.4 on x86-64.  The condensed pins date from before grids had a
+# family axis.  The pins are bit-level, so another numpy or libm build may
+# need them re-recorded in place.
 RECORDED_ASSEMBLIES = [
     ("atv", "condensed", 9, "6842dc491296a92b95ce67688c09690c"),
     ("atv", "condensed", 257, "b05ac305eb0d29c224a76f69bd5e1b16"),
     ("atv", "condensed", 513, "47bdcfe0c9940e750bacbe104e592200"),
-    ("atv", "full", 33, "98e56e98bf40ebf77b8690a11b930b4d"),
-    ("atv", "full", 65, "a7bad3e7ee6bf30e3e7d43137f06bee0"),
+    ("atv", "full", 33, "1c41bdf85eb4d60c0743a94f3da51714"),
+    ("atv", "full", 65, "c363946d3c9672a259f51c3ec8de89fc"),
     ("atv-3d", "condensed", 9, "76d5ed6bf7526a93de1d8a50562ce8fd"),
     ("atv-3d", "condensed", 257, "d4c30b03eac69cdef67be7478de876dd"),
     ("atv-3d", "condensed", 513, "f851243e67b49c83af252ab40edc919b"),
-    ("atv-3d", "full", 33, "09a151216ad485b511225fa0038513ae"),
-    ("atv-3d", "full", 65, "a1f1fcc04ac625815542c2d12ceaaae9"),
+    ("atv-3d", "full", 33, "3609812eb29c8ce984ede5bbc9a2d7ad"),
+    ("atv-3d", "full", 65, "53ab048032f34ea90af3483dcbd37cf0"),
     ("circle2circle", "condensed", 9, "ea39e445abaa0c5c8700d6dab12ded50"),
     ("circle2circle", "condensed", 257, "eab7eee9b57256fa0b18796ccc95f92e"),
     ("circle2circle", "condensed", 513, "df39a1707cca0d037eda825d3121be44"),
-    ("circle2circle", "full", 33, "ccc10aeecec13175bcfdde4a157429d5"),
-    ("circle2circle", "full", 65, "317fe73eb7be8315ce2c1eecbf3c1be5"),
+    ("circle2circle", "full", 33, "68ed6d8853f31c751e409fa360d52f94"),
+    ("circle2circle", "full", 65, "f06bb10bcf523d51a929fb7f1978b1dc"),
     ("circle2circle-3d", "condensed", 9, "79c83810aa1a5afcb1c7931a45ab9433"),
     ("circle2circle-3d", "condensed", 257, "ac77c3d2fd80e0d057545ad344ec31ac"),
     ("circle2circle-3d", "condensed", 513, "a5dfe0cd4ca04ffcb69a898e7dca5ee8"),
-    ("circle2circle-3d", "full", 33, "9bf23070bfee642941c65eedf0d7ee7a"),
-    ("circle2circle-3d", "full", 65, "717c6f279bccd8f5f655f7692068ec38"),
+    ("circle2circle-3d", "full", 33, "dac3e08bff2512e4123e8fc2a24556f6"),
+    ("circle2circle-3d", "full", 65, "f70622fd90705046e5c289aa82d30213"),
     ("simbolx", "condensed", 9, "ed5680225409bba8fea347092671ac5a"),
     ("simbolx", "condensed", 257, "38cc86e6996d3cba7c27c70a76e48846"),
     ("simbolx", "condensed", 513, "bf1985a2cc09604fc7e33c1b8ef73d7a"),
-    ("simbolx", "full", 33, "19e2fb62afaf124437caf2fdbf7a6c47"),
-    ("simbolx", "full", 65, "79ee4551deed7d3d996b23d7ec811a9f"),
+    ("simbolx", "full", 33, "6b00d6229ea8b0e448aaa1ab223611ce"),
+    ("simbolx", "full", 65, "52908748c6d5c0630511467b517e8364"),
     ("simbolx-3d", "condensed", 9, "0c147dc4e2ae757696bb8f363c9f7e96"),
     ("simbolx-3d", "condensed", 257, "547633a9099eff2dff3c9716f0d3a8fa"),
     ("simbolx-3d", "condensed", 513, "60c1020a6f46c4b8cca4d9426f4fd27a"),
-    ("simbolx-3d", "full", 33, "6c417c4839b45bed82edb13b272a85fd"),
-    ("simbolx-3d", "full", 65, "bc5dd34ee97e1c418feb1d88e7216d52"),
+    ("simbolx-3d", "full", 33, "572b5ebb905347b6aee796009b3c27a9"),
+    ("simbolx-3d", "full", 65, "44be108b989b607cce05b3d59cce6c52"),
 ]
 
 
-# first digest -> current digest.  The full form's pins, re-recorded when
-# each state's diagonal block became the chained product that its lower
-# block holds, so that the stage blocks telescope exactly; again when the
-# blocks became (diag, cones), the dense sigma column of -C_j holding -0.0
-# where it held +0.0; and again when D_j became Phi(thetaf, theta_j) of
-# the condensed assembly for every node, the last one included, and C_j its
-# cone columns: c is bitwise the same, D_j, C_j and b moved by at most
-# 1.5e-15, 1.2e-15 and 2.8e-15 of their largest entries
-RERECORDED = {
-    "98e56e98bf40ebf77b8690a11b930b4d": "1c41bdf85eb4d60c0743a94f3da51714",
-    "a7bad3e7ee6bf30e3e7d43137f06bee0": "c363946d3c9672a259f51c3ec8de89fc",
-    "09a151216ad485b511225fa0038513ae": "3609812eb29c8ce984ede5bbc9a2d7ad",
-    "a1f1fcc04ac625815542c2d12ceaaae9": "53ab048032f34ea90af3483dcbd37cf0",
-    "ccc10aeecec13175bcfdde4a157429d5": "68ed6d8853f31c751e409fa360d52f94",
-    "317fe73eb7be8315ce2c1eecbf3c1be5": "f06bb10bcf523d51a929fb7f1978b1dc",
-    "9bf23070bfee642941c65eedf0d7ee7a": "dac3e08bff2512e4123e8fc2a24556f6",
-    "717c6f279bccd8f5f655f7692068ec38": "f70622fd90705046e5c289aa82d30213",
-    "19e2fb62afaf124437caf2fdbf7a6c47": "6b00d6229ea8b0e448aaa1ab223611ce",
-    "79ee4551deed7d3d996b23d7ec811a9f": "52908748c6d5c0630511467b517e8364",
-    "6c417c4839b45bed82edb13b272a85fd": "572b5ebb905347b6aee796009b3c27a9",
-    "bc5dd34ee97e1c418feb1d88e7216d52": "44be108b989b607cce05b3d59cce6c52",
-}
-
-
-@pytest.mark.parametrize("name, form, m, digest", RECORDED_ASSEMBLIES)
+@pytest.mark.parametrize("name, form, m, digest", RECORDED_ASSEMBLIES,
+                         ids=[f"{name}-{form}-{m}" for name, form, m, _ in RECORDED_ASSEMBLIES])
 def test_single_grid_assembly_is_unchanged(name, form, m, digest):
     scen = _scenario(name)
     prob = assemble_socp(scen, build_grid(scen, m), form=form)
     h = hashlib.sha256()
     for arr in (prob.c, prob.A, prob.b):
         h.update(np.ascontiguousarray(arr).tobytes())
-    assert h.hexdigest()[:32] == RERECORDED.get(digest, digest)
+    assert h.hexdigest()[:32] == digest
