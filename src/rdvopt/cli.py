@@ -123,6 +123,15 @@ def solution_document(scenario: Scenario, result, tol: float) -> dict:
     return doc
 
 
+def _check_outputs(args, *flags: str):
+    """Each output path given under --FLAG names a file in an existing
+    directory, checked before any solve so that an input error writes nothing."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"--{flag} must name a file in an existing directory, got {path!r}")
+
+
 def _write_json(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2)
     if out:
@@ -144,6 +153,7 @@ def _write_trajectory(path: str, plan: ImpulsePlan, scenario: Scenario, samples:
 
 
 def _cmd_solve(args) -> int:
+    _check_outputs(args, "out", "trajectory")
     _check_integer("--samples", args.samples, 1)
     if args.tol is not None:
         _check_real("--tol", args.tol, "nonnegative")
@@ -166,6 +176,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs(args, "out")
     scenario = _load_scenario_arg(args.scenario)
     try:
         m_list = [int(tok) for tok in args.mesh_list.split(",") if tok.strip()]
@@ -188,6 +199,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inner_node(args) -> int:
+    _check_outputs(args, "out")
     scenario = _load_scenario_arg(args.scenario)
     res = inner_node_search(scenario, resolution=args.resolution)
     if res.plan is None:

@@ -16,7 +16,8 @@ The loop takes cone-only programs with independent rows and solves each
 Newton system in NT-scaled variables, dxs = W^-1 dx, by a thin QR of
 G' = W A'; W = I at the start, so the path test's QR of A' serves the first
 iteration.  Any other program is presolved once (StageMatrix.presolve,
-_presolve) and its answer lifted after the loop.  It needs numpy alone.
+_presolve) and its answer lifted after the loop.  It needs numpy alone,
+2.2 or later for the batched products np.vecdot and np.matvec.
 
 One loop serves every program as a family (c, A and b with a leading
 program axis), the programs of a solve_batch of one presolved shape
@@ -179,7 +180,7 @@ class StageMatrix:
         k = len(x)
         m, s, c = self.cones.shape
         sums = np.cumsum(b.reshape(k, m + 1, s)[:, :-1], axis=1)
-        sums[:, 1:] += np.cumsum(_bmv(self.cones[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
+        sums[:, 1:] += np.cumsum(np.matvec(self.cones[:-1], x.reshape(k, m, c)[:, :-1]), axis=1)
         states = np.linalg.solve(self.diag, sums[..., None])[..., 0]
         return (np.concatenate([states.reshape(k, -1), x], axis=1),
                 np.concatenate([np.tile(-y, m), y], axis=1),
@@ -321,11 +322,6 @@ def _csum(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inner product of each program's row (the BLAS dot of a 1-D u @ v)."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _jdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_0 v_0 - u_1'v_1 of each cone (det(u) for v = u)."""
     return u[..., 0, :] * v[..., 0, :] - _csum(u[..., 1:, :] * v[..., 1:, :])
@@ -346,14 +342,9 @@ def _jsolve(lam: np.ndarray, det: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bmv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product of (..., r, k) matrices with (..., k) rows."""
-    return np.matmul(m, v[..., None])[..., 0]
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each program's row, as np.linalg.norm of one row."""
-    return np.sqrt(_dot(v, v))
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _nt_scaling(u: np.ndarray, v: np.ndarray, det_u: np.ndarray, det_v: np.ndarray):
@@ -431,7 +422,7 @@ class _ScaledQRKKT:
 
     def gty(self, dy: np.ndarray) -> np.ndarray:
         """G'dy from the factored G', (n, programs)."""
-        return _bmv(self.gt, dy).T
+        return np.matvec(self.gt, dy).T
 
 
 # -- presolve and dispatch ---------------------------------------------------
@@ -582,7 +573,7 @@ def _solve_batch(problem: ConicProblem, st: SolverSettings,
         x = s.x_prog[stopped] / sk
         y = s.y[stopped] / sk
         z = s.v[1][:, stopped].T.take(unperm, axis=-1) / sk
-        objectives = _dot(s.c_prog[stopped], x).tolist()
+        objectives = np.vecdot(s.c_prog[stopped], x).tolist()
         res = [Residuals(*v) for v in zip(s.pres[stopped].tolist(), s.dres[stopped].tolist(),
                                           s.gap[stopped].tolist())]
         solve_time = time.perf_counter() - t_start
@@ -609,22 +600,22 @@ def _solve_batch(problem: ConicProblem, st: SolverSettings,
         # each program's row of x and z in the solver's order, and of x in its own
         x_rows, z_rows = s.v[:2].transpose(0, 2, 1).copy()
         s.x_prog = x_rows.take(unperm, axis=-1)
-        ax = _bmv(s.a, s.x_prog)
-        atyz = _bmv(s.at, s.y).take(perm, axis=-1) + z_rows
-        cx = _dot(s.c_prog, s.x_prog)
-        by = _dot(s.b, s.y)
+        ax = np.matvec(s.a, s.x_prog)
+        atyz = np.matvec(s.at, s.y).take(perm, axis=-1) + z_rows
+        cx = np.vecdot(s.c_prog, s.x_prog)
+        by = np.vecdot(s.b, s.y)
         s.r_p = ax - s.b * s.tau[:, None]
         r_d_rows = s.v[2].T * s.tau[:, None] - atyz
         s.v[3] = r_d_rows.T
         s.r_g = by - cx - s.kappa
-        s.mu = (_dot(x_rows, z_rows) + s.tau * s.kappa) / nu
+        s.mu = (np.vecdot(x_rows, z_rows) + s.tau * s.kappa) / nu
 
         # residuals of the scaled point (x, y, z) / tau; the gap is
         # residuals()'s of the x / tau and y / tau that finish returns
         s.pres = _norm(s.r_p) / (s.tau * s.norm_b1)
         s.dres = _norm(r_d_rows) / (s.tau * s.norm_c1)
-        cx_tau = _dot(s.c_prog, s.x_prog / s.tau[:, None])
-        s.gap = (np.abs(cx_tau - _dot(s.b, s.y / s.tau[:, None]))
+        cx_tau = np.vecdot(s.c_prog, s.x_prog / s.tau[:, None])
+        s.gap = (np.abs(cx_tau - np.vecdot(s.b, s.y / s.tau[:, None]))
                  / (1.0 + np.abs(cx_tau + s.offset)))
         if trace is not None:
             trace({"iter": it, "mu": float(s.mu[0]), "pres": float(s.pres[0]),
@@ -716,7 +707,7 @@ def _solve_batch(problem: ConicProblem, st: SolverSettings,
         dxs_rows, dxs, dy = kkt.solve(
             wv[1:], lam * _SECOND_COLUMN, np.concatenate([s.b[:, None], -s.r_p[:, None]], axis=1))
         # c'dx = (W c)'dxs, W being symmetric, and b'dy of each column
-        cdx, bdy = _bmv(dxs_rows, wc_rows), _bmv(dy, s.b)
+        cdx, bdy = np.matvec(dxs_rows, wc_rows), np.matvec(dy, s.b)
         dxs2, dy2 = dxs[0], dy[:, 0]
         den = s.kappa / s.tau - cdx[:, 0] + bdy[:, 0]
 
@@ -740,10 +731,10 @@ def _solve_batch(problem: ConicProblem, st: SolverSettings,
         d_tk = sigma * s.mu - s.tau * s.kappa - dtaua * dkappaa
         rs = 1.0 - sigma
         dxs1_rows, dxs1, dy1 = kkt.solve((rs * wv[2])[None], dl, (-rs[:, None] * s.r_p)[:, None])
-        dxs, dy, dtau, dkappa = direction(sigma, d_tk, dxs1[0], _bmv(dxs1_rows, wc_rows)[:, 0],
-                                          _bmv(dy1, s.b)[:, 0], dy1[:, 0])
+        dxs, dy, dtau, dkappa = direction(sigma, d_tk, dxs1[0], np.matvec(dxs1_rows, wc_rows)[:, 0],
+                                          np.matvec(dy1, s.b)[:, 0], dy1[:, 0])
         # dz from the linear dual equation, which the step then reduces exactly
-        dz = s.v[2] * dtau - _bmv(s.at, dy).T.take(perm, axis=0) + rs * s.v[3]
+        dz = s.v[2] * dtau - np.matvec(s.at, dy).T.take(perm, axis=0) + rs * s.v[3]
         # one W product gives W dxs (the x update's dx) and the scaled dual step
         steps = np.concatenate([dxs[None], dz[None]])
         wsteps = layout.scale(s.wbar, s.eta, steps)

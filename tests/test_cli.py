@@ -104,6 +104,36 @@ def test_unwritable_trajectory_leaves_no_document(tmp_path, out):
     assert not (tmp_path / "plan.json").exists()
 
 
+def test_unwritable_document_leaves_no_trajectory(tmp_path):
+    # both output paths are checked before the solve, so neither is written
+    proc = run_cli("solve", "circle2circle", "--mesh", "9", "--out",
+                   f"{tmp_path}/missing/plan.json", "--trajectory", f"{tmp_path}/traj.csv")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --out ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "circle2circle", "--mesh", "9", "--out", "{dir}/missing/plan.json",
+     "--trajectory", "{dir}/traj.csv"],
+    ["solve", "circle2circle", "--mesh", "9", "--trajectory", "{dir}/missing/traj.csv"],
+    ["sweep", "circle2circle", "--mesh-list", "9", "--out", "{dir}/missing/s.csv"],
+    ["inner-node", "circle2circle", "--resolution", "10", "--out", "{dir}/missing/inner.json"],
+], ids=["solve-out", "solve-trajectory", "sweep-out", "inner-node-out"])
+def test_output_in_missing_directory_fails_before_any_solve(tmp_path, monkeypatch, capsys, args):
+    # AssertionError, not ValueError: mesh_sweep reports a ValueError as a row
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output paths were checked")
+
+    monkeypatch.setattr(postprocess, "solve", no_solve)
+    monkeypatch.setattr(postprocess, "solve_batch", no_solve)
+    assert cli.main([arg.format(dir=tmp_path) for arg in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [["solve", "circle2circle", "--mesh", "3.5"], ["solve"]],
                          ids=["non-integer-mesh", "no-scenario"])
 def test_malformed_command_line_is_input_error(capsys, args):
