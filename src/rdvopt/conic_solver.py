@@ -61,14 +61,15 @@ def _check_integer(name: str, value, least: int) -> None:
 
 def _check_real(name: str, value, sign: str = "positive") -> None:
     """README's real rule: ValueError naming name unless value is a finite real of
-    the sign, "positive" or "nonnegative".  A bool or a string is no real."""
+    the sign, "positive", "nonnegative" or "finite" (any).  A bool or a string is no real."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         finite = real and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
-    if not (finite and (0 <= value if sign == "nonnegative" else 0 < value)):
-        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+    if not (finite and (sign == "finite" or (0 <= value if sign == "nonnegative" else 0 < value))):
+        rule = sign if sign == "finite" else f"finite and {sign}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conic_solver import _check_real
+
 MU_EARTH_KM3_S2 = 398600.4418
 
 _TWO_PI = 2.0 * math.pi
@@ -47,12 +49,13 @@ class TargetOrbit:
     mu: float = MU_EARTH_KM3_S2
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise ValueError(f"semi-major axis must be positive, got {self.a}")
-        if not (0.0 <= self.e < 1.0):
+        for name in ("a", "mu"):
+            _check_real(name, getattr(self, name))
+        for name in ("i", "raan", "argp", "theta0"):
+            _check_real(name, getattr(self, name), "finite")
+        _check_real("e", self.e, "nonnegative")
+        if not self.e < 1.0:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.e}")
-        if not (self.mu > 0.0):
-            raise ValueError(f"gravitational parameter must be positive, got {self.mu}")
 
     @property
     def p(self) -> float:

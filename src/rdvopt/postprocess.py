@@ -549,83 +549,73 @@ def _stencil_minimum(points: np.ndarray, costs: np.ndarray, j: int,
     return centre, float(distance[np.abs(shift) <= 1].max()), float(distance.max())
 
 
-def _window(estimate: float, margin: float, lo: float, hi: float) -> tuple[float, float]:
-    """The window an estimate places: estimate +/- max(2 margin, 1e-6), inside (lo, hi)."""
-    half = max(2.0 * margin, 1e-6)
-    return max(lo, estimate - half), min(hi, estimate + half)
-
-
 def inner_node_search(scenario: Scenario, resolution: int = 100,
                       settings: Optional[SolverSettings] = None) -> InnerNodeResult:
     """Best interior burn anomaly for a three-node grid.
 
-    Scans the open horizon at the given resolution, then refines the
-    bracket around the best candidate (its two neighbours) in rounds.
-    Each round solves evenly spaced interior points of a window as one
-    batch and keeps the two neighbours of its best as the bracket.  The
-    degree-4 polynomial through the five points around a best, the scan's
-    or a round's, estimates the minimum; the stencils shifted off centre
-    (by one point at the scan, by up to two in a round) give its spread
-    and margin (_stencil_minimum).  A usable estimate places the next
-    window at the estimate +/- max(2 margin, 1e-6), inside the bracket; an
-    unusable one sends the next round to the whole bracket, and so does a
-    window whose best lies on its edge.  An estimate with a spread of at
-    most 0.5e-6 rad is the answer only from a round whose window an
-    earlier estimate placed inside the bracket, never from one that
-    sampled the whole bracket: samples that far apart can alias a ripple
-    the fit cannot see.  At least one round runs, and a bracket 1e-6 rad
-    wide ends the search at its midpoint.  Only the chosen anomaly is
-    planned, and its PlanResult is returned with the scan and one
-    BracketRound per round.
+    Each pass of one loop solves evenly spaced interior points of a window
+    as one batch: the first pass, the scan, covers the open horizon at the
+    given resolution, and each later one, a round, refines the bracket
+    around the best so far.  A pass keeps the two neighbours of its best
+    as the bracket, or the horizon's end less 1e-9 of the span where the
+    best lies on the horizon's edge.  The degree-4 polynomial through the
+    five points around the best estimates the minimum; the stencils
+    shifted off centre (by one point at the scan, by up to two in a round)
+    give its spread and margin (_stencil_minimum).  A usable estimate
+    places the next window at the estimate +/- max(2 margin, 1e-6), inside
+    the bracket; an unusable one sends the next round to the whole
+    bracket, and so does a window whose best lies on its edge.  An
+    estimate with a spread of at most 0.5e-6 rad is the answer only from a
+    round whose window an earlier estimate placed inside the bracket,
+    never from one that sampled the whole bracket: samples that far apart
+    can alias a ripple the fit cannot see.  At least one round runs, and a
+    bracket 1e-6 rad wide ends the search at its midpoint.  Only the
+    chosen anomaly is planned, and its PlanResult is returned with the
+    scan and one BracketRound per round.
     """
     _check_integer("resolution", resolution, 10)
     th0, thf = scenario.theta0, scenario.theta_f
-    span = thf - th0
-    cands = th0 + span * (np.arange(1, resolution + 1) / (resolution + 1))
-    costs = _three_node_costs(scenario, cands, settings)
-    best = int(np.argmin(costs))
-
-    pad = 1e-9 * span
-    lo = cands[best - 1] if best > 0 else th0 + pad
-    hi = cands[best + 1] if best < resolution - 1 else thf - pad
-    outer = (lo, hi)
-    # the scan's stencils reach one point off centre: at its spacing, those
-    # two off reach across the cost curve's kinks (atv's come once per
-    # revolution) and overstate the error.  A round's reach two: they catch
-    # a kink or a jump beside its best, and the margin they give holds
-    # where the spread of a coarse round does not (atv's first round
-    # misses by 4.8 times its spread)
-    estimate, spread, margin = _stencil_minimum(cands, costs, best, reach=1)
-    if spread < math.inf:
-        lo, hi = _window(estimate, margin, lo, hi)
-    placed = (lo, hi) != outer
-    rounds = []
+    pad = 1e-9 * (thf - th0)
+    lo, hi, outer, placed = th0, thf, (th0 + pad, thf - pad), False
+    scan, rounds = None, []
     while True:
         t0 = time.perf_counter()
-        points = lo + (hi - lo) * (np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1))
-        round_costs = _three_node_costs(scenario, points, settings)
-        j = int(np.argmin(round_costs))
-        estimate, spread, margin = _stencil_minimum(points, round_costs, j)
-        rounds.append(BracketRound(lo=float(lo), hi=float(hi), best=j, estimate=estimate,
-                                   spread=spread, margin=margin, placed=placed,
-                                   wall_time=time.perf_counter() - t0))
-        if (j == 0 and lo > outer[0]) or (j == _BRACKET_POINTS - 1 and hi < outer[1]):
-            # the best lies on an edge of a window inside the bracket: the
-            # minimum may lie outside the window, so sample the bracket again
+        n = resolution if scan is None else _BRACKET_POINTS
+        points = lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1))
+        costs = _three_node_costs(scenario, points, settings)
+        j = int(np.argmin(costs))
+        # the scan's stencils reach one point off centre: at its spacing, those
+        # two off reach across the cost curve's kinks (atv's come once per
+        # revolution) and overstate the error.  A round's reach two: they catch
+        # a kink or a jump beside its best, and the margin they give holds
+        # where the spread of a coarse round does not (atv's first round
+        # misses by 4.8 times its spread)
+        estimate, spread, margin = _stencil_minimum(points, costs, j, 1 if scan is None else 2)
+        if scan is None:
+            scan = points, costs
+        else:
+            rounds.append(BracketRound(lo=float(lo), hi=float(hi), best=j, estimate=estimate,
+                                       spread=spread, margin=margin, placed=placed,
+                                       wall_time=time.perf_counter() - t0))
+        if (j == 0 and lo > outer[0]) or (j == n - 1 and hi < outer[1]):
+            # the best lies on an edge of a window inside the bracket (the
+            # scan's horizon never is): the minimum may lie outside the
+            # window, so sample the bracket again
             (lo, hi), placed = outer, False
         else:
-            lo = points[j - 1] if j > 0 else lo
-            hi = points[j + 1] if j < _BRACKET_POINTS - 1 else hi
+            lo = points[j - 1] if j > 0 else outer[0]
+            hi = points[j + 1] if j < n - 1 else outer[1]
             outer = (lo, hi)
             if placed and spread <= 0.5e-6:
                 theta2 = estimate
                 break
             if spread < math.inf:
-                lo, hi = _window(estimate, margin, lo, hi)
+                half = max(2.0 * margin, 1e-6)
+                lo, hi = max(lo, estimate - half), min(hi, estimate + half)
             placed = (lo, hi) != outer
-        if hi - lo <= 1e-6:
+        if rounds and hi - lo <= 1e-6:
             theta2 = 0.5 * (lo + hi)
             break
     res = plan_rendezvous(scenario, grid=_three_node_grid(scenario, theta2), settings=settings)
-    return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=cands,
-                           scan_costs=costs, rounds=tuple(rounds))
+    return InnerNodeResult(**vars(res), theta2=float(theta2), scan_nodes=scan[0],
+                           scan_costs=scan[1], rounds=tuple(rounds))

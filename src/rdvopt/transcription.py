@@ -80,10 +80,12 @@ class Scenario:
     def __post_init__(self):
         if (self.duration is None) == (self.thetaf is None):
             raise ValueError("exactly one of duration / thetaf must be given")
-        if self.duration is not None and not (self.duration > 0.0):
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.thetaf is not None and not (self.thetaf > self.orbit.theta0):
-            raise ValueError("thetaf must exceed the orbit's initial anomaly")
+        if self.duration is not None:
+            _check_real("duration", self.duration)
+        else:
+            _check_real("thetaf", self.thetaf, "finite")
+            if not self.thetaf > self.orbit.theta0:
+                raise ValueError("thetaf must exceed the orbit's initial anomaly")
         if not (np.all(np.isfinite(self.x0.vector)) and np.all(np.isfinite(self.xf.vector))):
             raise ValueError("boundary states must be finite")
         _check_integer("mesh_m", self.mesh_m, 2)

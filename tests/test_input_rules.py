@@ -32,6 +32,7 @@ from rdvopt import (
 from rdvopt.scenarios import scenario_to_dict
 
 ATV = builtin("atv")
+C2C = builtin("circle2circle")  # its horizon is given by thetaf
 
 
 def _load(tmp_path, key, value):
@@ -83,19 +84,42 @@ RULES = {
     "max_iters": ("integer", 1, {
         "SolverSettings": ("max_iters", lambda v, tmp: SolverSettings(max_iters=v)),
     }),
+    "orbit size": ("positive", 0, {
+        "a": ("a", lambda v, tmp: replace(ATV.orbit, a=v)),
+        "mu": ("mu", lambda v, tmp: replace(ATV.orbit, mu=v)),
+    }),
+    "eccentricity": ("nonnegative", 0, {
+        "e": ("e", lambda v, tmp: replace(ATV.orbit, e=v)),
+    }),
+    # a finite rule's bound lies below every value it holds: angles of any sign
+    "orbit angles": ("finite", -7, {
+        field: (field, lambda v, tmp, field=field: replace(ATV.orbit, **{field: v}))
+        for field in ("i", "raan", "argp", "theta0")
+    }),
+    "duration": ("positive", 0, {
+        "duration": ("duration", lambda v, tmp: replace(ATV, duration=v)),
+    }),
+    "horizon end": ("finite", C2C.theta0, {
+        "thetaf": ("thetaf", lambda v, tmp: replace(C2C, thetaf=v)),
+    }),
 }
 
-# a bool, a string, a float for an integer, nan, inf and a value just below the bound
+# a bool, a string, a float for an integer, nan, inf and a value just below the
+# bound (a finite rule has no bound of its own: thetaf's theta0 has its own message)
 BROKEN = {
     "integer": lambda least: [True, str(least), 10.0, math.nan, math.inf, least - 1],
     "positive": lambda _: [True, "1e-5", math.nan, math.inf, 0.0],
     "nonnegative": lambda _: [True, "1e-5", math.nan, math.inf, -5e-324],
+    "finite": lambda _: [True, "0.5", math.nan, math.inf, -math.inf],
 }
-# ints, floats and numpy scalars at the bound (a file holds no numpy scalar)
+# ints, floats and numpy scalars at the bound, or just above a finite rule's
+# (a file holds no numpy scalar)
 HELD = {
     "integer": lambda least: [least, np.int64(least), np.int32(least)],
     "positive": lambda _: [1, 1e-9, np.float64(1e-9), np.float32(1e-9), np.int64(1)],
     "nonnegative": lambda _: [0, 0.0, np.float64(0.0), np.float32(1e-9), np.int64(0)],
+    "finite": lambda least: [least + 1, least + 0.5, np.float64(least + 0.5),
+                             np.float32(least + 0.5), np.int64(least + 1)],
 }
 
 
@@ -128,6 +152,7 @@ def test_a_broken_rule_raises_before_any_solve(no_solve, tmp_path, name, call, v
 # the entry points that solve nothing
 @pytest.mark.parametrize("name, call, value", _cases(HELD, (
     "Scenario", "build_grid", "reconstruct_trajectory", "extract_impulses", "file",
-    "gap_tol", "feas_tol", "SolverSettings")))
+    "gap_tol", "feas_tol", "SolverSettings", "a", "mu", "e", "i", "raan", "argp", "theta0",
+    "duration", "thetaf")))
 def test_a_value_at_the_bound_is_held(tmp_path, name, call, value):
     call(value, tmp_path)

@@ -504,6 +504,26 @@ class TestInnerNodeSearch:
         res = inner_node_search(scen, resolution=100)
         assert curve(res.theta2) <= min(curve(res.theta2 - 1e-6), curve(res.theta2 + 1e-6))
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_a_scan_best_on_the_edge_brackets_to_the_padded_end(self, monkeypatch, side):
+        # the minimum lies 0.3 scan spacings inside an end node, so the
+        # scan's best is its first or last point and the bracket reaches
+        # the horizon's end less 1e-9 of the span
+        scen = builtin("circle2circle")
+        th0, thf = scen.theta0, scen.theta_f
+        spacing = (thf - th0) / 101
+        x_min = th0 + 0.3 * spacing if side == 0 else thf - 0.3 * spacing
+        monkeypatch.setattr(postprocess, "_three_node_costs", lambda scenario, thetas, settings:
+                            (thetas - x_min) ** 2 + 0.01 * (thetas - x_min) ** 4)
+        res = inner_node_search(scen, resolution=100)
+        assert int(np.argmin(res.scan_costs)) == (0, 99)[side]
+        pad = 1e-9 * (thf - th0)
+        if side == 0:
+            assert res.rounds[0].lo == th0 + pad
+        else:
+            assert res.rounds[0].hi == thf - pad
+        assert abs(res.theta2 - x_min) <= 1e-6
+
     @pytest.mark.parametrize("name, rounds", [("atv", 2), ("circle2circle", 1)])
     def test_one_or_two_rounds_find_the_fine_optimum(self, monkeypatch, name, rounds):
         scen = builtin(name)
